@@ -1310,19 +1310,19 @@ def _cmd_cluster_node(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_timed_spec(text: str, flag: str, fields: int) -> List[float]:
-    """Parse a ``NODE:AT[:EXTRA]`` / ``PROB:START:END`` style CLI value."""
+def _parse_timed_spec(text: str, flag: str, least: int, most: int) -> List[float]:
+    """Parse a ``NODE:AT[:EXTRA]`` / ``PROB:START:END`` style CLI value of
+    ``least`` to ``most`` colon-separated numbers."""
     parts = text.split(":")
-    if not 2 <= len(parts) <= fields:
-        raise ConfigurationError(
-            f"malformed --{flag} {text!r} (expected colon-separated numbers)"
-        )
     try:
+        if not least <= len(parts) <= most:
+            raise ValueError
         return [float(part) for part in parts]
     except ValueError:
+        count = str(most) if least == most else f"{least}-{most}"
         raise ConfigurationError(
-            f"malformed --{flag} {text!r} (expected colon-separated numbers)"
-        )
+            f"malformed --{flag} {text!r} (expected {count} colon-separated numbers)"
+        ) from None
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -1330,8 +1330,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import time
     from pathlib import Path
 
-    from repro.faults.spec import LossSpec
     from repro.net.chaos import WireFaults
+    from repro.net.network import LossWindow
     from repro.oracle.chaos import (
         ChaosSchedule,
         KillSpec,
@@ -1351,15 +1351,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     else:
         kills = tuple(
             KillSpec(int(f[0]), f[1], *(f[2:3]))
-            for f in (_parse_timed_spec(s, "kill", 3) for s in args.kills or ())
+            for f in (_parse_timed_spec(s, "kill", 2, 3) for s in args.kills or ())
         )
         pauses = tuple(
             PauseSpec(int(f[0]), f[1], *(f[2:3]))
-            for f in (_parse_timed_spec(s, "pause", 3) for s in args.pauses or ())
+            for f in (_parse_timed_spec(s, "pause", 2, 3) for s in args.pauses or ())
         )
         losses = tuple(
-            LossSpec(start=f[1], end=f[2], probability=f[0])
-            for f in (_parse_timed_spec(s, "loss", 3) for s in args.losses or ())
+            LossWindow(start=f[1], end=f[2], probability=f[0])
+            for f in (_parse_timed_spec(s, "loss", 3, 3) for s in args.losses or ())
         )
         schedule = ChaosSchedule(
             kills=kills, pauses=pauses, wire=WireFaults(losses=losses)

@@ -12,13 +12,11 @@ The subsystem has three layers:
   violation repro bundles.
 """
 
+from repro.net.network import DelayWindow, LossWindow, PartitionWindow
 from repro.faults.spec import (
     FULL_BUDGET,
     CorruptionSpec,
-    DelaySpec,
     FaultSpec,
-    LossSpec,
-    PartitionSpec,
     StrategyContext,
     fault_spec_of,
     register_strategy,
@@ -70,7 +68,7 @@ __all__ = [
     "CampaignResult",
     "CellVerdict",
     "CorruptionSpec",
-    "DelaySpec",
+    "DelayWindow",
     "EpsilonAgreementMonitor",
     "Evaluation",
     "FULL_BUDGET",
@@ -80,9 +78,9 @@ __all__ = [
     "FaultSpec",
     "FuzzResult",
     "InvariantMonitor",
-    "LossSpec",
+    "LossWindow",
     "MUTATORS",
-    "PartitionSpec",
+    "PartitionWindow",
     "RbcSafetyMonitor",
     "ReplayReport",
     "ScheduleSearch",

@@ -32,13 +32,11 @@ from repro.experiments.spec import ScenarioSpec, SweepSpec
 from repro.faults.monitors import build_monitors, collect_margins
 from repro.faults.spec import (
     CorruptionSpec,
-    DelaySpec,
     FaultSpec,
-    LossSpec,
-    PartitionSpec,
     fault_spec_of,
     scenario_corrupted_ids,
 )
+from repro.net.network import DelayWindow, LossWindow, PartitionWindow
 from repro.protocols.topology import ShardedTopology
 from repro.sim.observers import TraceRecorder
 from repro.sim.runtime import SimulationConfig
@@ -517,19 +515,19 @@ def _common_cases() -> List[FaultCase]:
             "partition-heal",
             FaultSpec(
                 partitions=(
-                    PartitionSpec(start=0.0, end=0.05, groups=((0,),)),
+                    PartitionWindow(start=0.0, end=0.05, groups=((0,),)),
                 )
             ),
         ),
         FaultCase(
             "targeted-delay",
             FaultSpec(
-                delays=(DelaySpec(start=0.0, end=0.2, extra=0.05, receivers=(0,)),)
+                delays=(DelayWindow(start=0.0, end=0.2, extra=0.05, receivers=(0,)),)
             ),
         ),
         FaultCase(
             "loss-window",
-            FaultSpec(losses=(LossSpec(start=0.0, end=0.02, probability=0.2),)),
+            FaultSpec(losses=(LossWindow(start=0.0, end=0.02, probability=0.2),)),
         ),
     ]
 
@@ -610,7 +608,7 @@ def sharded_campaign() -> FaultCampaign:
             "group-partition-heal",
             FaultSpec(
                 partitions=(
-                    PartitionSpec(
+                    PartitionWindow(
                         start=0.0, end=0.05, groups=(topology.groups[1],)
                     ),
                 )

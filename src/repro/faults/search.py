@@ -32,21 +32,15 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.spec import ScenarioSpec
 from repro.faults.campaign import CellVerdict, run_cell_engine, run_fault_cell
-from repro.faults.spec import (
-    CorruptionSpec,
-    DelaySpec,
-    FaultSpec,
-    LossSpec,
-    PartitionSpec,
-    fault_spec_of,
-)
+from repro.faults.spec import CorruptionSpec, FaultSpec, fault_spec_of
+from repro.net.network import DelayWindow, LossWindow, PartitionWindow
 from repro.protocols.base import byzantine_bound
 from repro.protocols.registry import (
     HIERARCHICAL_AGREEMENT,
@@ -78,6 +72,8 @@ WINDOW_SPANS = (0.02, 0.05, 0.1, 0.2)
 DELAY_EXTRAS = (0.02, 0.05, 0.08)
 LOSS_PROBABILITIES = (0.1, 0.2, 0.3)
 POISON_OFFSETS = (-16.0, -8.0, -4.0, 4.0, 8.0, 16.0)
+#: ``FaultSpec`` fields holding network-fault windows, in mutation order.
+WINDOW_KINDS = ("partitions", "delays", "losses")
 
 
 # ----------------------------------------------------------------------
@@ -94,6 +90,12 @@ def _with_faults(spec: ScenarioSpec, faults: FaultSpec) -> ScenarioSpec:
     return spec.replace(faults=faults.to_dict())
 
 
+def _without(faults: FaultSpec, kind: str, index: int) -> FaultSpec:
+    """``faults`` minus entry ``index`` of its tuple field ``kind``."""
+    entries = getattr(faults, kind)
+    return replace(faults, **{kind: entries[:index] + entries[index + 1 :]})
+
+
 def _budget_used(faults: FaultSpec, n: int) -> int:
     return sum(corruption.resolved_count(n) for corruption in faults.corruptions)
 
@@ -105,14 +107,7 @@ def _trim_to_budget(faults: FaultSpec, n: int) -> FaultSpec:
         groups.pop()
     if len(groups) == len(faults.corruptions):
         return faults
-    return FaultSpec(
-        corruptions=tuple(groups),
-        partitions=faults.partitions,
-        delays=faults.delays,
-        losses=faults.losses,
-        allow_over_budget=faults.allow_over_budget,
-        expect_termination=faults.expect_termination,
-    )
+    return replace(faults, corruptions=tuple(groups))
 
 
 def _mut_reseed(rng: random.Random, spec: ScenarioSpec) -> ScenarioSpec:
@@ -142,13 +137,7 @@ def _mut_add_corruption(rng: random.Random, spec: ScenarioSpec) -> ScenarioSpec:
         strategy=strategy, count=1, activation_time=rng.choice(ACTIVATIONS)
     )
     return _with_faults(
-        spec,
-        FaultSpec(
-            corruptions=faults.corruptions + (group,),
-            partitions=faults.partitions,
-            delays=faults.delays,
-            losses=faults.losses,
-        ),
+        spec, replace(faults, corruptions=faults.corruptions + (group,))
     )
 
 
@@ -161,12 +150,7 @@ def _mut_poison_value(rng: random.Random, spec: ScenarioSpec) -> ScenarioSpec:
     groups = list(faults.corruptions)
     for index, group in enumerate(groups):
         if group.strategy == "poison-input":
-            groups[index] = CorruptionSpec(
-                strategy="poison-input",
-                count=group.count,
-                activation_time=group.activation_time,
-                options={"value": value},
-            )
+            groups[index] = replace(group, options={"value": value})
             break
     else:
         if _budget_used(faults, spec.n) + 1 > byzantine_bound(spec.n):
@@ -174,32 +158,15 @@ def _mut_poison_value(rng: random.Random, spec: ScenarioSpec) -> ScenarioSpec:
         groups.append(
             CorruptionSpec(strategy="poison-input", count=1, options={"value": value})
         )
-    return _with_faults(
-        spec,
-        FaultSpec(
-            corruptions=tuple(groups),
-            partitions=faults.partitions,
-            delays=faults.delays,
-            losses=faults.losses,
-        ),
-    )
+    return _with_faults(spec, replace(faults, corruptions=tuple(groups)))
 
 
 def _mut_drop_corruption(rng: random.Random, spec: ScenarioSpec) -> ScenarioSpec:
     faults = _faults_of(spec)
     if not faults.corruptions:
         return spec
-    groups = list(faults.corruptions)
-    groups.pop(rng.randrange(len(groups)))
-    return _with_faults(
-        spec,
-        FaultSpec(
-            corruptions=tuple(groups),
-            partitions=faults.partitions,
-            delays=faults.delays,
-            losses=faults.losses,
-        ),
-    )
+    index = rng.randrange(len(faults.corruptions))
+    return _with_faults(spec, _without(faults, "corruptions", index))
 
 
 def _mut_retime_corruption(rng: random.Random, spec: ScenarioSpec) -> ScenarioSpec:
@@ -208,112 +175,53 @@ def _mut_retime_corruption(rng: random.Random, spec: ScenarioSpec) -> ScenarioSp
         return spec
     groups = list(faults.corruptions)
     index = rng.randrange(len(groups))
-    group = groups[index]
-    groups[index] = CorruptionSpec(
-        strategy=group.strategy,
-        count=group.count,
-        activation_time=rng.choice(ACTIVATIONS),
-        options=dict(group.options),
-    )
-    return _with_faults(
-        spec,
-        FaultSpec(
-            corruptions=tuple(groups),
-            partitions=faults.partitions,
-            delays=faults.delays,
-            losses=faults.losses,
-        ),
-    )
+    groups[index] = replace(groups[index], activation_time=rng.choice(ACTIVATIONS))
+    return _with_faults(spec, replace(faults, corruptions=tuple(groups)))
 
 
 def _mut_add_delay(rng: random.Random, spec: ScenarioSpec) -> ScenarioSpec:
     faults = _faults_of(spec)
     start = rng.choice(WINDOW_STARTS)
-    window = DelaySpec(
+    window = DelayWindow(
         start=start,
         end=start + rng.choice(WINDOW_SPANS),
         extra=rng.choice(DELAY_EXTRAS),
         receivers=(rng.randrange(spec.n),) if rng.random() < 0.7 else None,
     )
-    return _with_faults(
-        spec,
-        FaultSpec(
-            corruptions=faults.corruptions,
-            partitions=faults.partitions,
-            delays=faults.delays + (window,),
-            losses=faults.losses,
-        ),
-    )
+    return _with_faults(spec, replace(faults, delays=faults.delays + (window,)))
 
 
 def _mut_add_partition(rng: random.Random, spec: ScenarioSpec) -> ScenarioSpec:
     faults = _faults_of(spec)
     start = rng.choice(WINDOW_STARTS[:3])
-    window = PartitionSpec(
+    window = PartitionWindow(
         start=start,
         end=start + rng.choice(WINDOW_SPANS[:2]),
         groups=((rng.randrange(spec.n),),),
         heal_delay=rng.choice((0.0, 0.01)),
     )
-    return _with_faults(
-        spec,
-        FaultSpec(
-            corruptions=faults.corruptions,
-            partitions=faults.partitions + (window,),
-            delays=faults.delays,
-            losses=faults.losses,
-        ),
-    )
+    return _with_faults(spec, replace(faults, partitions=faults.partitions + (window,)))
 
 
 def _mut_add_loss(rng: random.Random, spec: ScenarioSpec) -> ScenarioSpec:
     faults = _faults_of(spec)
     start = rng.choice(WINDOW_STARTS[:2])
-    window = LossSpec(
+    window = LossWindow(
         start=start,
         end=start + rng.choice(WINDOW_SPANS[:2]),
         probability=rng.choice(LOSS_PROBABILITIES),
     )
-    return _with_faults(
-        spec,
-        FaultSpec(
-            corruptions=faults.corruptions,
-            partitions=faults.partitions,
-            delays=faults.delays,
-            losses=faults.losses + (window,),
-        ),
-    )
+    return _with_faults(spec, replace(faults, losses=faults.losses + (window,)))
 
 
 def _mut_drop_window(rng: random.Random, spec: ScenarioSpec) -> ScenarioSpec:
     faults = _faults_of(spec)
-    pools: List[Tuple[str, List[Any]]] = [
-        (kind, list(windows))
-        for kind, windows in (
-            ("partitions", faults.partitions),
-            ("delays", faults.delays),
-            ("losses", faults.losses),
-        )
-        if windows
-    ]
-    if not pools:
+    kinds = [kind for kind in WINDOW_KINDS if getattr(faults, kind)]
+    if not kinds:
         return spec
-    kind, windows = pools[rng.randrange(len(pools))]
-    windows.pop(rng.randrange(len(windows)))
-    parts = {
-        "partitions": list(faults.partitions),
-        "delays": list(faults.delays),
-        "losses": list(faults.losses),
-    }
-    parts[kind] = windows
+    kind = kinds[rng.randrange(len(kinds))]
     return _with_faults(
-        spec,
-        FaultSpec(
-            corruptions=faults.corruptions,
-            partitions=tuple(parts["partitions"]),
-            delays=tuple(parts["delays"]),
-            losses=tuple(parts["losses"]),
-        ),
+        spec, _without(faults, kind, rng.randrange(len(getattr(faults, kind))))
     )
 
 
@@ -645,59 +553,15 @@ class ScheduleSearch:
         """Candidate simplifications, most aggressive first (deterministic)."""
         variants: List[ScenarioSpec] = []
         faults = _faults_of(spec)
-        for index in range(len(faults.corruptions)):
-            groups = list(faults.corruptions)
-            groups.pop(index)
-            variants.append(
-                _with_faults(
-                    spec,
-                    FaultSpec(
-                        corruptions=tuple(groups),
-                        partitions=faults.partitions,
-                        delays=faults.delays,
-                        losses=faults.losses,
-                    ),
-                )
-            )
-        for kind in ("partitions", "delays", "losses"):
-            windows = getattr(faults, kind)
-            for index in range(len(windows)):
-                parts = {
-                    "partitions": list(faults.partitions),
-                    "delays": list(faults.delays),
-                    "losses": list(faults.losses),
-                }
-                parts[kind].pop(index)
-                variants.append(
-                    _with_faults(
-                        spec,
-                        FaultSpec(
-                            corruptions=faults.corruptions,
-                            partitions=tuple(parts["partitions"]),
-                            delays=tuple(parts["delays"]),
-                            losses=tuple(parts["losses"]),
-                        ),
-                    )
-                )
+        for kind in ("corruptions",) + WINDOW_KINDS:
+            for index in range(len(getattr(faults, kind))):
+                variants.append(_with_faults(spec, _without(faults, kind, index)))
         for index, group in enumerate(faults.corruptions):
             if group.activation_time > 0.0:
                 groups = list(faults.corruptions)
-                groups[index] = CorruptionSpec(
-                    strategy=group.strategy,
-                    count=group.count,
-                    activation_time=0.0,
-                    options=dict(group.options),
-                )
+                groups[index] = replace(group, activation_time=0.0)
                 variants.append(
-                    _with_faults(
-                        spec,
-                        FaultSpec(
-                            corruptions=tuple(groups),
-                            partitions=faults.partitions,
-                            delays=faults.delays,
-                            losses=faults.losses,
-                        ),
-                    )
+                    _with_faults(spec, replace(faults, corruptions=tuple(groups)))
                 )
         if spec.n > min(SIZES):
             variants.append(

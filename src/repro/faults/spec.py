@@ -6,9 +6,10 @@ scenario, as plain JSON-safe data:
 * **corruptions** — which Byzantine strategies run, on how many nodes, and
   *when* they activate (static from t=0, or adaptive mid-run via
   :class:`~repro.adversary.strategies.ScheduledStrategy`);
-* **partitions / delays / losses** — network-fault windows compiled into a
-  :class:`~repro.net.network.NetworkFaultPlan` and installed on the
-  scenario's :class:`~repro.net.network.DeliveryPolicy`.
+* **partitions / delays / losses** — the network-fault windows of
+  :mod:`repro.net.network` themselves, handed as a
+  :class:`~repro.net.network.NetworkFaultPlan` to the scenario's
+  :class:`~repro.net.network.DeliveryPolicy`.
 
 Because the spec is JSON-safe it rides inside ``ScenarioSpec.extras["faults"]``
 and therefore composes with the existing :class:`~repro.experiments.spec.SweepSpec`
@@ -22,7 +23,7 @@ monitors fire).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.adversary.base import AdversaryStrategy
@@ -38,9 +39,12 @@ from repro.adversary.strategies import (
 from repro.errors import ConfigurationError
 from repro.net.network import (
     DelayWindow,
+    JsonSpec,
     LossWindow,
     NetworkFaultPlan,
     PartitionWindow,
+    optional_ids,
+    reject_unknown_keys,
 )
 from repro.protocols.base import byzantine_bound
 
@@ -111,21 +115,6 @@ STRATEGY_FACTORIES: Dict[str, StrategyFactory] = {
 }
 
 
-def _validate_window(kind: str, start: float, end: float) -> None:
-    """Shared declaration-time checks for fault windows.
-
-    Catching nonsense here (rather than mid-run) matters: a negative delay,
-    for example, would schedule deliveries in the simulated past and produce
-    silently wrong campaign results instead of a clean error.
-    """
-    if start < 0:
-        raise ConfigurationError(f"{kind} window start must be >= 0, got {start}")
-    if end < start:
-        raise ConfigurationError(
-            f"{kind} window must have end >= start, got [{start}, {end})"
-        )
-
-
 def register_strategy(name: str, factory: StrategyFactory) -> None:
     """Register (or replace) a corruption strategy factory under ``name``.
 
@@ -136,7 +125,7 @@ def register_strategy(name: str, factory: StrategyFactory) -> None:
 
 
 @dataclass(frozen=True)
-class CorruptionSpec:
+class CorruptionSpec(JsonSpec):
     """One group of corrupted nodes sharing a strategy and a schedule.
 
     ``count = FULL_BUDGET`` resolves to the cell's full ``(n-1)//3`` fault
@@ -156,16 +145,21 @@ class CorruptionSpec:
     nodes: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
+        self._coerce(
+            strategy=str,
+            count=int,
+            activation_time=float,
+            options=dict,
+            nodes=optional_ids,
+        )
         if self.activation_time < 0:
             raise ConfigurationError(
                 f"activation_time must be >= 0, got {self.activation_time}"
             )
-        if self.nodes is not None:
-            object.__setattr__(self, "nodes", tuple(int(v) for v in self.nodes))
-            if len(set(self.nodes)) != len(self.nodes):
-                raise ConfigurationError(
-                    f"corruption nodes contain duplicates: {self.nodes}"
-                )
+        if self.nodes is not None and len(set(self.nodes)) != len(self.nodes):
+            raise ConfigurationError(
+                f"corruption nodes contain duplicates: {self.nodes}"
+            )
 
     def resolved_count(self, n: int) -> int:
         if self.nodes is not None:
@@ -209,118 +203,9 @@ class CorruptionSpec:
             next_id -= 1
         return ids
 
-    def to_dict(self) -> Dict[str, Any]:
-        data = asdict(self)
-        data["options"] = dict(self.options)
-        data["nodes"] = None if self.nodes is None else list(self.nodes)
-        return data
-
 
 @dataclass(frozen=True)
-class PartitionSpec:
-    """JSON-safe description of a :class:`~repro.net.network.PartitionWindow`."""
-
-    start: float
-    end: float
-    groups: Tuple[Tuple[int, ...], ...]
-    heal_delay: float = 0.0
-
-    def __post_init__(self) -> None:
-        _validate_window("partition", self.start, self.end)
-        if self.heal_delay < 0:
-            raise ConfigurationError(
-                f"heal_delay must be >= 0, got {self.heal_delay}"
-            )
-
-    def to_window(self) -> PartitionWindow:
-        return PartitionWindow(
-            start=self.start,
-            end=self.end,
-            groups=tuple(tuple(group) for group in self.groups),
-            heal_delay=self.heal_delay,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "groups": [list(group) for group in self.groups],
-            "heal_delay": self.heal_delay,
-        }
-
-
-@dataclass(frozen=True)
-class DelaySpec:
-    """JSON-safe description of a :class:`~repro.net.network.DelayWindow`."""
-
-    start: float
-    end: float
-    extra: float
-    senders: Optional[Tuple[int, ...]] = None
-    receivers: Optional[Tuple[int, ...]] = None
-
-    def __post_init__(self) -> None:
-        _validate_window("delay", self.start, self.end)
-        if self.extra < 0:
-            raise ConfigurationError(f"delay extra must be >= 0, got {self.extra}")
-
-    def to_window(self) -> DelayWindow:
-        return DelayWindow(
-            start=self.start,
-            end=self.end,
-            extra=self.extra,
-            senders=None if self.senders is None else tuple(self.senders),
-            receivers=None if self.receivers is None else tuple(self.receivers),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "extra": self.extra,
-            "senders": None if self.senders is None else list(self.senders),
-            "receivers": None if self.receivers is None else list(self.receivers),
-        }
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """JSON-safe description of a :class:`~repro.net.network.LossWindow`."""
-
-    start: float
-    end: float
-    probability: float
-    senders: Optional[Tuple[int, ...]] = None
-    receivers: Optional[Tuple[int, ...]] = None
-
-    def __post_init__(self) -> None:
-        _validate_window("loss", self.start, self.end)
-        if not 0.0 <= self.probability <= 1.0:
-            raise ConfigurationError(
-                f"loss probability must be in [0, 1], got {self.probability}"
-            )
-
-    def to_window(self) -> LossWindow:
-        return LossWindow(
-            start=self.start,
-            end=self.end,
-            probability=self.probability,
-            senders=None if self.senders is None else tuple(self.senders),
-            receivers=None if self.receivers is None else tuple(self.receivers),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "probability": self.probability,
-            "senders": None if self.senders is None else list(self.senders),
-            "receivers": None if self.receivers is None else list(self.receivers),
-        }
-
-
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(JsonSpec):
     """A complete fault configuration for one scenario cell.
 
     Attributes
@@ -328,7 +213,7 @@ class FaultSpec:
     corruptions:
         Corruption groups (strategy, node count, activation schedule).
     partitions, delays, losses:
-        Network-fault windows compiled into the delivery policy's
+        Network-fault windows, handed to the delivery policy as a
         :class:`~repro.net.network.NetworkFaultPlan`.
     allow_over_budget:
         Permit corrupting more than ``(n-1)//3`` nodes.  Off by default —
@@ -341,9 +226,9 @@ class FaultSpec:
     """
 
     corruptions: Tuple[CorruptionSpec, ...] = ()
-    partitions: Tuple[PartitionSpec, ...] = ()
-    delays: Tuple[DelaySpec, ...] = ()
-    losses: Tuple[LossSpec, ...] = ()
+    partitions: Tuple[PartitionWindow, ...] = ()
+    delays: Tuple[DelayWindow, ...] = ()
+    losses: Tuple[LossWindow, ...] = ()
     allow_over_budget: bool = False
     expect_termination: Optional[bool] = None
 
@@ -356,11 +241,7 @@ class FaultSpec:
         """The runtime fault plan for the delivery policy (or ``None``)."""
         if not self.has_network_faults:
             return None
-        return NetworkFaultPlan(
-            partitions=tuple(spec.to_window() for spec in self.partitions),
-            delays=tuple(spec.to_window() for spec in self.delays),
-            losses=tuple(spec.to_window() for spec in self.losses),
-        )
+        return NetworkFaultPlan(self.partitions, self.delays, self.losses)
 
     def _assignments(self, n: int) -> List[Tuple[CorruptionSpec, List[int]]]:
         """Per-group corrupted-node assignment: explicit ``nodes`` targets
@@ -438,69 +319,22 @@ class FaultSpec:
         return not self.losses
 
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe form, embeddable in ``ScenarioSpec.extras['faults']``."""
-        return {
-            "corruptions": [spec.to_dict() for spec in self.corruptions],
-            "partitions": [spec.to_dict() for spec in self.partitions],
-            "delays": [spec.to_dict() for spec in self.delays],
-            "losses": [spec.to_dict() for spec in self.losses],
-            "allow_over_budget": self.allow_over_budget,
-            "expect_termination": self.expect_termination,
-        }
-
+    # ``to_dict`` (inherited) is JSON-safe and embeddable in
+    # ``ScenarioSpec.extras['faults']``.
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
         """Inverse of :meth:`to_dict` (tolerant of missing keys)."""
-
-        def _opt_tuple(value: Any) -> Optional[Tuple[int, ...]]:
-            return None if value is None else tuple(int(v) for v in value)
-
-        corruptions = tuple(
-            CorruptionSpec(
-                strategy=str(entry.get("strategy", "crash")),
-                count=int(entry.get("count", FULL_BUDGET)),
-                activation_time=float(entry.get("activation_time", 0.0)),
-                options=dict(entry.get("options", {})),
-                nodes=_opt_tuple(entry.get("nodes")),
-            )
-            for entry in data.get("corruptions", ())
-        )
-        partitions = tuple(
-            PartitionSpec(
-                start=float(entry["start"]),
-                end=float(entry["end"]),
-                groups=tuple(tuple(int(n) for n in group) for group in entry["groups"]),
-                heal_delay=float(entry.get("heal_delay", 0.0)),
-            )
-            for entry in data.get("partitions", ())
-        )
-        delays = tuple(
-            DelaySpec(
-                start=float(entry["start"]),
-                end=float(entry["end"]),
-                extra=float(entry["extra"]),
-                senders=_opt_tuple(entry.get("senders")),
-                receivers=_opt_tuple(entry.get("receivers")),
-            )
-            for entry in data.get("delays", ())
-        )
-        losses = tuple(
-            LossSpec(
-                start=float(entry["start"]),
-                end=float(entry["end"]),
-                probability=float(entry["probability"]),
-                senders=_opt_tuple(entry.get("senders")),
-                receivers=_opt_tuple(entry.get("receivers")),
-            )
-            for entry in data.get("losses", ())
-        )
+        reject_unknown_keys(cls, data)
         expect = data.get("expect_termination")
         return cls(
-            corruptions=corruptions,
-            partitions=partitions,
-            delays=delays,
-            losses=losses,
+            corruptions=tuple(
+                CorruptionSpec.from_dict(e) for e in data.get("corruptions", ())
+            ),
+            partitions=tuple(
+                PartitionWindow.from_dict(e) for e in data.get("partitions", ())
+            ),
+            delays=tuple(DelayWindow.from_dict(e) for e in data.get("delays", ())),
+            losses=tuple(LossWindow.from_dict(e) for e in data.get("losses", ())),
             allow_over_budget=bool(data.get("allow_over_budget", False)),
             expect_termination=None if expect is None else bool(expect),
         )

@@ -6,12 +6,12 @@
 ``get`` / ``close`` moving ``(sender, message)`` pairs — and injects faults
 on a declarative schedule:
 
-* **delay windows** (:class:`~repro.faults.spec.DelaySpec`) — matching
+* **delay windows** (:class:`~repro.net.network.DelayWindow`) — matching
   messages are delivered ``extra`` seconds late;
-* **loss windows** (:class:`~repro.faults.spec.LossSpec`) — matching
+* **loss windows** (:class:`~repro.net.network.LossWindow`) — matching
   messages are dropped independently with the window's probability, drawn
   from a seeded per-channel stream so runs are reproducible;
-* **partitions** (:class:`~repro.faults.spec.PartitionSpec`) — messages
+* **partitions** (:class:`~repro.net.network.PartitionWindow`) — messages
   crossing partition islands are *held until the window heals* (severed,
   never dropped — the paper's asynchronous adversary may delay but not
   drop), then released;
@@ -24,9 +24,11 @@ on a declarative schedule:
   :class:`~repro.errors.AuthenticationError` and the sender must survive
   through its redial/backoff machinery.
 
-The first three reuse the exact window/partition vocabulary of
-:mod:`repro.faults.spec`, so one schedule language covers both the
-simulator's :class:`~repro.net.network.NetworkFaultPlan` and a live
+The first three *are* the simulator's
+:class:`~repro.net.network.NetworkFaultPlan` — :class:`WireFaults` extends
+it — and every ``put`` is decided by the plan's one
+:meth:`~repro.net.network.NetworkFaultPlan.judge`, so one schedule language
+and one hold/delay/drop semantics cover both the simulator and a live
 deployment.  Because chaos is applied on the *sender side* of each wrapped
 transport, per-process schedules naturally express asymmetric faults: the
 ``A -> B`` direction of a link can be partitioned while ``B -> A`` flows.
@@ -47,33 +49,27 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.faults.spec import DelaySpec, LossSpec, PartitionSpec
 from repro.net.message import Message
-
-
-def _opt_ids(value: Any) -> Optional[Tuple[int, ...]]:
-    return None if value is None else tuple(int(v) for v in value)
-
-
-def _matches(
-    sender: int,
-    receiver: int,
-    senders: Optional[Tuple[int, ...]],
-    receivers: Optional[Tuple[int, ...]],
-) -> bool:
-    if senders is not None and sender not in senders:
-        return False
-    if receivers is not None and receiver not in receivers:
-        return False
-    return True
+from repro.net.network import (
+    DROP,
+    HOLD,
+    PASS,
+    ChannelFilter,
+    DelayWindow,
+    JsonSpec,
+    LossWindow,
+    NetworkFaultPlan,
+    PartitionWindow,
+    reject_unknown_keys,
+)
 
 
 @dataclass(frozen=True)
-class ResetSpec:
+class ResetSpec(ChannelFilter):
     """Sever matching live connections mid-stream at ``at`` seconds.
 
     ``senders``/``receivers`` restrict which ordered channels are reset
@@ -86,22 +82,14 @@ class ResetSpec:
     receivers: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
+        self._coerce(at=float)
+        self._coerce_filter()
         if self.at < 0:
             raise ConfigurationError(f"reset time must be >= 0, got {self.at}")
 
-    def matches(self, sender: int, receiver: int) -> bool:
-        return _matches(sender, receiver, self.senders, self.receivers)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "at": self.at,
-            "senders": None if self.senders is None else list(self.senders),
-            "receivers": None if self.receivers is None else list(self.receivers),
-        }
-
 
 @dataclass(frozen=True)
-class CorruptSpec:
+class CorruptSpec(ChannelFilter):
     """Arm bit-flip corruption of ``count`` frames per matching channel at
     ``at`` seconds (the corrupted frame must surface on the receiver as an
     :class:`~repro.errors.AuthenticationError`, never as protocol input)."""
@@ -112,6 +100,8 @@ class CorruptSpec:
     receivers: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
+        self._coerce(at=float, count=int)
+        self._coerce_filter()
         if self.at < 0:
             raise ConfigurationError(f"corruption time must be >= 0, got {self.at}")
         if self.count < 1:
@@ -119,105 +109,34 @@ class CorruptSpec:
                 f"corruption count must be >= 1, got {self.count}"
             )
 
-    def matches(self, sender: int, receiver: int) -> bool:
-        return _matches(sender, receiver, self.senders, self.receivers)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "at": self.at,
-            "count": self.count,
-            "senders": None if self.senders is None else list(self.senders),
-            "receivers": None if self.receivers is None else list(self.receivers),
-        }
-
 
 @dataclass(frozen=True)
-class WireFaults:
-    """One process's wire-fault schedule: the simulator's window vocabulary
-    plus the two live-only fault kinds (resets, corruption)."""
+class WireFaults(NetworkFaultPlan, JsonSpec):
+    """One process's wire-fault schedule: the simulator's fault plan
+    (partition, delay and loss windows, and their judge) plus the two
+    live-only fault kinds (resets, corruption)."""
 
-    partitions: Tuple[PartitionSpec, ...] = ()
-    delays: Tuple[DelaySpec, ...] = ()
-    losses: Tuple[LossSpec, ...] = ()
     resets: Tuple[ResetSpec, ...] = ()
     corruptions: Tuple[CorruptSpec, ...] = ()
 
     @property
     def active(self) -> bool:
-        return bool(
-            self.partitions
-            or self.delays
-            or self.losses
-            or self.resets
-            or self.corruptions
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "partitions": [spec.to_dict() for spec in self.partitions],
-            "delays": [spec.to_dict() for spec in self.delays],
-            "losses": [spec.to_dict() for spec in self.losses],
-            "resets": [spec.to_dict() for spec in self.resets],
-            "corruptions": [spec.to_dict() for spec in self.corruptions],
-        }
+        return bool(super().active or self.resets or self.corruptions)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WireFaults":
         """Inverse of :meth:`to_dict` (tolerant of missing keys)."""
-        partitions = tuple(
-            PartitionSpec(
-                start=float(entry["start"]),
-                end=float(entry["end"]),
-                groups=tuple(
-                    tuple(int(n) for n in group) for group in entry["groups"]
-                ),
-                heal_delay=float(entry.get("heal_delay", 0.0)),
-            )
-            for entry in data.get("partitions", ())
-        )
-        delays = tuple(
-            DelaySpec(
-                start=float(entry["start"]),
-                end=float(entry["end"]),
-                extra=float(entry["extra"]),
-                senders=_opt_ids(entry.get("senders")),
-                receivers=_opt_ids(entry.get("receivers")),
-            )
-            for entry in data.get("delays", ())
-        )
-        losses = tuple(
-            LossSpec(
-                start=float(entry["start"]),
-                end=float(entry["end"]),
-                probability=float(entry["probability"]),
-                senders=_opt_ids(entry.get("senders")),
-                receivers=_opt_ids(entry.get("receivers")),
-            )
-            for entry in data.get("losses", ())
-        )
-        resets = tuple(
-            ResetSpec(
-                at=float(entry["at"]),
-                senders=_opt_ids(entry.get("senders")),
-                receivers=_opt_ids(entry.get("receivers")),
-            )
-            for entry in data.get("resets", ())
-        )
-        corruptions = tuple(
-            CorruptSpec(
-                at=float(entry["at"]),
-                count=int(entry.get("count", 1)),
-                senders=_opt_ids(entry.get("senders")),
-                receivers=_opt_ids(entry.get("receivers")),
-            )
-            for entry in data.get("corruptions", ())
-        )
+        reject_unknown_keys(cls, data)
         return cls(
-            partitions=partitions,
-            delays=delays,
-            losses=losses,
-            resets=resets,
-            corruptions=corruptions,
+            partitions=tuple(
+                PartitionWindow.from_dict(e) for e in data.get("partitions", ())
+            ),
+            delays=tuple(DelayWindow.from_dict(e) for e in data.get("delays", ())),
+            losses=tuple(LossWindow.from_dict(e) for e in data.get("losses", ())),
+            resets=tuple(ResetSpec.from_dict(e) for e in data.get("resets", ())),
+            corruptions=tuple(
+                CorruptSpec.from_dict(e) for e in data.get("corruptions", ())
+            ),
         )
 
 
@@ -256,9 +175,6 @@ class ChaosTransport:
         self._peers: Tuple[int, ...] = ()
         self._tasks: set = set()
         self._rngs: Dict[Tuple[int, int], random.Random] = {}
-        self._windows = [spec.to_window() for spec in self.faults.partitions]
-        self._delay_windows = [spec.to_window() for spec in self.faults.delays]
-        self._loss_windows = [spec.to_window() for spec in self.faults.losses]
         #: Every fault decision, in per-channel order:
         #: ``(kind, sender, target, channel_seq)``.
         self.decision_log: List[Tuple[str, int, int, int]] = []
@@ -323,45 +239,29 @@ class ChaosTransport:
             # Not opened yet / no faults / local self-delivery: passthrough.
             await self.inner.put(target, item)
             return
-        now = self._now()
         seq = self._next_seq(sender, target)
+        log = self.decision_log
 
-        hold_until: Optional[float] = None
-        for window in self._windows:
-            if window.start <= now < window.end and window.severs(sender, target):
-                release = window.end + window.heal_delay
-                hold_until = release if hold_until is None else max(hold_until, release)
+        def coin() -> float:
+            # Every draw is logged as a survival; the judge stops at the
+            # first drop, so only the last entry can need correcting.
+            log.append(("keep", sender, target, seq))
+            return self._rng(sender, target).random()
 
-        dropped = False
-        for window in self._loss_windows:
-            if window.applies(sender, target, now):
-                if self._rng(sender, target).random() < window.probability:
-                    dropped = True
-                    self.decision_log.append(("drop", sender, target, seq))
-                else:
-                    self.decision_log.append(("keep", sender, target, seq))
-        if dropped:
+        kind, extra = self.faults.judge(sender, target, self._now(), coin)
+        if kind == DROP:
+            log[-1] = (DROP, sender, target, seq)
             self.frames_dropped += 1
-            return
-
-        extra = sum(
-            window.extra
-            for window in self._delay_windows
-            if window.applies(sender, target, now)
-        )
-
-        if hold_until is not None:
-            self.frames_held += 1
-            self.decision_log.append(("hold", sender, target, seq))
-            self._deliver_later(hold_until - now + extra, target, item)
-            return
-        if extra > 0.0:
-            self.frames_delayed += 1
-            self.decision_log.append(("delay", sender, target, seq))
+        elif kind == PASS:
+            self.frames_passed += 1
+            await self.inner.put(target, item)
+        else:
+            if kind == HOLD:
+                self.frames_held += 1
+            else:
+                self.frames_delayed += 1
+            log.append((kind, sender, target, seq))
             self._deliver_later(extra, target, item)
-            return
-        self.frames_passed += 1
-        await self.inner.put(target, item)
 
     async def get(self, node_id: int) -> Tuple[int, Message]:
         return await self.inner.get(node_id)

@@ -12,12 +12,12 @@ cannot drop them".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import NetworkError
+from repro.errors import ConfigurationError, NetworkError
 from repro.net.bandwidth import BandwidthAccountant, BandwidthModel
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.message import Envelope, MessageTrace
@@ -32,6 +32,9 @@ _LOSS_STREAM_TAG = 0x4C
 
 #: Delivery time returned for messages dropped by a loss window.
 DROPPED = math.inf
+
+#: The kinds of verdict :meth:`NetworkFaultPlan.judge` hands down.
+PASS, DELAY, HOLD, DROP = "pass", "delay", "hold", "drop"
 
 
 class _BlockUniform:
@@ -58,8 +61,117 @@ class _BlockUniform:
         return value
 
 
+def _plain(value: Any) -> Any:
+    """JSON-safe form of a spec field (tuples -> lists, specs -> dicts)."""
+    if isinstance(value, JsonSpec):
+        return value.to_dict()
+    if isinstance(value, Mapping):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    return value
+
+
+def reject_unknown_keys(cls: type, data: Mapping[str, Any]) -> None:
+    """Raise :class:`ConfigurationError` naming the first key of ``data``
+    that is not a field of ``cls`` — a misspelt key in a hand-written
+    schedule must not silently run with no faults."""
+    known = [spec_field.name for spec_field in fields(cls)]
+    for key in data:
+        if key not in known:
+            raise ConfigurationError(
+                f"{cls.__name__}: unknown key {key!r} (known: {', '.join(known)})"
+            )
+
+
+class JsonSpec:
+    """``to_dict``/``from_dict`` shared by every flat fault dataclass.
+
+    Subclasses are frozen dataclasses whose ``__post_init__`` coerces and
+    validates the fields, so ``from_dict`` only has to reject unknown keys
+    and let missing optional keys take their defaults.
+    """
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            spec_field.name: _plain(getattr(self, spec_field.name))
+            for spec_field in fields(self)
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        """Inverse of :meth:`to_dict` (tolerant of missing optional keys)."""
+        reject_unknown_keys(cls, data)
+        try:
+            return cls(**data)
+        except (TypeError, ValueError) as error:
+            raise ConfigurationError(f"{cls.__name__}: {error}") from None
+
+    def _coerce(self, **converters: Callable[[Any], Any]) -> None:
+        """Normalise fields in place (``__post_init__`` of a frozen class)."""
+        for name, convert in converters.items():
+            object.__setattr__(self, name, convert(getattr(self, name)))
+
+
+def optional_ids(value: Any) -> Optional[Tuple[int, ...]]:
+    """Coerce a node-id list to an int tuple; ``None`` (= any) stays."""
+    return None if value is None else tuple(int(item) for item in value)
+
+
+class ChannelFilter(JsonSpec):
+    """``senders``/``receivers`` restrict which ordered channels a fault
+    matches (``None`` = any).  Shared by every targeted fault kind so the
+    matching semantics cannot diverge between them."""
+
+    senders: Optional[Tuple[int, ...]]
+    receivers: Optional[Tuple[int, ...]]
+
+    def _coerce_filter(self) -> None:
+        self._coerce(senders=optional_ids, receivers=optional_ids)
+
+    def matches(self, sender: int, destination: int) -> bool:
+        if self.senders is not None and sender not in self.senders:
+            return False
+        return self.receivers is None or destination in self.receivers
+
+
+class _Window(JsonSpec):
+    """A ``[start, end)`` time window, checked at declaration time.
+
+    Catching nonsense here (rather than mid-run) matters: a negative delay,
+    for example, would schedule deliveries in the simulated past and produce
+    silently wrong campaign results instead of a clean error.
+    """
+
+    start: float
+    end: float
+
+    def _check_window(self, kind: str) -> None:
+        self._coerce(start=float, end=float)
+        if self.start < 0:
+            raise ConfigurationError(
+                f"{kind} window start must be >= 0, got {self.start}"
+            )
+        if self.end < self.start:
+            raise ConfigurationError(
+                f"{kind} window must have end >= start, "
+                f"got [{self.start}, {self.end})"
+            )
+
+
+class _TargetedWindow(_Window, ChannelFilter):
+    """A time window with a channel filter (base of delay and loss)."""
+
+    def _check_window(self, kind: str) -> None:
+        super()._check_window(kind)
+        self._coerce_filter()
+
+    def applies(self, sender: int, destination: int, time: float) -> bool:
+        return self.start <= time < self.end and self.matches(sender, destination)
+
+
 @dataclass(frozen=True)
-class PartitionWindow:
+class PartitionWindow(_Window):
     """A network partition during ``[start, end)``.
 
     ``groups`` lists the partition islands (tuples of node ids); a message is
@@ -75,6 +187,17 @@ class PartitionWindow:
     groups: Tuple[Tuple[int, ...], ...]
     heal_delay: float = 0.0
 
+    def __post_init__(self) -> None:
+        self._check_window("partition")
+        self._coerce(
+            groups=lambda groups: tuple(optional_ids(group) for group in groups),
+            heal_delay=float,
+        )
+        if self.heal_delay < 0:
+            raise ConfigurationError(
+                f"heal_delay must be >= 0, got {self.heal_delay}"
+            )
+
     def _group_of(self, node: int) -> int:
         for index, group in enumerate(self.groups):
             if node in group:
@@ -86,34 +209,20 @@ class PartitionWindow:
 
 
 @dataclass(frozen=True)
-class _TargetedWindow:
-    """Shared ``[start, end)`` time window with sender/receiver filters.
-
-    ``senders``/``receivers`` restrict which messages match (``None`` = any).
-    Base of the delay and loss windows so the matching semantics cannot
-    diverge between the two fault kinds.
-    """
-
-    start: float
-    end: float
-    senders: Optional[Tuple[int, ...]] = None
-    receivers: Optional[Tuple[int, ...]] = None
-
-    def applies(self, sender: int, destination: int, time: float) -> bool:
-        if not self.start <= time < self.end:
-            return False
-        if self.senders is not None and sender not in self.senders:
-            return False
-        if self.receivers is not None and destination not in self.receivers:
-            return False
-        return True
-
-
-@dataclass(frozen=True)
 class DelayWindow(_TargetedWindow):
     """Targeted extra delay: ``extra`` seconds added to matching messages."""
 
-    extra: float = 0.0
+    start: float
+    end: float
+    extra: float
+    senders: Optional[Tuple[int, ...]] = None
+    receivers: Optional[Tuple[int, ...]] = None
+
+    def __post_init__(self) -> None:
+        self._check_window("delay")
+        self._coerce(extra=float)
+        if self.extra < 0:
+            raise ConfigurationError(f"delay extra must be >= 0, got {self.extra}")
 
 
 @dataclass(frozen=True)
@@ -124,20 +233,34 @@ class LossWindow(_TargetedWindow):
     delay but never drop): fault campaigns use loss windows to observe how
     protocols degrade when the model's assumptions break.  Each matching
     message is dropped independently with ``probability``, drawn from the
-    policy's dedicated seeded loss stream so runs stay deterministic.
+    judge's caller-supplied seeded coin so runs stay deterministic.
     """
 
-    probability: float = 0.0
+    start: float
+    end: float
+    probability: float
+    senders: Optional[Tuple[int, ...]] = None
+    receivers: Optional[Tuple[int, ...]] = None
+
+    def __post_init__(self) -> None:
+        self._check_window("loss")
+        self._coerce(probability=float)
+        if not 0.0 <= self.probability <= 1.0:
+            raise ConfigurationError(
+                f"loss probability must be in [0, 1], got {self.probability}"
+            )
 
 
 @dataclass(frozen=True)
 class NetworkFaultPlan:
-    """A schedule of network faults applied by the delivery policy.
+    """A schedule of partition, delay and loss windows, and their one judge.
 
-    Built from a declarative :class:`repro.faults.spec.FaultSpec`; the plan is
-    consulted once per cross-node message, judged at the message's departure
-    time, identically by both simulation engines (see ``docs/SIMULATOR.md``'s
-    determinism rules — the loss stream is consumed in global message order).
+    The windows are the declarative fault vocabulary itself (they ride, as
+    dicts, inside :class:`repro.faults.spec.FaultSpec` and
+    :class:`repro.net.chaos.WireFaults`).  :meth:`judge` is the only place
+    the hold/delay/drop decision is computed: the simulator's
+    :meth:`DeliveryPolicy.fault_delay` and the live
+    :class:`~repro.net.chaos.ChaosTransport` both call it.
     """
 
     partitions: Tuple[PartitionWindow, ...] = ()
@@ -147,6 +270,36 @@ class NetworkFaultPlan:
     @property
     def active(self) -> bool:
         return bool(self.partitions or self.delays or self.losses)
+
+    def judge(
+        self, sender: int, destination: int, time: float, coin: Callable[[], float]
+    ) -> Tuple[str, float]:
+        """Verdict for one cross-node message departing at ``time``.
+
+        Returns ``(kind, extra)``: ``(DROP, DROPPED)`` when a loss window
+        drops the message, otherwise the extra delay in seconds with kind
+        ``HOLD`` (severed by a partition), ``DELAY`` or ``PASS``.  Matching
+        delay windows add up; a severed message waits until its partition
+        heals, ``max(hold, delays)`` — a delay that elapses while the
+        message is held costs nothing more.  ``coin`` (uniform ``[0, 1)``)
+        is drawn once per matching loss window, stopping at the first drop.
+        """
+        extra = 0.0
+        for window in self.delays:
+            if window.applies(sender, destination, time):
+                extra += window.extra
+        kind = DELAY if extra > 0.0 else PASS
+        for window in self.partitions:
+            if window.start <= time < window.end and window.severs(sender, destination):
+                kind = HOLD
+                hold = (window.end - time) + window.heal_delay
+                if hold > extra:
+                    extra = hold
+        for window in self.losses:
+            if window.applies(sender, destination, time):
+                if coin() < window.probability:
+                    return DROP, DROPPED
+        return kind, extra
 
 
 @dataclass
@@ -210,30 +363,12 @@ class DeliveryPolicy:
         both simulation engines, in the same global order, so the loss
         stream's draws line up exactly (the engine-equivalence contract).
         """
-        plan = self.faults
-        if plan is None:
+        if self.faults is None:
             return 0.0
-        extra = 0.0
-        for window in plan.delays:
-            if window.applies(sender, destination, time):
-                extra += window.extra
-        for window in plan.partitions:
-            if window.start <= time < window.end and window.severs(sender, destination):
-                hold = (window.end - time) + window.heal_delay
-                if hold > extra:
-                    extra = hold
-        for window in plan.losses:
-            if window.applies(sender, destination, time):
-                if self._loss_stream.next() < window.probability:
-                    return DROPPED
-        return extra
+        return self.faults.judge(sender, destination, time, self._loss_stream.next)[1]
 
-    def extra_delay(self, envelope: Envelope) -> float:
-        """Adversarial delay (seconds) added to this envelope."""
-        return self.extra_delay_raw()
-
-    def extra_delay_raw(self) -> float:
-        """:meth:`extra_delay` without the (unused) envelope argument."""
+    def extra_delay(self) -> float:
+        """Adversarial delay (seconds) added to one message."""
         if self.max_extra_delay <= 0.0:
             return 0.0
         if self._delay_stream.next() > self.target_fraction:
@@ -295,7 +430,7 @@ class AsynchronousNetwork:
         self.validate_destination(envelope.destination)
         departure = self.accountant.send(envelope, now)
         propagation = self.latency.delay(envelope.sender, envelope.destination)
-        extra = self.policy.extra_delay(envelope)
+        extra = self.policy.extra_delay()
         if self.policy.faults_active:
             fault = self.policy.fault_delay(
                 envelope.sender, envelope.destination, departure

@@ -38,15 +38,15 @@ import os
 import signal
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, InvariantViolation, LivenessTimeout
 from repro.faults.monitors import ClusterLivenessMonitor
-from repro.faults.spec import LossSpec, PartitionSpec
 from repro.net.chaos import WireFaults
 from repro.net.message import Message
+from repro.net.network import JsonSpec, LossWindow, PartitionWindow, reject_unknown_keys
 from repro.net.socket_transport import SocketTransport
 from repro.oracle.cluster import (
     CLUSTER_PROTOCOL,
@@ -60,7 +60,7 @@ from repro.oracle.service import EpochReport
 
 
 @dataclass(frozen=True)
-class KillSpec:
+class KillSpec(JsonSpec):
     """SIGKILL ``node`` ``at`` seconds after the barrier; respawn it
     ``restart_delay`` seconds later (the respawn rejoins the live run)."""
 
@@ -69,6 +69,7 @@ class KillSpec:
     restart_delay: float = 0.5
 
     def __post_init__(self) -> None:
+        self._coerce(node=int, at=float, restart_delay=float)
         if self.at < 0:
             raise ConfigurationError(f"kill time must be >= 0, got {self.at}")
         if self.restart_delay < 0:
@@ -76,12 +77,9 @@ class KillSpec:
                 f"restart_delay must be >= 0, got {self.restart_delay}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"node": self.node, "at": self.at, "restart_delay": self.restart_delay}
-
 
 @dataclass(frozen=True)
-class PauseSpec:
+class PauseSpec(JsonSpec):
     """SIGSTOP ``node`` ``at`` seconds after the barrier, SIGCONT it
     ``duration`` seconds later."""
 
@@ -90,6 +88,7 @@ class PauseSpec:
     duration: float = 1.0
 
     def __post_init__(self) -> None:
+        self._coerce(node=int, at=float, duration=float)
         if self.at < 0:
             raise ConfigurationError(f"pause time must be >= 0, got {self.at}")
         if self.duration <= 0:
@@ -97,12 +96,9 @@ class PauseSpec:
                 f"pause duration must be > 0, got {self.duration}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"node": self.node, "at": self.at, "duration": self.duration}
-
 
 @dataclass(frozen=True)
-class ChaosSchedule:
+class ChaosSchedule(JsonSpec):
     """One seeded chaos scenario: process faults + wire faults, JSON-safe."""
 
     seed: int = 0
@@ -125,42 +121,17 @@ class ChaosSchedule:
 
     def with_seed(self, seed: int) -> "ChaosSchedule":
         """The same fault plan under a different seed (soak iterations)."""
-        return ChaosSchedule(
-            seed=seed, kills=self.kills, pauses=self.pauses, wire=self.wire
-        )
+        return replace(self, seed=seed)
 
     # -- (de)serialisation ----------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "kills": [spec.to_dict() for spec in self.kills],
-            "pauses": [spec.to_dict() for spec in self.pauses],
-            "wire": self.wire.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ChaosSchedule":
         """Inverse of :meth:`to_dict` (tolerant of missing keys)."""
-        kills = tuple(
-            KillSpec(
-                node=int(entry["node"]),
-                at=float(entry["at"]),
-                restart_delay=float(entry.get("restart_delay", 0.5)),
-            )
-            for entry in data.get("kills", ())
-        )
-        pauses = tuple(
-            PauseSpec(
-                node=int(entry["node"]),
-                at=float(entry["at"]),
-                duration=float(entry.get("duration", 1.0)),
-            )
-            for entry in data.get("pauses", ())
-        )
+        reject_unknown_keys(cls, data)
         return cls(
             seed=int(data.get("seed", 0)),
-            kills=kills,
-            pauses=pauses,
+            kills=tuple(KillSpec.from_dict(e) for e in data.get("kills", ())),
+            pauses=tuple(PauseSpec.from_dict(e) for e in data.get("pauses", ())),
             wire=WireFaults.from_dict(data.get("wire") or {}),
         )
 
@@ -195,9 +166,9 @@ def standard_schedule(n: int, seed: int = 0) -> ChaosSchedule:
         pauses=(PauseSpec(node=3, at=6.0, duration=0.8),),
         wire=WireFaults(
             partitions=(
-                PartitionSpec(start=8.0, end=9.0, groups=(island,), heal_delay=0.2),
+                PartitionWindow(start=8.0, end=9.0, groups=(island,), heal_delay=0.2),
             ),
-            losses=(LossSpec(start=10.0, end=11.0, probability=0.2),),
+            losses=(LossWindow(start=10.0, end=11.0, probability=0.2),),
         ),
     )
 

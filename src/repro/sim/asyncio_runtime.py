@@ -48,7 +48,6 @@ from repro.errors import (
 )
 from repro.net.latency import LatencyModel
 from repro.net.message import Envelope, Message, MessageTrace
-from repro.net.network import DeliveryPolicy
 from repro.protocols.base import BROADCAST, ProtocolNode
 from repro.sim.events import DELIVER_EVENT, START_EVENT
 from repro.sim.observers import SimObserver
@@ -74,8 +73,6 @@ class AsyncioRunResult:
     #: Delivery tasks still in flight when the run finished (cancelled and
     #: drained before ``run()`` returned — nonzero is normal, leaked is not).
     cancelled_deliveries: int = 0
-    #: Messages dropped by a fault-plan loss window.
-    dropped_messages: int = 0
 
     @property
     def all_honest_decided(self) -> bool:
@@ -171,15 +168,14 @@ class AsyncioRuntime:
         the deterministic engines, with wall-clock (run-relative) times.
         The PR-3 invariant monitors work unchanged; a monitor raising
         :class:`~repro.errors.InvariantViolation` aborts the run.
-    policy:
-        Optional :class:`~repro.net.network.DeliveryPolicy`; adversarial
-        extra delay and fault windows (partition holds, targeted delay,
-        loss) are applied per delivery, on wall-clock time.
     transport:
         Transport seam; defaults to :class:`InMemoryTransport`.  Any object
         implementing the four-method contract documented there works —
         ``open``/``close`` may be coroutines (the runtime awaits them), which
         is how :class:`~repro.net.socket_transport.SocketTransport` plugs in.
+        It is also the only fault-injection point of this engine: partition,
+        delay and loss windows enter by wrapping the transport in a
+        :class:`~repro.net.chaos.ChaosTransport`.
     """
 
     def __init__(
@@ -189,7 +185,6 @@ class AsyncioRuntime:
         timeout: float = 60.0,
         byzantine: Optional[Dict[int, AdversaryStrategy]] = None,
         observers: Optional[Sequence[SimObserver]] = None,
-        policy: Optional[DeliveryPolicy] = None,
         transport: Optional[Any] = None,
         topology: Optional[Any] = None,
     ) -> None:
@@ -207,7 +202,6 @@ class AsyncioRuntime:
                 raise SimulationError(f"cannot corrupt unknown node {node_id}")
             strategy.attach(self.nodes[node_id])
         self.observers: tuple = tuple(observers or ())
-        self.policy = policy
         self.transport = transport if transport is not None else InMemoryTransport()
         self.trace = MessageTrace()
         self._timed: Dict[int, AdversaryStrategy] = {
@@ -220,7 +214,6 @@ class AsyncioRuntime:
         self._decided_nodes: set = set()
         self._decision_times: Dict[int, float] = {}
         self._events_processed = 0
-        self._dropped = 0
         self._all_decided: Optional[asyncio.Event] = None
         self._failure: Optional[asyncio.Future] = None
         self._started_at = 0.0
@@ -259,7 +252,6 @@ class AsyncioRuntime:
         self._decided_nodes = set()
         self._decision_times = {}
         self._events_processed = 0
-        self._dropped = 0
         opened = self.transport.open(list(self.nodes))
         if asyncio.iscoroutine(opened) or isinstance(opened, asyncio.Future):
             await opened
@@ -315,7 +307,6 @@ class AsyncioRuntime:
             honest_nodes=self.honest_nodes,
             byzantine_nodes=sorted(self.byzantine),
             cancelled_deliveries=cancelled,
-            dropped_messages=self._dropped,
         )
         for observer in self.observers:
             observer.on_run_end(result)
@@ -425,10 +416,11 @@ class AsyncioRuntime:
                 self.trace.record(
                     Envelope(sender=sender, destination=target, message=message)
                 )
-                delay = self._delivery_delay(sender, target)
-                if delay is None:
-                    self._dropped += 1
-                    continue
+                delay = (
+                    self.latency.delay(sender, target)
+                    if self.latency is not None
+                    else 0.0
+                )
                 if delay > 0.0:
                     task = asyncio.create_task(
                         self._delayed_put(sender, target, message, delay)
@@ -441,19 +433,6 @@ class AsyncioRuntime:
                     task.add_done_callback(self._delivery_tasks.discard)
                 else:
                     await self.transport.put(target, (sender, message))
-
-    def _delivery_delay(self, sender: int, target: int) -> Optional[float]:
-        """Wall-clock delivery delay for one cross-node message, or ``None``
-        when a fault-plan loss window drops it."""
-        delay = self.latency.delay(sender, target) if self.latency is not None else 0.0
-        if self.policy is not None:
-            delay += self.policy.extra_delay_raw()
-            if self.policy.faults_active:
-                extra = self.policy.fault_delay(sender, target, self._now())
-                if extra == float("inf"):
-                    return None
-                delay += extra
-        return delay
 
     async def _delayed_put(
         self, sender: int, target: int, message: Message, delay: float

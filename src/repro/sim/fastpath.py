@@ -114,7 +114,7 @@ def _run_fast_loop(runtime, SimulationResult) -> "SimulationResult":
     # ``tiebreak()`` consumes the tie stream only when reordering; bind the
     # stream's ``next`` directly so the (hot) per-event draw skips a frame.
     tiebreak = policy._tie_stream.next if policy.reorder else policy.tiebreak
-    extra_raw = policy.extra_delay_raw
+    extra_raw = policy.extra_delay
     has_extra = policy.max_extra_delay > 0.0
     faults_active = policy.faults_active
     fault_delay = policy.fault_delay

@@ -91,6 +91,33 @@ class TestMutatorProperties:
                 b.to_dict(), sort_keys=True
             )
 
+    @given(walk=mutator_walks, rng_seed=rng_seeds)
+    @settings(max_examples=60)
+    def test_mutants_keep_the_liveness_and_budget_flags(self, walk, rng_seed):
+        """No mutator may reset ``expect_termination``/``allow_over_budget``:
+        a waived-liveness cell whose mutant silently expects termination
+        again would report its stall as a false violation."""
+        from repro.faults.spec import CorruptionSpec
+
+        flagged = FaultSpec(
+            corruptions=(
+                CorruptionSpec("bogus-report", nodes=(2,), activation_time=0.05),
+            ),
+            allow_over_budget=True,
+            expect_termination=False,
+        )
+        rng = random.Random(rng_seed)
+        spec = _base_spec("delphi").replace(n=7, faults=flagged.to_dict())
+        for index in walk:
+            spec = MUTATORS[index][1](rng, spec)
+            faults = fault_spec_of(spec)
+            assert faults.expect_termination is False
+            assert faults.allow_over_budget is True
+            assert not faults.terminating()
+            for group in faults.corruptions:
+                if group.strategy == "bogus-report":
+                    assert group.nodes == (2,)  # retiming keeps the target
+
     @given(protocol=protocols, rng_seed=rng_seeds)
     @settings(max_examples=30)
     def test_driver_mutate_changes_the_spec_or_returns_it(self, protocol, rng_seed):
@@ -143,13 +170,13 @@ class TestScheduleSearch:
     def test_shrinker_drops_inert_fault_windows(self):
         """A delay window entirely past the run horizon changes nothing;
         the shrinker must strip it while preserving the fitness bar."""
-        from repro.faults.spec import DelaySpec
+        from repro.net.network import DelayWindow
 
         search = ScheduleSearch(protocols=("delphi",), budget=1, seed=0)
         spec = _base_spec("delphi").replace(
             workload="bitcoin",
             faults=FaultSpec(
-                delays=(DelaySpec(start=50.0, end=51.0, extra=0.05),)
+                delays=(DelayWindow(start=50.0, end=51.0, extra=0.05),)
             ).to_dict(),
         )
         evaluation = search.evaluate(spec, count_budget=False)

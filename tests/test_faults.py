@@ -15,10 +15,10 @@ from repro.experiments.cli import main as cli_main
 from repro.experiments.spec import ScenarioSpec
 from repro.faults import (
     CorruptionSpec,
-    DelaySpec,
+    DelayWindow,
     FaultSpec,
-    LossSpec,
-    PartitionSpec,
+    LossWindow,
+    PartitionWindow,
     register_strategy,
     run_fault_cell,
     scenario_corrupted_ids,
@@ -69,14 +69,27 @@ class TestFaultSpec:
     def test_roundtrip_through_dict(self):
         spec = FaultSpec(
             corruptions=(CorruptionSpec("crash", count=1, activation_time=0.5),),
-            partitions=(PartitionSpec(start=0.0, end=1.0, groups=((0, 1),)),),
-            delays=(DelaySpec(start=0.0, end=1.0, extra=0.1, receivers=(2,)),),
-            losses=(LossSpec(start=0.0, end=0.5, probability=0.3),),
+            partitions=(PartitionWindow(start=0.0, end=1.0, groups=((0, 1),)),),
+            delays=(DelayWindow(start=0.0, end=1.0, extra=0.1, receivers=(2,)),),
+            losses=(LossWindow(start=0.0, end=0.5, probability=0.3),),
         )
         assert FaultSpec.from_dict(spec.to_dict()) == spec
         # Embeddable in a ScenarioSpec's extras (hashing requires JSON-safe).
         cell = fault_cell(fault=spec)
         assert ScenarioSpec.from_dict(cell.to_dict()).spec_hash() == cell.spec_hash()
+
+    def test_misspelt_keys_are_rejected_not_ignored(self):
+        window = {"start": 0.0, "end": 1.0, "extra": 0.1}
+        with pytest.raises(ConfigurationError, match="'delay'"):
+            FaultSpec.from_dict({"delay": [window]})
+        with pytest.raises(ConfigurationError, match="'reciever'"):
+            FaultSpec.from_dict({"delays": [{**window, "reciever": [0]}]})
+        with pytest.raises(ConfigurationError, match="'strategi'"):
+            FaultSpec.from_dict({"corruptions": [{"strategi": "crash"}]})
+        # Missing optional keys stay tolerated.
+        spec = FaultSpec.from_dict({"delays": [window], "corruptions": [{}]})
+        assert spec.has_network_faults
+        assert spec.corruptions == (CorruptionSpec(),)
 
     def test_full_budget_resolves_per_n(self):
         spec = FaultSpec(corruptions=(CorruptionSpec("crash"),))
@@ -100,23 +113,23 @@ class TestFaultSpec:
 
     def test_window_specs_validated_at_declaration(self):
         with pytest.raises(ConfigurationError):
-            DelaySpec(start=0.0, end=1.0, extra=-0.5)
+            DelayWindow(start=0.0, end=1.0, extra=-0.5)
         with pytest.raises(ConfigurationError):
-            LossSpec(start=0.0, end=1.0, probability=1.5)
+            LossWindow(start=0.0, end=1.0, probability=1.5)
         with pytest.raises(ConfigurationError):
-            PartitionSpec(start=1.0, end=0.5, groups=((0,),))
+            PartitionWindow(start=1.0, end=0.5, groups=((0,),))
         with pytest.raises(ConfigurationError):
-            LossSpec(start=-1.0, end=1.0, probability=0.5)
+            LossWindow(start=-1.0, end=1.0, probability=0.5)
         with pytest.raises(ConfigurationError):
             CorruptionSpec("crash", activation_time=-1.0)
 
     def test_termination_expectation_derived_from_losses(self):
         assert FaultSpec().terminating()
         assert not FaultSpec(
-            losses=(LossSpec(start=0.0, end=1.0, probability=0.5),)
+            losses=(LossWindow(start=0.0, end=1.0, probability=0.5),)
         ).terminating()
         assert FaultSpec(
-            losses=(LossSpec(start=0.0, end=1.0, probability=0.5),),
+            losses=(LossWindow(start=0.0, end=1.0, probability=0.5),),
             expect_termination=True,
         ).terminating()
 
@@ -131,7 +144,7 @@ class TestFaultSpec:
 class TestNetworkFaultInjection:
     def test_partition_holds_messages_until_heal(self):
         plan = FaultSpec(
-            partitions=(PartitionSpec(start=0.0, end=1.0, groups=((0,),), heal_delay=0.5),)
+            partitions=(PartitionWindow(start=0.0, end=1.0, groups=((0,),), heal_delay=0.5),)
         ).network_plan()
         policy = DeliveryPolicy(faults=plan)
         # Crossing the cut at t=0.2: held until end (1.0) + heal (0.5).
@@ -143,7 +156,7 @@ class TestNetworkFaultInjection:
 
     def test_targeted_delay_window(self):
         plan = FaultSpec(
-            delays=(DelaySpec(start=0.0, end=1.0, extra=0.25, receivers=(2,)),)
+            delays=(DelayWindow(start=0.0, end=1.0, extra=0.25, receivers=(2,)),)
         ).network_plan()
         policy = DeliveryPolicy(faults=plan)
         assert policy.fault_delay(0, 2, 0.5) == pytest.approx(0.25)
@@ -152,7 +165,7 @@ class TestNetworkFaultInjection:
 
     def test_loss_window_is_seeded_and_deterministic(self):
         plan = FaultSpec(
-            losses=(LossSpec(start=0.0, end=1.0, probability=0.5),)
+            losses=(LossWindow(start=0.0, end=1.0, probability=0.5),)
         ).network_plan()
         draws_a = [DeliveryPolicy(seed=7, faults=plan).fault_delay(0, 1, 0.1) for _ in range(1)]
         first = [DeliveryPolicy(seed=7, faults=plan) for _ in range(2)]
@@ -207,12 +220,12 @@ class TestEngineEquivalenceUnderFaults:
     @pytest.mark.parametrize(
         "fault",
         [
-            FaultSpec(partitions=(PartitionSpec(start=0.0, end=0.05, groups=((0,),)),)),
-            FaultSpec(delays=(DelaySpec(start=0.0, end=0.2, extra=0.05, senders=(1,)),)),
-            FaultSpec(losses=(LossSpec(start=0.0, end=0.03, probability=0.25),)),
+            FaultSpec(partitions=(PartitionWindow(start=0.0, end=0.05, groups=((0,),)),)),
+            FaultSpec(delays=(DelayWindow(start=0.0, end=0.2, extra=0.05, senders=(1,)),)),
+            FaultSpec(losses=(LossWindow(start=0.0, end=0.03, probability=0.25),)),
             FaultSpec(
                 corruptions=(CorruptionSpec("crash", count=1, activation_time=0.01),),
-                losses=(LossSpec(start=0.01, end=0.02, probability=0.5),),
+                losses=(LossWindow(start=0.01, end=0.02, probability=0.5),),
             ),
         ],
         ids=["partition", "targeted-delay", "loss", "adaptive+loss"],

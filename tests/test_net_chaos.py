@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.faults.spec import DelaySpec, LossSpec, PartitionSpec
+from repro.net.network import DelayWindow, LossWindow, PartitionWindow
 from repro.net.chaos import ChaosTransport, CorruptSpec, ResetSpec, WireFaults
 from repro.net.message import Message
 from repro.net.socket_transport import SocketTransport
@@ -65,10 +65,10 @@ class TestWireFaultSpecs:
     def test_dict_round_trip(self):
         faults = WireFaults(
             partitions=(
-                PartitionSpec(start=1.0, end=2.0, groups=((0, 1),), heal_delay=0.5),
+                PartitionWindow(start=1.0, end=2.0, groups=((0, 1),), heal_delay=0.5),
             ),
-            delays=(DelaySpec(start=0.0, end=3.0, extra=0.2, senders=(1,)),),
-            losses=(LossSpec(start=0.5, end=1.5, probability=0.25),),
+            delays=(DelayWindow(start=0.0, end=3.0, extra=0.2, senders=(1,)),),
+            losses=(LossWindow(start=0.5, end=1.5, probability=0.25),),
             resets=(ResetSpec(at=2.5, receivers=(0,)),),
             corruptions=(CorruptSpec(at=1.0, count=2),),
         )
@@ -79,6 +79,16 @@ class TestWireFaultSpecs:
         empty = WireFaults.from_dict({})
         assert empty == WireFaults()
         assert not empty.active
+
+    def test_misspelt_keys_are_rejected_not_ignored(self):
+        window = {"start": 0.0, "end": 1.0, "groups": [[0]]}
+        with pytest.raises(ConfigurationError, match="'partition'"):
+            WireFaults.from_dict({"partition": [window]})
+        with pytest.raises(ConfigurationError, match="'heal'"):
+            WireFaults.from_dict({"partitions": [{**window, "heal": 0.5}]})
+        with pytest.raises(ConfigurationError, match="'sender'"):
+            ResetSpec.from_dict({"at": 1.0, "sender": [0]})
+        assert WireFaults.from_dict({"partitions": [window]}).active
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +158,7 @@ class TestPassthroughTransparency:
         decision log and the same surviving messages."""
         n, sends = plan
         faults = WireFaults(
-            losses=(LossSpec(start=0.0, end=100.0, probability=probability),)
+            losses=(LossWindow(start=0.0, end=100.0, probability=probability),)
         )
 
         def outcome():
@@ -183,7 +193,7 @@ class TestPassthroughTransparency:
 class TestWindowSemantics:
     def test_loss_window_only_applies_inside_window(self):
         faults = WireFaults(
-            losses=(LossSpec(start=5.0, end=6.0, probability=1.0),)
+            losses=(LossWindow(start=5.0, end=6.0, probability=1.0),)
         )
         clock = FakeClock(0.0)
         transport = ChaosTransport(InMemoryTransport(), faults, seed=1, clock=clock)
@@ -206,7 +216,7 @@ class TestWindowSemantics:
         assert [d[0] for d in transport.decision_log] == ["drop"]
 
     def test_delay_window_adds_latency(self):
-        faults = WireFaults(delays=(DelaySpec(start=0.0, end=60.0, extra=0.1),))
+        faults = WireFaults(delays=(DelayWindow(start=0.0, end=60.0, extra=0.1),))
         transport = ChaosTransport(InMemoryTransport(), faults, seed=1)
 
         async def scenario():
@@ -224,7 +234,7 @@ class TestWindowSemantics:
     def test_partition_holds_until_heal_not_drops(self):
         faults = WireFaults(
             partitions=(
-                PartitionSpec(start=0.0, end=0.15, groups=((0,),), heal_delay=0.05),
+                PartitionWindow(start=0.0, end=0.15, groups=((0,),), heal_delay=0.05),
             )
         )
         transport = ChaosTransport(InMemoryTransport(), faults, seed=1)
@@ -242,8 +252,50 @@ class TestWindowSemantics:
         assert run(scenario()) == (0, "held")
         assert transport.frames_dropped == 0
 
+    def test_held_message_waits_max_of_hold_and_delay(self):
+        """The simulator's semantics, adopted by the wrapper: a delay that
+        elapses while a message is held by a partition adds nothing."""
+        faults = WireFaults(
+            partitions=(PartitionWindow(start=0.0, end=10.0, groups=((0,),)),),
+            delays=(DelayWindow(start=0.0, end=10.0, extra=4.0),),
+        )
+        clock = FakeClock(100.0)
+        transport = ChaosTransport(InMemoryTransport(), faults, seed=1, clock=clock)
+        sleeps = []
+
+        async def scenario():
+            await transport.open([0, 1])
+            clock.now += 2.0
+            transport._deliver_later = lambda delay, target, item: sleeps.append(delay)
+            await transport.put(1, (0, msg(payload="held")))
+            await transport.close()
+
+        run(scenario())
+        assert sleeps == [8.0]  # max(hold=8, delay=4), not 8 + 4
+        assert transport.frames_held == 1 and transport.frames_delayed == 0
+        assert [d[0] for d in transport.decision_log] == ["hold"]
+
+    def test_overlapping_loss_windows_stop_flipping_at_first_drop(self):
+        faults = WireFaults(
+            losses=(
+                LossWindow(start=0.0, end=60.0, probability=0.0),
+                LossWindow(start=0.0, end=60.0, probability=1.0),
+                LossWindow(start=0.0, end=60.0, probability=1.0),
+            )
+        )
+        transport = ChaosTransport(InMemoryTransport(), faults, seed=1)
+
+        async def scenario():
+            await transport.open([0, 1])
+            await transport.put(1, (0, msg(payload="doomed")))
+            await transport.close()
+
+        run(scenario())
+        assert transport.decision_log == [("keep", 0, 1, 0), ("drop", 0, 1, 0)]
+        assert transport.stats()["frames_dropped"] == 1
+
     def test_self_delivery_bypasses_faults(self):
-        faults = WireFaults(losses=(LossSpec(start=0.0, end=60.0, probability=1.0),))
+        faults = WireFaults(losses=(LossWindow(start=0.0, end=60.0, probability=1.0),))
         transport = ChaosTransport(InMemoryTransport(), faults, seed=1)
 
         async def scenario():
@@ -257,7 +309,7 @@ class TestWindowSemantics:
 
     def test_close_cancels_held_deliveries(self):
         faults = WireFaults(
-            partitions=(PartitionSpec(start=0.0, end=30.0, groups=((0,),)),)
+            partitions=(PartitionWindow(start=0.0, end=30.0, groups=((0,),)),)
         )
         transport = ChaosTransport(InMemoryTransport(), faults, seed=1)
 

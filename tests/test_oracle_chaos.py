@@ -13,6 +13,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +24,9 @@ from repro.errors import (
     LivenessTimeout,
 )
 from repro.faults.monitors import ClusterLivenessMonitor
-from repro.faults.spec import LossSpec, PartitionSpec
+from repro.experiments.cli import main as cli_main
 from repro.net.chaos import WireFaults
+from repro.net.network import LossWindow
 from repro.oracle.chaos import (
     ChaosController,
     ChaosSchedule,
@@ -43,6 +45,11 @@ from repro.workloads.ticks import TickBufferWorkload
 # ----------------------------------------------------------------------
 # Schedules
 # ----------------------------------------------------------------------
+#: ``standard_schedule(7, seed=3).write(...)`` as the commit before the
+#: window merge wrote it (the wire windows were still ``*Spec`` twins).
+PRE_MERGE_SCHEDULE = Path(__file__).parent / "data" / "chaos_schedule_standard_n7.json"
+
+
 class TestChaosSchedule:
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
@@ -58,11 +65,32 @@ class TestChaosSchedule:
             kills=(KillSpec(node=1, at=1.5, restart_delay=0.4),),
             pauses=(PauseSpec(node=2, at=3.0, duration=0.8),),
             wire=WireFaults(
-                losses=(LossSpec(start=4.0, end=6.0, probability=0.2),)
+                losses=(LossWindow(start=4.0, end=6.0, probability=0.2),)
             ),
         )
         path = schedule.write(tmp_path / "schedule.json")
         assert ChaosSchedule.load(path) == schedule
+
+    def test_misspelt_keys_are_rejected_not_ignored(self):
+        with pytest.raises(ConfigurationError, match="'kill'"):
+            ChaosSchedule.from_dict({"kill": [{"node": 1, "at": 1.0}]})
+        with pytest.raises(ConfigurationError, match="'restart'"):
+            ChaosSchedule.from_dict({"kills": [{"node": 1, "at": 1.0, "restart": 2}]})
+        with pytest.raises(ConfigurationError, match="'loss'"):
+            ChaosSchedule.from_dict({"wire": {"loss": []}})
+        # Missing optional keys stay tolerated.
+        schedule = ChaosSchedule.from_dict({"kills": [{"node": 1, "at": 1}]})
+        assert schedule.kills == (KillSpec(node=1, at=1.0),)
+
+    def test_load_reads_a_schedule_written_before_the_window_merge(self, tmp_path):
+        assert ChaosSchedule.load(PRE_MERGE_SCHEDULE) == standard_schedule(7, seed=3)
+        rewritten = standard_schedule(7, seed=3).write(tmp_path / "again.json")
+        assert rewritten.read_text() == PRE_MERGE_SCHEDULE.read_text()
+
+    def test_cli_rejects_short_loss_flag(self, capsys):
+        """``--loss PROB:START:END`` needs all three fields (was IndexError)."""
+        assert cli_main(["chaos", "--loss", "0.2:10"]) == 2
+        assert "malformed --loss '0.2:10'" in capsys.readouterr().err
 
     def test_with_seed_keeps_fault_plan(self):
         schedule = standard_schedule(7, seed=1)
@@ -189,7 +217,7 @@ class TestChaosControllerWiring:
 
     def test_wire_faults_flow_into_node_config(self):
         schedule = ChaosSchedule(
-            seed=21, wire=WireFaults(losses=(LossSpec(0.0, 1.0, 0.5),))
+            seed=21, wire=WireFaults(losses=(LossWindow(0.0, 1.0, 0.5),))
         )
         _controller, config = self._controller(schedule)
         assert config.chaos == {"seed": 21, "wire": schedule.wire.to_dict()}
@@ -457,7 +485,7 @@ class TestLiveChaosRuns:
         schedule = ChaosSchedule(
             seed=42,
             kills=(KillSpec(node=1, at=1.0, restart_delay=0.4),),
-            wire=WireFaults(losses=(LossSpec(start=2.0, end=3.5, probability=0.2),)),
+            wire=WireFaults(losses=(LossWindow(start=2.0, end=3.5, probability=0.2),)),
         )
         views = []
         for run_dir in ("first", "second"):

@@ -10,7 +10,8 @@ accounting and the BinAA engine run in a synchronous lockstep harness
 plus the adversary strategies themselves: whatever garbage they are fed,
 every strategy must emit *well-formed* outbound instructions (valid
 recipients, serialisable payloads), because the simulation engines and the
-traffic accounting rely on that shape.
+traffic accounting rely on that shape.  The fault vocabulary is covered too:
+every spec type survives ``from_dict(to_dict(x))`` through real JSON.
 """
 
 import json
@@ -33,7 +34,11 @@ from repro.core.aggregation import (
     round_to_epsilon,
     LevelAggregate,
 )
+from repro.faults.spec import CorruptionSpec, FaultSpec
+from repro.net.chaos import CorruptSpec, ResetSpec, WireFaults
 from repro.net.message import Message, estimate_size_bits
+from repro.net.network import DelayWindow, LossWindow, PartitionWindow
+from repro.oracle.chaos import ChaosSchedule, KillSpec, PauseSpec
 from repro.protocols.base import BROADCAST, Outbound, ProtocolNode
 from repro.protocols.baselines.abraham_aaa import trimmed_mean
 from repro.protocols.binaa import BinAAEngine
@@ -315,3 +320,116 @@ class TestBinAAEngineProperties:
         t = (n - 1) // 3
         outputs = _lockstep_binaa([bit] * n, t, rounds=2)
         assert all(output == float(bit) for output in outputs)
+
+
+# ----------------------------------------------------------------------
+# Fault vocabulary: one (de)serialisation for every spec type
+# ----------------------------------------------------------------------
+_times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+_node_ids = st.integers(min_value=0, max_value=15)
+_id_filters = st.none() | st.lists(_node_ids, max_size=3).map(tuple)
+
+
+@st.composite
+def _window_spans(draw):
+    start = draw(_times)
+    return {"start": start, "end": start + draw(_times)}
+
+
+_partitions = st.builds(
+    lambda span, groups, heal: PartitionWindow(**span, groups=groups, heal_delay=heal),
+    _window_spans(),
+    st.lists(st.lists(_node_ids, max_size=3).map(tuple), max_size=3).map(tuple),
+    _times,
+)
+_delays = st.builds(
+    lambda span, extra, senders, receivers: DelayWindow(
+        **span, extra=extra, senders=senders, receivers=receivers
+    ),
+    _window_spans(),
+    _times,
+    _id_filters,
+    _id_filters,
+)
+_losses = st.builds(
+    lambda span, probability, senders, receivers: LossWindow(
+        **span, probability=probability, senders=senders, receivers=receivers
+    ),
+    _window_spans(),
+    st.floats(min_value=0.0, max_value=1.0),
+    _id_filters,
+    _id_filters,
+)
+_resets = st.builds(ResetSpec, at=_times, senders=_id_filters, receivers=_id_filters)
+_corrupts = st.builds(
+    CorruptSpec,
+    at=_times,
+    count=st.integers(min_value=1, max_value=5),
+    senders=_id_filters,
+    receivers=_id_filters,
+)
+_corruptions = st.builds(
+    CorruptionSpec,
+    strategy=st.sampled_from(["crash", "delay", "spam"]),
+    count=st.integers(min_value=-1, max_value=3),
+    activation_time=_times,
+    options=st.dictionaries(st.sampled_from(["copies", "value"]), st.integers(0, 9)),
+    nodes=st.none() | st.lists(_node_ids, max_size=3, unique=True).map(tuple),
+)
+_kills = st.builds(KillSpec, node=_node_ids, at=_times, restart_delay=_times)
+_pauses = st.builds(
+    PauseSpec, node=_node_ids, at=_times, duration=st.floats(min_value=0.01, max_value=9.0)
+)
+
+
+def _tuples(strategy):
+    return st.lists(strategy, max_size=2).map(tuple)
+
+
+_wire_faults = st.builds(
+    WireFaults,
+    partitions=_tuples(_partitions),
+    delays=_tuples(_delays),
+    losses=_tuples(_losses),
+    resets=_tuples(_resets),
+    corruptions=_tuples(_corrupts),
+)
+_fault_specs = st.builds(
+    FaultSpec,
+    corruptions=_tuples(_corruptions),
+    partitions=_tuples(_partitions),
+    delays=_tuples(_delays),
+    losses=_tuples(_losses),
+    allow_over_budget=st.booleans(),
+    expect_termination=st.none() | st.booleans(),
+)
+_schedules = st.builds(
+    ChaosSchedule,
+    seed=st.integers(min_value=0, max_value=2**31),
+    kills=_tuples(_kills),
+    pauses=_tuples(_pauses),
+    wire=_wire_faults,
+)
+
+
+class TestFaultSpecRoundTrip:
+    @given(
+        spec=st.one_of(
+            _partitions,
+            _delays,
+            _losses,
+            _resets,
+            _corrupts,
+            _corruptions,
+            _kills,
+            _pauses,
+            _wire_faults,
+            _fault_specs,
+            _schedules,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_from_dict_inverts_to_dict_through_json(self, spec):
+        wire_form = json.loads(json.dumps(spec.to_dict()))
+        assert type(spec).from_dict(wire_form) == spec
+        assert type(spec).from_dict(wire_form).to_dict() == spec.to_dict()

@@ -8,9 +8,10 @@ import pytest
 from repro.adversary.strategies import CrashStrategy
 from repro.errors import InvariantViolation, LivenessTimeout, SimulationError
 from repro.faults.monitors import EpsilonAgreementMonitor
+from repro.net.chaos import ChaosTransport, WireFaults
 from repro.net.latency import ConstantLatency
 from repro.net.message import Message
-from repro.net.network import DeliveryPolicy, LossWindow, NetworkFaultPlan
+from repro.net.network import LossWindow
 from repro.protocols.base import ProtocolNode
 from repro.protocols.binaa import BinAANode
 from repro.protocols.bv_broadcast import BVBroadcastNode
@@ -212,17 +213,18 @@ class TestByzantineAndObserverSeams:
         assert "deliver" in kinds
 
     def test_loss_window_drops_messages(self):
+        """Faults enter the live engine through the transport seam only."""
         nodes = {i: BVBroadcastNode(i, 4, 1, value=1) for i in range(4)}
-        policy = DeliveryPolicy(seed=3)
-        policy.install_faults(
-            NetworkFaultPlan(
-                losses=[LossWindow(start=0.0, end=1e9, probability=1.0)]
-            )
+        transport = ChaosTransport(
+            InMemoryTransport(),
+            WireFaults(losses=(LossWindow(start=0.0, end=1e9, probability=1.0),)),
+            seed=3,
         )
-        runtime = AsyncioRuntime(nodes, timeout=0.3, policy=policy)
+        runtime = AsyncioRuntime(nodes, timeout=0.3, transport=transport)
         with pytest.raises(LivenessTimeout):
             runtime.run()
-        assert runtime._dropped > 0
+        assert transport.frames_dropped > 0
+        assert transport.frames_passed == 0
 
 
 class TestTransportSeam:
