@@ -28,7 +28,13 @@ message construction and sizing dominate a naive profile):
   ``self`` — the full memo survives;
 * BinAA sub-messages are fixed-shape ``(mtype, round, value)`` triples;
   :func:`submessage_payload_bits` sizes them by formula (memoised per
-  distinct triple) instead of the generic recursive walk.
+  distinct triple) instead of the generic recursive walk;
+* derived, payload-pure caches live on the physical message: a broadcast
+  hands the *same* :class:`Message` to every receiver, so the first one
+  computes and the rest read.  ``_bundle_memo`` (the decoded Delphi bundle)
+  and ``_peel`` (the namespace split, :func:`repro.protocols.base.peel`)
+  are left unset at construction and dropped by ``__reduce__`` and
+  :meth:`Message.with_payload`.
 """
 
 from __future__ import annotations
@@ -101,6 +107,11 @@ def int_size_bits(value: int) -> int:
 #: hot-path tag comparisons hit CPython's identity fast path.
 _HEADER_INTERN: Dict[Tuple[str, str], Tuple[str, str, int]] = {}
 
+#: Soft cap on the header intern: a long-lived service mints ``epoch:<k>/``
+#: tags forever and a socket peer chooses the strings ``loads_message``
+#: constructs.  Interning only buys identity, so overflow starts over.
+_HEADER_INTERN_CAP = 4096
+
 #: Memoised round-field varint widths (the paper's ``log log`` term).
 _ROUND_BITS: Dict[int, int] = {}
 
@@ -117,6 +128,8 @@ def _intern_header(protocol: str, mtype: str) -> Tuple[str, str, int]:
     key = (protocol, mtype)
     entry = _HEADER_INTERN.get(key)
     if entry is None:
+        if len(_HEADER_INTERN) >= _HEADER_INTERN_CAP:
+            _HEADER_INTERN.clear()
         entry = _HEADER_INTERN[key] = (
             protocol,
             mtype,
@@ -170,7 +183,9 @@ class Message:
         Arbitrary, JSON-like payload.
     """
 
-    __slots__ = ("protocol", "mtype", "round", "payload", "_hr_bits", "_size", "_bundle_memo")
+    __slots__ = (
+        "protocol", "mtype", "round", "payload", "_hr_bits", "_size", "_bundle_memo", "_peel",
+    )
 
     def __init__(
         self,

@@ -71,7 +71,7 @@ from repro.net.latency import ConstantLatency, LatencyModel, UniformLatency
 from repro.net.message import Message
 from repro.net.network import AsynchronousNetwork, DeliveryPolicy
 from repro.oracle.smr import SMRChannel
-from repro.protocols.base import MessageWrapper, Outbound, ProtocolNode
+from repro.protocols.base import Namespace, Outbound, ProtocolNode
 from repro.sim.asyncio_runtime import AsyncioRuntime
 from repro.sim.events import DELIVER_EVENT
 from repro.sim.observers import SimObserver
@@ -123,19 +123,20 @@ class EpochNode(ProtocolNode):
         self.inner = inner
         self.epoch = epoch
         self.stale_messages = 0
-        self._wrapper = MessageWrapper(f"epoch:{epoch}")
+        self._namespace = Namespace(f"epoch:{epoch}")
 
     def on_start(self) -> List[Outbound]:
-        outbound = self._wrap(self.inner.on_start())
+        outbound = self._namespace.wrap_all(self.inner.on_start())
         self._sync()
         return outbound
 
     def on_message(self, sender: int, message: Message) -> List[Outbound]:
-        unwrapped = self._wrapper.unwrap(message)
+        # The same memoised peel the engine's ``processing_cost`` call made.
+        unwrapped = self._namespace.unwrap(message)
         if unwrapped is None:
             self.stale_messages += 1
             return []
-        outbound = self._wrap(self.inner.on_message(sender, unwrapped))
+        outbound = self._namespace.wrap_all(self.inner.on_message(sender, unwrapped))
         self._sync()
         return outbound
 
@@ -146,12 +147,8 @@ class EpochNode(ProtocolNode):
         if self.inner.has_output and not self._has_output:
             self._decide(self.inner.output)
 
-    def _wrap(self, outbound: List[Outbound]) -> List[Outbound]:
-        wrap = self._wrapper
-        return [(destination, wrap(message)) for destination, message in outbound]
-
     def processing_cost(self, message: Message) -> float:
-        unwrapped = self._wrapper.unwrap(message)
+        unwrapped = self._namespace.unwrap(message)
         if unwrapped is None:
             return 0.0
         return self.inner.processing_cost(unwrapped)

@@ -11,8 +11,7 @@ that poke individual transitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.message import Message
@@ -132,66 +131,68 @@ class ProtocolNode:
         return quorum_threshold(self.n, self.t)
 
 
-@dataclass
-class CompositeOutbox:
-    """Accumulates outbound messages from nested sub-protocol invocations.
+def peel(message: Message) -> Tuple[Optional[str], Optional[Message]]:
+    """Split ``message`` at its outermost namespace: ``(head, inner)``.
 
-    Composite protocols such as Delphi run many :class:`ProtocolNode`
-    sub-instances (one BinAA per checkpoint) and need to collect and re-tag
-    the messages each sub-instance emits.  The outbox keeps the code for
-    that bookkeeping in one place.
+    ``head`` is the protocol up to the first ``/`` and ``inner`` the same
+    message without it; ``(None, None)`` if the protocol has no ``/``.  The
+    split is memoised on the message, so every receiver of a broadcast (and
+    the topology that scoped it) gets the *same* inner object — and with it
+    whatever the inner protocol memoises there, such as Delphi's decoded
+    bundle.
+    """
+    peeled = getattr(message, "_peel", None)
+    if peeled is None:
+        head, slash, rest = message.protocol.partition("/")
+        peeled = (None, None)
+        if slash:
+            inner = Message(rest, message.mtype, message.round, message.payload)
+            peeled = (head, inner)
+        object.__setattr__(message, "_peel", peeled)
+    return peeled
+
+
+class Namespace:
+    """Re-tags a sub-protocol's messages as ``<name>/<protocol>``.
+
+    A sharded node wraps what its group-local Delphi emits in
+    ``group:<g>`` so the topology scopes the broadcast and the receiver
+    routes it back to its own group instance; :func:`peel` undoes it.
     """
 
-    items: List[Outbound]
+    __slots__ = ("name", "_prefix")
 
-    def __init__(self) -> None:
-        self.items = []
+    def __init__(self, name: str) -> None:
+        if not name or "/" in name:
+            raise ConfigurationError(
+                f"a namespace name must be non-empty and contain no '/', got {name!r}"
+            )
+        self.name = name
+        self._prefix = name + "/"
 
-    def extend(self, outbound: Iterable[Outbound]) -> None:
-        """Append a batch of outbound instructions."""
-        self.items.extend(outbound)
-
-    def extend_wrapped(
-        self, outbound: Iterable[Outbound], wrap: "MessageWrapper"
-    ) -> None:
-        """Append instructions after rewriting each message through ``wrap``."""
-        for destination, message in outbound:
-            self.items.append((destination, wrap(message)))
-
-    def drain(self) -> List[Outbound]:
-        """Return and clear the accumulated instructions."""
-        items, self.items = self.items, []
-        return items
-
-
-class MessageWrapper:
-    """Callable that re-tags a sub-protocol message with a parent namespace.
-
-    A Delphi node running BinAA instance ``(level=2, checkpoint=17)`` wraps
-    every message that instance emits so that the receiving Delphi node can
-    route it back to its own instance ``(2, 17)``.
-    """
-
-    def __init__(self, namespace: str) -> None:
-        self.namespace = namespace
-
-    def __call__(self, message: Message) -> Message:
-        return Message(
-            protocol=f"{self.namespace}/{message.protocol}",
-            mtype=message.mtype,
-            round=message.round,
-            payload=message.payload,
+    def wrap(self, message: Message) -> Message:
+        """``message`` inside this namespace, already sized and peeled."""
+        wrapped = Message(
+            self._prefix + message.protocol,
+            message.mtype,
+            message.round,
+            message.payload,
         )
+        set_slot = object.__setattr__
+        set_slot(wrapped, "_size", message.size_bits() + 8 * len(self._prefix))
+        set_slot(wrapped, "_peel", (self.name, message))
+        return wrapped
+
+    def wrap_all(self, outbound: List[Outbound]) -> List[Outbound]:
+        """``outbound`` with every message wrapped; an empty list (most
+        deliveries emit nothing) is handed back as it is."""
+        if not outbound:
+            return outbound
+        wrap = self.wrap
+        return [(destination, wrap(message)) for destination, message in outbound]
 
     def unwrap(self, message: Message) -> Optional[Message]:
-        """Strip this wrapper's namespace, or return ``None`` if it does not
-        match."""
-        prefix = f"{self.namespace}/"
-        if not message.protocol.startswith(prefix):
-            return None
-        return Message(
-            protocol=message.protocol[len(prefix):],
-            mtype=message.mtype,
-            round=message.round,
-            payload=message.payload,
-        )
+        """The inner message, or ``None`` if the outermost namespace is not
+        this one."""
+        head, inner = peel(message)
+        return inner if head == self.name else None

@@ -41,13 +41,17 @@ from repro.errors import ConfigurationError
 from repro.net.message import Message
 from repro.protocols.base import (
     BROADCAST,
-    CompositeOutbox,
-    MessageWrapper,
+    Namespace,
     Outbound,
     ProtocolNode,
     byzantine_bound,
+    peel,
 )
-from repro.protocols.topology import REP_NAMESPACE, ShardedTopology
+from repro.protocols.topology import (
+    GROUP_NAMESPACE_PREFIX,
+    REP_NAMESPACE,
+    ShardedTopology,
+)
 
 #: Protocol tag carried by sharded-delphi control messages.
 PROTOCOL = "sharded-delphi"
@@ -183,8 +187,8 @@ class ShardedDelphiNode(ProtocolNode):
         self.group = topology.group_of[node_id]
         members = topology.groups[self.group]
         self._local_of = {member: index for index, member in enumerate(members)}
-        self._group_wrap = MessageWrapper(f"group:{self.group}")
-        self._rep_wrap = MessageWrapper(REP_NAMESPACE)
+        self._group_ns = Namespace(f"{GROUP_NAMESPACE_PREFIX}{self.group}")
+        self._rep_ns = Namespace(REP_NAMESPACE)
         self._my_representative = topology.representatives[self.group]
         self.is_representative = self._my_representative == node_id
         self._group_node = DelphiNode(
@@ -200,18 +204,16 @@ class ShardedDelphiNode(ProtocolNode):
     # Protocol hooks
 
     def on_start(self) -> List[Outbound]:
-        outbox = CompositeOutbox()
-        outbox.extend_wrapped(self._group_node.on_start(), self._group_wrap)
-        self._after_group_step(outbox)
-        return outbox.drain()
+        outbound = self._group_ns.wrap_all(self._group_node.on_start())
+        self._after_group_step(outbound)
+        return outbound
 
     def on_message(self, sender: int, message: Message) -> List[Outbound]:
-        inner = self._group_wrap.unwrap(message)
-        if inner is not None:
+        head, inner = peel(message)
+        if head == self._group_ns.name:
             return self._on_group_message(sender, inner)
-        rep_inner = self._rep_wrap.unwrap(message)
-        if rep_inner is not None:
-            return self._on_rep_message(sender, rep_inner)
+        if head == REP_NAMESPACE:
+            return self._on_rep_message(sender, inner)
         return []
 
     # ------------------------------------------------------------------
@@ -228,14 +230,13 @@ class ShardedDelphiNode(ProtocolNode):
             return []
         if self._has_output and not self.is_representative:
             return []
-        outbox = CompositeOutbox()
-        outbox.extend_wrapped(
-            self._group_node.on_message(local_sender, inner), self._group_wrap
+        outbound = self._group_ns.wrap_all(
+            self._group_node.on_message(local_sender, inner)
         )
-        self._after_group_step(outbox)
-        return outbox.drain()
+        self._after_group_step(outbound)
+        return outbound
 
-    def _after_group_step(self, outbox: CompositeOutbox) -> None:
+    def _after_group_step(self, outbound: List[Outbound]) -> None:
         if self.group_value is not None or not self._group_node.has_output:
             return
         self.group_value = float(self._group_node.output_value)
@@ -243,7 +244,7 @@ class ShardedDelphiNode(ProtocolNode):
             return
         if self.params.rep_params is None:
             # Single group: the inter-group round degenerates.
-            self._conclude(self.group_value, outbox)
+            self._conclude(self.group_value, outbound)
             return
         rep = self._delphi_node_cls(
             node_id=self.group,
@@ -251,11 +252,11 @@ class ShardedDelphiNode(ProtocolNode):
             value=self.group_value,
         )
         self._rep_node = rep
-        outbox.extend_wrapped(rep.on_start(), self._rep_wrap)
+        outbound += self._rep_ns.wrap_all(rep.on_start())
         buffered, self._rep_buffer = self._rep_buffer, []
         for sender_group, inner in buffered:
-            outbox.extend_wrapped(rep.on_message(sender_group, inner), self._rep_wrap)
-        self._after_rep_step(outbox)
+            outbound += self._rep_ns.wrap_all(rep.on_message(sender_group, inner))
+        self._after_rep_step(outbound)
 
     # ------------------------------------------------------------------
     # Inter-group round among representatives
@@ -271,21 +272,18 @@ class ShardedDelphiNode(ProtocolNode):
             return []
         if self._has_output:
             return []
-        outbox = CompositeOutbox()
-        outbox.extend_wrapped(
-            self._rep_node.on_message(sender_group, inner), self._rep_wrap
-        )
-        self._after_rep_step(outbox)
-        return outbox.drain()
+        outbound = self._rep_ns.wrap_all(self._rep_node.on_message(sender_group, inner))
+        self._after_rep_step(outbound)
+        return outbound
 
-    def _after_rep_step(self, outbox: CompositeOutbox) -> None:
+    def _after_rep_step(self, outbound: List[Outbound]) -> None:
         if self._has_output or self._rep_node is None:
             return
         if not self._rep_node.has_output:
             return
-        self._conclude(float(self._rep_node.output_value), outbox)
+        self._conclude(float(self._rep_node.output_value), outbound)
 
-    def _conclude(self, value: float, outbox: CompositeOutbox) -> None:
+    def _conclude(self, value: float, outbound: List[Outbound]) -> None:
         self._decide(value)
-        final = self._group_wrap(Message(PROTOCOL, FINAL, None, value))
-        outbox.extend([(BROADCAST, final)])
+        final = self._group_ns.wrap(Message(PROTOCOL, FINAL, None, value))
+        outbound.append((BROADCAST, final))

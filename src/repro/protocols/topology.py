@@ -11,7 +11,7 @@ namespace.
 
 Scoping is namespace based so the protocol layer stays oblivious to
 node ids: a message tagged ``group:<g>/...`` (see
-:class:`repro.protocols.base.MessageWrapper`) reaches group ``g``'s
+:class:`repro.protocols.base.Namespace`) reaches group ``g``'s
 members, a message tagged ``reps/...`` reaches the representative set,
 and anything else falls back to the flat all-nodes scope.
 
@@ -28,13 +28,13 @@ permutation of the input ids.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.message import Message
-from repro.protocols.base import byzantine_bound
+from repro.protocols.base import byzantine_bound, peel
 
-#: Namespace prefix (see :class:`MessageWrapper`) scoping a message to one group.
+#: Namespace name prefix (see :class:`Namespace`) scoping a message to one group.
 GROUP_NAMESPACE_PREFIX = "group:"
 
 #: Namespace scoping a message to the representative set.
@@ -118,14 +118,15 @@ class FlatTopology(Topology):
 class ShardedTopology(Topology):
     """Seeded consistent-hash groups with per-group representatives.
 
-    Broadcast scopes resolve from the message's protocol namespace:
+    Broadcast scopes resolve from the message's outermost namespace (the
+    ``head`` :func:`repro.protocols.base.peel` memoises on the message):
 
-    - ``group:<g>/...`` -> members of group ``g``
-    - ``reps/...``      -> the representative set
-    - anything else     -> all nodes (flat fallback)
+    - ``group:<g>`` -> members of group ``g``
+    - ``reps``      -> the representative set
+    - anything else -> all nodes (flat fallback)
 
-    Resolution is cached per protocol string; protocol headers are
-    interned by :class:`Message`, so the cache stays small and hot.
+    The scope table is built once from the groups, so no string a sender
+    chooses can grow it.
     """
 
     is_flat = False
@@ -165,33 +166,17 @@ class ShardedTopology(Topology):
             rep: index for index, rep in enumerate(self.representatives)
         }
         self._all = range(num_nodes)
-        self._target_cache: Dict[str, Sequence[int]] = {}
+        self._scopes: Dict[Optional[str], Sequence[int]] = {
+            f"{GROUP_NAMESPACE_PREFIX}{index}": group
+            for index, group in enumerate(self.groups)
+        }
+        self._scopes[REP_NAMESPACE] = self.representatives
 
     # ------------------------------------------------------------------
     # Broadcast scoping
 
     def broadcast_targets(self, sender: int, message: Message) -> Sequence[int]:
-        protocol = message.protocol
-        targets = self._target_cache.get(protocol)
-        if targets is None:
-            targets = self._resolve_scope(protocol)
-            self._target_cache[protocol] = targets
-        return targets
-
-    def _resolve_scope(self, protocol: str) -> Sequence[int]:
-        if protocol.startswith(GROUP_NAMESPACE_PREFIX):
-            slash = protocol.find("/")
-            if slash > len(GROUP_NAMESPACE_PREFIX):
-                try:
-                    group = int(protocol[len(GROUP_NAMESPACE_PREFIX) : slash])
-                except ValueError:
-                    return self._all
-                if 0 <= group < self.num_groups:
-                    return self.groups[group]
-            return self._all
-        if protocol.startswith(REP_NAMESPACE + "/"):
-            return self.representatives
-        return self._all
+        return self._scopes.get(peel(message)[0], self._all)
 
     # ------------------------------------------------------------------
     # Byzantine budgets

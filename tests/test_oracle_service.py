@@ -48,6 +48,24 @@ class TestEpochNode:
         assert epoch_node.stale_messages == 1
         assert epoch_node.processing_cost(stale) == 0.0
 
+    def test_cost_hook_and_handler_share_one_unwrap(self, epoch_node, monkeypatch):
+        # As received from a socket: no memo yet.  The engine asks for the
+        # processing cost, then delivers; the inner node must be handed the
+        # same object both times (one peel, and one place for its memos).
+        received = Message("epoch:1/dora", "REPORT", None, [2.0, None])
+        seen = []
+        inner = epoch_node.inner
+        monkeypatch.setattr(
+            inner, "processing_cost", lambda message: seen.append(message) or 1.0
+        )
+        monkeypatch.setattr(
+            inner, "on_message", lambda sender, message: seen.append(message) or []
+        )
+        assert epoch_node.processing_cost(received) == 1.0
+        assert epoch_node.on_message(1, received) == []
+        assert seen[0] is seen[1]
+        assert seen[0] == Message("dora", "REPORT", None, [2.0, None])
+
     def test_decision_mirrors_inner_node(self, epoch_node):
         # The fast engine reads _has_output directly, so the wrapper must
         # mirror the inner decision into its own output slots.

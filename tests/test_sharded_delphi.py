@@ -237,3 +237,79 @@ class TestCliSurfaces:
         assert verdict["num_groups"] == 4
         assert verdict["metrics"]["decided"] == 24
         assert verdict["margins"]["epsilon_margin"] == 1.0
+
+
+@pytest.fixture
+def bundle_codec_calls(monkeypatch):
+    """Every payload the Delphi core encodes for sending and every payload
+    it decodes on receipt (the objects themselves, so identities stay
+    distinct for the length of the test)."""
+    from repro.core import delphi
+
+    encoded, decoded = [], []
+    encode, decode = delphi.encode_bundle_sized, delphi.decode_bundle
+
+    def counting_encode(bundle):
+        payload, bits = encode(bundle)
+        if payload:
+            encoded.append(payload)
+        return payload, bits
+
+    def counting_decode(payload):
+        decoded.append(payload)
+        return decode(payload)
+
+    monkeypatch.setattr(delphi, "encode_bundle_sized", counting_encode)
+    monkeypatch.setattr(delphi, "decode_bundle", counting_decode)
+    return encoded, decoded
+
+
+class _GarbageBundles(AdversaryStrategy):
+    """Runs the honest protocol but ships every bundle with a payload the
+    codec rejects, still inside the group namespace."""
+
+    GARBAGE = "not a bundle"
+
+    def __init__(self):
+        self.broadcasts = 0
+
+    def on_start(self) -> List:
+        return self._garble(self.node.on_start())
+
+    def on_message(self, sender: int, message: Message) -> List:
+        return self._garble(self.node.on_message(sender, message))
+
+    def _garble(self, outbound):
+        self.broadcasts += len(outbound)
+        return [(to, message.with_payload(self.GARBAGE)) for to, message in outbound]
+
+
+class TestOneDecodePerPhysicalMessage:
+    """The wall-clock-free guard on the namespace memo: n receivers of a
+    wrapped broadcast share one inner message, hence one decode."""
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_decodes_equal_broadcasts(self, engine, bundle_codec_calls):
+        encoded, decoded = bundle_codec_calls
+        result, _, _ = run_sharded(16, 4, engine=engine)
+        assert result.all_decided
+        assert result.events_processed > 4 * len(encoded)
+        assert len(decoded) == len(encoded)
+        assert {id(payload) for payload in decoded} == {id(payload) for payload in encoded}
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_wrapped_malformed_bundle_discarded_by_every_member(
+        self, engine, bundle_codec_calls
+    ):
+        _, decoded = bundle_codec_calls
+        spec = sharded_spec(16, 4, seed=0)
+        topology = sharded_topology_of(spec)
+        (byzantine,) = topology.safe_corrupted_ids(1)
+        strategy = _GarbageBundles()
+        outcome = run_cell_engine(spec, engine, extra_byzantine={byzantine: strategy})
+        # Monitors attached: every honest node decided, within epsilon.
+        assert outcome.status == "ok"
+        # Validated (and rejected) once per physical message, not per member.
+        rejected = [payload for payload in decoded if payload == strategy.GARBAGE]
+        assert strategy.broadcasts > 0
+        assert len(rejected) == strategy.broadcasts
