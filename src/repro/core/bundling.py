@@ -19,8 +19,11 @@ bundle stays small and the measured per-round communication reproduces the
 paper's ``O(n^2 min(delta / rho_0, n l_max))`` bits.
 
 Codec hot-path design.  A bundle is encoded once per processing step and
-decoded once per physical message (the decode is memoised on the message),
-but with ~n^2 messages per round the codec used to dominate after the event
+decoded once per distinct content (:func:`shared_decode`: the decode is
+memoised on the physical message, and behind that in a bounded table keyed
+by the payload's value, because every receiver across a socket unpickles
+its own message and honest payloads repeat across senders and epochs), but
+with ~n^2 messages per round the codec used to dominate after the event
 loop got cheap.  The wire payload is therefore *flat tuples* instead of
 nested lists:
 
@@ -47,10 +50,11 @@ payload for wire-size accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from math import copysign
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ProtocolError
-from repro.net.message import int_size_bits, submessage_payload_bits
+from repro.net.message import Message, int_size_bits, submessage_payload_bits
 from repro.protocols.binaa import SubMessage
 
 #: Interned encoded sub-message sequences: content key -> (payload fragment,
@@ -263,3 +267,89 @@ def decode_bundle(payload: Sequence) -> Bundle:
             for sub in subs
         )
     return bundle
+
+
+#: Decoded bundles by payload value: the level behind ``Message._bundle_memo``.
+#: A ``delphi-n40-aws`` round decodes 145 distinct payloads, ``sharded-n64-aws``
+#: 280, a live n=7 epoch about 50, so 512 holds a round's working set; 4096
+#: entries cost +22 % peak RSS for no further hits.  Overflow starts over.
+#: Honest bundles are a few KiB even at large n; the per-entry size bound
+#: keeps a peer from parking 512 frame-cap-sized payloads here.
+_DECODED: Dict[Tuple, Bundle] = {}
+_DECODED_CAP = 512
+_DECODED_MAX_BITS = 8 * 65536
+
+
+def _internable(payload: object) -> bool:
+    """Whether ``payload`` may be looked up and stored by value.
+
+    True only for exactly what :func:`encode_bundle_sized` emits: exact
+    ``tuple`` containers holding an exact ``int``, ``str`` or ``float`` at
+    the positions the layout puts one, and no ``-0.0``.  Two such payloads
+    that compare equal are then indistinguishable to :func:`decode_bundle`,
+    which is what sharing one decoded bundle needs; ``1`` / ``1.0`` /
+    ``True``, ``0.0`` / ``-0.0``, lists, and objects with their own
+    ``__eq__`` or ``__hash__`` compare equal without being so, and are
+    never hashed or compared here.  This admits, it does not validate.
+    """
+    if type(payload) is not tuple:
+        return False
+    for entry in payload:
+        if type(entry) is not tuple or len(entry) != 4:
+            return False
+        level, exclude, default, explicit = entry
+        if type(level) is not int or type(exclude) is not tuple or type(explicit) is not tuple:
+            return False
+        for index in exclude:
+            if type(index) is not int:
+                return False
+        fragments = [default]
+        for pair in explicit:
+            if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not int:
+                return False
+            fragments.append(pair[1])
+        for subs in fragments:
+            if type(subs) is not tuple:
+                return False
+            for sub in subs:
+                if type(sub) is not tuple or len(sub) != 3:
+                    return False
+                mtype, round_number, value = sub
+                if (
+                    type(mtype) is not str
+                    or type(round_number) is not int
+                    or type(value) is not float
+                    or (not value and copysign(1.0, value) < 0.0)
+                ):
+                    return False
+    return True
+
+
+def shared_decode(message: Message) -> Optional[Bundle]:
+    """The decoded, read-only bundle ``message`` carries; ``None`` if malformed.
+
+    Receivers only read the decoded structure, so one :class:`Bundle` serves
+    every receiver of a physical message (``_bundle_memo``; ``False`` marks
+    a malformed payload so it is rejected once, not per receiver) and every
+    message with the same content (:data:`_DECODED`).  :func:`decode_bundle`
+    runs for content not seen before and for every payload
+    :func:`_internable` turns away.
+    """
+    bundle = getattr(message, "_bundle_memo", None)
+    if bundle is None:
+        payload = message.payload
+        internable = _internable(payload)
+        if internable:
+            bundle = _DECODED.get(payload)
+        if bundle is None:
+            try:
+                bundle = decode_bundle(payload)
+            except ProtocolError:
+                bundle = False
+            else:
+                if internable and message.size_bits() <= _DECODED_MAX_BITS:
+                    if len(_DECODED) >= _DECODED_CAP:
+                        _DECODED.clear()
+                    _DECODED[payload] = bundle
+        object.__setattr__(message, "_bundle_memo", bundle)
+    return None if bundle is False else bundle

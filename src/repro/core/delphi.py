@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import ConfigurationError, ProtocolError
 from repro.analysis.parameters import DelphiParameters
 from repro.core.aggregation import LevelAggregate, aggregate_level, cross_level_output
-from repro.core.bundling import Bundle, decode_bundle, encode_bundle_sized
+from repro.core.bundling import Bundle, encode_bundle_sized, shared_decode
 from repro.core.checkpoints import LevelState
 from repro.net.message import Message
 from repro.protocols.base import Outbound, ProtocolNode
@@ -139,18 +139,8 @@ class DelphiNode(ProtocolNode):
             return []
         if not self._started or self._has_output:
             return []
-        # A broadcast bundle is delivered to all n nodes; decode it once and
-        # memoise the result on the (immutable) message.  Receivers only read
-        # the decoded structure, so sharing it is safe.  ``False`` marks a
-        # malformed (Byzantine) payload so it is not re-parsed per receiver.
-        incoming = getattr(message, "_bundle_memo", None)
+        incoming = shared_decode(message)
         if incoming is None:
-            try:
-                incoming = decode_bundle(message.payload)
-            except ProtocolError:
-                incoming = False
-            object.__setattr__(message, "_bundle_memo", incoming)
-        if incoming is False:
             # Malformed (Byzantine) bundle: discard entirely.
             return []
         outgoing = self._process_bundle(sender, incoming)

@@ -31,9 +31,11 @@ message construction and sizing dominate a naive profile):
   distinct triple) instead of the generic recursive walk;
 * derived, payload-pure caches live on the physical message: a broadcast
   hands the *same* :class:`Message` to every receiver, so the first one
-  computes and the rest read.  ``_bundle_memo`` (the decoded Delphi bundle)
-  and ``_peel`` (the namespace split, :func:`repro.protocols.base.peel`)
-  are left unset at construction and dropped by ``__reduce__`` and
+  computes and the rest read.  ``_bundle_memo`` (the decoded Delphi bundle,
+  :func:`repro.core.bundling.shared_decode`), ``_peel`` (the namespace
+  split, :func:`repro.protocols.base.peel`) and ``_wire`` (the pickled wire
+  bytes, :func:`repro.net.socket_transport.dumps_message`) are left unset
+  at construction and dropped by ``__reduce__`` and
   :meth:`Message.with_payload`.
 """
 
@@ -115,6 +117,10 @@ _HEADER_INTERN_CAP = 4096
 #: Memoised round-field varint widths (the paper's ``log log`` term).
 _ROUND_BITS: Dict[int, int] = {}
 
+#: Soft cap on the round memo, for the same reason as the header intern: a
+#: socket peer chooses the round ``loads_message`` constructs.
+_ROUND_BITS_CAP = 4096
+
 #: Memoised payload sizes of fixed-shape BinAA sub-message triples.
 _SUB_BITS: Dict[Tuple[str, int, float], int] = {}
 
@@ -142,6 +148,8 @@ def round_field_bits(round_number: int) -> int:
     """Width of the variable-length round field, in bits (memoised)."""
     bits = _ROUND_BITS.get(round_number)
     if bits is None:
+        if len(_ROUND_BITS) >= _ROUND_BITS_CAP:
+            _ROUND_BITS.clear()
         bits = _ROUND_BITS[round_number] = max(
             4, int(math.ceil(math.log2(round_number + 2)))
         )
@@ -184,7 +192,8 @@ class Message:
     """
 
     __slots__ = (
-        "protocol", "mtype", "round", "payload", "_hr_bits", "_size", "_bundle_memo", "_peel",
+        "protocol", "mtype", "round", "payload",
+        "_hr_bits", "_size", "_bundle_memo", "_peel", "_wire",
     )
 
     def __init__(
@@ -305,15 +314,6 @@ class Message:
         set_slot(clone, "_hr_bits", self._hr_bits)
         set_slot(clone, "_size", None)
         return clone
-
-
-def cached_size_bits(message: Message) -> int:
-    """:meth:`Message.size_bits` (kept for API compatibility).
-
-    The memo now lives in a ``__slots__`` field on the message itself, so
-    this is a plain alias; both simulation engines share the same memo.
-    """
-    return message.size_bits()
 
 
 class Envelope:

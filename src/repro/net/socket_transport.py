@@ -86,6 +86,9 @@ _CLOSED = object()
 #: Read chunk size for connection reader loops.
 _READ_CHUNK = 65536
 
+#: Exclusive upper bound on the round field :func:`loads_message` accepts.
+MAX_WIRE_ROUND = 2**32
+
 
 def normalise_address(address: Sequence[Any]) -> Address:
     """Validate and canonicalise one address tuple (JSON lists accepted)."""
@@ -116,19 +119,27 @@ def dumps_message(message: Message) -> bytes:
 
     The flat-tuple bundle payloads (:mod:`repro.core.bundling`) pickle
     compactly and round-trip exactly — including float bit patterns, which
-    the certificate parity checks rely on.
+    the certificate parity checks rely on.  The bytes are memoised on the
+    message (``_wire``), so a broadcast is pickled once, not once per
+    :class:`_Sender` channel; sealing stays per channel and per frame.
     """
-    return pickle.dumps(
-        (message.protocol, message.mtype, message.round, message.payload),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+    wire = getattr(message, "_wire", None)
+    if wire is None:
+        wire = pickle.dumps(
+            (message.protocol, message.mtype, message.round, message.payload),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        object.__setattr__(message, "_wire", wire)
+    return wire
 
 
 def loads_message(payload: bytes) -> Message:
     """Deserialise one wire payload back into a :class:`Message`.
 
     Only ever called on authenticated payload bytes; still validates the
-    shape so a buggy (not just hostile) peer yields a typed error.
+    shape so a buggy (not just hostile) peer yields a typed error, and
+    bounds the round so a hostile one cannot reach ``math.log2`` with a
+    negative number or mint round-memo entries without end.
     """
     try:
         parts = pickle.loads(payload)
@@ -139,7 +150,10 @@ def loads_message(payload: bytes) -> Message:
         or len(parts) != 4
         or not isinstance(parts[0], str)
         or not isinstance(parts[1], str)
-        or not (parts[2] is None or isinstance(parts[2], int))
+        or not (
+            parts[2] is None
+            or (type(parts[2]) is int and 0 <= parts[2] < MAX_WIRE_ROUND)
+        )
     ):
         raise FrameError(f"malformed message tuple {parts!r}")
     return Message(parts[0], parts[1], parts[2], parts[3])

@@ -228,7 +228,7 @@ class AsyncioRuntime:
         return self.byzantine.get(node_id, self.nodes[node_id])
 
     def _now(self) -> float:
-        return asyncio.get_event_loop().time() - self._started_at
+        return asyncio.get_running_loop().time() - self._started_at
 
     # ------------------------------------------------------------------
     def run(self) -> AsyncioRunResult:
@@ -244,7 +244,7 @@ class AsyncioRuntime:
         Guarantees that *no* task spawned by this run is left pending when
         it returns, on every exit path (success, failure, timeout).
         """
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         self._started_at = loop.time()
         self._all_decided = asyncio.Event()
         self._failure = loop.create_future()

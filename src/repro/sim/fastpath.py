@@ -14,7 +14,7 @@ per-message allocation and dynamic lookup the reference loop performs:
   the same instant are merged into the batch so the global
   ``(time, tiebreak, sequence)`` order is preserved exactly;
 * message wire sizes are memoised per message instance
-  (:func:`repro.net.message.cached_size_bits`), so a broadcast serialises
+  (:meth:`repro.net.message.Message.size_bits`), so a broadcast serialises
   its payload once instead of ``3 x n`` times;
 * per-pair latency samplers (:meth:`LatencyModel.pair_sampler`, block-drawn
   streams) are cached in an ``n x n`` table — no region-dict lookups or
@@ -40,7 +40,7 @@ from math import inf as _INF
 from typing import Dict, List, Optional
 
 from repro.errors import NetworkError, SimulationError
-from repro.net.message import HMAC_TAG_BITS, cached_size_bits
+from repro.net.message import HMAC_TAG_BITS
 from repro.protocols.base import BROADCAST
 from repro.sim.events import DELIVER_EVENT, START_EVENT
 
@@ -272,7 +272,7 @@ def _run_fast_loop(runtime, SimulationResult) -> "SimulationResult":
                         raise NetworkError(
                             f"destination {target} outside [0, {n})"
                         )
-                    wire_bits = cached_size_bits(message) + HMAC_TAG_BITS
+                    wire_bits = message.size_bits() + HMAC_TAG_BITS
                     message_count += 1
                     total_bits += wire_bits
                     sender_bits[node_id] += wire_bits

@@ -54,3 +54,28 @@ def make_delphi_params():
 def delphi_params(make_delphi_params) -> DelphiParameters:
     """Default small Delphi configuration used across tests."""
     return make_delphi_params()
+
+
+@pytest.fixture
+def bundle_codec_calls(monkeypatch):
+    """Every payload the Delphi core encodes for sending and every payload
+    the codec decodes on receipt, starting from an empty content table."""
+    from repro.core import bundling, delphi
+
+    encoded, decoded = [], []
+    encode, decode = delphi.encode_bundle_sized, bundling.decode_bundle
+
+    def counting_encode(bundle):
+        payload, bits = encode(bundle)
+        if payload:
+            encoded.append(payload)
+        return payload, bits
+
+    def counting_decode(payload):
+        decoded.append(payload)
+        return decode(payload)
+
+    monkeypatch.setattr(delphi, "encode_bundle_sized", counting_encode)
+    monkeypatch.setattr(bundling, "decode_bundle", counting_decode)
+    monkeypatch.setattr(bundling, "_DECODED", {})
+    return encoded, decoded

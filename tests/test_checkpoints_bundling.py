@@ -1,18 +1,23 @@
 """Tests for Delphi's checkpoint/level state and the bundled message codec."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import bundling
 from repro.core.bundling import (
     Bundle,
     decode_bundle,
     encode_bundle,
     encode_bundle_sized,
+    shared_decode,
 )
 from repro.core.checkpoints import LevelState
 from repro.errors import ProtocolError
-from repro.net.message import estimate_size_bits
+from repro.net.message import Message, estimate_size_bits
 from repro.protocols.binaa import BinAAEngine
 
 
@@ -243,3 +248,137 @@ class TestBundleCodec:
         assert estimate_size_bits(encode_bundle(big)) > estimate_size_bits(
             encode_bundle(small)
         )
+
+
+def bundle_message(payload):
+    return Message("delphi", "BUNDLE", None, payload)
+
+
+def fields_of(bundle):
+    """Every field of a decoded bundle, with the concrete types visible."""
+    return repr([dataclasses.astuple(entry) for entry in bundle.levels.values()])
+
+
+class _Liar:
+    """Hashes like the int 1 and claims to equal everything."""
+
+    def __hash__(self):
+        return hash(1)
+
+    def __eq__(self, other):
+        return True
+
+    def __int__(self):
+        return 7
+
+
+class TestSharedDecode:
+    """The content level behind ``Message._bundle_memo``: one decode per
+    distinct payload, and only between payloads no decoder can tell apart."""
+
+    HONEST = ((0, (1,), (("ECHO1", 1, 1.0),), ()),)
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(bundling, "_DECODED", {})
+
+    @pytest.fixture
+    def decodes(self, bundle_codec_calls):
+        return bundle_codec_calls[1]
+
+    @given(bundles())
+    def test_shared_decode_equals_a_fresh_decode(self, bundle):
+        payload = encode_bundle(bundle)
+        expected = fields_of(decode_bundle(payload))
+        first = shared_decode(bundle_message(payload))
+        # A second physical message with the same content, as a receiver
+        # across a socket builds it.
+        again = shared_decode(bundle_message(pickle.loads(pickle.dumps(payload))))
+        assert fields_of(first) == expected
+        assert fields_of(again) == expected
+
+    def test_equal_content_is_decoded_once(self, decodes):
+        first = shared_decode(bundle_message(self.HONEST))
+        clone = pickle.loads(pickle.dumps(self.HONEST))
+        assert clone is not self.HONEST
+        assert shared_decode(bundle_message(clone)) is first
+        assert decodes == [self.HONEST]
+
+    @pytest.mark.parametrize(
+        "lookalike",
+        [
+            ((0.0, (1,), (("ECHO1", 1, 1.0),), ()),),
+            ((False, (1,), (("ECHO1", 1, 1.0),), ()),),
+            ((0, (1.0,), (("ECHO1", 1, 1.0),), ()),),
+            ((0, (True,), (("ECHO1", 1, 1.0),), ()),),
+            ((0, (1,), (("ECHO1", 1.0, 1.0),), ()),),
+            ((0, (1,), (("ECHO1", True, 1.0),), ()),),
+            ((0, (1,), (("ECHO1", 1, 1),), ()),),
+            ((0, (1,), (("ECHO1", 1, True),), ()),),
+            ((0, [1], (("ECHO1", 1, 1.0),), ()),),
+            ((0, (1,), [("ECHO1", 1, 1.0)], ()),),
+            [(0, (1,), (("ECHO1", 1, 1.0),), ())],
+        ],
+    )
+    def test_lookalikes_never_share_an_entry(self, lookalike, decodes):
+        for first, second in ((lookalike, self.HONEST), (self.HONEST, lookalike)):
+            bundling._DECODED.clear()
+            del decodes[:]
+            one = shared_decode(bundle_message(first))
+            two = shared_decode(bundle_message(second))
+            assert one is not two
+            assert len(decodes) == 2
+            assert fields_of(one) == fields_of(decode_bundle(first))
+            assert fields_of(two) == fields_of(decode_bundle(second))
+            # The look-alike is decoded every time, as before this table.
+            shared_decode(bundle_message(lookalike))
+            assert len(decodes) == 3
+            assert list(bundling._DECODED) == [self.HONEST]
+
+    def test_negative_zero_does_not_stand_in_for_zero(self, decodes):
+        zero = ((0, (), (("ECHO1", 1, 0.0),), ()),)
+        negative = ((0, (), (("ECHO1", 1, -0.0),), ()),)
+        assert zero == negative and hash(zero) == hash(negative)
+        shared_decode(bundle_message(negative))
+        honest = shared_decode(bundle_message(zero))
+        assert fields_of(honest) == fields_of(decode_bundle(zero))
+        assert list(bundling._DECODED) == [zero]
+
+    def test_lying_element_cannot_poison_the_honest_entry(self, decodes):
+        poisoned = ((0, (_Liar(),), (("ECHO1", 1, 1.0),), ()),)
+        assert hash(poisoned) == hash(self.HONEST) and poisoned == self.HONEST
+        # Decoded first, it is parsed but never stored or looked up.
+        assert shared_decode(bundle_message(poisoned)).levels[0].exclude == (7,)
+        assert bundling._DECODED == {}
+        honest = shared_decode(bundle_message(self.HONEST))
+        assert fields_of(honest) == fields_of(decode_bundle(self.HONEST))
+        # Decoded second, it does not read the honest entry either.
+        assert shared_decode(bundle_message(poisoned)).levels[0].exclude == (7,)
+        assert len(decodes) == 3
+
+    def test_unhashable_and_malformed_payloads_take_the_plain_path(self, decodes):
+        unhashable = [[0, [1], [["ECHO1", 1, 1.0]], []]]
+        for _ in range(2):
+            decoded = shared_decode(bundle_message(unhashable))
+            assert fields_of(decoded) == fields_of(decode_bundle(unhashable))
+        malformed = ((0, (1,)),)
+        message = bundle_message(malformed)
+        assert shared_decode(message) is None
+        assert shared_decode(message) is None  # memoised on the message
+        assert shared_decode(bundle_message(malformed)) is None
+        assert decodes == [unhashable, unhashable, malformed, malformed]
+        assert bundling._DECODED == {}
+
+    def test_table_is_bounded_under_a_flood_of_unique_payloads(self):
+        for index in range(3 * bundling._DECODED_CAP):
+            payload = ((0, (index,), (("ECHO1", 1, 1.0),), ()),)
+            assert shared_decode(bundle_message(payload)).levels[0].exclude == (index,)
+            assert len(bundling._DECODED) <= bundling._DECODED_CAP
+
+    def test_oversized_payloads_are_decoded_but_not_kept(self, decodes):
+        subs = tuple(("ECHO1", index, 1.0) for index in range(8192))
+        oversized = ((0, (), subs, ()),)
+        assert estimate_size_bits(oversized) > bundling._DECODED_MAX_BITS
+        for _ in range(2):
+            assert len(shared_decode(bundle_message(oversized)).levels[0].default) == 8192
+        assert len(decodes) == 2 and bundling._DECODED == {}

@@ -50,7 +50,7 @@ def fresh(message: Message) -> Message:
 
 
 def memo_free(message: Message) -> bool:
-    return not hasattr(message, "_peel") and not hasattr(message, "_bundle_memo")
+    return not any(hasattr(message, memo) for memo in ("_peel", "_bundle_memo", "_wire"))
 
 
 class TestNamespace:

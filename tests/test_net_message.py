@@ -13,7 +13,6 @@ from repro.net.message import (
     Envelope,
     Message,
     MessageTrace,
-    cached_size_bits,
     estimate_size_bits,
     submessage_payload_bits,
 )
@@ -171,7 +170,16 @@ class TestSizeMemo:
         first = message.size_bits()
         assert message._size == first
         assert message.size_bits() == first
-        assert cached_size_bits(message) == first
+
+    def test_round_memo_is_bounded(self):
+        # A socket peer chooses the rounds loads_message constructs; the
+        # memo starts over instead of growing with them.
+        from repro.net import message as message_module
+
+        for round_number in range(3 * message_module._ROUND_BITS_CAP):
+            message = Message("p", "T", round_number, None)
+            assert message.size_bits() == reference_size_bits(message)
+            assert len(message_module._ROUND_BITS) <= message_module._ROUND_BITS_CAP
 
     def test_with_payload_same_object_returns_self(self):
         payload = [1.0, 2.0]
@@ -195,7 +203,7 @@ class TestSizeMemo:
         assert message.size_bits() == reference_size_bits(message)
         flipped = message.with_payload(1)
         for _destination in range(3):
-            assert cached_size_bits(flipped) == reference_size_bits(flipped)
+            assert flipped.size_bits() == reference_size_bits(flipped)
         assert message.size_bits() == reference_size_bits(message)
 
     def test_presized_construction_matches_walk(self):

@@ -5,9 +5,11 @@ InMemory-vs-Socket DORA parity run."""
 
 import asyncio
 import os
+import pickle
 import random
 import socket as socket_module
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -78,10 +80,32 @@ class TestMessageCodec:
     def test_malformed_payload_is_typed(self):
         with pytest.raises(FrameError):
             loads_message(b"not a pickle")
-        import pickle
-
         with pytest.raises(FrameError):
             loads_message(pickle.dumps(("only", "three", "parts")))
+
+    @pytest.mark.parametrize("round", [-1, -(2**40), 2**32, 2**70, True, False, 1.0])
+    def test_hostile_round_is_a_frame_error(self, round):
+        with pytest.raises(FrameError):
+            loads_message(pickle.dumps(("p", "T", round, None)))
+
+    def test_rounds_a_peer_chooses_do_not_grow_the_round_memo(self):
+        from repro.net import message as message_module
+
+        for round in range(0, 50_000):
+            assert loads_message(pickle.dumps(("p", "T", round, None))).round == round
+        assert len(message_module._ROUND_BITS) <= message_module._ROUND_BITS_CAP
+        assert loads_message(pickle.dumps(("p", "T", 2**32 - 1, None))).round == 2**32 - 1
+
+    def test_wire_bytes_are_memoised_and_payload_pure(self):
+        message = Message("epoch:3/dora", "REPORT", 2, [1.5, ("a", 0.25)])
+        wire = dumps_message(message)
+        assert dumps_message(message) is wire
+        # Copies carry no memo: a re-payloaded message pickles its own bytes.
+        assert not hasattr(pickle.loads(pickle.dumps(message)), "_wire")
+        other = message.with_payload("equivocated")
+        assert not hasattr(other, "_wire")
+        assert loads_message(dumps_message(other)).payload == "equivocated"
+        assert loads_message(wire) == message
 
 
 # ----------------------------------------------------------------------
@@ -436,6 +460,54 @@ def _dora_epoch_values(transport):
 
 
 class TestTransportParity:
+    def test_one_decode_per_content_one_pickle_per_broadcast(
+        self, monkeypatch, bundle_codec_calls
+    ):
+        """Across real sockets every receiver unpickles its own message, so
+        neither count can lean on the receivers sharing one object."""
+        from repro.core import delphi
+        from repro.net import socket_transport
+
+        encoded, decoded = bundle_codec_calls
+        deliveries, sent, pickled = [], {}, []
+        process, dumps = delphi.DelphiNode._process_bundle, socket_transport.dumps_message
+
+        def counting_process(node, sender, incoming):
+            deliveries.append(sender)
+            return process(node, sender, incoming)
+
+        def counting_dumps(message):
+            sent[id(message)] = message  # held, so ids stay distinct
+            return dumps(message)
+
+        def counting_pickle(*args, **kwargs):
+            pickled.append(args[0])
+            return pickle.dumps(*args, **kwargs)
+
+        monkeypatch.setattr(delphi.DelphiNode, "_process_bundle", counting_process)
+        monkeypatch.setattr(socket_transport, "dumps_message", counting_dumps)
+        monkeypatch.setattr(
+            socket_transport,
+            "pickle",
+            SimpleNamespace(
+                dumps=counting_pickle,
+                loads=pickle.loads,
+                HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
+            ),
+        )
+
+        transport = SocketTransport()
+        socket_values = _dora_epoch_values(transport)
+
+        distinct = len(set(encoded))
+        assert 0 < len(decoded) <= distinct
+        assert len(deliveries) >= 3 * distinct
+        # One pickle per cross-node physical message, one frame per channel.
+        assert len(pickled) == len(sent)
+        assert transport.frames_sent >= 2 * len(sent)
+        monkeypatch.undo()
+        assert socket_values == _dora_epoch_values(InMemoryTransport())
+
     def test_same_epoch_identical_certificates(self):
         memory_values = _dora_epoch_values(InMemoryTransport())
         socket_values = _dora_epoch_values(SocketTransport())
