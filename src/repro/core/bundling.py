@@ -21,8 +21,8 @@ paper's ``O(n^2 min(delta / rho_0, n l_max))`` bits.
 Codec hot-path design.  A bundle is encoded once per processing step and
 decoded once per distinct content (:func:`shared_decode`: the decode is
 memoised on the physical message, and behind that in a bounded table keyed
-by the payload's value, because every receiver across a socket unpickles
-its own message and honest payloads repeat across senders and epochs), but
+by the payload's value, because equal payloads also arrive in distinct
+messages: honest payloads repeat across senders, epochs and processes), but
 with ~n^2 messages per round the codec used to dominate after the event
 loop got cheap.  The wire payload is therefore *flat tuples* instead of
 nested lists:

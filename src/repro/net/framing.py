@@ -33,16 +33,16 @@ payload:
   contributes randomness precisely so that a recorded dialer handshake
   cannot be replayed wholesale.
 
-The payload bytes themselves are opaque at this layer; the transport
-serialises the tuple-bundle message payloads *after* framing concerns and
-verifies tags *before* deserialising, so untrusted bytes are never decoded.
+A DATA payload is a batch of length-prefixed blobs (:func:`join_blobs` /
+:func:`split_blobs`); the blobs are opaque here.  The transport verifies the
+tag *before* it splits or deserialises, so untrusted bytes are never parsed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import (
     AuthenticationError,
@@ -70,6 +70,9 @@ TAG_BYTES = 32
 KIND_HELLO = 0x01
 KIND_ACK = 0x02
 KIND_DATA = 0x03
+
+#: Bytes a sealed DATA body spends before its payload: kind, sequence, tag.
+DATA_HEADER_BYTES = 1 + 8 + TAG_BYTES
 
 
 # ----------------------------------------------------------------------
@@ -169,6 +172,33 @@ class FrameDecoder:
 def _require(condition: bool, detail: str) -> None:
     if not condition:
         raise FrameError(detail)
+
+
+def join_blobs(blobs: Sequence[bytes]) -> bytes:
+    """The DATA payload grammar: each blob behind its own length prefix.
+    A batch of one is the same grammar, so there is one frame format."""
+    return b"".join(
+        len(blob).to_bytes(LENGTH_PREFIX_BYTES, "big") + blob for blob in blobs
+    )
+
+
+def split_blobs(payload: bytes) -> List[bytes]:
+    """Inverse of :func:`join_blobs`, for a payload :meth:`ChannelCodec.open`
+    has verified.  Each length is checked against what is left before it is
+    sliced: a truncated prefix, a length past the end, an empty blob or an
+    empty batch is a :class:`~repro.errors.FrameError`, never an allocation
+    beyond the frame received."""
+    blobs: List[bytes] = []
+    offset, end = 0, len(payload)
+    while offset < end:
+        start = offset + LENGTH_PREFIX_BYTES
+        _require(start <= end, "truncated blob length in DATA payload")
+        stop = start + int.from_bytes(payload[offset:start], "big")
+        _require(start < stop <= end, "blob length outside the DATA payload")
+        blobs.append(payload[start:stop])
+        offset = stop
+    _require(bool(blobs), "empty DATA payload")
+    return blobs
 
 
 def _hello_tag(key: bytes, sender: int, receiver: int, epoch: int, nonce: bytes) -> bytes:
@@ -324,11 +354,11 @@ class ChannelCodec:
         window so a forged frame is always reported as tampering, and the
         payload is only handed out (for deserialisation) once both pass.
         """
-        _require(len(body) >= 1 + 8 + TAG_BYTES, "malformed DATA frame")
+        _require(len(body) >= DATA_HEADER_BYTES, "malformed DATA frame")
         _require(body[0] == KIND_DATA, "not a DATA frame")
         seq = int.from_bytes(body[1:9], "big")
-        tag = body[9 : 9 + TAG_BYTES]
-        payload = body[9 + TAG_BYTES :]
+        tag = body[9:DATA_HEADER_BYTES]
+        payload = body[DATA_HEADER_BYTES:]
         if not hmac.compare_digest(self._tag(seq, payload), tag):
             raise AuthenticationError("invalid HMAC tag on DATA frame")
         if seq <= self._last_seen:

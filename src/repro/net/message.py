@@ -35,8 +35,9 @@ message construction and sizing dominate a naive profile):
   :func:`repro.core.bundling.shared_decode`), ``_peel`` (the namespace
   split, :func:`repro.protocols.base.peel`) and ``_wire`` (the pickled wire
   bytes, :func:`repro.net.socket_transport.dumps_message`) are left unset
-  at construction and dropped by ``__reduce__`` and
-  :meth:`Message.with_payload`.
+  at construction and dropped by ``__reduce__`` and ``with_payload``.  Equal
+  wire bytes load as one shared message (``socket_transport.loads_message``),
+  so the rule holds across a socket too.
 """
 
 from __future__ import annotations

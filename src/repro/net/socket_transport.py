@@ -17,30 +17,32 @@ authenticated per ordered node pair with the HMAC-SHA256 keys of
   (``local_ids=[node_id]``) and dials its peers by address.  This is what
   ``python -m repro cluster`` deploys (:mod:`repro.oracle.cluster`).
 
-Transport contract (shared with :class:`InMemoryTransport` — regression
-tests assert both agree):
+Transport contract: the one :class:`InMemoryTransport` states (regression
+tests assert both agree).  What a real network adds: ``put`` never blocks on
+it — remote sends are queued for a per-peer sender task, self-delivery goes
+straight to the local inbox — and a message for an unreachable peer, or one
+no frame could carry, is **dropped and counted** like a ``put`` after
+``close`` (``dropped_unreachable`` / ``dropped_oversize`` /
+``dropped_after_close``): the seam is best-effort, exactly like the crash
+fault model, and teardown races must not crash a node.  ``close`` tears down
+every task, socket and Unix path the transport created.
 
-* ``open(node_ids)`` may be sync or async (the runtime awaits awaitables);
-  it (re)creates the endpoints for the ids this transport hosts;
-* ``put(target, (sender, message))`` never blocks on the network: remote
-  sends are enqueued to a per-peer sender task, self-delivery
-  (``target == sender``) goes straight to the local inbox.  **After
-  ``close`` — or to a peer that is unreachable — ``put`` silently drops the
-  message and counts it** (``dropped_after_close`` /
-  ``dropped_unreachable``): the seam is best-effort, exactly like the crash
-  fault model, and teardown races must not crash a node;
-* ``get(node_id)`` blocks for the next pair; after ``close`` (or when close
-  happens mid-wait) it raises :class:`~repro.errors.TransportClosedError`;
-* ``close()`` may be sync or async; it tears down every task, socket and
-  Unix path the transport created.
+Wire.  Each time a sender task runs, everything queued for its peer leaves
+as one sealed DATA frame of length-prefixed message blobs
+(:func:`~repro.net.framing.join_blobs`): one sequence number, one HMAC, one
+``write`` per batch, nothing held back for more traffic.  Two payload-pure
+caches keep the pickle off the per-message path: a broadcast is pickled once
+(``Message._wire``) and equal authenticated bytes are unpickled once
+(:data:`_LOADED`), so every receiver of one content shares one message.
 
 Security model.  Frames are authenticated (tamper ⇒
 :class:`~repro.errors.AuthenticationError`, replay ⇒
 :class:`~repro.errors.ReplayError`, both counted and the connection dropped
-— a Byzantine peer cannot crash an honest node), and payload bytes are only
-unpickled *after* the tag verifies, so deserialisation never touches
-unauthenticated data.  Holders of a pairwise key are trusted exactly as the
-paper's authenticated-channel assumption trusts them.
+— a Byzantine peer cannot crash an honest node).  No payload byte is parsed
+before the tag and the replay window pass; the batch is then split with
+every length checked against the verified payload, and each first-seen blob
+is unpickled and validated.  Holders of a pairwise key are trusted exactly
+as the paper's authenticated-channel assumption trusts them.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import os
 import pickle
 import random
 import time
+from collections import deque
 from typing import Any, Awaitable, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crypto.hmac_channel import ChannelKeyring
@@ -63,6 +66,7 @@ from repro.errors import (
 )
 from repro.net.framing import (
     ChannelCodec,
+    DATA_HEADER_BYTES,
     FrameDecoder,
     LENGTH_PREFIX_BYTES,
     MAX_FRAME_BYTES,
@@ -72,6 +76,8 @@ from repro.net.framing import (
     encode_ack,
     encode_frame,
     encode_hello,
+    join_blobs,
+    split_blobs,
     verify_ack,
     verify_hello,
 )
@@ -133,14 +139,28 @@ def dumps_message(message: Message) -> bytes:
     return wire
 
 
+#: Authenticated wire bytes -> the :class:`Message` they unpickle to.  Equal
+#: bytes unpickle to equal-typed values, so there is no admission walk.  Sized
+#: like ``bundling._DECODED`` (an n = 7 epoch has ~50 distinct contents):
+#: entry count and bytes per entry capped, overflow starts over.
+_LOADED: Dict[bytes, Message] = {}
+_LOADED_CAP = 512
+_LOADED_MAX_BYTES = 8192
+
+
 def loads_message(payload: bytes) -> Message:
     """Deserialise one wire payload back into a :class:`Message`.
 
     Only ever called on authenticated payload bytes; still validates the
     shape so a buggy (not just hostile) peer yields a typed error, and
     bounds the round so a hostile one cannot reach ``math.log2`` with a
-    negative number or mint round-memo entries without end.
+    negative number or mint round-memo entries without end.  Every
+    first-seen byte string is unpickled and validated; a repeat returns the
+    message the first one built (:data:`_LOADED`).
     """
+    message = _LOADED.get(payload)
+    if message is not None:
+        return message
     try:
         parts = pickle.loads(payload)
     except Exception as error:  # noqa: BLE001 - wrap into the typed hierarchy
@@ -156,22 +176,29 @@ def loads_message(payload: bytes) -> Message:
         )
     ):
         raise FrameError(f"malformed message tuple {parts!r}")
-    return Message(parts[0], parts[1], parts[2], parts[3])
+    message = Message(parts[0], parts[1], parts[2], parts[3])
+    if len(payload) <= _LOADED_MAX_BYTES:
+        if len(_LOADED) >= _LOADED_CAP:
+            _LOADED.clear()
+        _LOADED[payload] = message
+    return message
 
 
 class _Sender:
     """One ordered channel ``local_id -> peer``: outbox, dialer, writer task.
 
-    A single task drains the outbox and owns the connection, so frames from
-    concurrent ``put`` callers are written whole, in order — concurrent
-    writers can interleave *messages* but never *bytes within a frame*.
+    A single task drains the outbox and owns the connection, and each time
+    it runs everything queued leaves as one frame — concurrent ``put``
+    callers can interleave *messages* but never *bytes within a frame*, and
+    per-channel FIFO holds across frame boundaries.
     """
 
     def __init__(self, transport: "SocketTransport", local_id: int, peer: int) -> None:
         self.transport = transport
         self.local_id = local_id
         self.peer = peer
-        self.queue: "asyncio.Queue[Message]" = asyncio.Queue()
+        self.outbox: deque[Message] = deque()
+        self.wake = asyncio.Event()
         self.writer: Optional[asyncio.StreamWriter] = None
         self.codec: Optional[ChannelCodec] = None
         self.backoff_until = 0.0
@@ -189,41 +216,29 @@ class _Sender:
     async def _dial(self) -> None:
         transport = self.transport
         address = transport.address_of(self.peer)
-        if address[0] == "unix":
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_unix_connection(address[1]), transport.dial_timeout
-            )
-        else:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(address[1], address[2]), transport.dial_timeout
-            )
-        try:
-            key = transport.keyring(self.local_id).key_for(self.peer)
-            nonce = os.urandom(NONCE_BYTES)
-            writer.write(
-                encode_frame(
-                    encode_hello(key, self.local_id, self.peer, transport.epoch, nonce),
-                    transport.max_frame_bytes,
+        # One deadline over connect + HELLO + HELLO-ACK (no task per step).
+        async with asyncio.timeout(transport.dial_timeout):
+            if address[0] == "unix":
+                reader, writer = await asyncio.open_unix_connection(address[1])
+            else:
+                reader, writer = await asyncio.open_connection(address[1], address[2])
+            try:
+                key = transport.keyring(self.local_id).key_for(self.peer)
+                nonce = os.urandom(NONCE_BYTES)
+                hello = encode_hello(key, self.local_id, self.peer, transport.epoch, nonce)
+                writer.write(encode_frame(hello, transport.max_frame_bytes))
+                await writer.drain()
+                prefix = await reader.readexactly(LENGTH_PREFIX_BYTES)
+                length = int.from_bytes(prefix, "big")
+                if length > transport.max_frame_bytes:
+                    raise FrameError(f"oversized HELLO-ACK ({length} bytes)")
+                peer_epoch, ack_nonce, tag = decode_ack(await reader.readexactly(length))
+                verify_ack(
+                    key, self.local_id, self.peer, peer_epoch, nonce, ack_nonce, tag
                 )
-            )
-            await writer.drain()
-            prefix = await asyncio.wait_for(
-                reader.readexactly(LENGTH_PREFIX_BYTES), transport.dial_timeout
-            )
-            length = int.from_bytes(prefix, "big")
-            if length > transport.max_frame_bytes:
-                raise FrameError(f"oversized HELLO-ACK ({length} bytes)")
-            body = await asyncio.wait_for(
-                reader.readexactly(length), transport.dial_timeout
-            )
-            peer_epoch, ack_nonce, tag = decode_ack(body)
-            verify_ack(
-                key, self.local_id, self.peer, peer_epoch, nonce, ack_nonce, tag
-            )
-        except BaseException:
-            writer.close()
-            raise
-        self.transport.note_peer_epoch(self.peer, peer_epoch)
+            except BaseException:
+                writer.close()
+                raise
         self.writer = writer
         self.codec = ChannelCodec(key, nonce, ack_nonce)
         # A completed handshake proves the peer is back: restart the
@@ -243,8 +258,6 @@ class _Sender:
             try:
                 await self._dial()
                 return True
-            except asyncio.CancelledError:
-                raise
             except Exception:  # noqa: BLE001 - unreachable peer, typed drop below
                 if attempt + 1 < transport.dial_retries:
                     await asyncio.sleep(transport.dial_retry_delay)
@@ -264,32 +277,45 @@ class _Sender:
 
     # -- the sender loop -----------------------------------------------
     async def _run(self) -> None:
-        transport = self.transport
+        transport, outbox = self.transport, self.outbox
         while True:
-            message = await self.queue.get()
-            if self.writer is None:
-                if time.monotonic() < self.backoff_until:
-                    transport.dropped_unreachable += 1
-                    continue
-                if not await self._connect_with_retries():
-                    transport.dropped_unreachable += 1
-                    continue
+            if not outbox:
+                self.wake.clear()
+                await self.wake.wait()
+            if self.writer is None and (
+                time.monotonic() < self.backoff_until
+                or not await self._connect_with_retries()
+            ):
+                transport.dropped_unreachable += len(outbox)
+                outbox.clear()
+                continue
             assert self.codec is not None and self.writer is not None
+            # Everything queued, in order, split only where the next blob
+            # would pass the frame cap; a lone blob past it costs itself only.
+            blobs: List[bytes] = []
+            room = transport.max_frame_bytes - DATA_HEADER_BYTES
+            while outbox:
+                blob = dumps_message(outbox[0])
+                if blobs and LENGTH_PREFIX_BYTES + len(blob) > room:
+                    break
+                room -= LENGTH_PREFIX_BYTES + len(blob)
+                blobs.append(blob)
+                outbox.popleft()
+            if room < 0:  # only a lone first blob can overdraw the frame
+                transport.dropped_oversize += 1
+                continue
             try:
-                frame = encode_frame(
-                    self.codec.seal(dumps_message(message)),
-                    transport.max_frame_bytes,
-                )
+                body = self.codec.seal(join_blobs(blobs))
+                frame = encode_frame(body, transport.max_frame_bytes)
                 frame = transport._maybe_corrupt(self.local_id, self.peer, frame)
                 self.writer.write(frame)
                 await self.writer.drain()
                 transport.frames_sent += 1
-            except asyncio.CancelledError:
-                raise
+                transport.messages_sent += len(blobs)
             except Exception:  # noqa: BLE001 - peer died mid-write
                 self._disconnect()
                 self._note_failure()
-                transport.dropped_unreachable += 1
+                transport.dropped_unreachable += len(blobs)
 
     def close(self) -> None:
         self.task.cancel()
@@ -328,11 +354,6 @@ class SocketTransport:
         channel's ``(local, peer)`` pair (:func:`backoff_delay`).  A
         successful handshake resets the schedule, so a recovered peer is
         redialled promptly after its next outage.
-    on_hello:
-        Optional callback ``(local_id, peer_id, peer_epoch)`` fired when an
-        authenticated inbound HELLO lands (may return an awaitable).  The
-        cluster supervisor uses it to greet (re)joining nodes with the
-        current epoch.
     """
 
     def __init__(
@@ -350,7 +371,6 @@ class SocketTransport:
         redial_backoff: float = 0.5,
         redial_backoff_max: float = 8.0,
         backoff_seed: int = 0,
-        on_hello: Optional[Callable[[int, int, int], Any]] = None,
     ) -> None:
         self._addresses: Dict[int, Address] = {}
         if addresses is not None:
@@ -370,7 +390,6 @@ class SocketTransport:
         self.redial_backoff = redial_backoff
         self.redial_backoff_max = redial_backoff_max
         self.backoff_seed = backoff_seed
-        self.on_hello = on_hello
         # Live state (built in open()).
         self._inboxes: Dict[int, asyncio.Queue] = {}
         self._servers: Dict[int, asyncio.AbstractServer] = {}
@@ -379,13 +398,14 @@ class SocketTransport:
         self._keyrings: Dict[int, ChannelKeyring] = {}
         self._unix_paths: List[str] = []
         self._closed = True
-        #: Latest epoch each peer announced in a handshake.
-        self.peer_epochs: Dict[int, int] = {}
         # Observability counters (cumulative across open/close cycles).
         self.frames_sent = 0
         self.frames_received = 0
+        self.messages_sent = 0
+        self.messages_received = 0
         self.dropped_after_close = 0
         self.dropped_unreachable = 0
+        self.dropped_oversize = 0
         self.auth_failures = 0
         self.replay_rejections = 0
         self.frame_errors = 0
@@ -417,10 +437,11 @@ class SocketTransport:
             )
         return ring
 
-    def note_peer_epoch(self, peer: int, epoch: int) -> None:
-        """Record the epoch a peer announced (keep the newest)."""
-        if epoch >= self.peer_epochs.get(peer, -1):
-            self.peer_epochs[peer] = epoch
+    def wire_counters(self) -> Dict[str, int]:
+        """What a run report carries (cluster report, chaos ``observed``)."""
+        names = ("frames_sent", "frames_received", "messages_sent", "messages_received")
+        names += ("auth_failures", "replay_rejections")
+        return {name: getattr(self, name) for name in names}
 
     def advance_epoch(self, epoch: int) -> None:
         """Tag future handshakes with ``epoch`` (existing connections keep
@@ -528,7 +549,8 @@ class SocketTransport:
         if channel is None:
             self.address_of(target)  # raise now if the peer is unknown
             channel = self._senders[key] = _Sender(self, sender, target)
-        channel.queue.put_nowait(message)
+        channel.outbox.append(message)
+        channel.wake.set()
 
     async def get(self, node_id: int) -> Tuple[int, Message]:
         """Dequeue the next ``(sender, message)`` pair for ``node_id``.
@@ -613,10 +635,8 @@ class SocketTransport:
                 self.replay_rejections += 1
             except AuthenticationError:
                 self.auth_failures += 1
-            except FrameError:
-                self.frame_errors += 1
             except Exception:  # noqa: BLE001 - a broken peer must not crash us
-                self.frame_errors += 1
+                self.frame_errors += 1  # FrameError, or a HELLO that never came
             finally:
                 writer.close()
 
@@ -628,21 +648,29 @@ class SocketTransport:
         decoder = FrameDecoder(self.max_frame_bytes)
         codec: Optional[ChannelCodec] = None
         peer: Optional[int] = None
-        while True:
-            chunk = await reader.read(_READ_CHUNK)
-            if not chunk:
-                decoder.finish()  # raises TruncatedStreamError mid-frame
-                return
-            for body in decoder.feed(chunk):
-                if codec is None:
-                    peer, codec = await self._handshake(local_id, body, writer)
-                    continue
-                payload = codec.open(body)  # AuthenticationError / ReplayError
-                message = loads_message(payload)
-                self.frames_received += 1
-                inbox = self._inboxes.get(local_id)
-                if inbox is not None and not self._closed:
-                    inbox.put_nowait((peer, message))
+        # A dialer that never sends its HELLO must not park this task for
+        # the life of the transport; the deadline lifts once it has.
+        async with asyncio.timeout(self.dial_timeout) as hello_deadline:
+            while True:
+                chunk = await reader.read(_READ_CHUNK)
+                if not chunk:
+                    decoder.finish()  # raises TruncatedStreamError mid-frame
+                    return
+                for body in decoder.feed(chunk):
+                    if codec is None:
+                        peer, codec = await self._handshake(local_id, body, writer)
+                        hello_deadline.reschedule(None)
+                        continue
+                    # Tag and replay window first; then the batch is split and
+                    # every blob validated before any of it is delivered.
+                    payload = codec.open(body)  # AuthenticationError / ReplayError
+                    messages = [loads_message(blob) for blob in split_blobs(payload)]
+                    self.frames_received += 1
+                    self.messages_received += len(messages)
+                    inbox = self._inboxes.get(local_id)
+                    if inbox is not None and not self._closed:
+                        for message in messages:
+                            inbox.put_nowait((peer, message))
 
     async def _handshake(
         self, local_id: int, body: bytes, writer: asyncio.StreamWriter
@@ -650,17 +678,8 @@ class SocketTransport:
         sender, peer_epoch, nonce, tag = decode_hello(body)
         key = self.keyring(local_id).key_for(sender)
         verify_hello(key, sender, local_id, peer_epoch, nonce, tag)
-        self.note_peer_epoch(sender, peer_epoch)
         ack_nonce = os.urandom(NONCE_BYTES)
-        writer.write(
-            encode_frame(
-                encode_ack(key, sender, local_id, self.epoch, nonce, ack_nonce),
-                self.max_frame_bytes,
-            )
-        )
+        ack = encode_ack(key, sender, local_id, self.epoch, nonce, ack_nonce)
+        writer.write(encode_frame(ack, self.max_frame_bytes))
         await writer.drain()
-        if self.on_hello is not None:
-            result = self.on_hello(local_id, sender, peer_epoch)
-            if asyncio.iscoroutine(result):
-                await result
         return sender, ChannelCodec(key, nonce, ack_nonce)

@@ -494,12 +494,7 @@ class ChaosController(ClusterSupervisor):
                 "margins": self.liveness.margin_channels(),
                 "chain_entries": len(self.chain.entries),
                 "chain_validations": self.chain.validations,
-                "transport": {
-                    "frames_sent": transport.frames_sent,
-                    "frames_received": transport.frames_received,
-                    "auth_failures": transport.auth_failures,
-                    "replay_rejections": transport.replay_rejections,
-                },
+                "transport": transport.wire_counters(),
             },
         }
         if self.gateway is not None:

@@ -657,12 +657,7 @@ class ClusterSupervisor:
             "distinct_valid_payloads": self.chain.distinct_valid_payloads,
             "wall_seconds": time.monotonic() - started_wall,
             "exit_codes": exit_codes if self.spawn else {},
-            "transport": {
-                "frames_sent": transport.frames_sent,
-                "frames_received": transport.frames_received,
-                "auth_failures": transport.auth_failures,
-                "replay_rejections": transport.replay_rejections,
-            },
+            "transport": transport.wire_counters(),
         }
         return report
 

@@ -23,6 +23,8 @@ from repro.net.framing import (
     LENGTH_PREFIX_BYTES,
     MAX_FRAME_BYTES,
     encode_frame,
+    join_blobs,
+    split_blobs,
 )
 
 payloads = st.lists(st.binary(min_size=0, max_size=200), min_size=0, max_size=20)
@@ -119,6 +121,43 @@ class TestSizeCap:
     def test_default_cap_matches_module_constant(self):
         assert encode_frame(b"")[:LENGTH_PREFIX_BYTES] == b"\x00" * LENGTH_PREFIX_BYTES
         assert MAX_FRAME_BYTES == 16 * 1024 * 1024
+
+
+class TestBlobGrammar:
+    """The DATA payload: a batch of length-prefixed blobs.  The splitter only
+    ever sees bytes whose tag verified, but the key holder may be the
+    adversary, so everything that is not a batch is a FrameError."""
+
+    @given(blobs=st.lists(st.binary(min_size=1, max_size=200), min_size=1, max_size=20))
+    def test_split_inverts_join(self, blobs):
+        assert split_blobs(join_blobs(blobs)) == blobs
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"",  # an empty batch
+            b"\x00\x00",  # truncated length
+            join_blobs([b"ok"]) + b"\x00\x00\x00",  # truncated length after a blob
+            b"\x00\x00\x00\x09short",  # length past the end
+            b"\xff\xff\xff\xffx",  # 4 GiB declared, one byte present
+            b"\x00\x00\x00\x00",  # zero-length blob
+            join_blobs([b"ok"]) + b"\x00\x00\x00\x00",  # zero-length blob, second
+            join_blobs([b"ok"]) + b"!",  # trailing byte
+        ],
+    )
+    def test_hostile_payloads_are_frame_errors(self, payload):
+        with pytest.raises(FrameError):
+            split_blobs(payload)
+
+    @given(payload=st.binary(max_size=512))
+    def test_arbitrary_bytes_split_exactly_or_raise_frame_error(self, payload):
+        """Nothing but FrameError escapes, and what is handed out is a
+        partition of the payload: no blob is built from a declared length."""
+        try:
+            blobs = split_blobs(payload)
+        except FrameError:
+            return
+        assert all(blobs) and join_blobs(blobs) == payload
 
 
 class TestChannelCodecProperties:

@@ -12,6 +12,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.analysis.parameters import derive_parameters
 from repro.core.dora import DoraNode
@@ -26,14 +27,16 @@ from repro.errors import (
 from repro.crypto.signatures import SignatureScheme
 from repro.net.framing import (
     ChannelCodec,
-    FrameDecoder,
     LENGTH_PREFIX_BYTES,
     NONCE_BYTES,
     decode_ack,
     encode_frame,
     encode_hello,
+    join_blobs,
+    split_blobs,
     verify_ack,
 )
+from repro.net import socket_transport
 from repro.net.message import Message
 from repro.net.socket_transport import (
     SocketTransport,
@@ -61,6 +64,20 @@ async def until(predicate, timeout=5.0, interval=0.01):
 
 def msg(mtype="PING", payload=None, round=0, protocol="p"):
     return Message(protocol, mtype, round, payload)
+
+
+def _unused_port():
+    """A localhost TCP port nothing listens on (bound once, then released)."""
+    with socket_module.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def data_frame(codec, *messages):
+    """One sealed DATA frame carrying ``messages`` — the only place the raw
+    clients below spell the wire grammar, and they spell it with the helper
+    the sender uses."""
+    return encode_frame(codec.seal(join_blobs([dumps_message(m) for m in messages])))
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +192,7 @@ class TestSocketDelivery:
             peer_epoch, ack_nonce, tag = decode_ack(body)
             verify_ack(key, 0, 1, peer_epoch, nonce, ack_nonce, tag)
             codec = ChannelCodec(key, nonce, ack_nonce)
-            frame = encode_frame(codec.seal(dumps_message(msg(payload="dribbled"))))
+            frame = data_frame(codec, msg(payload="dribbled"))
             for index in range(0, len(frame), 3):
                 writer.write(frame[index : index + 3])
                 await writer.drain()
@@ -214,10 +231,10 @@ class TestAuthentication:
             transport = SocketTransport()
             await transport.open([0, 1])
             codec, writer = await _authenticated_raw_client(transport, 0, 1)
-            writer.write(encode_frame(codec.seal(dumps_message(msg(payload="good")))))
-            tampered = bytearray(codec.seal(dumps_message(msg(payload="evil"))))
+            writer.write(data_frame(codec, msg(payload="good")))
+            tampered = bytearray(data_frame(codec, msg(payload="evil"), msg(payload="twin")))
             tampered[-1] ^= 0xFF
-            writer.write(encode_frame(bytes(tampered)))
+            writer.write(bytes(tampered))
             await writer.drain()
             sender, message = await asyncio.wait_for(transport.get(1), 5)
             assert message.payload == "good"
@@ -234,9 +251,9 @@ class TestAuthentication:
             transport = SocketTransport()
             await transport.open([0, 1])
             codec, writer = await _authenticated_raw_client(transport, 0, 1)
-            sealed = codec.seal(dumps_message(msg(payload="once")))
-            writer.write(encode_frame(sealed))
-            writer.write(encode_frame(sealed))  # byte-identical replay
+            frame = data_frame(codec, msg(payload="once"))
+            writer.write(frame)
+            writer.write(frame)  # byte-identical replay
             await writer.drain()
             sender, message = await asyncio.wait_for(transport.get(1), 5)
             assert message.payload == "once"
@@ -269,7 +286,7 @@ class TestAuthentication:
             peer_epoch, ack_nonce, tag = decode_ack(body)
             verify_ack(key, 0, 1, peer_epoch, nonce, ack_nonce, tag)
             codec = ChannelCodec(key, nonce, ack_nonce)
-            recorded = encode_frame(codec.seal(dumps_message(msg(payload="secret"))))
+            recorded = data_frame(codec, msg(payload="secret"))
             writer.write(recorded)
             await writer.drain()
             await asyncio.wait_for(transport.get(1), 5)
@@ -325,6 +342,359 @@ class TestAuthentication:
             rx.open(b"\x03short")
         # ReplayError must be catchable as AuthenticationError too.
         assert issubclass(ReplayError, AuthenticationError)
+
+
+# ----------------------------------------------------------------------
+# Coalesced frames: one sealed frame per peer per sender wake
+# ----------------------------------------------------------------------
+wire_messages = st.builds(
+    Message,
+    st.sampled_from(["p", "epoch:3/dora", "group:1/delphi"]),
+    st.sampled_from(["PING", "BUNDLE", "REPORT"]),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 1)),
+    st.recursive(
+        st.one_of(st.none(), st.integers(), st.floats(allow_nan=False), st.text(max_size=8)),
+        lambda inner: st.tuples(inner, inner) | st.lists(inner, max_size=3),
+        max_leaves=6,
+    ),
+)
+
+
+def _pair(tmp_path, **sender_options):
+    """Two one-endpoint transports over unix sockets: 0 dials 1."""
+    addresses = {i: ("unix", str(tmp_path / f"n{i}.sock")) for i in range(2)}
+    sender_side = SocketTransport(addresses=addresses, local_ids=[0], **sender_options)
+    return sender_side, SocketTransport(addresses=addresses, local_ids=[1])
+
+
+def _record_frames(transport):
+    """Every frame the transport writes, as it leaves ``_maybe_corrupt``."""
+    frames, corrupt = [], transport._maybe_corrupt
+
+    def recording(sender, target, frame):
+        frames.append(corrupt(sender, target, frame))
+        return frames[-1]
+
+    transport._maybe_corrupt = recording
+    return frames
+
+
+class TestCoalescedFrames:
+    @given(messages=st.lists(wire_messages, min_size=1, max_size=8))
+    def test_split_inverts_join_over_messages(self, messages):
+        payload = join_blobs([dumps_message(message) for message in messages])
+        clones = [loads_message(blob) for blob in split_blobs(payload)]
+        assert clones == messages
+        assert [repr(c.payload) for c in clones] == [repr(m.payload) for m in messages]
+
+    def test_messages_queued_together_share_one_frame(self):
+        async def scenario():
+            transport = SocketTransport()
+            await transport.open([0, 1])
+            for index in range(5):  # no await that yields: one sender wake
+                await transport.put(1, (0, msg(payload=index)))
+            received = [await asyncio.wait_for(transport.get(1), 5) for _ in range(5)]
+            assert [message.payload for _sender, message in received] == list(range(5))
+            assert (transport.frames_sent, transport.messages_sent) == (1, 5)
+            assert (transport.frames_received, transport.messages_received) == (1, 5)
+            await transport.put(1, (0, msg(payload="alone")))  # a batch of one
+            assert (await asyncio.wait_for(transport.get(1), 5))[1].payload == "alone"
+            assert (transport.frames_sent, transport.messages_sent) == (2, 6)
+            assert transport.wire_counters() == {
+                "frames_sent": 2,
+                "frames_received": 2,
+                "messages_sent": 6,
+                "messages_received": 6,
+                "auth_failures": 0,
+                "replay_rejections": 0,
+            }
+            await transport.close()
+
+        run(scenario())
+
+    def test_fifo_across_frame_boundaries_and_no_frame_past_the_cap(self):
+        """Concurrent putters on one channel, a cap a few messages wide:
+        batches split at the cap, arrival order is put order, and every
+        frame on the wire respects ``max_frame_bytes``."""
+        cap, total = 600, 120
+
+        async def scenario():
+            transport = SocketTransport(max_frame_bytes=cap)
+            frames = _record_frames(transport)
+            await transport.open([0, 1])
+            order = []
+
+            async def blast(tag):
+                for index in range(total // 3):
+                    order.append((tag, index))
+                    await transport.put(1, (0, msg(payload=(tag, index, "x" * (index % 50)))))
+                    if index % 5 == 0:
+                        await asyncio.sleep(0)
+
+            await asyncio.gather(blast("a"), blast("b"), blast("c"))
+            received = [await asyncio.wait_for(transport.get(1), 10) for _ in range(total)]
+            assert [message.payload[:2] for _sender, message in received] == order
+            assert transport.messages_sent == total
+            assert 1 < transport.frames_sent < total  # split, yet shared
+            assert len(frames) == transport.frames_sent
+            assert all(len(frame) - LENGTH_PREFIX_BYTES <= cap for frame in frames)
+            assert transport.frame_errors == transport.dropped_oversize == 0
+            await transport.close()
+
+        run(scenario())
+
+    def test_oversize_message_is_dropped_alone_and_the_channel_kept(self):
+        async def scenario():
+            transport = SocketTransport(max_frame_bytes=2048)
+            await transport.open([0, 1])
+            await transport.put(1, (0, msg(payload="first")))
+            assert (await asyncio.wait_for(transport.get(1), 5))[1].payload == "first"
+            channel = transport._senders[(0, 1)]
+            writer = channel.writer
+            await transport.put(1, (0, msg(payload="before")))
+            await transport.put(1, (0, msg(payload="x" * 5000)))
+            await transport.put(1, (0, msg(payload="after")))
+            received = [await asyncio.wait_for(transport.get(1), 5) for _ in range(2)]
+            assert [message.payload for _sender, message in received] == ["before", "after"]
+            assert transport.dropped_oversize == 1
+            # Same connection, no failure recorded, nothing else lost.
+            assert channel.writer is writer and channel.failures == 0
+            assert channel.backoff_until == 0.0
+            assert transport.dropped_unreachable == transport.frame_errors == 0
+            assert transport.messages_sent == 3
+            await transport.close()
+
+        run(scenario())
+
+    def test_corrupted_batch_is_rejected_whole_then_the_channel_recovers(self, tmp_path):
+        sender_side, receiver_side = _pair(
+            tmp_path, redial_backoff=0.01, redial_backoff_max=0.02
+        )
+
+        async def scenario():
+            await receiver_side.open([1])
+            await sender_side.open([0])
+            sender_side.corrupt_next_frame(0, 1)
+            for index in range(4):
+                await sender_side.put(1, (0, msg(payload=("doomed", index))))
+            assert await until(lambda: receiver_side.auth_failures == 1)
+            assert sender_side.frames_corrupted == 1
+            assert receiver_side.pending() == 0  # not one message of the batch
+            assert receiver_side.messages_received == 0
+            # The receiver dropped the connection; the next write fails, the
+            # channel backs off and redials.  Keep offering numbered messages:
+            # whatever gets through after that arrives in order.
+            arrived = []
+            for index in range(400):
+                await sender_side.put(1, (0, msg(payload=("later", index))))
+                await asyncio.sleep(0.005)
+                while receiver_side.pending():
+                    arrived.append((await receiver_side.get(1))[1].payload)
+                if len(arrived) >= 10:
+                    break
+            assert len(arrived) >= 10
+            assert all(tag == "later" for tag, _index in arrived)
+            indices = [index for _tag, index in arrived]
+            assert indices == sorted(indices) and len(set(indices)) == len(indices)
+            await sender_side.close()
+            await receiver_side.close()
+
+        run(scenario())
+
+    def test_a_batch_lost_to_an_unreachable_peer_counts_every_message(self):
+        async def scenario():
+            port = _unused_port()
+            transport = SocketTransport(
+                addresses={0: ("tcp", "127.0.0.1", 0), 1: ("tcp", "127.0.0.1", port)},
+                local_ids=[0],
+                dial_retries=1,
+                redial_backoff=30.0,
+                redial_backoff_max=30.0,
+            )
+            await transport.open([0])
+            for index in range(3):  # lost to the failed dial
+                await transport.put(1, (0, msg(payload=index)))
+            assert await until(lambda: transport.dropped_unreachable == 3)
+            for index in range(4):  # lost to the backoff window
+                await transport.put(1, (0, msg(payload=index)))
+            assert await until(lambda: transport.dropped_unreachable == 7)
+            assert transport.messages_sent == transport.frames_sent == 0
+            await transport.close()
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"\x00\x00\x00\x09short",  # length past the end
+            b"\x00\x00",  # truncated length
+            b"\x00\x00\x00\x00",  # zero-length blob
+            b"",  # empty batch
+        ],
+    )
+    def test_authenticated_but_hostile_batch_drops_the_connection(self, payload):
+        """A key holder's malformed batch costs a counter and its
+        connection; a good blob in front of the bad part is not delivered."""
+
+        async def scenario():
+            transport = SocketTransport()
+            await transport.open([0, 1])
+            codec, writer = await _authenticated_raw_client(transport, 0, 1)
+            good = join_blobs([dumps_message(msg(payload="good"))])
+            writer.write(encode_frame(codec.seal(good + payload if payload else payload)))
+            writer.write(data_frame(codec, msg(payload="behind")))
+            await writer.drain()
+            assert await until(lambda: transport.frame_errors == 1)
+            assert transport.pending() == 0 and transport.messages_received == 0
+            assert transport.auth_failures == transport.replay_rejections == 0
+            writer.close()
+            await transport.close()
+
+        run(scenario())
+
+    def test_valid_blob_before_a_malformed_message_is_not_delivered(self):
+        async def scenario():
+            transport = SocketTransport()
+            await transport.open([0, 1])
+            codec, writer = await _authenticated_raw_client(transport, 0, 1)
+            bad = pickle.dumps(("p", "T", -1, None))
+            writer.write(
+                encode_frame(codec.seal(join_blobs([dumps_message(msg()), bad])))
+            )
+            await writer.drain()
+            assert await until(lambda: transport.frame_errors == 1)
+            assert transport.pending() == 0
+            writer.close()
+            await transport.close()
+
+        run(scenario())
+
+
+class TestHandshakeDeadline:
+    def test_silent_dialer_is_dropped_after_dial_timeout(self):
+        async def scenario():
+            transport = SocketTransport(dial_timeout=0.1)
+            await transport.open([0, 1])
+            address = transport.addresses[1]
+            reader, writer = await asyncio.open_connection(address[1], address[2])
+            assert await until(lambda: len(transport._reader_tasks) == 1)
+            assert await until(lambda: transport.frame_errors == 1)
+            assert await until(lambda: not transport._reader_tasks)
+            assert await asyncio.wait_for(reader.read(), 5) == b""  # hung up on
+            writer.close()
+            await transport.close()
+
+        run(scenario())
+
+    def test_deadline_lifts_once_the_hello_is_in(self):
+        async def scenario():
+            transport = SocketTransport(dial_timeout=0.1)
+            await transport.open([0, 1])
+            codec, writer = await _authenticated_raw_client(transport, 0, 1)
+            await asyncio.sleep(0.3)  # an idle but authenticated channel
+            writer.write(data_frame(codec, msg(payload="late but welcome")))
+            await writer.drain()
+            sender, message = await asyncio.wait_for(transport.get(1), 5)
+            assert (sender, message.payload) == (0, "late but welcome")
+            assert transport.frame_errors == 0
+            writer.close()
+            await transport.close()
+
+        run(scenario())
+
+    def test_dial_has_one_deadline_over_the_whole_handshake(self):
+        """A listener that accepts and then says nothing: the dial gives up
+        after ``dial_timeout`` and the batch is counted as unreachable."""
+
+        async def scenario():
+            async def mute(reader, writer):
+                await reader.read()  # until the dialer gives up
+                writer.close()
+
+            server = await asyncio.start_server(mute, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            transport = SocketTransport(
+                addresses={0: ("tcp", "127.0.0.1", 0), 1: ("tcp", "127.0.0.1", port)},
+                local_ids=[0],
+                dial_timeout=0.1,
+                dial_retries=1,
+            )
+            await transport.open([0])
+            started = time.monotonic()
+            await transport.put(1, (0, msg()))
+            await transport.put(1, (0, msg()))
+            assert await until(lambda: transport.dropped_unreachable == 2)
+            assert time.monotonic() - started < 2.0
+            assert transport._senders[(0, 1)].writer is None
+            await transport.close()
+            server.close()
+            await server.wait_closed()
+
+        run(scenario())
+
+
+# ----------------------------------------------------------------------
+# The bytes table in front of the pickle
+# ----------------------------------------------------------------------
+class TestLoadedTable:
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(socket_transport, "_LOADED", {})
+
+    def test_equal_bytes_share_one_message_and_one_unpickle(self, monkeypatch):
+        loads = []
+        wire = dumps_message(msg(payload=(1, 2.5, "x")))
+        other_wire = dumps_message(msg(payload=(1, 2.5, "y")))
+        monkeypatch.setattr(
+            socket_transport,
+            "pickle",
+            SimpleNamespace(loads=lambda data: loads.append(data) or pickle.loads(data)),
+        )
+        first = loads_message(wire)
+        assert loads_message(bytes(bytearray(wire))) is first  # equal, not identical
+        assert loads == [wire]
+        assert loads_message(other_wire) is not first and len(loads) == 2
+
+    def test_float_bit_patterns_survive_a_hit(self):
+        for payload in ([0.0], [-0.0], [0.1 + 0.2], [1e-308], [1], [1.0], [True]):
+            wire = dumps_message(msg(payload=payload))
+            for clone in (loads_message(wire), loads_message(wire)):  # miss, hit
+                assert repr(clone.payload) == repr(payload)
+                assert type(clone.payload[0]) is type(payload[0])
+        # -0.0 / 0.0 and 1 / 1.0 / True are distinct bytes: distinct entries.
+        assert len(socket_transport._LOADED) == 7
+
+    def test_entry_count_is_capped_and_overflow_starts_over(self):
+        cap = socket_transport._LOADED_CAP
+        for index in range(3 * cap):
+            assert loads_message(pickle.dumps(("p", "T", 0, index))).payload == index
+            assert len(socket_transport._LOADED) <= cap
+        assert 0 < len(socket_transport._LOADED) <= cap
+
+    def test_oversized_bytes_are_decoded_but_not_kept(self):
+        big = dumps_message(msg(payload="x" * (socket_transport._LOADED_MAX_BYTES + 1)))
+        first = loads_message(big)
+        assert first.payload == loads_message(big).payload
+        assert loads_message(big) is not first
+        assert socket_transport._LOADED == {}
+
+    def test_malformed_bytes_are_rejected_every_time_and_never_kept(self):
+        for bad in (b"not a pickle", pickle.dumps(("p", "T", -1, None))):
+            for _ in range(2):
+                with pytest.raises(FrameError):
+                    loads_message(bad)
+        assert socket_transport._LOADED == {}
+
+    def test_malformed_bundle_is_rejected_once_per_content(self, bundle_codec_calls):
+        """Every receiver of one malformed content gets the same message, so
+        the ``False`` memo on it answers all of them after one decode."""
+        from repro.core.bundling import shared_decode
+
+        _encoded, decoded = bundle_codec_calls
+        wire = pickle.dumps(("delphi", "BUNDLE", 0, ((0, (1,)),)))
+        receivers = [loads_message(bytes(bytearray(wire))) for _ in range(6)]
+        assert all(shared_decode(message) is None for message in receivers)
+        assert len(decoded) == 1
 
 
 # ----------------------------------------------------------------------
@@ -428,16 +798,15 @@ class TestSeamContract:
 # ----------------------------------------------------------------------
 # InMemory vs Socket parity: the same DORA epoch, identical certificates
 # ----------------------------------------------------------------------
-def _dora_epoch_values(transport):
+def _dora_epoch_values(transport, inputs=(100.0, 100.2, 100.3, 100.4)):
     """One DORA epoch on the given transport; returns the certified values.
 
-    Inputs sit within one epsilon of each other, so every honest node must
-    round to the same grid point on *any* schedule — making the certificate
-    value schedule-independent and the parity comparison exact.
+    The default inputs sit within one epsilon of each other, so every honest
+    node must round to the same grid point on *any* schedule — making the
+    certificate value schedule-independent and the parity comparison exact.
     """
     params = derive_parameters(n=4, epsilon=1.0, delta_max=8.0, max_rounds=6)
     scheme = SignatureScheme(num_nodes=4, master_secret=b"transport-parity")
-    inputs = [100.0, 100.2, 100.3, 100.4]
     nodes = {
         node_id: EpochNode(
             DoraNode(
@@ -463,13 +832,14 @@ class TestTransportParity:
     def test_one_decode_per_content_one_pickle_per_broadcast(
         self, monkeypatch, bundle_codec_calls
     ):
-        """Across real sockets every receiver unpickles its own message, so
-        neither count can lean on the receivers sharing one object."""
+        """Clock-free counts of what a socket epoch pays per *content*, not
+        per receiver: receivers of the same wire bytes share one message, so
+        decodes, pickle.dumps and pickle.loads all track distinct contents,
+        and a sender's queued messages share a frame."""
         from repro.core import delphi
-        from repro.net import socket_transport
 
         encoded, decoded = bundle_codec_calls
-        deliveries, sent, pickled = [], {}, []
+        deliveries, sent, pickled, unpickled = [], {}, [], []
         process, dumps = delphi.DelphiNode._process_bundle, socket_transport.dumps_message
 
         def counting_process(node, sender, incoming):
@@ -484,14 +854,19 @@ class TestTransportParity:
             pickled.append(args[0])
             return pickle.dumps(*args, **kwargs)
 
+        def counting_unpickle(data):
+            unpickled.append(data)
+            return pickle.loads(data)
+
         monkeypatch.setattr(delphi.DelphiNode, "_process_bundle", counting_process)
         monkeypatch.setattr(socket_transport, "dumps_message", counting_dumps)
+        monkeypatch.setattr(socket_transport, "_LOADED", {})
         monkeypatch.setattr(
             socket_transport,
             "pickle",
             SimpleNamespace(
                 dumps=counting_pickle,
-                loads=pickle.loads,
+                loads=counting_unpickle,
                 HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
             ),
         )
@@ -502,9 +877,21 @@ class TestTransportParity:
         distinct = len(set(encoded))
         assert 0 < len(decoded) <= distinct
         assert len(deliveries) >= 3 * distinct
-        # One pickle per cross-node physical message, one frame per channel.
+        # One pickle per cross-node physical message, one unpickle per
+        # distinct byte string, however many channels carried it.
         assert len(pickled) == len(sent)
-        assert transport.frames_sent >= 2 * len(sent)
+        wire = {dumps(message) for message in sent.values()}
+        assert 0 < len(unpickled) <= len(wire)
+        assert len(unpickled) == len(set(unpickled))
+        assert transport.messages_sent >= 2 * len(sent)
+        assert transport.messages_received >= 3 * len(unpickled)
+        assert 0 < transport.frames_sent <= transport.messages_sent
+        # Inputs a few epsilon apart make a node answer several deliveries
+        # before it yields: what it queued for a peer then shares a frame.
+        spread = SocketTransport()
+        _dora_epoch_values(spread, inputs=(100.0, 102.5, 105.0, 107.5))
+        assert spread.messages_received <= spread.messages_sent
+        assert 0 < 2 * spread.frames_sent < spread.messages_sent
         monkeypatch.undo()
         assert socket_values == _dora_epoch_values(InMemoryTransport())
 
@@ -581,10 +968,7 @@ class TestRedialBackoff:
         resets it to the base."""
 
         async def scenario():
-            probe = socket_module.socket()
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-            probe.close()
+            port = _unused_port()
             addresses = {
                 0: ("tcp", "127.0.0.1", 0),
                 1: ("tcp", "127.0.0.1", port),  # nothing listening yet
