@@ -1,11 +1,28 @@
-"""Setuptools shim.
+"""Setuptools build script — the only build configuration in the repository.
 
-The canonical build configuration lives in ``pyproject.toml``; this file
-exists so the package can also be installed in editable mode on offline
-machines that lack the ``wheel`` package (``pip install -e . --no-build-isolation``
-falls back to the legacy develop path through this shim).
+There is no ``pyproject.toml``; ``pip install -e . --no-build-isolation``
+installs the ``repro`` package from ``src/`` through this file, which also
+works on offline machines that lack the ``wheel`` package.  The version is
+read from ``src/repro/_version.py`` without importing the package (its
+dependencies may not be installed yet).
 """
 
-from setuptools import setup
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+version = {}
+exec(Path(__file__).with_name("src").joinpath("repro", "_version.py").read_text(), version)
+
+setup(
+    name="repro-delphi",
+    version=version["__version__"],
+    description=(
+        "Reproduction of Delphi: efficient asynchronous approximate "
+        "agreement for distributed oracles"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.9",
+    install_requires=["numpy", "scipy"],
+)

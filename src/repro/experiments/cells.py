@@ -168,13 +168,20 @@ def build_adversary(spec: ScenarioSpec) -> Optional[Dict[int, AdversaryStrategy]
 # Protocol cell.
 
 
-def _run_named_protocol(
+def run_spec(
     spec: ScenarioSpec,
     inputs: List[float],
     config: Optional[SimulationConfig] = None,
     observers: Optional[List[Any]] = None,
     extra_byzantine: Optional[Dict[int, AdversaryStrategy]] = None,
 ) -> Tuple[ProtocolRunResult, Dict[str, Any]]:
+    """Run ``spec``'s protocol once through the registry.
+
+    Builds the spec's network, compute model and adversary, and returns the
+    run result with the protocol's derived parameters.  The one entry point
+    from a spec to a protocol run: the sweep cells, the fault campaign and
+    the perf fingerprint gate all go through it.
+    """
     network, compute = build_network(spec)
     byzantine = build_adversary(spec)
     if extra_byzantine:
@@ -198,7 +205,7 @@ def _run_named_protocol(
 def run_protocol_cell(spec: ScenarioSpec) -> Dict[str, Any]:
     """Run one protocol instance end to end and summarise it as metrics."""
     inputs = build_inputs(spec)
-    result, derived = _run_named_protocol(spec, inputs)
+    result, derived = run_spec(spec, inputs)
     honest_inputs = [inputs[node_id] for node_id in result.honest_nodes] or inputs
     metrics: Dict[str, Any] = {
         "protocol": spec.protocol,

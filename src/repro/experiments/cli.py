@@ -15,12 +15,10 @@ Subcommands:
     as JSON.
 
 ``repro perf``
-    Run the perf basket (fast engine timed against the reference engine,
-    byte-identical results asserted) and write a ``BENCH_<date>.json``
-    artifact; ``--check`` gates against a committed baseline, ``--compare``
-    renders a per-scenario delta table vs an older artifact (exit 1 on
-    regression or fingerprint mismatch), ``--profile`` embeds a per-layer
-    cProfile attribution in the artifact.
+    The fingerprint gate: run the scenario basket on the fast and on the
+    reference engine and assert byte-identical results; ``--check`` also
+    compares each fingerprint with the committed table (exit 1 on a
+    mismatch).  Measures no wall time — that is ``benchmarks/e2e/run.py``.
 
 ``repro faults``
     Run a fault-injection campaign (protocol × fault case × schedule × n) on
@@ -97,7 +95,7 @@ Examples
     PYTHONPATH=src python -m repro sweep fig6a --dry-run
     PYTHONPATH=src python -m repro run --protocol delphi --n 7 --delta-max 16 --testbed aws
     PYTHONPATH=src python -m repro perf --quick --check benchmarks/perf_baseline.json
-    PYTHONPATH=src python -m repro perf --profile --compare BENCH_2026-07-25.json
+    PYTHONPATH=src python -m repro perf --scenario delphi-n160-aws
     PYTHONPATH=src python -m repro faults --campaign smoke --output fault-artifacts
     PYTHONPATH=src python -m repro faults --replay fault-artifacts/bundles/VIOLATION_xyz.json
     PYTHONPATH=src python -m repro fuzz --budget 200 --protocol delphi --seed 0
@@ -220,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
 
     perf = subparsers.add_parser(
-        "perf", help="run the perf basket and write a BENCH_<date>.json artifact"
+        "perf", help="run the fast-vs-reference fingerprint gate"
     )
     perf.add_argument(
         "--quick", action="store_true", help="run only the quick (CI smoke) scenarios"
@@ -232,62 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only the named scenario (repeatable; see the basket in repro.perf)",
     )
     perf.add_argument(
-        "--skip-reference",
-        action="store_true",
-        help="time the fast engine only (skips the equivalence check)",
-    )
-    perf.add_argument(
-        "--output", default=".", help="directory for the BENCH_<date>.json artifact"
-    )
-    perf.add_argument(
-        "--no-artifact", action="store_true", help="print results without writing a file"
-    )
-    perf.add_argument(
         "--check",
         dest="baseline_path",
-        help="compare against a committed baseline file and exit 1 on regression",
-    )
-    perf.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "run each scenario once more under cProfile and embed the "
-            "per-layer time attribution in the BENCH artifact"
-        ),
-    )
-    perf.add_argument(
-        "--compare",
-        dest="compare_path",
-        help=(
-            "render a per-scenario delta table (events/sec, speedup, "
-            "fingerprint match) against an older BENCH artifact or baseline "
-            "file; exits 1 on regression or fingerprint mismatch"
-        ),
-    )
-    perf.add_argument(
-        "--regression-threshold",
-        type=float,
-        default=None,
-        help=(
-            "tolerated fractional throughput drop for --compare "
-            "(default 0.20 = fail below 80%% of the old throughput)"
-        ),
-    )
-    perf.add_argument(
-        "--summary",
-        dest="summary_path",
-        help=(
-            "append the --compare markdown table to this file "
-            "(CI passes $GITHUB_STEP_SUMMARY)"
-        ),
-    )
-    perf.add_argument(
-        "--sharding-table",
-        action="store_true",
-        help=(
-            "measure the flat-vs-sharded Delphi comparison across "
-            "n in {40,160,400,1000} and embed the table in the artifact"
-        ),
+        help="compare with a committed fingerprint table and exit 1 on a mismatch",
     )
     perf.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
@@ -893,93 +838,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.perf import (
-        DEFAULT_REGRESSION_THRESHOLD,
-        compare_results,
-        compare_to_baseline,
-        comparison_failed,
-        load_baseline,
-        load_comparable,
-        render_markdown_table,
-        run_suite,
-        write_bench,
-    )
-    from repro.perf.profiling import render_attribution
+    from repro.perf import compare_to_baseline, load_baseline, run_suite
 
     progress = None if args.quiet else (lambda message: print(message, file=sys.stderr))
-    # Validate comparison inputs before the (slow) suite so bad paths fail fast.
-    baseline = load_baseline(args.baseline_path) if args.baseline_path else None
-    old = load_comparable(args.compare_path) if args.compare_path else None
-    threshold = (
-        args.regression_threshold
-        if args.regression_threshold is not None
-        else DEFAULT_REGRESSION_THRESHOLD
-    )
-    if not 0.0 <= threshold < 1.0:
-        raise ConfigurationError(
-            f"--regression-threshold must be in [0, 1), got {threshold}"
-        )
-    results = run_suite(
-        quick=args.quick,
-        names=args.scenarios,
-        verify=not args.skip_reference,
-        profile=args.profile,
-        progress=progress,
-    )
-    extra_sections = None
-    if args.sharding_table:
-        from repro.perf import render_sharding_table, sharding_comparison
-
-        table = sharding_comparison(progress=progress)
-        extra_sections = {"sharding_comparison": table}
-        print(render_sharding_table(table))
-    for result in results:
-        entry = result.as_dict()
-        fast_eps = entry.get("fast_events_per_sec")
-        line = (
-            f"{result.name}: {result.events:,} events, "
-            f"fast {entry['fast_seconds']:.2f}s"
-            + (f" ({fast_eps:,.0f} events/sec)" if fast_eps else "")
-        )
-        if result.reference is not None:
-            line += (
-                f", reference {entry['reference_seconds']:.2f}s, "
-                f"speedup {entry['speedup']:.2f}x, "
-                f"identical={result.equivalent}"
-            )
-        print(line)
-        if result.profile is not None:
-            print(render_attribution(result.name, result.profile))
-    if not args.no_artifact:
-        path = write_bench(
-            results, output_dir=args.output, quick=args.quick, extra=extra_sections
-        )
-        print(f"wrote {path}")
-    exit_code = 0
-    if old is not None:
-        rows = compare_results(results, old, threshold=threshold)
-        table = render_markdown_table(rows)
-        print(table)
-        if args.summary_path:
-            with open(args.summary_path, "a", encoding="utf-8") as handle:
-                handle.write(f"### perf delta vs {args.compare_path}\n\n{table}\n")
-        if comparison_failed(rows):
-            print(
-                "perf comparison failed (regression beyond "
-                f"{threshold:.0%} or fingerprint mismatch)",
-                file=sys.stderr,
-            )
-            exit_code = 1
-    if baseline is not None:
-        checks = compare_to_baseline(results, baseline)
-        failed = False
-        for check in checks:
-            print(check.describe())
-            failed = failed or not check.ok
-        if failed:
-            print("perf regression detected (see above)", file=sys.stderr)
-            exit_code = 1
-    return exit_code
+    # Validate the table before the (slow) suite so a bad path fails fast.
+    committed = load_baseline(args.baseline_path) if args.baseline_path else None
+    fingerprints = run_suite(quick=args.quick, names=args.scenarios, progress=progress)
+    for name, fingerprint in fingerprints.items():
+        print(f"{name}: {fingerprint} identical on fast and reference")
+    if committed is None:
+        return 0
+    failures = compare_to_baseline(fingerprints, committed)
+    for line in failures:
+        print(line, file=sys.stderr)
+    if failures:
+        print(f"fingerprint gate failed against {args.baseline_path}", file=sys.stderr)
+        return 1
+    print(f"{len(fingerprints)} fingerprint(s) match {args.baseline_path}")
+    return 0
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:

@@ -154,7 +154,7 @@ def run_cell_engine(
     ``extra_observers`` attaches additional :class:`SimObserver` instances
     (the adversarial-schedule search uses a :class:`ScheduleDigest` here).
     """
-    from repro.experiments.cells import _run_named_protocol, build_inputs
+    from repro.experiments.cells import build_inputs, run_spec
 
     inputs = build_inputs(spec)
     corrupted = set(scenario_corrupted_ids(spec)) | set(extra_byzantine or {})
@@ -168,7 +168,7 @@ def run_cell_engine(
         spec, honest_inputs, expect_termination=expect_termination
     )
     try:
-        result, _derived = _run_named_protocol(
+        result, _derived = run_spec(
             spec,
             inputs,
             config=SimulationConfig(engine=engine),

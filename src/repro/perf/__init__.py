@@ -1,53 +1,21 @@
-"""Micro-benchmark subsystem: the repo's performance trajectory.
+"""The fast-vs-reference fingerprint gate behind ``python -m repro perf``.
 
-``python -m repro perf`` runs a fixed basket of simulation scenarios on the
-fast engine *and* the reference engine, asserts that both produce
-byte-identical results, and writes a ``BENCH_<date>.json`` artifact with
-events/sec and wall-clock per scenario.  ``--profile`` attaches a per-layer
-cProfile attribution to each scenario (:mod:`repro.perf.profiling`);
-``--compare OLD.json`` renders a delta table against an older artifact and
-gates on regressions and fingerprint changes (:mod:`repro.perf.compare`).
-Committed baselines under ``benchmarks/perf_baseline.json`` let CI fail on
-regressions; see the "Performance" section of the README and
-``docs/SIMULATOR.md``.
+See :mod:`repro.perf.suite`.  No wall time is measured here: performance
+claims are made with ``benchmarks/e2e/run.py``.
 """
 
-from repro.perf.baseline import compare_to_baseline, load_baseline
-from repro.perf.compare import (
-    DEFAULT_REGRESSION_THRESHOLD,
-    ComparisonRow,
-    compare_results,
-    comparison_failed,
-    load_comparable,
-    render_markdown_table,
-)
-from repro.perf.profiling import attribute_stats, classify_entry, profile_scenario
-from repro.perf.sharding import render_sharding_table, sharding_comparison
 from repro.perf.suite import (
     SCENARIOS,
     PerfScenario,
-    ScenarioResult,
+    compare_to_baseline,
+    load_baseline,
     run_suite,
-    write_bench,
 )
 
 __all__ = [
-    "DEFAULT_REGRESSION_THRESHOLD",
     "SCENARIOS",
-    "ComparisonRow",
     "PerfScenario",
-    "ScenarioResult",
-    "attribute_stats",
-    "classify_entry",
-    "compare_results",
     "compare_to_baseline",
-    "comparison_failed",
     "load_baseline",
-    "load_comparable",
-    "profile_scenario",
-    "render_markdown_table",
-    "render_sharding_table",
     "run_suite",
-    "sharding_comparison",
-    "write_bench",
 ]

@@ -1,24 +1,26 @@
-"""The perf scenario basket: timed, equivalence-checked simulation runs.
+"""The fingerprint gate: seven scenarios, two engines, one committed table.
 
 Each :class:`PerfScenario` describes one simulation workload.  Running a
-scenario executes it once per requested engine (``fast`` first, then
-``reference``), with fresh, identically seeded networks and nodes per run,
-and reduces every run to a canonical *fingerprint* — a SHA-256 over the
-sorted-JSON projection of the protocol outputs, decision times, simulated
-runtime, traffic totals and event count.  Identical fingerprints mean the
-two engines produced byte-identical results; a mismatch raises
-:class:`~repro.errors.EquivalenceError` (the fast path's correctness
-guarantee is broken and the numbers would be meaningless).
+scenario executes it once per engine (``fast`` first, then ``reference``),
+with fresh, identically seeded networks and nodes per run, and reduces every
+run to a canonical *fingerprint* — a SHA-256 over the sorted-JSON projection
+of the protocol outputs, simulated runtime, traffic totals and event count.
+Identical fingerprints mean the two engines produced byte-identical results;
+a mismatch raises :class:`~repro.errors.EquivalenceError` (the fast path's
+correctness guarantee is broken).  ``benchmarks/perf_baseline.json`` pins
+each scenario's fingerprint; they are machine-independent and must never
+change for a pure performance PR.
+
+Nothing here reads a clock.  Wall time is measured and gated in
+``benchmarks/e2e`` only (repeats, calibration, alternating pairs).
 
 The basket covers the paper's hot spots:
 
 * ``delphi-n40-aws`` / ``delphi-n160-aws`` — Fig. 6a's AWS oracle sweep at
-  a medium and the largest system size (the n=160 cell is the acceptance
-  scenario for hot-path work);
+  a medium and the largest system size;
 * ``sharded-delphi-n1000`` — the two-level sharded variant at n=1000
   (groups of 32), the scale-out cell flat Delphi's O(n^2) broadcasts
-  cannot reach (see :mod:`repro.perf.sharding` for the flat-vs-sharded
-  comparison table);
+  cannot reach;
 * ``abraham-n40-aws`` — one round-heavy baseline protocol;
 * ``oracle-smr-e3-n13-aws`` — three epochs of the end-to-end oracle
   network, including DORA attestation and the SMR channel;
@@ -27,37 +29,33 @@ The basket covers the paper's hot spots:
   churn, certificate-stream monitors) — the serving layer itself;
 * ``oracle-gateway-n7`` — three epochs of the client-facing gateway
   streamed to 50 live WebSocket subscribers over real sockets.  The
-  fingerprint covers the certified values and delivery totals (identical
-  across engines); wall-clock delivery latency travels in the
-  **non-fingerprinted** ``metrics`` side-channel, gated by the baseline's
-  ``latency_ceilings_ms`` table rather than the equivalence check.
+  fingerprint covers the certified values and delivery totals, which are
+  identical across engines.
 """
 
 from __future__ import annotations
 
-import datetime
+import asyncio
 import hashlib
 import json
-import platform
-import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro._version import __version__
 from repro.analysis.parameters import derive_parameters
 from repro.errors import ConfigurationError, EquivalenceError
-from repro.experiments.cells import build_inputs, build_network
+from repro.experiments.cells import build_inputs, run_spec
 from repro.experiments.spec import ScenarioSpec
+from repro.oracle.gateway import build_gateway
+from repro.oracle.loadgen import run_loadgen_async
 from repro.oracle.network import OracleNetwork
-from repro.runner import ProtocolRunResult, run_abraham, run_delphi
+from repro.oracle.service import build_service
 from repro.sim.runtime import SimulationConfig
 from repro.testbed.aws import AwsTestbed
 from repro.workloads.bitcoin import BitcoinPriceFeed
 
-#: Schema tag written into every BENCH artifact.
-BENCH_SCHEMA = "repro-perf/1"
+#: Schema tag expected at the top of a baseline file.
+BASELINE_SCHEMA = "repro-perf-baseline/1"
 
 
 def _fingerprint(projection: Any) -> str:
@@ -66,446 +64,195 @@ def _fingerprint(projection: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _protocol_projection(result: ProtocolRunResult) -> Dict[str, Any]:
-    return {
-        "outputs": {str(k): v for k, v in sorted(result.outputs.items())},
-        "runtime_seconds": result.runtime_seconds,
-        "megabytes": result.total_megabytes,
-        "message_count": result.message_count,
-        "events_processed": result.events_processed,
-    }
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    """One engine's timed execution of a scenario."""
-
-    engine: str
-    wall_seconds: float
-    events: int
-    fingerprint: str
-
-
 @dataclass(frozen=True)
 class PerfScenario:
-    """One entry of the perf basket.
+    """One entry of the basket (the module docstring says why each is there).
 
     ``run`` executes the scenario under the given engine name and returns
-    ``(events_processed, fingerprint_projection)`` — or a 3-tuple with a
-    trailing ``metrics`` dict of wall-clock measurements (latency
-    percentiles) that are reported in the artifact but deliberately **kept
-    out of the fingerprint**, since wall time can never be byte-identical
-    across engines.  The suite adds timing.  ``quick`` marks scenarios
-    included in the CI smoke basket.
+    its fingerprint projection: JSON-safe, and free of anything that may
+    differ between two correct runs (wall time, object identities).
+    ``quick`` marks scenarios included in the CI smoke basket.
     """
 
     name: str
-    description: str
     quick: bool
-    run: Callable[[str], Tuple[int, Dict[str, Any]]]
+    run: Callable[[str], Dict[str, Any]]
 
 
 # ----------------------------------------------------------------------
 # Scenario implementations.
 
 
-def _delphi_aws(n: int) -> Callable[[str], Tuple[int, Dict[str, Any]]]:
-    def runner(engine: str) -> Tuple[int, Dict[str, Any]]:
-        spec = ScenarioSpec(protocol="delphi", n=n, testbed="aws", seed=1)
-        inputs = build_inputs(spec)
-        network, compute = build_network(spec)
-        params = derive_parameters(
-            n=n,
-            epsilon=spec.epsilon,
-            rho0=spec.rho0,
-            delta_max=spec.delta_max,
-            max_rounds=spec.max_rounds,
+def _protocol(spec: ScenarioSpec) -> Callable[[str], Dict[str, Any]]:
+    """One protocol run of ``spec`` through the registry entry point."""
+
+    def runner(engine: str) -> Dict[str, Any]:
+        result, _derived = run_spec(
+            spec, build_inputs(spec), config=SimulationConfig(engine=engine)
         )
-        result = run_delphi(
-            params,
-            inputs,
-            network=network,
-            compute=compute,
-            config=SimulationConfig(engine=engine),
-        )
-        return result.events_processed, _protocol_projection(result)
-
-    return runner
-
-
-def _sharded_delphi_aws(
-    n: int, group_size: int
-) -> Callable[[str], Tuple[int, Dict[str, Any]]]:
-    def runner(engine: str) -> Tuple[int, Dict[str, Any]]:
-        from repro.protocols.sharded_delphi import sharded_parameters_of
-        from repro.runner import run_sharded_delphi
-
-        spec = ScenarioSpec(
-            protocol="sharded-delphi",
-            n=n,
-            testbed="aws",
-            seed=1,
-            extras={"group_size": group_size},
-        )
-        inputs = build_inputs(spec)
-        network, compute = build_network(spec)
-        params = sharded_parameters_of(spec)
-        result = run_sharded_delphi(
-            params,
-            inputs,
-            network=network,
-            compute=compute,
-            config=SimulationConfig(engine=engine),
-        )
-        return result.events_processed, _protocol_projection(result)
-
-    return runner
-
-
-def _abraham_aws(n: int) -> Callable[[str], Tuple[int, Dict[str, Any]]]:
-    def runner(engine: str) -> Tuple[int, Dict[str, Any]]:
-        spec = ScenarioSpec(protocol="abraham", n=n, testbed="aws", seed=2)
-        inputs = build_inputs(spec)
-        network, compute = build_network(spec)
-        result = run_abraham(
-            n,
-            inputs,
-            epsilon=spec.epsilon,
-            delta_max=spec.delta_max,
-            rounds=spec.max_rounds,
-            network=network,
-            compute=compute,
-            config=SimulationConfig(engine=engine),
-        )
-        return result.events_processed, _protocol_projection(result)
-
-    return runner
-
-
-def _oracle_smr(n: int, epochs: int) -> Callable[[str], Tuple[int, Dict[str, Any]]]:
-    def runner(engine: str) -> Tuple[int, Dict[str, Any]]:
-        params = derive_parameters(n=n, epsilon=2.0, rho0=10.0, delta_max=2000.0, max_rounds=6)
-        testbed = AwsTestbed(num_nodes=n, seed=11)
-        oracle = OracleNetwork(
-            params=params, network_factory=testbed.network, compute=testbed.compute()
-        )
-        feed = BitcoinPriceFeed(seed=11)
-        events = 0
-        epochs_projection: List[Dict[str, Any]] = []
-        for _epoch in range(epochs):
-            measurements = feed.node_inputs(n)
-            report = oracle.report_round(
-                measurements, config=SimulationConfig(engine=engine)
-            )
-            events += report.events_processed
-            epochs_projection.append(
-                {
-                    "value": report.value,
-                    "runtime_seconds": report.runtime_seconds,
-                    "megabytes": report.total_megabytes,
-                    "honest_outputs": {
-                        str(k): v for k, v in sorted(report.honest_outputs.items())
-                    },
-                }
-            )
-        chain = [
-            [entry.position, entry.submitter, float(entry.payload.value), entry.valid]
-            for entry in oracle.chain.entries
-        ]
-        projection = {
-            "epochs": epochs_projection,
-            "chain": chain,
-            "validations": oracle.chain.validations,
+        return {
+            "outputs": {str(k): v for k, v in sorted(result.outputs.items())},
+            "runtime_seconds": result.runtime_seconds,
+            "megabytes": result.total_megabytes,
+            "message_count": result.message_count,
+            "events_processed": result.events_processed,
         }
-        return events, projection
 
     return runner
 
 
-def _oracle_service(n: int, epochs: int) -> Callable[[str], Tuple[int, Dict[str, Any]]]:
-    def runner(engine: str) -> Tuple[int, Dict[str, Any]]:
-        from repro.oracle.service import build_service
-
-        # Parity is off here because the suite itself runs the scenario on
-        # both engines and fingerprints the results — the stronger check.
-        service = build_service(
-            "bitcoin", n, engine=engine, seed=7, churn=1, parity=False
+def _oracle_smr(engine: str) -> Dict[str, Any]:
+    """``oracle-smr-e3-n13-aws``: three reporting rounds on one oracle network."""
+    n, epochs = 13, 3
+    params = derive_parameters(n=n, epsilon=2.0, rho0=10.0, delta_max=2000.0, max_rounds=6)
+    testbed = AwsTestbed(num_nodes=n, seed=11)
+    oracle = OracleNetwork(
+        params=params, network_factory=testbed.network, compute=testbed.compute()
+    )
+    feed = BitcoinPriceFeed(seed=11)
+    epochs_projection: List[Dict[str, Any]] = []
+    for _epoch in range(epochs):
+        measurements = feed.node_inputs(n)
+        report = oracle.report_round(
+            measurements, config=SimulationConfig(engine=engine)
         )
-        result = service.serve(epochs)
-        projection = {
-            "reports": [report.as_dict() for report in result.reports],
-            "chain_entries": result.chain_entries,
-            "chain_validations": result.chain_validations,
-        }
-        return result.events_processed, projection
+        epochs_projection.append(
+            {
+                "value": report.value,
+                "runtime_seconds": report.runtime_seconds,
+                "megabytes": report.total_megabytes,
+                "honest_outputs": {
+                    str(k): v for k, v in sorted(report.honest_outputs.items())
+                },
+            }
+        )
+    chain = [
+        [entry.position, entry.submitter, float(entry.payload.value), entry.valid]
+        for entry in oracle.chain.entries
+    ]
+    return {
+        "epochs": epochs_projection,
+        "chain": chain,
+        "validations": oracle.chain.validations,
+    }
 
-    return runner
+
+def _oracle_service(engine: str) -> Dict[str, Any]:
+    """``oracle-service-e4-n7-churn``: four epochs, rotating one-node churn."""
+    # Parity is off here because the suite itself runs the scenario on
+    # both engines and fingerprints the results — the stronger check.
+    service = build_service("bitcoin", 7, engine=engine, seed=7, churn=1, parity=False)
+    result = service.serve(4)
+    return {
+        "reports": [report.as_dict() for report in result.reports],
+        "chain_entries": result.chain_entries,
+        "chain_validations": result.chain_validations,
+    }
 
 
-def _oracle_gateway(
-    n: int, epochs: int, subscribers: int
-) -> Callable[[str], Tuple[int, Dict[str, Any], Dict[str, Any]]]:
-    def runner(engine: str) -> Tuple[int, Dict[str, Any], Dict[str, Any]]:
-        import asyncio
+def _oracle_gateway(engine: str) -> Dict[str, Any]:
+    """``oracle-gateway-n7``: three epochs streamed to 50 WebSocket subscribers."""
+    n, epochs, subscribers = 7, 3, 50
 
-        from repro.oracle.gateway import build_gateway
-        from repro.oracle.loadgen import run_loadgen_async
-
-        async def drive():
-            # Generous queue bound and no tick publishers: nothing
-            # timing-dependent (evictions, tick-fed epochs) may leak into
-            # the fingerprinted projection.
-            gateway = build_gateway(
-                "bitcoin", n, engine=engine, seed=7, queue_limit=4096
+    async def drive():
+        # Generous queue bound and no tick publishers: nothing
+        # timing-dependent (evictions, tick-fed epochs) may leak into
+        # the fingerprinted projection.
+        gateway = build_gateway("bitcoin", n, engine=engine, seed=7, queue_limit=4096)
+        await gateway.start()
+        try:
+            report = await run_loadgen_async(
+                workload="bitcoin",
+                engine=engine,
+                n=n,
+                epochs=epochs,
+                subscribers=subscribers,
+                publishers=0,
+                gateway=gateway,
             )
-            await gateway.start()
-            try:
-                report = await run_loadgen_async(
-                    workload="bitcoin",
-                    engine=engine,
-                    n=n,
-                    epochs=epochs,
-                    subscribers=subscribers,
-                    publishers=0,
-                    gateway=gateway,
-                )
-                certificates = [
-                    {key: value for key, value in entry.items() if key != "published_at"}
-                    for entry in gateway.history(since=0, limit=epochs)
-                ]
-            finally:
-                await gateway.close()
-            return report, certificates
+            certificates = [
+                {key: value for key, value in entry.items() if key != "published_at"}
+                for entry in gateway.history(since=0, limit=epochs)
+            ]
+        finally:
+            await gateway.close()
+        return report, certificates
 
-        report, certificates = asyncio.run(drive())
-        projection = {
-            "certificates": certificates,
-            "subscribers": subscribers,
-            "delivered": report.certs_received,
-            "lost": report.certs_lost,
-        }
-        return report.certs_received, projection, report.latency_summary()
-
-    return runner
+    report, certificates = asyncio.run(drive())
+    return {
+        "certificates": certificates,
+        "subscribers": subscribers,
+        "delivered": report.certs_received,
+        "lost": report.certs_lost,
+    }
 
 
-#: The perf basket, in execution order.
+#: The basket, in execution order.
 SCENARIOS: Tuple[PerfScenario, ...] = (
     PerfScenario(
         name="delphi-n40-aws",
-        description="Delphi n=40 on the AWS model (Fig. 6a medium cell)",
         quick=True,
-        run=_delphi_aws(40),
+        run=_protocol(ScenarioSpec(protocol="delphi", n=40, testbed="aws", seed=1)),
     ),
     PerfScenario(
         name="delphi-n160-aws",
-        description="Delphi n=160 on the AWS model (Fig. 6a largest cell)",
         quick=False,
-        run=_delphi_aws(160),
+        run=_protocol(ScenarioSpec(protocol="delphi", n=160, testbed="aws", seed=1)),
     ),
     PerfScenario(
         name="sharded-delphi-n1000",
-        description=(
-            "Two-level sharded Delphi n=1000 (groups of 32) on the AWS "
-            "model — the scale-out cell flat Delphi cannot reach"
-        ),
         quick=False,
-        run=_sharded_delphi_aws(1000, group_size=32),
+        run=_protocol(
+            ScenarioSpec(
+                protocol="sharded-delphi",
+                n=1000,
+                testbed="aws",
+                seed=1,
+                extras={"group_size": 32},
+            )
+        ),
     ),
     PerfScenario(
         name="abraham-n40-aws",
-        description="Abraham et al. baseline n=40 on the AWS model",
         quick=True,
-        run=_abraham_aws(40),
+        run=_protocol(ScenarioSpec(protocol="abraham", n=40, testbed="aws", seed=2)),
     ),
-    PerfScenario(
-        name="oracle-smr-e3-n13-aws",
-        description="3 epochs of the DORA oracle network + SMR channel, n=13",
-        quick=True,
-        run=_oracle_smr(13, epochs=3),
-    ),
-    PerfScenario(
-        name="oracle-service-e4-n7-churn",
-        description=(
-            "4 epochs of the epoch-pipelined oracle service, n=7, "
-            "rotating 1-node churn, bitcoin workload"
-        ),
-        quick=True,
-        run=_oracle_service(7, epochs=4),
-    ),
-    PerfScenario(
-        name="oracle-gateway-n7",
-        description=(
-            "3 epochs of the client-facing gateway streamed to 50 live "
-            "WebSocket subscribers, n=7, bitcoin workload"
-        ),
-        quick=True,
-        run=_oracle_gateway(7, epochs=3, subscribers=50),
-    ),
+    PerfScenario(name="oracle-smr-e3-n13-aws", quick=True, run=_oracle_smr),
+    PerfScenario(name="oracle-service-e4-n7-churn", quick=True, run=_oracle_service),
+    PerfScenario(name="oracle-gateway-n7", quick=True, run=_oracle_gateway),
 )
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    """Timing and equivalence outcome for one scenario.
-
-    ``profile`` carries the optional per-layer attribution of a separate
-    cProfile run (see :mod:`repro.perf.profiling`).
-    """
-
-    name: str
-    description: str
-    events: int
-    fast: RunOutcome
-    reference: Optional[RunOutcome]
-    equivalent: Optional[bool]
-    profile: Optional[Dict[str, Any]] = None
-    #: Scenario-specific counters (e.g. the oracle service's epochs and
-    #: certificates), used to derive domain throughput in the artifact.
-    aux: Optional[Dict[str, int]] = None
-    #: Wall-clock measurements from the fast run's metrics side-channel
-    #: (e.g. the gateway's delivery-latency percentiles).  Reported in the
-    #: artifact and gated by the baseline's latency ceilings, but never
-    #: part of the equivalence fingerprint.
-    metrics: Optional[Dict[str, Any]] = None
-
-    @property
-    def speedup(self) -> Optional[float]:
-        """Reference wall-clock divided by fast wall-clock."""
-        if self.reference is None or self.fast.wall_seconds == 0:
-            return None
-        return self.reference.wall_seconds / self.fast.wall_seconds
-
-    def as_dict(self) -> Dict[str, Any]:
-        entry: Dict[str, Any] = {
-            "name": self.name,
-            "description": self.description,
-            "events": self.events,
-            "fast_seconds": self.fast.wall_seconds,
-            "fast_events_per_sec": (
-                self.events / self.fast.wall_seconds if self.fast.wall_seconds else None
-            ),
-            "fingerprint": self.fast.fingerprint,
-            "equivalent": self.equivalent,
-        }
-        if self.reference is not None:
-            entry["reference_seconds"] = self.reference.wall_seconds
-            entry["reference_events_per_sec"] = (
-                self.events / self.reference.wall_seconds
-                if self.reference.wall_seconds
-                else None
-            )
-            entry["speedup"] = self.speedup
-        if self.aux:
-            seconds = self.fast.wall_seconds
-            entry.update(self.aux)
-            for key, count in self.aux.items():
-                entry[f"{key}_per_sec"] = count / seconds if seconds else None
-        if self.metrics is not None:
-            entry["metrics"] = self.metrics
-        if self.profile is not None:
-            entry["profile"] = self.profile
-        return entry
-
-
-def _scenario_aux(projection: Any) -> Optional[Dict[str, int]]:
-    """Domain counters for throughput reporting (oracle-layer shapes)."""
-    if isinstance(projection, dict) and "reports" in projection and "chain_entries" in projection:
-        return {
-            "epochs": len(projection["reports"]),
-            "certificates": int(projection["chain_entries"]),
-        }
-    if isinstance(projection, dict) and "certificates" in projection and "delivered" in projection:
-        return {
-            "epochs": len(projection["certificates"]),
-            "certs_delivered": int(projection["delivered"]),
-        }
-    return None
-
-
-def _run_engine(scenario: PerfScenario, engine: str) -> Tuple[RunOutcome, Any, Optional[Dict[str, Any]]]:
-    started = time.perf_counter()
-    outcome = scenario.run(engine)
-    elapsed = time.perf_counter() - started
-    # 2-tuple (events, projection) or 3-tuple with a trailing wall-clock
-    # metrics dict that stays out of the fingerprint.
-    if len(outcome) == 3:
-        events, projection, metrics = outcome
-    else:
-        events, projection = outcome
-        metrics = None
-    run = RunOutcome(
-        engine=engine,
-        wall_seconds=elapsed,
-        events=events,
-        fingerprint=_fingerprint(projection),
-    )
-    return run, projection, metrics
-
-
 def run_scenario(
-    scenario: PerfScenario,
-    verify: bool = True,
-    profile: bool = False,
-    progress: Optional[Callable[[str], None]] = None,
-) -> ScenarioResult:
-    """Run one scenario on the fast engine (and the reference when
-    ``verify``), asserting byte-identical results.
-
-    With ``profile``, an extra run executes under cProfile and the
-    per-layer attribution is attached to the result (timed runs are never
-    instrumented).
+    scenario: PerfScenario, progress: Optional[Callable[[str], None]] = None
+) -> str:
+    """Run one scenario on the fast and on the reference engine and return
+    the fingerprint both produced.
 
     Raises
     ------
     EquivalenceError
-        If the two engines disagree — perf numbers for a wrong result are
-        meaningless, so this aborts the suite.
+        If the two engines disagree.
     """
     say = progress or (lambda message: None)
     say(f"[perf] {scenario.name}: fast engine ...")
-    fast, fast_projection, fast_metrics = _run_engine(scenario, "fast")
-    events = fast.events or 0
-    reference: Optional[RunOutcome] = None
-    equivalent: Optional[bool] = None
-    if verify:
-        say(f"[perf] {scenario.name}: reference engine (equivalence oracle) ...")
-        reference, _, _ = _run_engine(scenario, "reference")
-        equivalent = reference.fingerprint == fast.fingerprint
-        if not equivalent:
-            raise EquivalenceError(
-                f"scenario {scenario.name!r}: fast and reference engines produced "
-                f"different results (fast {fast.fingerprint[:16]} != "
-                f"reference {reference.fingerprint[:16]})"
-            )
-        if not events:
-            events = reference.events
-    attribution: Optional[Dict[str, Any]] = None
-    if profile:
-        from repro.perf.profiling import profile_scenario
-
-        say(f"[perf] {scenario.name}: profiled run (layer attribution) ...")
-        attribution = profile_scenario(scenario)
-    return ScenarioResult(
-        name=scenario.name,
-        description=scenario.description,
-        events=events,
-        fast=fast,
-        reference=reference,
-        equivalent=equivalent,
-        profile=attribution,
-        aux=_scenario_aux(fast_projection),
-        metrics=fast_metrics,
-    )
+    fast = _fingerprint(scenario.run("fast"))
+    say(f"[perf] {scenario.name}: reference engine (equivalence oracle) ...")
+    reference = _fingerprint(scenario.run("reference"))
+    if fast != reference:
+        raise EquivalenceError(
+            f"scenario {scenario.name!r}: fast and reference engines produced "
+            f"different results (fast {fast[:16]} != reference {reference[:16]})"
+        )
+    return fast
 
 
 def select_scenarios(
     quick: bool = False, names: Optional[Sequence[str]] = None
 ) -> List[PerfScenario]:
     """The basket subset selected by CLI flags."""
-    scenarios = list(SCENARIOS)
     if names:
-        known = {scenario.name: scenario for scenario in scenarios}
+        known = {scenario.name: scenario for scenario in SCENARIOS}
         missing = [name for name in names if name not in known]
         if missing:
             raise ConfigurationError(
@@ -513,82 +260,70 @@ def select_scenarios(
                 f"(known: {', '.join(known)})"
             )
         return [known[name] for name in names]
-    if quick:
-        return [scenario for scenario in scenarios if scenario.quick]
-    return scenarios
+    return [scenario for scenario in SCENARIOS if scenario.quick or not quick]
 
 
 def run_suite(
     quick: bool = False,
     names: Optional[Sequence[str]] = None,
-    verify: bool = True,
-    profile: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-) -> List[ScenarioResult]:
-    """Run the selected basket and return per-scenario results."""
-    return [
-        run_scenario(scenario, verify=verify, profile=profile, progress=progress)
+) -> Dict[str, str]:
+    """Run the selected basket; scenario name -> engine-agreed fingerprint."""
+    return {
+        scenario.name: run_scenario(scenario, progress=progress)
         for scenario in select_scenarios(quick=quick, names=names)
-    ]
-
-
-def bench_payload(
-    results: Sequence[ScenarioResult],
-    quick: bool = False,
-    extra: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """The BENCH artifact body (see README "Performance" for the schema).
-
-    ``extra`` merges additional top-level sections into the payload (the
-    CLI uses it for the flat-vs-sharded comparison table); it may not
-    override the core keys.
-    """
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "generated_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "repro_version": __version__,
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "quick": quick,
-        "scenarios": [result.as_dict() for result in results],
     }
-    for key, value in (extra or {}).items():
-        if key in payload:
-            raise ConfigurationError(f"extra payload section {key!r} shadows a core key")
-        payload[key] = value
-    return payload
 
 
-def _bench_path(directory: Path, stamp: str) -> Path:
-    """First free ``BENCH_<stamp>.json`` path, suffixing ``-2``, ``-3``, ...
+def load_baseline(path: str) -> Dict[str, str]:
+    """Load a committed baseline file and return its ``fingerprints`` table.
 
-    Same-day reruns used to silently clobber the earlier artifact — bad
-    when the first run of the day is the committed record.
+    Raises
+    ------
+    ConfigurationError
+        On a missing or malformed file, a wrong schema, an unknown top-level
+        key (named — an old-shape file with ``events_per_sec`` must not make
+        anyone believe a floor is still enforced), or a fingerprint recorded
+        for a name that is not in the scenario table.
     """
-    path = directory / f"BENCH_{stamp}.json"
-    suffix = 2
-    while path.exists():
-        path = directory / f"BENCH_{stamp}-{suffix}.json"
-        suffix += 1
-    return path
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as error:
+        raise ConfigurationError(f"cannot read baseline file {path}: {error}")
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != BASELINE_SCHEMA:
+        raise ConfigurationError(
+            f"baseline file {path} has schema {schema!r}, expected {BASELINE_SCHEMA!r}"
+        )
+    unknown = sorted(set(payload) - {"schema", "recorded", "fingerprints"})
+    if unknown:
+        raise ConfigurationError(
+            f"baseline file {path}: unknown key(s) {', '.join(unknown)}"
+        )
+    fingerprints = payload.get("fingerprints")
+    if not isinstance(fingerprints, dict):
+        raise ConfigurationError(f"baseline file {path} has no fingerprints table")
+    strangers = sorted(set(fingerprints) - {scenario.name for scenario in SCENARIOS})
+    if strangers:
+        raise ConfigurationError(
+            f"baseline file {path} names {', '.join(strangers)}, "
+            "which the scenario table does not have"
+        )
+    return fingerprints
 
 
-def write_bench(
-    results: Sequence[ScenarioResult],
-    output_dir: str = ".",
-    quick: bool = False,
-    date: Optional[datetime.date] = None,
-    extra: Optional[Dict[str, Any]] = None,
-) -> Path:
-    """Write ``BENCH_<date>.json`` into ``output_dir`` and return its path.
+def compare_to_baseline(
+    fingerprints: Dict[str, str], committed: Dict[str, str]
+) -> List[str]:
+    """One line per scenario that ran and does not reproduce its committed
+    fingerprint; empty means the gate passes.
 
-    An existing same-day artifact is never overwritten; the new file gets
-    a ``-2`` (``-3``, ...) suffix instead.
+    A scenario that ran without a committed entry fails (a new scenario
+    lands together with its fingerprint).  Committed scenarios that did not
+    run are skipped: ``--quick`` and ``--scenario`` run a subset.
     """
-    stamp = (date or datetime.date.today()).isoformat()
-    directory = Path(output_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = _bench_path(directory, stamp)
-    payload = bench_payload(results, quick=quick, extra=extra)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return [
+        f"{name}: fingerprint {fingerprint} != committed {committed.get(name)}"
+        for name, fingerprint in fingerprints.items()
+        if committed.get(name) != fingerprint
+    ]

@@ -1,26 +1,38 @@
-"""Tests for the perf micro-benchmark subsystem (``python -m repro perf``)."""
+"""Tests for the fingerprint gate (``python -m repro perf``)."""
 
-import datetime
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.experiments.cli import main as cli_main
-from repro.perf.baseline import (
-    BASELINE_SCHEMA,
-    BaselineCheck,
-    compare_to_baseline,
-    load_baseline,
-)
+import repro.perf.suite as suite_module
+from repro.errors import ConfigurationError, EquivalenceError
+from repro.experiments.cli import build_parser, main as cli_main
 from repro.perf.suite import (
-    BENCH_SCHEMA,
+    BASELINE_SCHEMA,
     SCENARIOS,
     PerfScenario,
+    compare_to_baseline,
+    load_baseline,
     run_scenario,
     run_suite,
     select_scenarios,
-    write_bench,
+)
+
+COMMITTED_BASELINE = str(
+    Path(__file__).resolve().parent.parent / "benchmarks" / "perf_baseline.json"
+)
+
+#: Flags `repro perf` had before it became the fingerprint gate only.
+REMOVED_FLAGS = (
+    ["--skip-reference"],
+    ["--output", "somewhere"],
+    ["--no-artifact"],
+    ["--profile"],
+    ["--compare", "old.json"],
+    ["--regression-threshold", "0.2"],
+    ["--summary", "summary.md"],
+    ["--sharding-table"],
 )
 
 
@@ -49,14 +61,31 @@ def tiny_scenario(name="tiny-delphi", quick=True):
             config=SimulationConfig(engine=engine),
         )
         result = runtime.run()
-        projection = {
+        return {
             "outputs": {str(k): v for k, v in sorted(result.outputs.items())},
             "events": result.events_processed,
             "bits": result.trace.total_bits,
         }
-        return result.events_processed, projection
 
-    return PerfScenario(name=name, description="tiny test scenario", quick=quick, run=run)
+    return PerfScenario(name=name, quick=quick, run=run)
+
+
+def diverging_scenario(name="tiny-diverging"):
+    """A scenario whose two engines deliberately disagree."""
+    return PerfScenario(name=name, quick=True, run=lambda engine: {"engine": engine})
+
+
+@pytest.fixture
+def tiny_basket(monkeypatch):
+    """Swap the scenario table for one tiny scenario; returns its fingerprint."""
+    monkeypatch.setattr(suite_module, "SCENARIOS", (tiny_scenario(),))
+    return run_scenario(tiny_scenario())
+
+
+def write_baseline(tmp_path, **payload):
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps({"schema": BASELINE_SCHEMA, **payload}))
+    return str(path)
 
 
 class TestBasket:
@@ -80,318 +109,182 @@ class TestBasket:
 
 
 class TestRunScenario:
-    def test_verified_run_is_equivalent_and_timed(self):
-        result = run_scenario(tiny_scenario(), verify=True)
-        assert result.equivalent is True
-        assert result.events > 0
-        assert result.fast.wall_seconds > 0
-        assert result.reference is not None
-        assert result.fast.fingerprint == result.reference.fingerprint
-        assert result.speedup is not None
-
-    def test_unverified_run_skips_reference(self):
-        result = run_scenario(tiny_scenario(), verify=False)
-        assert result.reference is None
-        assert result.equivalent is None
-        entry = result.as_dict()
-        assert "reference_seconds" not in entry
-        assert entry["fast_events_per_sec"] > 0
-
-
-class TestBenchArtifact:
-    def test_write_bench_schema(self, tmp_path):
-        results = [run_scenario(tiny_scenario(), verify=True)]
-        path = write_bench(
-            results, output_dir=str(tmp_path), date=datetime.date(2026, 7, 25)
+    def test_both_engines_agree_on_one_fingerprint(self):
+        engines = []
+        scenario = tiny_scenario()
+        recording = PerfScenario(
+            name=scenario.name,
+            quick=True,
+            run=lambda engine: engines.append(engine) or scenario.run(engine),
         )
-        assert path.name == "BENCH_2026-07-25.json"
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == BENCH_SCHEMA
-        (entry,) = payload["scenarios"]
-        assert entry["name"] == "tiny-delphi"
-        assert entry["equivalent"] is True
-        assert entry["fast_events_per_sec"] > 0
-        assert entry["speedup"] > 0
-        assert len(entry["fingerprint"]) == 64
+        fingerprint = run_scenario(recording)
+        assert engines == ["fast", "reference"]
+        assert len(fingerprint) == 64
+        assert fingerprint == run_scenario(scenario)
 
-    def test_same_day_rerun_never_clobbers(self, tmp_path):
-        """Regression: a second run on the same day used to overwrite the
-        committed artifact; it must suffix ``-2``, ``-3``, ... instead."""
-        results = [run_scenario(tiny_scenario(), verify=False)]
-        date = datetime.date(2026, 8, 8)
-        first = write_bench(results, output_dir=str(tmp_path), date=date)
-        original = first.read_text()
-        second = write_bench(results, output_dir=str(tmp_path), date=date)
-        third = write_bench(results, output_dir=str(tmp_path), date=date)
-        assert first.name == "BENCH_2026-08-08.json"
-        assert second.name == "BENCH_2026-08-08-2.json"
-        assert third.name == "BENCH_2026-08-08-3.json"
-        assert first.read_text() == original
-        assert json.loads(third.read_text())["schema"] == BENCH_SCHEMA
+    def test_diverging_engines_raise(self):
+        with pytest.raises(EquivalenceError, match="tiny-diverging"):
+            run_scenario(diverging_scenario())
 
-    def test_extra_sections_embedded_not_shadowing(self, tmp_path):
-        results = [run_scenario(tiny_scenario(), verify=False)]
-        path = write_bench(
-            results,
-            output_dir=str(tmp_path),
-            date=datetime.date(2026, 7, 1),
-            extra={"sharding_comparison": {"rows": []}},
-        )
-        payload = json.loads(path.read_text())
-        assert payload["sharding_comparison"] == {"rows": []}
-        with pytest.raises(ConfigurationError):
-            write_bench(
-                results,
-                output_dir=str(tmp_path),
-                date=datetime.date(2026, 7, 2),
-                extra={"scenarios": []},
-            )
+
+class TestCommittedFingerprints:
+    """Both engines reproduce the fingerprint committed for each scenario."""
+
+    TIER1 = (
+        "delphi-n40-aws",
+        "oracle-smr-e3-n13-aws",
+        "oracle-service-e4-n7-churn",
+        "oracle-gateway-n7",
+    )
+    SLOW = ("abraham-n40-aws", "delphi-n160-aws", "sharded-delphi-n1000")
+
+    @pytest.mark.parametrize(
+        "name", [*TIER1, *(pytest.param(name, marks=pytest.mark.slow) for name in SLOW)]
+    )
+    def test_committed_fingerprint_reproduces(self, name):
+        (scenario,) = select_scenarios(names=[name])
+        assert run_scenario(scenario) == load_baseline(COMMITTED_BASELINE)[name]
+
+    def test_every_scenario_is_covered(self):
+        assert {*self.TIER1, *self.SLOW} == {scenario.name for scenario in SCENARIOS}
 
 
 class TestBaseline:
-    def _baseline(self, tmp_path, table, max_regression=2.0):
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": BASELINE_SCHEMA,
-                    "max_regression": max_regression,
-                    "events_per_sec": table,
-                }
-            )
+    def test_fingerprint_gate_exact_match(self, tiny_basket):
+        ran = {"tiny-delphi": tiny_basket}
+        assert compare_to_baseline(ran, {"tiny-delphi": tiny_basket}) == []
+        (failure,) = compare_to_baseline(ran, {"tiny-delphi": "0" * 64})
+        assert "tiny-delphi" in failure and "0" * 64 in failure
+
+    def test_scenario_missing_from_baseline_fails(self, tiny_basket):
+        (failure,) = compare_to_baseline({"tiny-delphi": tiny_basket}, {})
+        assert "tiny-delphi" in failure
+
+    def test_committed_scenarios_that_did_not_run_are_skipped(self, tiny_basket):
+        committed = {"tiny-delphi": tiny_basket, "other": "0" * 64}
+        assert compare_to_baseline({"tiny-delphi": tiny_basket}, committed) == []
+
+    def test_load_returns_fingerprint_table(self, tmp_path, tiny_basket):
+        path = write_baseline(
+            tmp_path, recorded="2026-10-01", fingerprints={"tiny-delphi": tiny_basket}
         )
-        return str(path)
-
-    def test_load_and_compare(self, tmp_path):
-        results = [run_scenario(tiny_scenario(), verify=False)]
-        baseline = load_baseline(self._baseline(tmp_path, {"tiny-delphi": 1.0}))
-        (check,) = compare_to_baseline(results, baseline)
-        assert check.ok  # any real run beats 1 event/sec
-        assert check.ratio > 1.0
-
-    def test_regression_detected(self, tmp_path):
-        results = [run_scenario(tiny_scenario(), verify=False)]
-        baseline = load_baseline(self._baseline(tmp_path, {"tiny-delphi": 1e12}))
-        (check,) = compare_to_baseline(results, baseline)
-        assert not check.ok
-        assert "REGRESSION" in check.describe()
-
-    def test_scenarios_missing_from_baseline_skipped(self, tmp_path):
-        results = [run_scenario(tiny_scenario(), verify=False)]
-        baseline = load_baseline(self._baseline(tmp_path, {"other": 1.0}))
-        assert compare_to_baseline(results, baseline) == []
+        assert load_baseline(path) == {"tiny-delphi": tiny_basket}
 
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "nope", "events_per_sec": {}}))
-        with pytest.raises(ConfigurationError):
+        path.write_text(json.dumps({"schema": "nope", "fingerprints": {}}))
+        with pytest.raises(ConfigurationError, match="schema"):
             load_baseline(str(path))
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_baseline(str(tmp_path / "absent.json"))
 
-    def test_fingerprint_gate_exact_match(self, tmp_path):
-        results = [run_scenario(tiny_scenario(), verify=False)]
-        fingerprint = results[0].fast.fingerprint
+    @pytest.mark.parametrize("text", ["{not json", "[]", '"repro-perf-baseline/1"'])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError):
+            load_baseline(str(path))
 
-        def baseline_with(recorded):
-            path = tmp_path / "fp.json"
-            path.write_text(
-                json.dumps(
-                    {
-                        "schema": BASELINE_SCHEMA,
-                        "events_per_sec": {},
-                        "fingerprints": {"tiny-delphi": recorded},
-                    }
-                )
-            )
-            return load_baseline(str(path))
+    def test_unknown_keys_rejected_by_name(self, tmp_path):
+        """An old-shape file must not look as if its floors were enforced."""
+        path = write_baseline(
+            tmp_path, fingerprints={}, events_per_sec={}, max_regression=2.0
+        )
+        with pytest.raises(ConfigurationError, match="events_per_sec, max_regression"):
+            load_baseline(path)
 
-        (check,) = compare_to_baseline(results, baseline_with(fingerprint))
-        assert check.ok
-        assert check.metric == "fingerprint match"
-        (check,) = compare_to_baseline(results, baseline_with("0" * 64))
-        assert not check.ok
+    @pytest.mark.parametrize("table", [None, ["not", "a", "table"]])
+    def test_fingerprints_must_be_a_table(self, tmp_path, table):
+        payload = {} if table is None else {"fingerprints": table}
+        with pytest.raises(ConfigurationError, match="fingerprints"):
+            load_baseline(write_baseline(tmp_path, **payload))
+
+    def test_committed_name_outside_the_scenario_table_rejected(self, tmp_path):
+        path = write_baseline(tmp_path, fingerprints={"no-such-scenario": "0" * 64})
+        with pytest.raises(ConfigurationError, match="no-such-scenario"):
+            load_baseline(path)
 
     def test_committed_baseline_loads_and_names_match_basket(self):
-        baseline = load_baseline("benchmarks/perf_baseline.json")
-        basket = {scenario.name for scenario in SCENARIOS}
-        assert set(baseline["events_per_sec"]) <= basket
-
-    def test_check_ratio_boundary(self):
-        check = BaselineCheck(
-            name="x",
-            current_events_per_sec=500.0,
-            baseline_events_per_sec=1000.0,
-            max_regression=2.0,
-        )
-        assert check.ok  # exactly at the 2x floor
-        worse = BaselineCheck(
-            name="x",
-            current_events_per_sec=499.0,
-            baseline_events_per_sec=1000.0,
-            max_regression=2.0,
-        )
-        assert not worse.ok
+        with open(COMMITTED_BASELINE) as handle:
+            assert set(json.load(handle)) == {"schema", "recorded", "fingerprints"}
+        committed = load_baseline(COMMITTED_BASELINE)
+        assert set(committed) == {scenario.name for scenario in SCENARIOS}
 
 
 class TestPerfCli:
-    def test_perf_cli_single_scenario(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+    def test_perf_cli_single_scenario(self, capsys):
         code = cli_main(
             [
                 "perf",
                 "--scenario",
                 "oracle-smr-e3-n13-aws",
-                "--skip-reference",
                 "--quiet",
-                "--output",
-                str(tmp_path),
+                "--check",
+                COMMITTED_BASELINE,
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "oracle-smr-e3-n13-aws" in out
-        assert "wrote" in out
-        bench_files = list(tmp_path.glob("BENCH_*.json"))
-        assert len(bench_files) == 1
+        captured = capsys.readouterr()
+        assert "oracle-smr-e3-n13-aws" in captured.out
+        assert "1 fingerprint(s) match" in captured.out
+        assert captured.err == ""
 
-    def test_run_suite_smoke_with_tiny_basket(self, monkeypatch):
-        import repro.perf.suite as suite_module
+    def test_run_suite_smoke_with_tiny_basket(self, tiny_basket):
+        messages = []
+        assert run_suite(quick=True, progress=messages.append) == {
+            "tiny-delphi": tiny_basket
+        }
+        assert len(messages) == 2  # one progress line per engine
 
-        monkeypatch.setattr(suite_module, "SCENARIOS", (tiny_scenario(),))
-        results = run_suite(quick=True, verify=True)
-        assert len(results) == 1
-        assert results[0].equivalent is True
+    def test_writes_no_file(self, tmp_path, monkeypatch, tiny_basket):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["perf", "--quiet"]) == 0
+        assert list(tmp_path.iterdir()) == []
 
+    def test_matching_table_exits_zero(self, tmp_path, capsys, tiny_basket):
+        path = write_baseline(tmp_path, fingerprints={"tiny-delphi": tiny_basket})
+        assert cli_main(["perf", "--quiet", "--check", path]) == 0
+        assert tiny_basket in capsys.readouterr().out
 
-def tiny_metrics_scenario(name="tiny-metrics", latency_ms=5.0):
-    """Like tiny_scenario but returning the optional 3-tuple: the trailing
-    metrics dict is wall-clock (engine-dependent) and must stay out of the
-    equivalence fingerprint."""
-    base = tiny_scenario(name=name)
+    def test_fingerprint_mismatch_exits_one(self, tmp_path, capsys, tiny_basket):
+        path = write_baseline(tmp_path, fingerprints={"tiny-delphi": "0" * 64})
+        assert cli_main(["perf", "--quiet", "--check", path]) == 1
+        assert "tiny-delphi" in capsys.readouterr().err
 
-    def run(engine):
-        events, projection = base.run(engine)
-        metrics = {"p99_ms": latency_ms if engine == "fast" else latency_ms * 100}
-        return events, projection, metrics
+    def test_scenario_without_committed_fingerprint_exits_one(
+        self, tmp_path, capsys, tiny_basket
+    ):
+        path = write_baseline(tmp_path, fingerprints={})
+        assert cli_main(["perf", "--quiet", "--check", path]) == 1
+        assert "tiny-delphi" in capsys.readouterr().err
 
-    return PerfScenario(
-        name=name, description="tiny metrics scenario", quick=True, run=run
-    )
+    def test_bad_table_exits_two_before_running_anything(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(suite_module, "SCENARIOS", (diverging_scenario(),))
+        path = write_baseline(tmp_path, fingerprints={}, events_per_sec={})
+        assert cli_main(["perf", "--quiet", "--check", path]) == 2
+        assert "events_per_sec" in capsys.readouterr().err
 
+    def test_engine_disagreement_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(suite_module, "SCENARIOS", (diverging_scenario(),))
+        assert cli_main(["perf", "--quiet"]) == 2
+        assert "different results" in capsys.readouterr().err
 
-class TestMetricsSideChannel:
-    def test_three_tuple_scenario_supported(self):
-        result = run_scenario(tiny_metrics_scenario(), verify=False)
-        assert result.metrics == {"p99_ms": 5.0}
-        assert result.as_dict()["metrics"] == {"p99_ms": 5.0}
+    def test_perf_has_exactly_four_flags(self):
+        subparsers = build_parser()._subparsers._group_actions[0]
+        flags = {
+            option
+            for action in subparsers.choices["perf"]._actions
+            for option in action.option_strings
+        }
+        assert flags == {"-h", "--help", "--quick", "--scenario", "--check", "--quiet"}
 
-    def test_metrics_never_enter_the_fingerprint(self):
-        # Identical projections, wildly different metrics across engines:
-        # the equivalence check must still pass, and the fingerprint must
-        # equal the plain 2-tuple scenario's.
-        with_metrics = run_scenario(tiny_metrics_scenario(), verify=True)
-        assert with_metrics.equivalent
-        plain = run_scenario(tiny_scenario(), verify=False)
-        assert with_metrics.fast.fingerprint == plain.fast.fingerprint
-
-    def test_two_tuple_scenarios_have_no_metrics(self):
-        result = run_scenario(tiny_scenario(), verify=False)
-        assert result.metrics is None
-        assert "metrics" not in result.as_dict()
-
-
-class _StubResult:
-    """Minimal stand-in for ScenarioResult in compare_to_baseline tests."""
-
-    def __init__(self, name, entry):
-        self.name = name
-        self._entry = entry
-
-    def as_dict(self):
-        return dict(self._entry)
-
-
-class TestAuxAndLatencyGates:
-    def _baseline(self, tmp_path, payload):
-        payload = {"schema": BASELINE_SCHEMA, "max_regression": 2.0, **payload}
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps(payload))
-        return load_baseline(str(path))
-
-    def test_aux_floor_checked_floor_direction(self, tmp_path):
-        baseline = self._baseline(
-            tmp_path,
-            {
-                "events_per_sec": {},
-                "aux_floors": {"gw": {"certs_delivered_per_sec": 100.0}},
-            },
-        )
-        ok = compare_to_baseline(
-            [_StubResult("gw", {"certs_delivered_per_sec": 50.0})], baseline
-        )
-        bad = compare_to_baseline(
-            [_StubResult("gw", {"certs_delivered_per_sec": 49.0})], baseline
-        )
-        (check,) = ok
-        assert check.ok and check.kind == "floor"
-        assert check.metric == "certs_delivered_per_sec"
-        (check,) = bad
-        assert not check.ok
-
-    def test_latency_ceiling_checked_ceiling_direction(self, tmp_path):
-        baseline = self._baseline(
-            tmp_path,
-            {
-                "events_per_sec": {},
-                "latency_ceilings_ms": {"gw": {"p99_ms": 10.0}},
-            },
-        )
-        ok = compare_to_baseline(
-            [_StubResult("gw", {"metrics": {"p99_ms": 20.0}})], baseline
-        )
-        bad = compare_to_baseline(
-            [_StubResult("gw", {"metrics": {"p99_ms": 20.1}})], baseline
-        )
-        (check,) = ok
-        assert check.ok and check.kind == "ceiling"
-        assert "latency" in check.metric
-        (check,) = bad
-        assert not check.ok
-        assert "REGRESSION" in check.describe()
-
-    def test_missing_metric_counts_as_regression(self, tmp_path):
-        baseline = self._baseline(
-            tmp_path,
-            {
-                "events_per_sec": {},
-                "latency_ceilings_ms": {"gw": {"p99_ms": 10.0}},
-            },
-        )
-        (check,) = compare_to_baseline([_StubResult("gw", {})], baseline)
-        assert not check.ok  # a gated metric that vanished is a failure
-
-    def test_malformed_tables_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": BASELINE_SCHEMA,
-                    "events_per_sec": {},
-                    "aux_floors": ["not", "a", "table"],
-                }
-            )
-        )
-        with pytest.raises(ConfigurationError):
-            load_baseline(str(path))
-
-    def test_committed_baseline_tables_name_basket_scenarios(self):
-        baseline = load_baseline("benchmarks/perf_baseline.json")
-        basket = {scenario.name for scenario in SCENARIOS}
-        assert set(baseline.get("aux_floors", {})) <= basket
-        assert set(baseline.get("latency_ceilings_ms", {})) <= basket
-        assert set(baseline.get("fingerprints", {})) <= basket
-        assert "oracle-gateway-n7" in baseline["events_per_sec"]
-        assert "sharded-delphi-n1000" in baseline["events_per_sec"]
+    @pytest.mark.parametrize("flag", REMOVED_FLAGS, ids=lambda flag: flag[0])
+    def test_removed_flag_is_an_argparse_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["perf", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
