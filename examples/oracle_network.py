@@ -82,7 +82,7 @@ def main() -> None:
         )
 
     consumed = network.chain.first_valid()
-    print(f"\nblockchain consumed report at position {consumed.position}: "
+    print(f"\nfirst report the blockchain consumed (position {consumed.position}): "
           f"{consumed.payload.value:.2f} $")
     distinct_total = len({e.payload.value for e in network.chain.entries if e.valid})
     print(f"distinct values posted across {live_feed.minute} reporting rounds: "

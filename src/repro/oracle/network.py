@@ -20,7 +20,7 @@ from repro.crypto.signatures import SignatureScheme
 from repro.errors import ConfigurationError
 from repro.net.network import AsynchronousNetwork
 from repro.oracle.smr import SMRChannel
-from repro.sim.runtime import ComputeModel, SimulationConfig, SimulationResult, SimulationRuntime
+from repro.sim.runtime import ComputeModel, SimulationConfig, SimulationRuntime
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,9 @@ class OracleNetwork:
     ) -> OracleReport:
         """Run one full reporting round over the given measurements.
 
+        The report returned is the first valid one *this round* submitted;
+        the chain keeps the entries of earlier rounds.
+
         Parameters
         ----------
         measurements:
@@ -121,7 +124,15 @@ class OracleNetwork:
             config=config,
         )
         result = runtime.run()
-        certificate = self._submit_reports(nodes, result)
+        mark = len(self.chain.entries)
+        for node_id in result.honest_nodes:
+            if nodes[node_id].certificate is not None:
+                self.chain.submit(node_id, nodes[node_id].certificate)
+        consumed = self.chain.first_valid(since=mark)
+        if consumed is None:
+            raise ConfigurationError("no oracle produced a valid attested report")
+        certificate = consumed.payload
+        assert isinstance(certificate, DoraCertificate)
         honest_outputs = {
             node_id: nodes[node_id].rounded_value
             for node_id in result.honest_nodes
@@ -135,18 +146,3 @@ class OracleNetwork:
             honest_outputs=honest_outputs,
             events_processed=result.events_processed,
         )
-
-    def _submit_reports(
-        self, nodes: Dict[int, DoraNode], result: SimulationResult
-    ) -> DoraCertificate:
-        certificate: Optional[DoraCertificate] = None
-        for node_id in result.honest_nodes:
-            node = nodes[node_id]
-            if node.certificate is not None:
-                self.chain.submit(node_id, node.certificate)
-        consumed = self.chain.first_valid()
-        if consumed is None:
-            raise ConfigurationError("no oracle produced a valid attested report")
-        certificate = consumed.payload
-        assert isinstance(certificate, DoraCertificate)
-        return certificate

@@ -490,12 +490,12 @@ class OracleService:
             certificate = nodes[node_id].certificate
             if certificate is not None:
                 chain.submit(node_id, certificate)
-        for entry in chain.entries[mark:]:
-            if entry.valid:
-                payload = entry.payload
-                assert isinstance(payload, DoraCertificate)
-                return payload
-        raise CertificateShortfall("epoch produced no valid attested certificate")
+        consumed = chain.first_valid(since=mark)
+        if consumed is None:
+            raise CertificateShortfall("epoch produced no valid attested certificate")
+        payload = consumed.payload
+        assert isinstance(payload, DoraCertificate)
+        return payload
 
     def _parity_value(
         self, epoch: int, inputs: Sequence[float], offline: Tuple[int, ...]

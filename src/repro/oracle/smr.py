@@ -59,9 +59,14 @@ class SMRChannel:
         self.entries.append(entry)
         return entry
 
-    def first_valid(self) -> Optional[SMREntry]:
-        """The first valid entry in the total order (the consumed report)."""
-        for entry in self.entries:
+    def first_valid(self, since: int = 0) -> Optional[SMREntry]:
+        """The first valid entry ordered at or after position ``since``.
+
+        A reporting round takes ``since = len(entries)`` before it submits,
+        so the entry it consumes is its own; the default scans the whole
+        log (the first report the chain ever consumed).
+        """
+        for entry in self.entries[since:]:
             if entry.valid:
                 return entry
         return None

@@ -155,6 +155,16 @@ class TestSMRChannel:
         assert chain.first_valid().payload == "good"
         assert chain.validations == 2
 
+    def test_first_valid_since_skips_earlier_entries(self):
+        chain = SMRChannel(validator=lambda payload: payload != "bad")
+        chain.submit(0, "old")
+        mark = len(chain.entries)
+        chain.submit(1, "bad")
+        chain.submit(2, "new")
+        assert chain.first_valid().payload == "old"
+        assert chain.first_valid(since=mark).payload == "new"
+        assert chain.first_valid(since=len(chain.entries)) is None
+
     def test_consumed_value_requires_valid_entry(self):
         chain = SMRChannel(validator=lambda payload: False)
         chain.submit(0, "x")
@@ -188,6 +198,22 @@ class TestOracleNetwork:
             entry.payload.value for entry in network.chain.entries if entry.valid
         }
         assert len(values) <= 2
+
+    def test_each_round_consumes_its_own_certificate(self, make_delphi_params):
+        """Regression: every round after the first used to return epoch 0's
+        certificate, because the consumed entry was searched from position 0."""
+        params = make_delphi_params(n=4, epsilon=1.0, delta_max=16.0)
+        network = OracleNetwork(params)
+        rounds = ([10.2, 10.6, 10.9, 10.4], [20.2, 20.6, 20.9, 20.4])
+        reports = [network.report_round(inputs) for inputs in rounds]
+        assert reports[0].value != reports[1].value
+        for report, inputs in zip(reports, rounds):
+            assert report.value in report.honest_outputs.values()
+            assert min(inputs) - 2.0 <= report.value <= max(inputs) + 2.0
+            assert report.certificate.value == report.value
+        first, second = (report.certificate for report in reports)
+        assert network.chain.first_valid().payload is first
+        assert network.chain.first_valid(since=params.n).payload is second
 
     def test_measurement_count_checked(self, make_delphi_params):
         params = make_delphi_params(n=4)
