@@ -12,17 +12,11 @@ from pathlib import Path
 from setuptools import find_packages, setup
 
 version = {}
-exec(Path(__file__).with_name("src").joinpath("repro", "_version.py").read_text(), version)
+exec((Path(__file__).parent / "src" / "repro" / "_version.py").read_text(), version)
 
 setup(
     name="repro-delphi",
     version=version["__version__"],
-    description=(
-        "Reproduction of Delphi: efficient asynchronous approximate "
-        "agreement for distributed oracles"
-    ),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    python_requires=">=3.9",
-    install_requires=["numpy", "scipy"],
 )
