@@ -1,6 +1,10 @@
 # Image for one oracle-cluster process (node or supervisor).
-# Pure-stdlib runtime: nothing to pip install beyond the interpreter.
+# The runtime needs numpy and nothing else: scipy is imported only by the
+# Fig. 4/5 distribution fits (repro.distributions.fit_distributions), which no
+# node, supervisor or gateway runs.  tests/test_import_graph.py keeps it so.
 FROM python:3.11-slim
+
+RUN pip install --no-cache-dir numpy
 
 WORKDIR /app
 COPY src/ src/

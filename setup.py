@@ -19,4 +19,9 @@ setup(
     version=version["__version__"],
     package_dir={"": "src"},
     packages=find_packages("src"),
+    python_requires=">=3.10",  # dataclass(slots=True), int.bit_count
+    # numpy is the whole runtime; scipy is imported only by the Fig. 4/5
+    # distribution fits (repro.distributions.fit_distributions).
+    install_requires=["numpy"],
+    extras_require={"figures": ["scipy"]},
 )

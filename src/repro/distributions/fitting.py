@@ -14,18 +14,18 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import AnalysisError
 
-#: Candidate distributions keyed by the names used in the paper's figures.
-CANDIDATES: Dict[str, stats.rv_continuous] = {
-    "frechet": stats.invweibull,  # scipy's name for the Frechet law
-    "gumbel": stats.gumbel_r,
-    "gamma": stats.gamma,
-    "lognormal": stats.lognorm,
-    "normal": stats.norm,
-    "pareto": stats.pareto,
+#: Candidate distributions: the names used in the paper's figures, mapped to
+#: the :mod:`scipy.stats` attribute that implements each law.
+CANDIDATES: Dict[str, str] = {
+    "frechet": "invweibull",  # scipy's name for the Frechet law
+    "gumbel": "gumbel_r",
+    "gamma": "gamma",
+    "lognormal": "lognorm",
+    "normal": "norm",
+    "pareto": "pareto",
 }
 
 
@@ -64,11 +64,18 @@ def fit_distributions(
     if values.size < 10:
         raise AnalysisError("need at least 10 samples to fit a distribution")
     names = list(candidates) if candidates is not None else list(CANDIDATES)
-    results: List[FitResult] = []
     for name in names:
         if name not in CANDIDATES:
             raise AnalysisError(f"unknown candidate distribution {name!r}")
-        family = CANDIDATES[name]
+    # Imported here, at its only use: scipy.stats costs ~0.7 s and ~65 MB that
+    # no simulator run, cluster node or gateway should pay at ``import repro``.
+    try:
+        from scipy import stats
+    except ImportError as exc:
+        raise AnalysisError("fitting distributions needs scipy") from exc
+    results: List[FitResult] = []
+    for name in names:
+        family = getattr(stats, CANDIDATES[name])
         try:
             parameters = family.fit(values)
             ks_statistic, p_value = stats.kstest(values, family.cdf, args=parameters)

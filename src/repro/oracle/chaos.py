@@ -489,6 +489,7 @@ class ChaosController(ClusterSupervisor):
                 "fault_events": self.fault_events,
                 "restarts": self.restarts,
                 "rejoins": self.rejoins,
+                "boots": self.boots,
                 "exit_codes": {str(k): v for k, v in exit_codes.items()},
                 "liveness": self.liveness.summary(),
                 "margins": self.liveness.margin_channels(),

@@ -131,9 +131,10 @@ class ClusterConfig:
     #: Seconds the supervisor keeps draining extra CERTs after the first
     #: valid one, so every alive node's certificate lands in the report.
     epoch_grace: float = 1.0
-    #: Pause between epochs.  Pacing gives a respawned process (a whole
-    #: Python interpreter boot) time to rejoin while the run is still live;
-    #: 0 runs epochs back-to-back.
+    #: Pause between epochs.  Pacing gives a respawned process time to rejoin
+    #: while the run is still live: spawn to JOIN (the report's ``boots``) is
+    #: ~0.35 s alone, ~1.3 s for seven at once on the 2-core build box (1.2 s
+    #: and 4.2 s while ``import repro`` pulled scipy in); 0 = back-to-back.
     epoch_interval: float = 0.0
     runtime_dir: str = "."
     #: Wire-level chaos for node processes: ``{"seed": int, "wire": {...}}``
@@ -548,6 +549,9 @@ class ClusterSupervisor:
         self.processes: Dict[int, subprocess.Popen] = {}
         self.restarts: List[Dict[str, int]] = []
         self.rejoins: List[Dict[str, int]] = []
+        #: ``{"node", "boot_seconds"}`` per spawn: ``_spawn_node`` to its JOIN.
+        self.boots: List[Dict[str, Any]] = []
+        self._spawned_at: Dict[int, float] = {}
         #: Consumed certificate of the most recent epoch (the chaos
         #: controller publishes it to an optional gateway front).
         self.last_certificate: Optional[DoraCertificate] = None
@@ -579,6 +583,7 @@ class ClusterSupervisor:
             src_root if not existing else src_root + os.pathsep + existing
         )
         log_path = directory / f"node-{node_id}.log"
+        self._spawned_at[node_id] = time.monotonic()
         with open(log_path, "ab") as log_file:
             process = subprocess.Popen(
                 [
@@ -597,6 +602,15 @@ class ClusterSupervisor:
                 cwd=str(directory),
             )
         return process
+
+    def _note_join(self, node_id: int) -> None:
+        """Record a JOIN; the first one after a spawn closes that boot."""
+        self._joined.add(node_id)
+        spawned_at = self._spawned_at.pop(node_id, None)
+        if spawned_at is not None:
+            self.boots.append(
+                {"node": node_id, "boot_seconds": time.monotonic() - spawned_at}
+            )
 
     # -- the run ---------------------------------------------------------
     def run(self) -> Dict[str, Any]:
@@ -652,6 +666,7 @@ class ClusterSupervisor:
             "epochs": epoch_reports,
             "restarts": self.restarts,
             "rejoins": self.rejoins,
+            "boots": self.boots,
             "chain_entries": len(self.chain.entries),
             "chain_validations": self.chain.validations,
             "distinct_valid_payloads": self.chain.distinct_valid_payloads,
@@ -677,7 +692,7 @@ class ClusterSupervisor:
                 transport.get(config.supervisor_id), remaining
             )
             if message.protocol == CLUSTER_PROTOCOL and message.mtype == JOIN:
-                self._joined.add(sender)
+                self._note_join(sender)
         self._started = True
         await self._broadcast(transport, Message(CLUSTER_PROTOCOL, EPOCH, 0, 0))
         self._say(f"# cluster: all {config.n} nodes joined")
@@ -693,7 +708,7 @@ class ClusterSupervisor:
         if self._started:
             self.rejoins.append({"node": node_id, "epoch": epoch})
             self._say(f"# cluster: node {node_id} rejoined, greeted with epoch {epoch}")
-        self._joined.add(node_id)
+        self._note_join(node_id)
         await transport.put(
             node_id,
             (

@@ -65,26 +65,27 @@ def rounds_for_epsilon(epsilon: float) -> int:
 
 
 class _RoundState:
-    """Per-iteration bookkeeping for one BinAA engine."""
+    """Per-iteration bookkeeping for one BinAA engine.
+
+    ``echo1``/``echo2`` map a value to the bitmask of senders that echoed it
+    (bit ``s`` set = sender ``s``): one int where a set of ids cost 2 KB at
+    n = 40.  ``sender`` is the engine-supplied channel id, never payload.
+    """
 
     __slots__ = ("echo1", "echo2", "amplified", "echo2_sent", "completed")
 
     def __init__(self) -> None:
-        self.echo1: Dict[float, Set[int]] = {}
-        self.echo2: Dict[float, Set[int]] = {}
+        self.echo1: Dict[float, int] = {}
+        self.echo2: Dict[float, int] = {}
         self.amplified: Set[float] = set()
         self.echo2_sent = False
         self.completed = False
 
-    @staticmethod
-    def fresh() -> "_RoundState":
-        return _RoundState()
-
     def copy(self) -> "_RoundState":
-        """Independent copy (shared immutable float/str values, fresh sets)."""
+        """Independent copy (the tables hold immutable floats and ints)."""
         clone = _RoundState.__new__(_RoundState)
-        clone.echo1 = {value: set(senders) for value, senders in self.echo1.items()}
-        clone.echo2 = {value: set(senders) for value, senders in self.echo2.items()}
+        clone.echo1 = dict(self.echo1)
+        clone.echo2 = dict(self.echo2)
         clone.amplified = set(self.amplified)
         clone.echo2_sent = self.echo2_sent
         clone.completed = self.completed
@@ -159,7 +160,7 @@ class BinAAEngine:
         an explicit one by the Delphi bundling layer).
 
         Hand-rolled instead of :func:`copy.deepcopy`: the mutable state is
-        exactly the per-round sets and the ``bv_outputs`` dict, everything
+        exactly the per-round tables and the ``bv_outputs`` dict, everything
         else is immutable scalars/tuples.
         """
         clone = BinAAEngine.__new__(BinAAEngine)
@@ -221,18 +222,14 @@ class BinAAEngine:
                 amplify_at = -1  # ECHO2 only feeds the quorum condition
             else:
                 return []
-            senders = table.get(value)
-            if senders is None:
-                table[value] = {sender}
-                count = 1
-            else:
-                count = len(senders)
-                senders.add(sender)
-                if len(senders) == count:
-                    # Duplicate echo: no state change, the previous
-                    # fixpoint still holds.
-                    return []
-                count += 1
+            bit = 1 << sender
+            senders = table.get(value, 0)
+            if senders & bit:
+                # Duplicate echo: no state change, the previous fixpoint
+                # still holds.
+                return []
+            table[value] = senders = senders | bit
+            count = senders.bit_count()
             # Incremental threshold check: support counts grow by one, so
             # the progress conditions can only newly fire when the count
             # lands exactly on a threshold.
@@ -253,11 +250,7 @@ class BinAAEngine:
             table = state.echo2
         else:
             return []
-        senders = table.get(value)
-        if senders is None:
-            table[value] = {sender}
-        else:
-            senders.add(sender)
+        table[value] = table.get(value, 0) | 1 << sender
         return []
 
     # ------------------------------------------------------------------
@@ -283,14 +276,14 @@ class BinAAEngine:
             # ``state.amplified``, so iterating the live dict is safe).
             amplify_at = self.amplify_at
             for value, senders in state.echo1.items():
-                if len(senders) >= amplify_at and value not in state.amplified:
+                if senders.bit_count() >= amplify_at and value not in state.amplified:
                     state.amplified.add(value)
                     out.append((ECHO1, round_number, value))
 
             # Single ECHO2 per round once a value has n-t ECHO1 support.
             if not state.echo2_sent:
                 for value, senders in state.echo1.items():
-                    if len(senders) >= self.quorum:
+                    if senders.bit_count() >= self.quorum:
                         state.echo2_sent = True
                         out.append((ECHO2, round_number, value))
                         break
@@ -299,7 +292,7 @@ class BinAAEngine:
             strong_echo1 = [
                 value
                 for value, senders in state.echo1.items()
-                if len(senders) >= quorum
+                if senders.bit_count() >= quorum
             ]
 
             next_value: Optional[float] = None
@@ -314,7 +307,7 @@ class BinAAEngine:
                 strong_echo2 = [
                     value
                     for value, senders in state.echo2.items()
-                    if len(senders) >= quorum
+                    if senders.bit_count() >= quorum
                 ]
                 if strong_echo2:
                     # Condition (2): adopt the smallest ECHO2-supported value.

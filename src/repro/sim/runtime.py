@@ -185,6 +185,11 @@ class SimulationRuntime:
             if node_id not in self.nodes:
                 raise SimulationError(f"cannot corrupt unknown node {node_id}")
             strategy.attach(self.nodes[node_id])
+        #: Identifiers of nodes not under adversarial control (``byzantine``
+        #: is fixed from here on, so this is computed once, not per event).
+        self.honest_nodes: List[int] = sorted(
+            node_id for node_id in nodes if node_id not in self.byzantine
+        )
         self.observers: tuple = tuple(observers or ())
         # Strategies with ``wants_time = True`` (schedule-driven corruption)
         # get the current event time injected before each dispatch.
@@ -202,11 +207,6 @@ class SimulationRuntime:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    @property
-    def honest_nodes(self) -> List[int]:
-        """Identifiers of nodes not under adversarial control."""
-        return sorted(node_id for node_id in self.nodes if node_id not in self.byzantine)
-
     def _handler(self, node_id: int):
         """The object (honest node or strategy) that processes events for a node."""
         return self.byzantine.get(node_id, self.nodes[node_id])
@@ -326,7 +326,7 @@ class SimulationRuntime:
             runtime_seconds=runtime,
             events_processed=self._events_processed,
             trace=self.network.trace,
-            honest_nodes=self.honest_nodes,
+            honest_nodes=list(self.honest_nodes),
             byzantine_nodes=sorted(self.byzantine),
         )
 
@@ -377,7 +377,8 @@ class SimulationRuntime:
                     observer.on_decide(node_id, node.output, finished_at)
 
     def _all_honest_decided(self) -> bool:
-        return all(self.nodes[node_id].has_output for node_id in self.honest_nodes)
+        # ``_decision_times`` holds exactly the honest nodes that decided.
+        return len(self._decision_times) == len(self.honest_nodes)
 
     def _completion_time(self) -> float:
         if not self._decision_times:

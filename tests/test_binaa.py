@@ -1,6 +1,7 @@
 """Tests for BinAA (Algorithm 1): the engine and the standalone protocol."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.adversary.strategies import CrashStrategy, EquivocatingStrategy, RandomBitStrategy
 from repro.errors import ConfigurationError
@@ -69,11 +70,44 @@ class TestBinAAEngineUnit:
         engine = BinAAEngine(4, 1, rounds=2)
         engine.start(0)
         clone = engine.clone()
+        # An echo recorded in the original never shows in the clone ...
         engine.handle(1, ("ECHO1", 1, 1.0))
-        assert clone._state(1).echo1 != engine._state(1).echo1 or True
-        # The clone must not share mutable state with the original.
+        assert engine._state(1).echo1[1.0] >> 1 & 1
+        assert 1.0 not in clone._state(1).echo1
+        # ... and the reverse.
         clone.handle(2, ("ECHO1", 1, 0.0))
-        assert 2 not in engine._state(1).echo1.get(0.0, set())
+        assert clone._state(1).echo1[0.0] >> 2 & 1
+        assert 0.0 not in engine._state(1).echo1
+        # Behaviour, not layout: the clone is one echo nearer the quorum.
+        for sender in (0, 3):
+            clone.handle(sender, ("ECHO1", 1, 0.0))
+            engine.handle(sender, ("ECHO1", 1, 0.0))
+        assert clone._state(1).echo2_sent and not engine._state(1).echo2_sent
+
+    def test_a_sender_counts_once_per_value(self):
+        # The supporter table is a bitmask keyed by the engine-supplied
+        # sender id; whatever a sender repeats, it holds one bit per value.
+        engine = BinAAEngine(4, 1, rounds=1)
+        engine.start(0)
+        for _ in range(5):
+            assert engine.handle(1, ("ECHO1", 1, 1.0)) == []
+            assert engine.handle(1, ("ECHO2", 1, 1.0)) == []
+            assert engine.handle(1, ("ECHO1", 1, 0.5)) == []
+        state = engine._state(1)
+        assert state.echo1 == {1.0: 0b10, 0.5: 0b10}
+        assert state.echo2 == {1.0: 0b10}
+        assert not state.echo2_sent and not engine.has_output
+
+    def test_n_distinct_senders_count_as_n(self):
+        n, t = 40, 13
+        engine = BinAAEngine(n, t, rounds=1)
+        engine.start(1)
+        emitted = []
+        for sender in range(n):
+            emitted.append(engine.handle(sender, ("ECHO1", 1, 1.0)))
+        assert engine._state(1).echo1[1.0].bit_count() == n
+        # The single ECHO2 goes out exactly when the (n - t)-th sender lands.
+        assert [i for i, out in enumerate(emitted) if out] == [n - t - 1]
 
     def test_late_messages_after_output_are_ignored(self):
         engine = BinAAEngine(4, 1, rounds=1)
@@ -88,6 +122,88 @@ class TestBinAAEngineUnit:
         engine.start(1)
         assert engine.handle(0, ("ECHO1", 99, 1.0)) == []
         assert engine.handle(0, ("ECHO1", 0, 1.0)) == []
+
+
+class _SetModel:
+    """Algorithm 1 with a set of sender ids per value and a full
+    re-evaluation after every echo: the spec the bitmask engine must equal."""
+
+    def __init__(self, n, t, rounds):
+        self.n, self.t, self.rounds = n, t, rounds
+        self.round, self.value, self.output = 1, None, None
+        self.echoes = {}  # (mtype, round) -> {value: set of senders}
+        self.amplified, self.echo2_sent, self.bv_outputs = {}, set(), {}
+
+    def start(self, value):
+        self.value = float(value)
+        return self._enter()
+
+    def _enter(self):
+        self.amplified[self.round] = {self.value}
+        return [("ECHO1", self.round, self.value)] + self._progress()
+
+    def handle(self, sender, sub):
+        mtype, rnd, value = sub
+        live = self.output is None and self.round <= rnd <= self.rounds
+        if not live or mtype not in ("ECHO1", "ECHO2"):
+            return []
+        self.echoes.setdefault((mtype, rnd), {}).setdefault(value, set()).add(sender)
+        return self._progress() if rnd == self.round else []
+
+    def _progress(self):
+        rnd, quorum, out = self.round, self.n - self.t, []
+        echo1 = self.echoes.get(("ECHO1", rnd), {})
+        echo2 = self.echoes.get(("ECHO2", rnd), {})
+        for value, senders in echo1.items():
+            if len(senders) > self.t and value not in self.amplified[rnd]:
+                self.amplified[rnd].add(value)
+                out.append(("ECHO1", rnd, value))
+        strong1 = [v for v, senders in echo1.items() if len(senders) >= quorum]
+        strong2 = [v for v, senders in echo2.items() if len(senders) >= quorum]
+        if strong1 and rnd not in self.echo2_sent:
+            self.echo2_sent.add(rnd)
+            out.append(("ECHO2", rnd, strong1[0]))
+        if len(strong1) < 2 and not strong2:
+            return out
+        chosen = tuple(sorted(strong1)[:2]) if len(strong1) >= 2 else (min(strong2),)
+        self.bv_outputs[rnd] = chosen
+        self.value = sum(chosen) / len(chosen)
+        if rnd >= self.rounds:
+            self.output = self.value
+            return out
+        self.round += 1
+        return out + self._enter()
+
+
+# Rounds are drawn relative to the engine's current one so that long random
+# sequences do cross quorums: mostly the live round, some buffered for the
+# next, some stale or out of range; senders repeat freely.
+_ECHO = st.tuples(
+    st.integers(0, 6),  # sender
+    st.sampled_from(["ECHO1", "ECHO1", "ECHO2", "ECHO2", "READY"]),
+    st.sampled_from([0, 0, 0, 0, 1, 1, -1, 9]),  # round - current round
+    st.sampled_from([0.0, 1.0, 0.5, 0.25, 0.75]),
+)
+
+
+class TestBitmaskEngineEqualsSetModel:
+    @given(
+        echoes=st.lists(_ECHO, max_size=30)
+        | st.lists(_ECHO, min_size=80, max_size=300),
+        own=st.integers(0, 1),
+        big=st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_same_submessages_bv_outputs_and_output(self, echoes, own, big):
+        n, t = (7, 2) if big else (4, 1)
+        engine, model = BinAAEngine(n, t, rounds=3), _SetModel(n, t, rounds=3)
+        assert engine.start(own) == model.start(own)
+        for sender, mtype, offset, value in echoes:
+            sub = (mtype, engine.current_round + offset, value)
+            assert engine.handle(sender % n, sub) == model.handle(sender % n, sub)
+            assert engine.current_round == model.round
+        assert engine.bv_outputs == model.bv_outputs
+        assert engine.output == model.output
 
 
 class TestBinAAProtocol:

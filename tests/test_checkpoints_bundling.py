@@ -148,8 +148,11 @@ class TestLevelState:
         state.default_engine.handle(1, ("ECHO1", 1, 0.0))
         engine = state.split(42)
         assert state.is_explicit(42)
-        # The clone carries the default's received echoes.
-        assert 1 in engine._state(1).echo1[0.0]
+        # The clone carries the default's received echoes: sender 1's bit is
+        # set, and two more echoes (not three) reach the n - t = 3 quorum.
+        assert engine._state(1).echo1[0.0] >> 1 & 1
+        assert engine.handle(2, ("ECHO1", 1, 0.0)) == []
+        assert ("ECHO2", 1, 0.0) in engine.handle(3, ("ECHO1", 1, 0.0))
 
     def test_split_is_independent_after_cloning(self):
         state = _level_state()

@@ -71,6 +71,9 @@ def test_cluster_three_epochs_all_nodes_certify(tmp_path):
         assert entry["signers"] >= 2
         assert entry["cert_senders"] == [0, 1, 2, 3]
     assert report["restarts"] == []
+    # One measured boot (spawn -> JOIN) per node process.
+    assert sorted(entry["node"] for entry in report["boots"]) == [0, 1, 2, 3]
+    assert all(0 < entry["boot_seconds"] < 30 for entry in report["boots"])
     assert report["chain_entries"] >= 3
     assert all(code == 0 for code in report["exit_codes"].values())
     assert report["transport"]["auth_failures"] == 0
@@ -87,7 +90,7 @@ def test_cluster_crash_recovery_mid_epoch(tmp_path):
         seed=3,
         transport="unix",
         runtime_dir=tmp_path,
-        # Pace epochs so the respawned interpreter (~2s boot) rejoins while
+        # Pace epochs so the respawned interpreter (~0.4 s boot) rejoins while
         # the cluster is still live, not after it has wound down.
         epoch_interval=1.0,
         secret_seed=b"integration-crash",
@@ -104,6 +107,8 @@ def test_cluster_crash_recovery_mid_epoch(tmp_path):
     # The kill really happened, and the node really came back.
     assert report["restarts"] == [{"node": 1, "epoch": 1}]
     assert any(entry["node"] == 1 for entry in report["rejoins"])
+    # ... as a second process: its respawn booted and was timed too.
+    assert sorted(entry["node"] for entry in report["boots"]) == [0, 1, 1, 2, 3]
 
     # Epoch 0 predates the crash: all four participated.
     assert report["epochs"][0]["cert_senders"] == [0, 1, 2, 3]

@@ -430,6 +430,18 @@ def _stubborn_child():
     )
 
 
+class TestBootAccounting:
+    def test_first_join_after_a_spawn_closes_its_boot(self, tmp_path):
+        supervisor = _spawnless_supervisor(tmp_path)
+        supervisor._spawned_at[2] = time.monotonic() - 0.5  # as _spawn_node notes
+        supervisor._note_join(2)
+        supervisor._note_join(2)  # a resync JOIN: same process, no new boot
+        supervisor._note_join(3)  # --no-spawn: started elsewhere, never timed
+        assert supervisor._joined == {2, 3}
+        assert [entry["node"] for entry in supervisor.boots] == [2]
+        assert 0.5 <= supervisor.boots[0]["boot_seconds"] < 5.0
+
+
 class TestTeardownHardening:
     def test_reap_escalates_collectively_not_serially(self, tmp_path):
         """k wedged children must share ONE term_grace window before the
@@ -533,5 +545,9 @@ class TestLiveChaosRuns:
         assert liveness["unaccounted"] == []
         assert sorted(liveness["kills"]) == [1, 2]
         assert liveness["unrejoined"] == []
+        # Seven first boots plus the two respawns, timed in ``observed`` only.
+        booted = sorted(entry["node"] for entry in verdict["observed"]["boots"])
+        assert booted == sorted(list(range(7)) + liveness["kills"])
+        assert "boots" not in deterministic_view(verdict)
         # Clean teardown: no leaked sockets, no orphaned children.
         assert not list(tmp_path.glob("*.sock")), "leaked unix sockets"
