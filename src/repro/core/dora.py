@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.analysis.parameters import DelphiParameters
@@ -50,6 +50,21 @@ class DoraCertificate:
     def signer_count(self) -> int:
         """Number of distinct oracles that attested this value."""
         return len(self.aggregate.signers)
+
+
+def certificate_validator(
+    scheme: SignatureScheme, threshold: int
+) -> Callable[[object], bool]:
+    """The SMR channel's validity rule for oracle reports: the payload is a
+    :class:`DoraCertificate` whose aggregate verifies under ``scheme`` with
+    at least ``threshold`` (``t + 1``) distinct signers."""
+
+    def validate(payload: object) -> bool:
+        return isinstance(payload, DoraCertificate) and scheme.verify_aggregate(
+            payload.value, payload.aggregate, threshold=threshold
+        )
+
+    return validate
 
 
 class DoraNode(ProtocolNode):

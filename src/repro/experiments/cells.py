@@ -25,21 +25,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.adversary.base import AdversaryStrategy
-from repro.adversary.strategies import (
-    CrashStrategy,
-    DelayedHonestStrategy,
-    EquivocatingStrategy,
-    RandomBitStrategy,
-    SpamStrategy,
-)
 from repro.analysis.range_analysis import analyse_ranges, validity_margin
 from repro.distributions.fitting import fit_distributions, histogram
 from repro.distributions.thin_tailed import NormalInputs
 from repro.errors import ConfigurationError
-from repro.faults.spec import fault_spec_of
+from repro.faults.spec import corruption_spec_of, fault_spec_of
 from repro.net.latency import UniformLatency
 from repro.net.network import AsynchronousNetwork, DeliveryPolicy
-from repro.protocols.registry import RunRequest, get_protocol
+from repro.protocols.registry import get_protocol
 from repro.runner import ProtocolRunResult
 from repro.sim.runtime import ComputeModel, SimulationConfig
 from repro.testbed.aws import AwsTestbed
@@ -133,35 +126,17 @@ def build_network(spec: ScenarioSpec) -> Tuple[Optional[AsynchronousNetwork], Op
     return network, compute
 
 
-def _make_strategy(spec: ScenarioSpec, node_id: int) -> AdversaryStrategy:
-    if spec.adversary == "crash":
-        return CrashStrategy()
-    if spec.adversary == "delay":
-        return DelayedHonestStrategy(hold_back=int(spec.extras.get("hold_back", 3)))
-    if spec.adversary == "equivocate":
-        return EquivocatingStrategy()
-    if spec.adversary == "random-bit":
-        return RandomBitStrategy(seed=spec.seed + node_id)
-    if spec.adversary == "spam":
-        return SpamStrategy(copies=int(spec.extras.get("spam_copies", 2)))
-    raise ConfigurationError(f"unknown adversary {spec.adversary!r}")
-
-
 def build_adversary(spec: ScenarioSpec) -> Optional[Dict[int, AdversaryStrategy]]:
-    """Per-node Byzantine strategies.
-
-    A fault spec in ``extras['faults']`` takes precedence: its corruption
-    groups (with strategy mix and activation schedule) are built through the
-    fault-strategy registry.  Otherwise the plain ``adversary`` /
-    ``num_byzantine`` fields corrupt the highest node ids.
+    """Per-node Byzantine strategies, built through the fault-strategy
+    registry from the spec's corruption groups: the fault spec in
+    ``extras['faults']`` when it names any, otherwise the plain
+    ``adversary`` / ``num_byzantine`` fields (the highest node ids) — see
+    :func:`repro.faults.spec.corruption_spec_of`.
     """
-    fault_spec = fault_spec_of(spec)
-    if fault_spec is not None and fault_spec.corruptions:
-        return fault_spec.build_strategies(spec.n, seed=spec.seed, scenario=spec)
-    if spec.adversary == "none" or spec.num_byzantine == 0:
+    fault_spec = corruption_spec_of(spec)
+    if fault_spec is None:
         return None
-    corrupted = range(spec.n - spec.num_byzantine, spec.n)
-    return {node_id: _make_strategy(spec, node_id) for node_id in corrupted}
+    return fault_spec.build_strategies(spec.n, seed=spec.seed, scenario=spec)
 
 
 # ----------------------------------------------------------------------
@@ -189,15 +164,13 @@ def run_spec(
     runner = get_protocol(spec.protocol)
     derived: Dict[str, Any] = runner.derived(spec) if runner.derived else {}
     result = runner.run(
-        RunRequest(
-            spec=spec,
-            inputs=inputs,
-            network=network,
-            byzantine=byzantine,
-            compute=compute,
-            config=config,
-            observers=observers,
-        )
+        spec,
+        inputs,
+        network=network,
+        byzantine=byzantine,
+        compute=compute,
+        config=config,
+        observers=observers,
     )
     return result, derived
 

@@ -114,12 +114,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro._version import __version__
 from repro.errors import ConfigurationError, ReproError
 
-from repro.experiments.executor import SweepExecutor
+from repro.experiments.executor import SweepExecutor, stderr_progress
 from repro.experiments.presets import SCALES, list_presets, preset
 from repro.experiments.spec import (
     KNOWN_ADVERSARIES,
@@ -129,6 +130,7 @@ from repro.experiments.spec import (
     ScenarioSpec,
 )
 from repro.oracle.service import KNOWN_SERVICE_ENGINES as SERVICE_ENGINES
+from repro.protocols.registry import list_protocols
 from repro.workloads import EPOCH_WORKLOADS as SERVICE_WORKLOADS
 
 #: Default on-disk result cache used by the CLI.
@@ -144,6 +146,146 @@ TABLE_METRICS = (
 )
 
 
+# ----------------------------------------------------------------------
+# The command table's rows and the flag groups they share.  A group is a
+# function taking the command's own defaults, not an argparse ``parents=``
+# parser: parent actions are shared by reference, so one child's
+# ``set_defaults`` would silently rewrite its siblings'.
+
+
+def _command(
+    subparsers: Any,
+    name: str,
+    handler: Callable[[argparse.Namespace], int],
+    help: str,
+    *,
+    quiet: bool = True,
+    **kwargs: Any,
+) -> argparse.ArgumentParser:
+    """One row of the command table: a subparser bound to its handler, with
+    the ``--quiet`` every command that reports progress takes."""
+    parser = subparsers.add_parser(name, help=help, **kwargs)
+    parser.set_defaults(handler=handler)
+    if quiet:
+        parser.add_argument(
+            "--quiet", action="store_true", help="suppress progress lines"
+        )
+    return parser
+
+
+def _json_flag(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument("--json", dest="json_path", help=f"write {what} as JSON")
+
+
+def _artifact_flags(parser: argparse.ArgumentParser, artifact: str) -> None:
+    parser.add_argument(
+        "--output", default=".", help=f"directory for the {artifact} artifact"
+    )
+    parser.add_argument(
+        "--no-artifact", action="store_true", help="print results without writing a file"
+    )
+
+
+def _oracle_flags(
+    parser: argparse.ArgumentParser,
+    *,
+    workload: str,
+    n: int,
+    epochs: int,
+    seed: Optional[int] = 0,
+    engine: Optional[str] = None,
+) -> None:
+    """What every live-stack command asks first: which workload, how many
+    oracles, how many epochs, which seed — and, where the command runs the
+    service in-process, on which engine."""
+    parser.add_argument(
+        "--workload",
+        choices=sorted(SERVICE_WORKLOADS),
+        default=workload,
+        help="streaming workload feeding per-epoch inputs (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--n", type=int, default=n, help="oracle network size (default: %(default)s)"
+    )
+    parser.add_argument(
+        "--epochs", type=int, default=epochs, help="epochs to run (default: %(default)s)"
+    )
+    parser.add_argument(
+        "--seed", type=int, default=seed, help="master seed (default: %(default)s)"
+    )
+    if engine is not None:
+        parser.add_argument(
+            "--engine",
+            choices=SERVICE_ENGINES,
+            default=engine,
+            help="epoch execution engine (default: %(default)s)",
+        )
+
+
+#: The dests :func:`_tuning_flags` declares, for :func:`_flags`.
+_TUNING = ("epsilon", "delta_max", "max_rounds")
+
+
+def _tuning_flags(parser: argparse.ArgumentParser) -> None:
+    """Overrides of the workload's calibrated Delphi parameters."""
+    parser.add_argument(
+        "--epsilon", type=float, default=None, help="override the workload's epsilon"
+    )
+    parser.add_argument(
+        "--delta-max", type=float, default=None, help="override the workload's Delta"
+    )
+    parser.add_argument("--max-rounds", type=int, default=6)
+
+
+def _pacing_flags(
+    parser: argparse.ArgumentParser,
+    *,
+    epoch_timeout: Optional[float] = None,
+    epoch_interval: Optional[float] = None,
+) -> None:
+    """The per-epoch wall-clock budget and the pause between epochs, for the
+    commands that have the one, the other or both."""
+    if epoch_timeout is not None:
+        parser.add_argument(
+            "--epoch-timeout",
+            type=float,
+            default=epoch_timeout,
+            help="wall-clock budget per epoch in seconds (default: %(default)s)",
+        )
+    if epoch_interval is not None:
+        parser.add_argument(
+            "--epoch-interval",
+            type=float,
+            default=epoch_interval,
+            help="pause between epochs in seconds; pacing lets a respawned "
+            "process rejoin while the run is still live (default: %(default)s)",
+        )
+
+
+#: The dests :func:`_cluster_flags` declares that ``build_cluster_config``
+#: takes under the same name (``runtime_dir`` gets a default first).
+_MESH = ("transport", "epoch_timeout", "epoch_interval")
+
+
+def _cluster_flags(
+    parser: argparse.ArgumentParser, *, epoch_timeout: float, epoch_interval: float
+) -> None:
+    """The multi-process commands: where the node mesh lives, how it is paced."""
+    parser.add_argument(
+        "--transport",
+        choices=("unix", "tcp"),
+        default="unix",
+        help="socket family for the node mesh (default: unix)",
+    )
+    parser.add_argument(
+        "--runtime-dir",
+        default=None,
+        help="directory for sockets, the config handout and node logs "
+        "(default: a fresh temporary directory)",
+    )
+    _pacing_flags(parser, epoch_timeout=epoch_timeout, epoch_interval=epoch_interval)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -156,14 +298,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    list_parser = subparsers.add_parser(
-        "list-scenarios", help="list the registered preset sweeps"
+    list_parser = _command(
+        subparsers,
+        "list-scenarios",
+        _cmd_list,
+        "list the registered preset sweeps",
+        quiet=False,
     )
     list_parser.add_argument(
         "--scale", choices=SCALES, default="quick", help="scale used for cell counts"
     )
 
-    sweep = subparsers.add_parser("sweep", help="execute a preset sweep")
+    sweep = _command(subparsers, "sweep", _cmd_sweep, "execute a preset sweep")
     sweep.add_argument("name", help="preset name (see list-scenarios)")
     sweep.add_argument("--scale", choices=SCALES, default="quick")
     sweep.add_argument("--workers", type=int, default=None, help="worker process count")
@@ -193,16 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--dry-run", action="store_true", help="print the expanded grid, run nothing"
     )
-    sweep.add_argument("--json", dest="json_path", help="write full results as JSON")
+    _json_flag(sweep, "full results")
     sweep.add_argument("--csv", dest="csv_path", help="write per-cell rows as CSV")
     sweep.add_argument(
         "--metric",
         default="runtime_seconds",
         help="metric rendered in the report table (default: runtime_seconds)",
     )
-    sweep.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
-    run = subparsers.add_parser("run", help="execute one ad-hoc scenario")
+    run = _command(
+        subparsers, "run", _cmd_run, "execute one ad-hoc scenario", quiet=False
+    )
     run.add_argument("--protocol", choices=KNOWN_PROTOCOLS, default="delphi")
     run.add_argument("--n", type=int, default=7)
     run.add_argument("--epsilon", type=float, default=1.0)
@@ -217,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--num-byzantine", type=int, default=0)
     run.add_argument("--seed", type=int, default=0)
 
-    perf = subparsers.add_parser(
-        "perf", help="run the fast-vs-reference fingerprint gate"
+    perf = _command(
+        subparsers, "perf", _cmd_perf, "run the fast-vs-reference fingerprint gate"
     )
     perf.add_argument(
         "--quick", action="store_true", help="run only the quick (CI smoke) scenarios"
@@ -234,11 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
         dest="baseline_path",
         help="compare with a committed fingerprint table and exit 1 on a mismatch",
     )
-    perf.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
-    faults = subparsers.add_parser(
+    faults = _command(
+        subparsers,
         "faults",
-        help="run a fault-injection campaign with runtime invariant monitors",
+        _cmd_faults,
+        "run a fault-injection campaign with runtime invariant monitors",
     )
     faults.add_argument(
         "--campaign", default="smoke", help="campaign name (see --list)"
@@ -249,27 +397,19 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--dry-run", action="store_true", help="print the expanded matrix, run nothing"
     )
-    faults.add_argument(
-        "--output",
-        default=".",
-        help="directory for the FAULTS_<campaign>.json verdict artifact",
-    )
-    faults.add_argument(
-        "--no-artifact", action="store_true", help="print results without writing a file"
-    )
+    _artifact_flags(faults, "FAULTS_<campaign>.json verdict")
     faults.add_argument(
         "--replay",
         dest="bundle_path",
         help="re-run the cell recorded in a violation repro bundle",
     )
-    faults.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
-    fuzz = subparsers.add_parser(
+    fuzz = _command(
+        subparsers,
         "fuzz",
-        help=(
-            "coverage-guided adversarial-schedule search: mutate fault "
-            "schedules toward invariant near-misses, shrink the winners"
-        ),
+        _cmd_fuzz,
+        "coverage-guided adversarial-schedule search: mutate fault "
+        "schedules toward invariant near-misses, shrink the winners",
     )
     fuzz.add_argument(
         "--budget", type=int, default=200, help="engine runs to spend (default: 200)"
@@ -294,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--corpus",
         default="tests/data/adversarial_corpus.json",
-        help="persistent corpus seeded into the search (default: tests/data/adversarial_corpus.json)",
+        help="persistent corpus seeded into the search (default: %(default)s)",
     )
     fuzz.add_argument(
         "--no-corpus", action="store_true", help="search from scratch, ignore the corpus"
@@ -310,22 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="fast",
         help="simulation engine the search runs on (default: fast)",
     )
-    fuzz.add_argument(
-        "--output",
-        default=".",
-        help="directory for the FUZZ_seed<seed>.json leaderboard artifact",
-    )
-    fuzz.add_argument(
-        "--no-artifact", action="store_true", help="print results without writing a file"
-    )
-    fuzz.add_argument("--quiet", action="store_true", help="suppress progress lines")
+    _artifact_flags(fuzz, "FUZZ_seed<seed>.json leaderboard")
 
-    sharded = subparsers.add_parser(
+    sharded = _command(
+        subparsers,
         "sharded-smoke",
-        help=(
-            "run one large two-level sharded-delphi cell on the fast engine "
-            "with the hierarchical agreement monitor attached"
-        ),
+        _cmd_sharded_smoke,
+        "run one large two-level sharded-delphi cell on the fast engine "
+        "with the hierarchical agreement monitor attached",
     )
     sharded.add_argument("--n", type=int, default=1000, help="total node count")
     sharded.add_argument(
@@ -345,28 +477,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the verdict JSON to this path (default: stdout only)",
     )
-    sharded.add_argument(
-        "--quiet", action="store_true", help="suppress progress lines"
-    )
 
-    serve = subparsers.add_parser(
+    serve = _command(
+        subparsers,
         "serve",
-        help="run the epoch-pipelined oracle service over a streaming workload",
+        _cmd_serve,
+        "run the epoch-pipelined oracle service over a streaming workload",
+        description="The default engine, asyncio, is the real-concurrency one; "
+        "--epoch-timeout and --latency apply to it alone.",
     )
-    serve.add_argument(
-        "--workload",
-        choices=sorted(SERVICE_WORKLOADS),
-        default="bitcoin",
-        help="streaming workload feeding per-epoch inputs (default: bitcoin)",
-    )
-    serve.add_argument("--epochs", type=int, default=10, help="epochs to serve")
-    serve.add_argument("--n", type=int, default=7, help="oracle network size")
-    serve.add_argument(
-        "--engine",
-        choices=SERVICE_ENGINES,
-        default="asyncio",
-        help="epoch execution engine (default: asyncio, the real-concurrency one)",
-    )
+    _oracle_flags(serve, workload="bitcoin", n=7, epochs=10, engine="asyncio")
     serve.add_argument(
         "--churn",
         type=int,
@@ -387,54 +507,24 @@ def build_parser() -> argparse.ArgumentParser:
             "(legitimate asynchrony can certify a different grid value)"
         ),
     )
-    serve.add_argument(
-        "--epsilon", type=float, default=None, help="override the workload's epsilon"
-    )
-    serve.add_argument(
-        "--delta-max", type=float, default=None, help="override the workload's Delta"
-    )
-    serve.add_argument("--max-rounds", type=int, default=6)
-    serve.add_argument("--seed", type=int, default=0)
+    _tuning_flags(serve)
     serve.add_argument(
         "--latency",
         type=float,
         default=None,
         help="asyncio per-message delivery latency in seconds (default: none)",
     )
-    serve.add_argument(
-        "--epoch-timeout",
-        type=float,
-        default=30.0,
-        help="asyncio wall-clock budget per epoch in seconds (default: 30)",
-    )
-    serve.add_argument("--json", dest="json_path", help="write the full result as JSON")
-    serve.add_argument("--quiet", action="store_true", help="suppress per-epoch lines")
+    _pacing_flags(serve, epoch_timeout=30.0)
+    _json_flag(serve, "the full result")
 
-    cluster = subparsers.add_parser(
+    cluster = _command(
+        subparsers,
         "cluster",
-        help="deploy a multi-process oracle cluster over real sockets",
+        _cmd_cluster,
+        "deploy a multi-process oracle cluster over real sockets",
     )
-    cluster.add_argument(
-        "--workload",
-        choices=sorted(SERVICE_WORKLOADS),
-        default="sensors",
-        help="streaming workload feeding per-epoch inputs (default: sensors)",
-    )
-    cluster.add_argument("--n", type=int, default=4, help="oracle network size")
-    cluster.add_argument("--epochs", type=int, default=3, help="epochs to serve")
-    cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument(
-        "--transport",
-        choices=("unix", "tcp"),
-        default="unix",
-        help="socket family for the node mesh (default: unix)",
-    )
-    cluster.add_argument(
-        "--runtime-dir",
-        default=None,
-        help="directory for sockets, the config handout and node logs "
-        "(default: a fresh temporary directory)",
-    )
+    _oracle_flags(cluster, workload="sensors", n=4, epochs=3)
+    _cluster_flags(cluster, epoch_timeout=30.0, epoch_interval=0.0)
     cluster.add_argument(
         "--host", default="127.0.0.1", help="TCP bind host (tcp transport only)"
     )
@@ -475,34 +565,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="epoch in which to inject the crash (default: 1)",
     )
-    cluster.add_argument(
-        "--epoch-timeout",
-        type=float,
-        default=30.0,
-        help="wall-clock budget per epoch in seconds (default: 30)",
-    )
-    cluster.add_argument(
-        "--epoch-interval",
-        type=float,
-        default=0.0,
-        help="pause between epochs in seconds; pacing lets a respawned "
-        "process rejoin while the run is still live (default: 0)",
-    )
-    cluster.add_argument(
-        "--epsilon", type=float, default=None, help="override the workload's epsilon"
-    )
-    cluster.add_argument(
-        "--delta-max", type=float, default=None, help="override the workload's Delta"
-    )
-    cluster.add_argument("--max-rounds", type=int, default=6)
-    cluster.add_argument(
-        "--json", dest="json_path", help="write the cluster report as JSON"
-    )
-    cluster.add_argument("--quiet", action="store_true", help="suppress progress lines")
+    _tuning_flags(cluster)
+    _json_flag(cluster, "the cluster report")
 
-    cluster_node = subparsers.add_parser(
+    cluster_node = _command(
+        subparsers,
         "cluster-node",
-        help="run one oracle node process of a cluster (spawned by 'cluster')",
+        _cmd_cluster_node,
+        "run one oracle node process of a cluster (spawned by 'cluster')",
+        quiet=False,
     )
     cluster_node.add_argument(
         "--config", required=True, help="path to the shared cluster config JSON"
@@ -511,27 +582,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--node-id", type=int, required=True, help="this process's node id"
     )
 
-    chaos = subparsers.add_parser(
+    chaos = _command(
+        subparsers,
         "chaos",
-        help="soak a live multi-process cluster under a seeded chaos "
+        _cmd_chaos,
+        "soak a live multi-process cluster under a seeded chaos "
         "schedule (SIGKILL/SIGSTOP + wire faults) with liveness auditing",
+        description="Needs --n >= 4.  --seed defaults to the --schedule file's "
+        "own seed, else 0.",
     )
-    chaos.add_argument(
-        "--workload",
-        choices=sorted(SERVICE_WORKLOADS),
-        default="sensors",
-        help="streaming workload feeding per-epoch inputs (default: sensors)",
-    )
-    chaos.add_argument(
-        "--n", type=int, default=4, help="oracle network size (minimum 4)"
-    )
-    chaos.add_argument("--epochs", type=int, default=4, help="epochs to run")
-    chaos.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="chaos seed (default: 0, or the --schedule file's own seed)",
-    )
+    _oracle_flags(chaos, workload="sensors", n=4, epochs=4, seed=None)
+    _cluster_flags(chaos, epoch_timeout=15.0, epoch_interval=1.0)
     chaos.add_argument(
         "--schedule",
         dest="schedule_path",
@@ -568,39 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="probabilistic frame-loss window on the node wire clocks "
         "(repeatable)",
     )
-    chaos.add_argument(
-        "--transport",
-        choices=("unix", "tcp"),
-        default="unix",
-        help="socket family for the node mesh (default: unix)",
-    )
-    chaos.add_argument(
-        "--runtime-dir",
-        default=None,
-        help="directory for sockets, configs and node logs "
-        "(default: a fresh temporary directory)",
-    )
-    chaos.add_argument(
-        "--output",
-        default=".",
-        help="directory for the CHAOS_<seed>.json verdict artifact(s)",
-    )
-    chaos.add_argument(
-        "--no-artifact", action="store_true", help="do not write verdict files"
-    )
-    chaos.add_argument(
-        "--epoch-timeout",
-        type=float,
-        default=15.0,
-        help="wall-clock budget per epoch in seconds (default: 15)",
-    )
-    chaos.add_argument(
-        "--epoch-interval",
-        type=float,
-        default=1.0,
-        help="pause between epochs; pacing lets respawned processes rejoin "
-        "live (default: 1.0)",
-    )
+    _artifact_flags(chaos, "CHAOS_<seed>.json verdict")
     chaos.add_argument(
         "--epoch-resyncs",
         type=int,
@@ -628,30 +657,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=120.0,
         help="soak wall-clock budget in seconds (default: 120)",
     )
-    chaos.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
-    gateway = subparsers.add_parser(
+    gateway = _command(
+        subparsers,
         "gateway",
-        help="serve the oracle to HTTP/WebSocket clients (certificate stream, "
+        _cmd_gateway,
+        "serve the oracle to HTTP/WebSocket clients (certificate stream, "
         "queries, tick ingestion, /metrics)",
+        description="The workload feeds an epoch only when too few client ticks "
+        "are pending.  The default engine is fast: the gateway is the serving "
+        "layer, and the parity/cluster harnesses cover the others.",
     )
-    gateway.add_argument(
-        "--workload",
-        choices=sorted(SERVICE_WORKLOADS),
-        default="bitcoin",
-        help="base workload feeding epochs when too few client ticks are "
-        "pending (default: bitcoin)",
-    )
-    gateway.add_argument("--epochs", type=int, default=10, help="epochs to serve")
-    gateway.add_argument("--n", type=int, default=7, help="oracle network size")
-    gateway.add_argument(
-        "--engine",
-        choices=SERVICE_ENGINES,
-        default="fast",
-        help="epoch execution engine (default: fast — the gateway is the "
-        "serving layer; parity/cluster harnesses cover the others)",
-    )
-    gateway.add_argument("--seed", type=int, default=0)
+    _oracle_flags(gateway, workload="bitcoin", n=7, epochs=10, engine="fast")
     gateway.add_argument(
         "--churn", type=int, default=0, help="nodes offline per epoch (<= t)"
     )
@@ -672,40 +689,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=1024,
         help="certificate-index bound for /certs queries (default: 1024)",
     )
-    gateway.add_argument(
-        "--epoch-interval",
-        type=float,
-        default=1.0,
-        help="pause between epochs in seconds (default: 1.0)",
-    )
-    gateway.add_argument(
-        "--epsilon", type=float, default=None, help="override the workload's epsilon"
-    )
-    gateway.add_argument(
-        "--delta-max", type=float, default=None, help="override the workload's Delta"
-    )
-    gateway.add_argument("--max-rounds", type=int, default=6)
-    gateway.add_argument("--quiet", action="store_true", help="suppress progress lines")
+    _pacing_flags(gateway, epoch_interval=1.0)
+    _tuning_flags(gateway)
 
-    loadgen = subparsers.add_parser(
+    loadgen = _command(
+        subparsers,
         "loadgen",
-        help="load-test the gateway with concurrent WebSocket subscribers "
+        _cmd_loadgen,
+        "load-test the gateway with concurrent WebSocket subscribers "
         "and tick publishers",
+        description="The workload, engine and size are those of the gateway the "
+        "load generator hosts itself.",
     )
-    loadgen.add_argument(
-        "--workload",
-        choices=sorted(SERVICE_WORKLOADS),
-        default="bitcoin",
-        help="workload for the self-hosted gateway (default: bitcoin)",
-    )
-    loadgen.add_argument(
-        "--engine",
-        choices=SERVICE_ENGINES,
-        default="fast",
-        help="service engine for the self-hosted gateway (default: fast)",
-    )
-    loadgen.add_argument("--n", type=int, default=7, help="oracle network size")
-    loadgen.add_argument("--epochs", type=int, default=3, help="epochs to serve")
+    _oracle_flags(loadgen, workload="bitcoin", n=7, epochs=3, engine="fast")
     loadgen.add_argument(
         "--subscribers",
         type=int,
@@ -724,16 +720,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="concurrent tick publishers (default: 0)",
     )
-    loadgen.add_argument("--seed", type=int, default=0)
     loadgen.add_argument(
         "--queue-limit",
         type=int,
         default=64,
         help="gateway per-subscriber queue bound (default: 64)",
     )
-    loadgen.add_argument(
-        "--json", dest="json_path", help="write the full load report as JSON"
-    )
+    _json_flag(loadgen, "the full load report")
     loadgen.add_argument(
         "--histogram",
         dest="histogram_path",
@@ -746,33 +739,51 @@ def build_parser() -> argparse.ArgumentParser:
         help="tolerated certificates lost by non-evicted subscribers "
         "before exiting 1 (default: 0 — strict zero-loss)",
     )
-    loadgen.add_argument("--quiet", action="store_true", help="suppress progress lines")
     return parser
 
 
-def _cmd_list(args: argparse.Namespace) -> int:
-    rows = list_presets(scale=args.scale)
+# ----------------------------------------------------------------------
+# What the handlers share.
+
+
+def _progress(args: argparse.Namespace) -> Optional[Callable[[str], None]]:
+    """Where a command's progress lines go: stderr, or nowhere with ``--quiet``."""
+    return None if args.quiet else stderr_progress
+
+
+def _flags(args: argparse.Namespace, *names: str) -> Dict[str, Any]:
+    """The named flags as keyword arguments, for the builders whose
+    parameters are spelt like the flags that set them."""
+    return {name: getattr(args, name) for name in names}
+
+
+def _write_json(path: str, payload: Any, announce_on: Any = None) -> None:
+    """Write ``payload`` as sorted, indented JSON, creating the directory,
+    and announce the path (on stdout unless the command's stdout is data)."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {target}", file=announce_on)
+
+
+def _print_listing(kind: str, rows: Sequence[Any]) -> None:
+    """The ``(name, description, cell count)`` table of ``list-scenarios`` and
+    ``faults --list``, followed by the registered protocol runners."""
     width = max(len(name) for name, _d, _c in rows)
-    print(f"{'preset'.ljust(width)}  cells  description")
+    print(f"{kind.ljust(width)}  cells  description")
     for name, description, count in rows:
         print(f"{name.ljust(width)}  {count:>5}  {description}")
     print()
-    print(_render_protocol_table())
-    return 0
-
-
-def _render_protocol_table() -> str:
-    """The registered protocol runners, one line each (registry-driven)."""
-    from repro.protocols.registry import list_protocols
-
     runners = list_protocols()
     width = max(len(runner.name) for runner in runners)
-    lines = [f"{'protocol'.ljust(width)}  agreement     description"]
+    print(f"{'protocol'.ljust(width)}  agreement     description")
     for runner in runners:
-        lines.append(
-            f"{runner.name.ljust(width)}  {runner.agreement:<12}  {runner.description}"
-        )
-    return "\n".join(lines)
+        print(f"{runner.name.ljust(width)}  {runner.agreement:<12}  {runner.description}")
+
+
+def _cmd_list(args: argparse.Namespace) -> int:
+    _print_listing("preset", list_presets(scale=args.scale))
+    return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -795,9 +806,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         parallel=False if args.serial else None,
         chunk_size=args.chunk,
+        progress=_progress(args),
     )
-    if args.quiet:
-        executor.progress = lambda message: None
     result = executor.run(sweep, force=args.force)
     fresh = len(result) - result.cached_count
     print(f"# sweep {result.name}: {len(result)} cells ({result.cached_count} cached, {fresh} computed)")
@@ -816,22 +826,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = ScenarioSpec(
-        protocol=args.protocol,
-        n=args.n,
-        epsilon=args.epsilon,
-        rho0=args.rho0,
-        delta_max=args.delta_max,
-        max_rounds=args.max_rounds,
-        testbed=args.testbed,
-        workload=args.workload,
-        delta=args.delta,
-        centre=args.centre,
-        adversary=args.adversary,
-        num_byzantine=args.num_byzantine,
-        seed=args.seed,
-    )
-    executor = SweepExecutor(cache_dir=None, progress=lambda message: None)
+    # Every flag of ``run`` is the ScenarioSpec field of the same name.
+    fields = vars(args).keys() - {"command", "handler"}
+    spec = ScenarioSpec(**_flags(args, *fields))
+    executor = SweepExecutor(cache_dir=None, progress=None)
     cell = executor.run_one(spec)
     print(json.dumps(cell.as_dict(), indent=2, sort_keys=True))
     return 0
@@ -840,10 +838,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_perf(args: argparse.Namespace) -> int:
     from repro.perf import compare_to_baseline, load_baseline, run_suite
 
-    progress = None if args.quiet else (lambda message: print(message, file=sys.stderr))
     # Validate the table before the (slow) suite so a bad path fails fast.
     committed = load_baseline(args.baseline_path) if args.baseline_path else None
-    fingerprints = run_suite(quick=args.quick, names=args.scenarios, progress=progress)
+    fingerprints = run_suite(quick=args.quick, names=args.scenarios, progress=_progress(args))
     for name, fingerprint in fingerprints.items():
         print(f"{name}: {fingerprint} identical on fast and reference")
     if committed is None:
@@ -859,8 +856,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.faults.campaign import (
         campaign,
         list_campaigns,
@@ -869,13 +864,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     )
 
     if args.list:
-        rows = list_campaigns()
-        width = max(len(name) for name, _d, _c in rows)
-        print(f"{'campaign'.ljust(width)}  cells  description")
-        for name, description, count in rows:
-            print(f"{name.ljust(width)}  {count:>5}  {description}")
-        print()
-        print(_render_protocol_table())
+        _print_listing("campaign", list_campaigns())
         return 0
 
     if args.bundle_path:
@@ -897,9 +886,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             )
         return 0
 
-    progress = None if args.quiet else (lambda message: print(message, file=sys.stderr))
     bundle_dir = None if args.no_artifact else str(Path(args.output) / "bundles")
-    result = run_campaign(selected, bundle_dir=bundle_dir, progress=progress)
+    result = run_campaign(selected, bundle_dir=bundle_dir, progress=_progress(args))
     summary = result.summary
     print(
         f"# campaign {result.name}: {summary['cells']} cells x 2 engines — "
@@ -938,12 +926,11 @@ def _cmd_sharded_smoke(args: argparse.Namespace) -> int:
         extras={"group_size": args.group_size},
     )
     topology = sharded_topology_of(spec)
-    progress = None if args.quiet else (lambda message: print(message, file=sys.stderr))
-    if progress:
-        progress(
-            f"sharded-smoke: n={spec.n} groups={topology.num_groups} "
-            f"(size {args.group_size}) on the fast engine"
-        )
+    say = _progress(args) or (lambda message: None)
+    say(
+        f"sharded-smoke: n={spec.n} groups={topology.num_groups} "
+        f"(size {args.group_size}) on the fast engine"
+    )
     started = time.perf_counter()
     outcome = run_cell_engine(spec, "fast")
     elapsed = time.perf_counter() - started
@@ -973,8 +960,7 @@ def _cmd_sharded_smoke(args: argparse.Namespace) -> int:
             projection["output_spread"] = max(values) - min(values)
         verdict["metrics"] = projection
     if args.reference:
-        if progress:
-            progress("sharded-smoke: replaying on the reference engine")
+        say("sharded-smoke: replaying on the reference engine")
         reference = run_cell_engine(spec, "reference")
         verdict["engines_equivalent"] = (
             outcome.comparable() == reference.comparable()
@@ -983,22 +969,14 @@ def _cmd_sharded_smoke(args: argparse.Namespace) -> int:
             verdict["status"] = "engine-mismatch"
     print(json.dumps(verdict, indent=2, sort_keys=True))
     if args.output:
-        from pathlib import Path
-
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(verdict, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path}", file=sys.stderr)
+        _write_json(args.output, verdict, announce_on=sys.stderr)
     return 0 if verdict["status"] == "ok" else 1
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.faults.search import fuzz_schedules, load_corpus, save_corpus
 
     corpus = [] if args.no_corpus else load_corpus(args.corpus)
-    progress = None if args.quiet else (lambda message: print(message, file=sys.stderr))
     result = fuzz_schedules(
         protocols=tuple(args.protocols) if args.protocols else ("delphi", "fin"),
         budget=args.budget,
@@ -1006,7 +984,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         min_margin=args.min_margin,
         engine=args.engine,
         corpus=corpus,
-        progress=progress,
+        progress=_progress(args),
     )
     print(
         f"# fuzz seed={result.seed}: {result.runs} runs "
@@ -1060,19 +1038,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = build_service(
         args.workload,
         args.n,
-        engine=args.engine,
-        seed=args.seed,
-        churn=args.churn,
         parity=not args.no_parity,
-        strict_parity=args.strict_parity,
-        epsilon=args.epsilon,
-        delta_max=args.delta_max,
-        max_rounds=args.max_rounds,
         latency_seconds=args.latency,
-        epoch_timeout=args.epoch_timeout,
+        **_flags(args, "engine", "seed", "churn", "strict_parity", "epoch_timeout"),
+        **_flags(args, *_TUNING),
     )
-    progress = None if args.quiet else (lambda message: print(message, file=sys.stderr))
-    result = service.serve(args.epochs, progress=progress)
+    result = service.serve(args.epochs, progress=_progress(args))
     epochs_per_sec = result.epochs_per_sec or 0.0
     certs_per_sec = result.certs_per_sec or 0.0
     parity_checked = sum(1 for report in result.reports if report.parity_ok is not None)
@@ -1098,20 +1069,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             line += f" parity={report.parity}"
         print(line)
     if args.json_path:
-        from pathlib import Path
-
-        path = Path(args.json_path)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result.as_dict(), indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path}")
+        _write_json(args.json_path, result.as_dict())
     return 0
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    import asyncio
     import tempfile
-    from pathlib import Path
 
     from repro.oracle.cluster import (
         ClusterConfig,
@@ -1127,28 +1090,17 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         config = build_cluster_config(
             args.workload,
             args.n,
-            epochs=args.epochs,
-            seed=args.seed,
-            transport=args.transport,
             runtime_dir=runtime_dir,
-            host=args.host,
-            base_port=args.base_port,
-            epsilon=args.epsilon,
-            delta_max=args.delta_max,
-            max_rounds=args.max_rounds,
-            epoch_timeout=args.epoch_timeout,
-            epoch_interval=args.epoch_interval,
+            **_flags(args, "epochs", "seed", "host", "base_port", *_MESH, *_TUNING),
         )
     if args.write_config:
-        path = config.write(args.write_config)
-        print(f"wrote {path}")
+        print(f"wrote {config.write(args.write_config)}")
         return 0
     crash = None
     if args.crash_node is not None:
         crash = CrashPlan(node=args.crash_node, epoch=args.crash_epoch)
-    progress = None if args.quiet else (lambda message: print(message, file=sys.stderr))
     supervisor = ClusterSupervisor(
-        config, spawn=not args.no_spawn, crash=crash, progress=progress
+        config, spawn=not args.no_spawn, crash=crash, progress=_progress(args)
     )
     report = supervisor.run()
     print(
@@ -1163,11 +1115,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             f"signers={entry['signers']} certs_from={entry['cert_senders']}"
         )
     if args.json_path:
-        path = Path(args.json_path)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path}")
+        _write_json(args.json_path, report)
     return 0
 
 
@@ -1204,7 +1152,6 @@ def _parse_timed_spec(text: str, flag: str, least: int, most: int) -> List[float
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import tempfile
     import time
-    from pathlib import Path
 
     from repro.net.chaos import WireFaults
     from repro.net.network import LossWindow
@@ -1241,7 +1188,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             kills=kills, pauses=pauses, wire=WireFaults(losses=losses)
         )
     seed = args.seed if args.seed is not None else schedule.seed
-    progress = None if args.quiet else (lambda message: print(message, file=sys.stderr))
     runtime_root = Path(args.runtime_dir or tempfile.mkdtemp(prefix="repro-chaos-"))
     started = time.monotonic()
     failed: List[int] = []
@@ -1252,12 +1198,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         config = build_cluster_config(
             args.workload,
             args.n,
-            epochs=args.epochs,
             seed=iter_schedule.seed,
-            transport=args.transport,
             runtime_dir=iter_dir,
-            epoch_timeout=args.epoch_timeout,
-            epoch_interval=args.epoch_interval,
+            **_flags(args, "epochs", *_MESH),
         )
         config.epoch_resyncs = args.epoch_resyncs
         gateway = None
@@ -1272,7 +1215,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 port=args.gateway_port,
             )
         verdict = run_chaos(
-            config, iter_schedule, progress=progress, gateway=gateway
+            config, iter_schedule, progress=_progress(args), gateway=gateway
         )
         certified = sum(
             1 for entry in verdict["epochs"] if entry["outcome"] == "certified"
@@ -1312,28 +1255,18 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
 
     from repro.oracle.gateway import build_gateway
 
-    progress = None if args.quiet else (lambda message: print(message, file=sys.stderr))
-
     async def serve() -> None:
         gateway = build_gateway(
             args.workload,
             args.n,
-            engine=args.engine,
-            seed=args.seed,
-            churn=args.churn,
-            host=args.host,
-            port=args.port,
-            queue_limit=args.queue_limit,
-            history_limit=args.history_limit,
-            epsilon=args.epsilon,
-            delta_max=args.delta_max,
-            max_rounds=args.max_rounds,
+            **_flags(args, "engine", "seed", "churn", "host", "port"),
+            **_flags(args, "queue_limit", "history_limit", *_TUNING),
         )
         host, port = await gateway.start()
         print(f"# gateway {args.workload} n={args.n} listening on {host}:{port}")
         try:
             await gateway.run_epochs(
-                args.epochs, interval=args.epoch_interval, progress=progress
+                args.epochs, interval=args.epoch_interval, progress=_progress(args)
             )
             metrics = gateway.metrics()
             print(
@@ -1352,18 +1285,10 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.oracle.loadgen import run_loadgen, write_histogram
 
-    progress = None if args.quiet else (lambda message: print(message, file=sys.stderr))
     report = run_loadgen(
-        workload=args.workload,
-        engine=args.engine,
-        n=args.n,
-        epochs=args.epochs,
-        subscribers=args.subscribers,
-        stalled=args.stalled,
-        publishers=args.publishers,
-        seed=args.seed,
-        queue_limit=args.queue_limit,
-        progress=progress,
+        progress=_progress(args),
+        **_flags(args, "workload", "engine", "n", "epochs", "seed", "queue_limit"),
+        **_flags(args, "subscribers", "stalled", "publishers"),
     )
     latency = report.latency_summary()
     certs_per_sec = report.certs_per_sec
@@ -1390,13 +1315,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             f"{report.epochs_from_ticks}/{report.epochs} epochs fed from ticks"
         )
     if args.json_path:
-        from pathlib import Path
-
-        path = Path(args.json_path)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path}")
+        _write_json(args.json_path, report.as_dict())
     if args.histogram_path:
         write_histogram(report, args.histogram_path)
         print(f"wrote {args.histogram_path}")
@@ -1412,39 +1331,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(list(argv) if argv is not None else None)
+    args = build_parser().parse_args(list(argv) if argv is not None else None)
     try:
-        if args.command == "list-scenarios":
-            return _cmd_list(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "perf":
-            return _cmd_perf(args)
-        if args.command == "faults":
-            return _cmd_faults(args)
-        if args.command == "fuzz":
-            return _cmd_fuzz(args)
-        if args.command == "sharded-smoke":
-            return _cmd_sharded_smoke(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "cluster":
-            return _cmd_cluster(args)
-        if args.command == "cluster-node":
-            return _cmd_cluster_node(args)
-        if args.command == "chaos":
-            return _cmd_chaos(args)
-        if args.command == "gateway":
-            return _cmd_gateway(args)
-        if args.command == "loadgen":
-            return _cmd_loadgen(args)
+        return args.handler(args)
     except ReproError as error:
         # Covers configuration mistakes and designed runtime failures such
         # as the perf suite's EquivalenceError — clean message, no traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
-    parser.error(f"unknown command {args.command!r}")
-    return 2

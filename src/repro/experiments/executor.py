@@ -49,7 +49,8 @@ MAX_AUTO_CHUNK = 16
 ProgressFn = Callable[[str], None]
 
 
-def _default_progress(message: str) -> None:
+def stderr_progress(message: str) -> None:
+    """The default progress sink (the executor's and the CLI's): stderr."""
     print(message, file=sys.stderr, flush=True)
 
 
@@ -119,7 +120,7 @@ class SweepExecutor:
         max_workers: Optional[int] = None,
         parallel: Optional[bool] = None,
         chunk_size: Optional[int] = None,
-        progress: Optional[ProgressFn] = _default_progress,
+        progress: Optional[ProgressFn] = stderr_progress,
     ) -> None:
         self.cache_dir = cache_dir
         env_workers = os.environ.get(WORKERS_ENV)

@@ -77,23 +77,18 @@ def _poison_input_strategy(ctx: StrategyContext) -> AdversaryStrategy:
     join that run.
     """
     from repro.adversary.base import HonestWithInput
-    from repro.analysis.parameters import derive_parameters
     from repro.core.delphi import DelphiNode
+    from repro.protocols.registry import delphi_parameters
 
     scenario = ctx.scenario
     if scenario is None or getattr(scenario, "protocol", None) != "delphi":
         raise ConfigurationError(
             "poison-input corruption requires a delphi scenario context"
         )
-    params = derive_parameters(
-        n=scenario.n,
-        epsilon=scenario.epsilon,
-        rho0=scenario.rho0,
-        delta_max=scenario.delta_max,
-        max_rounds=scenario.max_rounds,
-    )
     value = float(ctx.options.get("value", 0.0))
-    return HonestWithInput(DelphiNode(ctx.node_id, params, value=value))
+    return HonestWithInput(
+        DelphiNode(ctx.node_id, delphi_parameters(scenario), value=value)
+    )
 
 
 #: Registry of corruption strategies available to fault specs, by name.
@@ -251,18 +246,12 @@ class FaultSpec(JsonSpec):
         explicitly claimed id."""
         taken: set = set()
         resolved: Dict[int, List[int]] = {}
-        for index, corruption in enumerate(self.corruptions):
-            if corruption.nodes is None:
-                continue
-            ids = corruption.resolved_nodes(n, taken)
-            taken.update(ids)
-            resolved[index] = ids
-        for index, corruption in enumerate(self.corruptions):
-            if corruption.nodes is not None:
-                continue
-            ids = corruption.resolved_nodes(n, taken)
-            taken.update(ids)
-            resolved[index] = ids
+        for explicit in (True, False):
+            for index, corruption in enumerate(self.corruptions):
+                if (corruption.nodes is not None) is explicit:
+                    ids = corruption.resolved_nodes(n, taken)
+                    taken.update(ids)
+                    resolved[index] = ids
         total = sum(len(ids) for ids in resolved.values())
         if not self.allow_over_budget and total > byzantine_bound(n):
             raise ConfigurationError(
@@ -350,12 +339,32 @@ def fault_spec_of(scenario: Any) -> Optional[FaultSpec]:
     return FaultSpec.from_dict(raw)
 
 
+def corruption_spec_of(scenario: Any) -> Optional[FaultSpec]:
+    """The :class:`FaultSpec` whose corruption groups apply to ``scenario``,
+    or ``None`` when it corrupts nobody.
+
+    The embedded fault spec wins when it names corruptions.  Otherwise the
+    plain ``adversary`` / ``num_byzantine`` fields are the one-group spec
+    they describe: that strategy on the ``num_byzantine`` highest ids,
+    tuned by ``extras['hold_back']`` / ``extras['spam_copies']``.  The
+    plain fields never enforced the ``t`` budget (``ScenarioSpec`` admits
+    up to ``n - 1``), hence ``allow_over_budget``.
+    """
+    fault_spec = fault_spec_of(scenario)
+    if fault_spec is not None and fault_spec.corruptions:
+        return fault_spec
+    if scenario.adversary == "none" or not scenario.num_byzantine:
+        return None
+    options = {
+        "hold_back": scenario.extras.get("hold_back", 3),
+        "copies": scenario.extras.get("spam_copies", 2),
+    }
+    plain = CorruptionSpec(scenario.adversary, scenario.num_byzantine, options=options)
+    return FaultSpec(corruptions=(plain,), allow_over_budget=True)
+
+
 def scenario_corrupted_ids(scenario: Any) -> List[int]:
     """Corrupted node ids for a scenario, from its fault spec or the plain
     ``num_byzantine`` field (highest ids, the shared convention)."""
-    fault_spec = fault_spec_of(scenario)
-    if fault_spec is not None and fault_spec.corruptions:
-        return fault_spec.corrupted_ids(scenario.n)
-    if scenario.adversary != "none" and scenario.num_byzantine:
-        return list(range(scenario.n - scenario.num_byzantine, scenario.n))
-    return []
+    fault_spec = corruption_spec_of(scenario)
+    return [] if fault_spec is None else fault_spec.corrupted_ids(scenario.n)

@@ -11,8 +11,11 @@ cannot drop them".
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -85,9 +88,10 @@ def reject_unknown_keys(cls: type, data: Mapping[str, Any]) -> None:
 
 
 class JsonSpec:
-    """``to_dict``/``from_dict`` shared by every flat fault dataclass.
+    """``to_dict``/``from_dict`` and the ``write``/``load`` file pair shared
+    by every spec dataclass.
 
-    Subclasses are frozen dataclasses whose ``__post_init__`` coerces and
+    Subclasses are dataclasses whose ``__post_init__`` coerces and
     validates the fields, so ``from_dict`` only has to reject unknown keys
     and let missing optional keys take their defaults.
     """
@@ -106,6 +110,25 @@ class JsonSpec:
             return cls(**data)
         except (TypeError, ValueError) as error:
             raise ConfigurationError(f"{cls.__name__}: {error}") from None
+
+    def write(self, path: os.PathLike) -> Path:
+        """Write :meth:`to_dict` as sorted, indented JSON; returns the path."""
+        target = Path(path)
+        target.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        return target
+
+    @classmethod
+    def load(cls, path: os.PathLike):
+        """:meth:`from_dict` of a JSON file.  A file that cannot be read or
+        parsed, or whose top level is not an object, is a
+        :class:`ConfigurationError` like any other bad spec."""
+        try:
+            data = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as error:
+            raise ConfigurationError(f"{cls.__name__}: cannot read {path}: {error}")
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"{cls.__name__}: {path} must hold a JSON object")
+        return cls.from_dict(data)
 
     def _coerce(self, **converters: Callable[[Any], Any]) -> None:
         """Normalise fields in place (``__post_init__`` of a frozen class)."""

@@ -135,15 +135,6 @@ class ChaosSchedule(JsonSpec):
             wire=WireFaults.from_dict(data.get("wire") or {}),
         )
 
-    def write(self, path: os.PathLike) -> Path:
-        target = Path(path)
-        target.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        return target
-
-    @classmethod
-    def load(cls, path: os.PathLike) -> "ChaosSchedule":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
 
 def standard_schedule(n: int, seed: int = 0) -> ChaosSchedule:
     """The acceptance-gate schedule: 2 SIGKILLs, one SIGSTOP pause, one

@@ -49,7 +49,6 @@ From epoch ``k+1`` on it participates normally.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
 import subprocess
@@ -59,8 +58,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.parameters import DelphiParameters, derive_parameters
-from repro.core.dora import DoraCertificate, DoraNode
+from repro.analysis.parameters import DelphiParameters
+from repro.core.dora import DoraCertificate, certificate_validator
 from repro.crypto.signatures import AggregateSignature, SignatureScheme
 from repro.errors import (
     ConfigurationError,
@@ -71,11 +70,12 @@ from repro.errors import (
 from repro.faults.monitors import CertificateStreamMonitor
 from repro.net.chaos import ChaosTransport, WireFaults
 from repro.net.message import Message
+from repro.net.network import JsonSpec
 from repro.net.socket_transport import SocketTransport
 from repro.oracle.service import EpochNode
 from repro.oracle.smr import SMRChannel
 from repro.protocols.base import BROADCAST, Outbound
-from repro.workloads import EPOCH_WORKLOADS, make_epoch_workload
+from repro.workloads import epoch_parameters, epoch_workload_entry, make_epoch_workload
 
 #: Protocol tag of the cluster control plane.
 CLUSTER_PROTOCOL = "cluster"
@@ -104,8 +104,10 @@ def parse_epoch_tag(protocol: str) -> Optional[int]:
 # Shared configuration (the persistent PKI handout)
 # ----------------------------------------------------------------------
 @dataclass
-class ClusterConfig:
-    """Everything a node or supervisor process needs, JSON-serialisable.
+class ClusterConfig(JsonSpec):
+    """Everything a node or supervisor process needs, JSON-serialisable
+    (``to_dict``/``from_dict`` and the ``write``/``load`` file pair are
+    :class:`~repro.net.network.JsonSpec`'s).
 
     The two master secrets *are* the PKI handout: every process re-derives
     the identical signing keys (:class:`SignatureScheme`) and pairwise
@@ -152,11 +154,7 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ConfigurationError(f"cluster needs n >= 2 nodes, got {self.n}")
-        if self.workload not in EPOCH_WORKLOADS:
-            raise ConfigurationError(
-                f"unknown workload {self.workload!r} "
-                f"(known: {', '.join(sorted(EPOCH_WORKLOADS))})"
-            )
+        epoch_workload_entry(self.workload)
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         self.addresses = {int(k): list(v) for k, v in self.addresses.items()}
@@ -175,19 +173,12 @@ class ClusterConfig:
         return bytes.fromhex(self.channel_secret_hex)
 
     def params(self) -> DelphiParameters:
-        defaults = EPOCH_WORKLOADS[self.workload]
-        epsilon = self.epsilon if self.epsilon is not None else defaults["epsilon"]
-        rho0 = self.rho0
-        if rho0 is None and self.epsilon is None:
-            rho0 = defaults["rho0"]
-        delta_max = (
-            self.delta_max if self.delta_max is not None else defaults["delta_max"]
-        )
-        return derive_parameters(
-            n=self.n,
-            epsilon=epsilon,
-            rho0=rho0,
-            delta_max=delta_max,
+        return epoch_parameters(
+            self.workload,
+            self.n,
+            epsilon=self.epsilon,
+            rho0=self.rho0,
+            delta_max=self.delta_max,
             max_rounds=self.max_rounds,
         )
 
@@ -202,38 +193,6 @@ class ClusterConfig:
             master_secret=self.channel_secret,
             **kwargs,
         )
-
-    # -- (de)serialisation ----------------------------------------------
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "n": self.n,
-            "workload": self.workload,
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "epsilon": self.epsilon,
-            "rho0": self.rho0,
-            "delta_max": self.delta_max,
-            "max_rounds": self.max_rounds,
-            "addresses": {str(k): list(v) for k, v in self.addresses.items()},
-            "sign_secret_hex": self.sign_secret_hex,
-            "channel_secret_hex": self.channel_secret_hex,
-            "epoch_timeout": self.epoch_timeout,
-            "join_timeout": self.join_timeout,
-            "epoch_grace": self.epoch_grace,
-            "epoch_interval": self.epoch_interval,
-            "runtime_dir": self.runtime_dir,
-            "chaos": self.chaos,
-            "epoch_resyncs": self.epoch_resyncs,
-        }
-
-    def write(self, path: os.PathLike) -> Path:
-        target = Path(path)
-        target.write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n")
-        return target
-
-    @classmethod
-    def load(cls, path: os.PathLike) -> "ClusterConfig":
-        return cls(**json.loads(Path(path).read_text()))
 
 
 def build_cluster_config(
@@ -396,15 +355,7 @@ async def run_node(
 
         while epoch < config.epochs:
             inputs = feed.inputs(epoch)
-            node = EpochNode(
-                DoraNode(
-                    node_id=node_id,
-                    params=params,
-                    value=inputs[node_id],
-                    scheme=scheme,
-                ),
-                epoch,
-            )
+            node = EpochNode.build(epoch, node_id, params, inputs[node_id], scheme)
             transport.advance_epoch(epoch)
             await _send_outbound(transport, node_id, peers, node.on_start())
             for sender, message in future.pop(epoch, []):
@@ -543,7 +494,9 @@ class ClusterSupervisor:
         self.progress = progress
         self.params = config.params()
         self.scheme = config.scheme()
-        self.chain = SMRChannel(validator=self._validate)
+        self.chain = SMRChannel(
+            validator=certificate_validator(self.scheme, self.params.t + 1)
+        )
         self.monitor = CertificateStreamMonitor(self.params)
         self.feed = EpochInputFeed(config.workload, config.seed, config.n)
         self.processes: Dict[int, subprocess.Popen] = {}
@@ -565,13 +518,6 @@ class ClusterSupervisor:
     def _say(self, text: str) -> None:
         if self.progress is not None:
             self.progress(text)
-
-    def _validate(self, payload: object) -> bool:
-        if not isinstance(payload, DoraCertificate):
-            return False
-        return self.scheme.verify_aggregate(
-            payload.value, payload.aggregate, threshold=self.params.t + 1
-        )
 
     def _spawn_node(self, node_id: int) -> subprocess.Popen:
         directory = Path(self.config.runtime_dir)
@@ -843,11 +789,9 @@ class ClusterSupervisor:
             if rounded is not None:
                 self.monitor.on_decide(sender, float(rounded), time.monotonic())
             if consumed is None:
-                for entry in self.chain.entries[mark:]:
-                    if entry.valid:
-                        consumed = entry.payload
-                        break
-                if consumed is not None:
+                entry = self.chain.first_valid(since=mark)
+                if entry is not None:
+                    consumed = entry.payload
                     grace_deadline = time.monotonic() + config.epoch_grace
         assert consumed is not None
         self.last_certificate = consumed
@@ -947,15 +891,3 @@ class ClusterSupervisor:
                 except OSError:
                     pass
         return removed
-
-
-def run_cluster(
-    config: ClusterConfig,
-    *,
-    spawn: bool = True,
-    crash: Optional[CrashPlan] = None,
-    progress: Any = None,
-) -> Dict[str, Any]:
-    """Convenience wrapper: build a supervisor and run the whole cluster."""
-    supervisor = ClusterSupervisor(config, spawn=spawn, crash=crash, progress=progress)
-    return supervisor.run()

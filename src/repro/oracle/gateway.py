@@ -39,7 +39,7 @@ import asyncio
 import json
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import ConfigurationError, GatewayError
@@ -56,8 +56,7 @@ from repro.net.http_ws import (
     render_response,
     websocket_accept,
 )
-from repro.oracle.service import EpochReport, OracleService, SkippedEpoch
-from repro.workloads import EPOCH_WORKLOADS, make_epoch_workload
+from repro.oracle.service import EpochReport, OracleService, SkippedEpoch, build_service
 from repro.workloads.ticks import TickBufferWorkload
 
 #: Default bound on each subscriber's send queue (certificates in flight).
@@ -78,10 +77,19 @@ MAX_BODY_BYTES = 1024 * 1024
 EPOCH_STALL_FACTOR = 1.5
 
 
-def _percentile(ordered: List[float], fraction: float) -> float:
-    """Nearest-rank percentile of an already sorted, non-empty list."""
-    index = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
-    return ordered[index]
+def summarise_latencies(samples: Iterable[float], scale: float = 1.0) -> Dict[str, Any]:
+    """Count, nearest-rank p50/p99 and maximum of ``samples``, each times
+    ``scale`` (1000 turns seconds into the milliseconds the keys promise)."""
+    ordered = sorted(samples)
+    if not ordered:
+        return {"samples": 0, "p50_ms": None, "p99_ms": None, "max_ms": None}
+    count = len(ordered)
+    return {
+        "samples": count,
+        "p50_ms": ordered[min(count - 1, int(0.50 * count))] * scale,
+        "p99_ms": ordered[min(count - 1, int(0.99 * count))] * scale,
+        "max_ms": ordered[-1] * scale,
+    }
 
 
 class _Subscriber:
@@ -356,15 +364,7 @@ class OracleGateway:
     # ------------------------------------------------------------------
     def latency_snapshot(self) -> Dict[str, Any]:
         """Delivery-latency summary (seconds -> milliseconds) so far."""
-        samples = sorted(self._latencies)
-        if not samples:
-            return {"samples": 0, "p50_ms": None, "p99_ms": None, "max_ms": None}
-        return {
-            "samples": len(samples),
-            "p50_ms": _percentile(samples, 0.50) * 1000.0,
-            "p99_ms": _percentile(samples, 0.99) * 1000.0,
-            "max_ms": samples[-1] * 1000.0,
-        }
+        return summarise_latencies(self._latencies, scale=1000.0)
 
     def health(self) -> Tuple[int, Dict[str, Any]]:
         """The ``/healthz`` verdict: ``(http_status, body)``.
@@ -685,38 +685,28 @@ def build_gateway(
 ) -> OracleGateway:
     """Assemble a gateway over a fresh tick-fed :class:`OracleService`.
 
-    Mirrors :func:`repro.oracle.service.build_service` but wraps the named
-    workload in a :class:`TickBufferWorkload` (coherence window =
-    the workload's calibrated ``delta_max``) so clients can feed epochs, and
-    defaults to the deterministic fast engine with parity off — the gateway
+    The service is :func:`repro.oracle.service.build_service`'s, with the
+    named workload wrapped in a :class:`TickBufferWorkload` (coherence
+    window = the derived ``delta_max``) so clients can feed epochs.
+    Defaults to the deterministic fast engine with parity off — the gateway
     is a serving layer, and the perf/parity harnesses cover correctness.
     """
-    from repro.analysis.parameters import derive_parameters
-
-    feed = make_epoch_workload(workload, seed=seed)
-    defaults = EPOCH_WORKLOADS[workload]
-    params = derive_parameters(
-        n=n,
-        epsilon=epsilon if epsilon is not None else defaults["epsilon"],
-        rho0=defaults["rho0"] if epsilon is None else None,
-        delta_max=delta_max if delta_max is not None else defaults["delta_max"],
-        max_rounds=max_rounds,
-    )
-    ticks = TickBufferWorkload(
-        feed, max_pending=max_pending_ticks, max_spread=params.delta_max
-    )
-    parity_engine = None
-    if parity:
-        parity_engine = "reference" if engine == "fast" else "fast"
-    service = OracleService(
-        params,
-        ticks,
+    service = build_service(
+        workload,
+        n,
         engine=engine,
         seed=seed,
         churn=churn,
-        parity_engine=parity_engine,
+        parity=parity,
+        epsilon=epsilon,
+        delta_max=delta_max,
+        max_rounds=max_rounds,
         epoch_timeout=epoch_timeout,
-        workload_name=workload,
+    )
+    service.workload = TickBufferWorkload(
+        service.workload,
+        max_pending=max_pending_ticks,
+        max_spread=service.params.delta_max,
     )
     return OracleGateway(
         service,

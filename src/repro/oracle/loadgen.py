@@ -27,12 +27,12 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.oracle.clients import GatewaySubscriber, http_request
-from repro.oracle.gateway import OracleGateway, build_gateway
+from repro.oracle.gateway import OracleGateway, build_gateway, summarise_latencies
 
 try:  # pragma: no cover - absent on non-POSIX platforms
     import resource
@@ -59,11 +59,6 @@ def raise_fd_limit(wanted: int) -> int:
         return target
     except (ValueError, OSError):
         return soft
-
-
-def _percentile(ordered: List[float], fraction: float) -> float:
-    index = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
-    return ordered[index]
 
 
 @dataclass
@@ -99,15 +94,7 @@ class LoadgenReport:
         return self.certs_received / self.wall_seconds
 
     def latency_summary(self) -> Dict[str, Any]:
-        ordered = sorted(self.latencies_ms)
-        if not ordered:
-            return {"samples": 0, "p50_ms": None, "p99_ms": None, "max_ms": None}
-        return {
-            "samples": len(ordered),
-            "p50_ms": _percentile(ordered, 0.50),
-            "p99_ms": _percentile(ordered, 0.99),
-            "max_ms": ordered[-1],
-        }
+        return summarise_latencies(self.latencies_ms)
 
     def histogram(self, buckets: int = 40) -> Dict[str, Any]:
         """Fixed-width latency histogram (the CI artifact)."""
@@ -128,29 +115,16 @@ class LoadgenReport:
         }
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "workload": self.workload,
-            "engine": self.engine,
-            "n": self.n,
-            "epochs": self.epochs,
-            "subscribers": self.subscribers,
-            "stalled": self.stalled,
-            "publishers": self.publishers,
-            "wall_seconds": self.wall_seconds,
-            "certs_published": self.certs_published,
-            "certs_expected": self.certs_expected,
-            "certs_received": self.certs_received,
-            "certs_lost": self.certs_lost,
-            "incomplete_subscribers": self.incomplete_subscribers,
-            "certs_per_sec": self.certs_per_sec,
-            "evictions": self.evictions,
-            "send_drops": self.send_drops,
-            "ticks_accepted": self.ticks_accepted,
-            "epochs_from_ticks": self.epochs_from_ticks,
-            "fd_limit": self.fd_limit,
-            "delivery_latency": self.latency_summary(),
-            "gateway_metrics": self.gateway_metrics,
+        """Every field but the raw latency samples (their summary stands in
+        for them), plus the derived delivery rate."""
+        body = {
+            spec_field.name: getattr(self, spec_field.name)
+            for spec_field in fields(self)
+            if spec_field.name != "latencies_ms"
         }
+        body["certs_per_sec"] = self.certs_per_sec
+        body["delivery_latency"] = self.latency_summary()
+        return body
 
 
 class _SubscriberDriver:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.parameters import DelphiParameters
-from repro.core.dora import DoraCertificate, DoraNode
+from repro.core.dora import DoraCertificate, DoraNode, certificate_validator
 from repro.crypto.signatures import SignatureScheme
 from repro.errors import ConfigurationError
 from repro.net.network import AsynchronousNetwork
@@ -67,16 +67,9 @@ class OracleNetwork:
         self.network_factory = network_factory
         self.compute = compute or ComputeModel()
         self.scheme = SignatureScheme(num_nodes=params.n)
-        self.chain = SMRChannel(validator=self._validate_report)
+        self.chain = SMRChannel(validator=certificate_validator(self.scheme, params.t + 1))
 
     # ------------------------------------------------------------------
-    def _validate_report(self, payload: object) -> bool:
-        if not isinstance(payload, DoraCertificate):
-            return False
-        return self.scheme.verify_aggregate(
-            payload.value, payload.aggregate, threshold=self.params.t + 1
-        )
-
     def _build_network(self) -> AsynchronousNetwork:
         if self.network_factory is None:
             return AsynchronousNetwork(self.params.n)

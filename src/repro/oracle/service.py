@@ -57,8 +57,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.adversary.strategies import CrashStrategy
-from repro.analysis.parameters import DelphiParameters, derive_parameters
-from repro.core.dora import DoraCertificate, DoraNode
+from repro.analysis.parameters import DelphiParameters
+from repro.core.dora import DoraCertificate, DoraNode, certificate_validator
 from repro.crypto.signatures import SignatureScheme
 from repro.errors import (
     CertificateShortfall,
@@ -76,7 +76,7 @@ from repro.sim.asyncio_runtime import AsyncioRuntime
 from repro.sim.events import DELIVER_EVENT
 from repro.sim.observers import SimObserver
 from repro.sim.runtime import ComputeModel, SimulationConfig, SimulationRuntime
-from repro.workloads import EPOCH_WORKLOADS, make_epoch_workload
+from repro.workloads import epoch_parameters, make_epoch_workload
 
 #: Engines the service can run epochs on.
 KNOWN_SERVICE_ENGINES = ("asyncio", "fast", "reference")
@@ -124,6 +124,19 @@ class EpochNode(ProtocolNode):
         self.epoch = epoch
         self.stale_messages = 0
         self._namespace = Namespace(f"epoch:{epoch}")
+
+    @classmethod
+    def build(
+        cls,
+        epoch: int,
+        node_id: int,
+        params: DelphiParameters,
+        value: float,
+        scheme: SignatureScheme,
+    ) -> "EpochNode":
+        """The epoch's node around its own new :class:`DoraNode`."""
+        inner = DoraNode(node_id=node_id, params=params, value=float(value), scheme=scheme)
+        return cls(inner, epoch)
 
     def on_start(self) -> List[Outbound]:
         outbound = self._namespace.wrap_all(self.inner.on_start())
@@ -375,7 +388,7 @@ class OracleService:
         self.transport_factory = transport_factory
         # Persistent service state: the PKI and the SMR chain outlive epochs.
         self.scheme = SignatureScheme(num_nodes=params.n)
-        self.chain = SMRChannel(validator=self._validate_report)
+        self.chain = SMRChannel(validator=certificate_validator(self.scheme, params.t + 1))
         self.monitor = CertificateStreamMonitor(params) if monitor else None
         self._epoch = 0
         # Epoch-watchdog (graceful-degradation) knobs and accounting.
@@ -385,13 +398,6 @@ class OracleService:
         self.epochs_skipped = 0
 
     # ------------------------------------------------------------------
-    def _validate_report(self, payload: object) -> bool:
-        if not isinstance(payload, DoraCertificate):
-            return False
-        return self.scheme.verify_aggregate(
-            payload.value, payload.aggregate, threshold=self.params.t + 1
-        )
-
     def _epoch_seed(self, epoch: int) -> int:
         return self.seed * _EPOCH_SEED_STRIDE + epoch
 
@@ -424,22 +430,6 @@ class OracleService:
         return offline
 
     # ------------------------------------------------------------------
-    def _build_nodes(
-        self, epoch: int, inputs: Sequence[float], scheme: SignatureScheme
-    ) -> Dict[int, ProtocolNode]:
-        return {
-            node_id: EpochNode(
-                DoraNode(
-                    node_id=node_id,
-                    params=self.params,
-                    value=float(inputs[node_id]),
-                    scheme=scheme,
-                ),
-                epoch,
-            )
-            for node_id in range(self.params.n)
-        }
-
     def _run_epoch_on_engine(
         self,
         engine: str,
@@ -450,7 +440,10 @@ class OracleService:
         observers: Sequence[Any],
     ) -> Tuple[Dict[int, ProtocolNode], Any]:
         """One epoch's protocol run; returns the nodes and the run result."""
-        nodes = self._build_nodes(epoch, inputs, scheme)
+        nodes: Dict[int, ProtocolNode] = {
+            node_id: EpochNode.build(epoch, node_id, self.params, inputs[node_id], scheme)
+            for node_id in range(self.params.n)
+        }
         byzantine = {node_id: CrashStrategy() for node_id in offline}
         if engine == "asyncio":
             transport = (
@@ -503,12 +496,7 @@ class OracleService:
         """Replay the epoch through the deterministic parity engine with an
         identically derived (but separate) scheme and a throwaway chain."""
         scheme = SignatureScheme(num_nodes=self.params.n)
-        chain = SMRChannel(
-            validator=lambda payload: isinstance(payload, DoraCertificate)
-            and scheme.verify_aggregate(
-                payload.value, payload.aggregate, threshold=self.params.t + 1
-            )
-        )
+        chain = SMRChannel(validator=certificate_validator(scheme, self.params.t + 1))
         nodes, _result = self._run_epoch_on_engine(
             self.parity_engine, epoch, inputs, offline, scheme, observers=()
         )
@@ -535,14 +523,8 @@ class OracleService:
         for node_id in range(self.params.n):
             if node_id in offline:
                 continue
-            fresh = EpochNode(
-                DoraNode(
-                    node_id=node_id,
-                    params=self.params,
-                    value=float(inputs[node_id]),
-                    scheme=fresh_scheme,
-                ),
-                epoch,
+            fresh = EpochNode.build(
+                epoch, node_id, self.params, inputs[node_id], fresh_scheme
             )
             fresh.on_start()
             for sender, message in recorder.inbound.get(node_id, ()):
@@ -761,13 +743,8 @@ def build_service(
     fast one, and vice versa).
     """
     feed = make_epoch_workload(workload, seed=seed)
-    defaults = EPOCH_WORKLOADS[workload]
-    params = derive_parameters(
-        n=n,
-        epsilon=epsilon if epsilon is not None else defaults["epsilon"],
-        rho0=defaults["rho0"] if epsilon is None else None,
-        delta_max=delta_max if delta_max is not None else defaults["delta_max"],
-        max_rounds=max_rounds,
+    params = epoch_parameters(
+        workload, n, epsilon=epsilon, delta_max=delta_max, max_rounds=max_rounds
     )
     parity_engine: Optional[str] = None
     if parity:

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.parameters import derive_parameters
 from repro.errors import ConfigurationError, EquivalenceError
 from repro.experiments.cells import build_inputs, run_spec
 from repro.experiments.spec import ScenarioSpec
@@ -52,6 +51,7 @@ from repro.oracle.network import OracleNetwork
 from repro.oracle.service import build_service
 from repro.sim.runtime import SimulationConfig
 from repro.testbed.aws import AwsTestbed
+from repro.workloads import epoch_parameters
 from repro.workloads.bitcoin import BitcoinPriceFeed
 
 #: Schema tag expected at the top of a baseline file.
@@ -104,7 +104,7 @@ def _protocol(spec: ScenarioSpec) -> Callable[[str], Dict[str, Any]]:
 def _oracle_smr(engine: str) -> Dict[str, Any]:
     """``oracle-smr-e3-n13-aws``: three reporting rounds on one oracle network."""
     n, epochs = 13, 3
-    params = derive_parameters(n=n, epsilon=2.0, rho0=10.0, delta_max=2000.0, max_rounds=6)
+    params = epoch_parameters("bitcoin", n)
     testbed = AwsTestbed(num_nodes=n, seed=11)
     oracle = OracleNetwork(
         params=params, network_factory=testbed.network, compute=testbed.compute()

@@ -11,7 +11,6 @@ from repro.protocols.registry import (
     EXACT_AGREEMENT,
     HIERARCHICAL_AGREEMENT,
     ProtocolRunner,
-    RunRequest,
     agreement_kind,
     get_protocol,
     is_known_protocol,
@@ -40,7 +39,6 @@ __all__ = [
     "ProtocolNode",
     "ProtocolRunner",
     "ReliableBroadcastNode",
-    "RunRequest",
     "ShardedDelphiNode",
     "ShardedDelphiParameters",
     "ShardedTopology",

@@ -5,20 +5,24 @@ Historically ``experiments/cells.py`` dispatched on hard-coded
 validator, monitors, campaign presets, fuzz search, and CLI each carried
 their own private protocol tables.  This module is the single source of
 truth: a :class:`ProtocolRunner` entry names the protocol, classifies
-its agreement property (which drives monitor construction), and adapts
-the shared :class:`ScenarioSpec` to the protocol's runner signature.
+its agreement property (which drives monitor construction), and runs it
+for a :class:`ScenarioSpec` — ``run(spec, inputs, **env)`` derives the
+protocol's own parameters from the spec and calls the public
+``repro.runner.run_<protocol>`` helper, handing ``env`` (``network``,
+``byzantine``, ``compute``, ``config``, ``observers``) through untouched.
 New protocols plug in with one :func:`register_protocol` call instead of
 edits at four call sites.
 
-Run adapters import :mod:`repro.runner` lazily so this module stays
-import-light — it is re-exported from ``repro.protocols`` and must not
-drag the simulation stack into every ``import repro.protocols``.
+Entries import :mod:`repro.runner` lazily: it imports ``repro.protocols``
+(a module-level import here would be circular), and this module is
+re-exported from ``repro.protocols`` and must not drag the simulation
+stack into every ``import repro.protocols``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -31,23 +35,10 @@ _AGREEMENT_KINDS = (EPSILON_AGREEMENT, EXACT_AGREEMENT, HIERARCHICAL_AGREEMENT)
 
 
 @dataclass(frozen=True)
-class RunRequest:
-    """Everything a protocol runner needs, already built by the cell layer."""
-
-    spec: Any
-    inputs: List[float]
-    network: Any = None
-    byzantine: Optional[Dict[int, Any]] = None
-    compute: Any = None
-    config: Any = None
-    observers: Optional[List[Any]] = None
-
-
-@dataclass(frozen=True)
 class ProtocolRunner:
     """One registered protocol.
 
-    ``run`` executes the protocol for a :class:`RunRequest` and returns a
+    ``run(spec, inputs, **env)`` executes the protocol and returns a
     ``ProtocolRunResult``; ``derived`` optionally reports derived
     parameters (levels, rounds, topology shape) for the metrics dict.
     """
@@ -55,9 +46,8 @@ class ProtocolRunner:
     name: str
     description: str
     agreement: str
-    run: Callable[[RunRequest], Any]
+    run: Callable[..., Any]
     derived: Optional[Callable[[Any], Dict[str, Any]]] = None
-    extras: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.agreement not in _AGREEMENT_KINDS:
@@ -111,12 +101,11 @@ def list_protocols() -> Tuple[ProtocolRunner, ...]:
 
 
 # ----------------------------------------------------------------------
-# Built-in entries.  The adapters mirror the runner-signature families in
-# repro.runner: parameterised (delphi/dora/sharded), epsilon-round
-# (abraham/dolev), and exact (fin/hbbft).
+# Built-in entries: spec -> the protocol's own parameters -> repro.runner.
 
 
-def _delphi_parameters(spec: Any):
+def delphi_parameters(spec: Any):
+    """The :class:`DelphiParameters` a scenario spec describes."""
     from repro.analysis.parameters import derive_parameters
 
     return derive_parameters(
@@ -129,87 +118,30 @@ def _delphi_parameters(spec: Any):
 
 
 def _delphi_derived(spec: Any) -> Dict[str, Any]:
-    params = _delphi_parameters(spec)
+    params = delphi_parameters(spec)
     return {"levels": params.level_count, "rounds": params.rounds}
 
 
-def _run_parameterised(runner_name: str) -> Callable[[RunRequest], Any]:
-    def run(request: RunRequest) -> Any:
-        import repro.runner as runner_module
+def _runner(name: str) -> Callable[..., Any]:
+    """``repro.runner.<name>``, imported at call time (see the module docstring)."""
+    import repro.runner as runner_module
 
-        runner = getattr(runner_module, runner_name)
-        return runner(
-            _delphi_parameters(request.spec),
-            request.inputs,
-            network=request.network,
-            byzantine=request.byzantine,
-            compute=request.compute,
-            config=request.config,
-            observers=request.observers,
-        )
-
-    return run
+    return getattr(runner_module, name)
 
 
-def _run_epsilon_round(runner_name: str) -> Callable[[RunRequest], Any]:
-    def run(request: RunRequest) -> Any:
-        import repro.runner as runner_module
-
-        runner = getattr(runner_module, runner_name)
-        spec = request.spec
-        return runner(
-            spec.n,
-            request.inputs,
-            epsilon=spec.epsilon,
-            delta_max=spec.delta_max,
-            rounds=spec.max_rounds,
-            network=request.network,
-            byzantine=request.byzantine,
-            compute=request.compute,
-            config=request.config,
-            observers=request.observers,
-        )
-
-    return run
+def _epsilon_rounds(spec: Any) -> Dict[str, Any]:
+    """What the round-based baselines (abraham, dolev) take from a spec."""
+    return {"epsilon": spec.epsilon, "delta_max": spec.delta_max, "rounds": spec.max_rounds}
 
 
-def _run_exact(runner_name: str) -> Callable[[RunRequest], Any]:
-    def run(request: RunRequest) -> Any:
-        import repro.runner as runner_module
-
-        runner = getattr(runner_module, runner_name)
-        return runner(
-            request.spec.n,
-            request.inputs,
-            network=request.network,
-            byzantine=request.byzantine,
-            compute=request.compute,
-            config=request.config,
-            observers=request.observers,
-        )
-
-    return run
-
-
-def _run_sharded(request: RunRequest) -> Any:
+def _sharded_parameters(spec: Any):
     from repro.protocols.sharded_delphi import sharded_parameters_of
-    from repro.runner import run_sharded_delphi
 
-    return run_sharded_delphi(
-        sharded_parameters_of(request.spec),
-        request.inputs,
-        network=request.network,
-        byzantine=request.byzantine,
-        compute=request.compute,
-        config=request.config,
-        observers=request.observers,
-    )
+    return sharded_parameters_of(spec)
 
 
 def _sharded_derived(spec: Any) -> Dict[str, Any]:
-    from repro.protocols.sharded_delphi import sharded_parameters_of
-
-    params = sharded_parameters_of(spec)
+    params = _sharded_parameters(spec)
     return {
         "num_groups": params.topology.num_groups,
         "group_sizes": [len(group) for group in params.topology.groups],
@@ -222,7 +154,9 @@ register_protocol(
         name="delphi",
         description="Delphi approximate agreement (Algorithm 2, bundled checkpoints)",
         agreement=EPSILON_AGREEMENT,
-        run=_run_parameterised("run_delphi"),
+        run=lambda spec, inputs, **env: _runner("run_delphi")(
+            delphi_parameters(spec), inputs, **env
+        ),
         derived=_delphi_derived,
     )
 )
@@ -231,7 +165,9 @@ register_protocol(
         name="dora",
         description="DORA oracle agreement over the Delphi core",
         agreement=EPSILON_AGREEMENT,
-        run=_run_parameterised("run_dora"),
+        run=lambda spec, inputs, **env: _runner("run_dora")(
+            delphi_parameters(spec), inputs, **env
+        ),
         derived=_delphi_derived,
     )
 )
@@ -240,7 +176,9 @@ register_protocol(
         name="abraham",
         description="Abraham et al. synchronous approximate agreement baseline",
         agreement=EPSILON_AGREEMENT,
-        run=_run_epsilon_round("run_abraham"),
+        run=lambda spec, inputs, **env: _runner("run_abraham")(
+            spec.n, inputs, **_epsilon_rounds(spec), **env
+        ),
     )
 )
 register_protocol(
@@ -248,7 +186,9 @@ register_protocol(
         name="dolev",
         description="Dolev et al. approximate agreement baseline",
         agreement=EPSILON_AGREEMENT,
-        run=_run_epsilon_round("run_dolev"),
+        run=lambda spec, inputs, **env: _runner("run_dolev")(
+            spec.n, inputs, **_epsilon_rounds(spec), **env
+        ),
     )
 )
 register_protocol(
@@ -256,7 +196,7 @@ register_protocol(
         name="fin",
         description="FIN exact binary agreement baseline",
         agreement=EXACT_AGREEMENT,
-        run=_run_exact("run_fin"),
+        run=lambda spec, inputs, **env: _runner("run_fin")(spec.n, inputs, **env),
     )
 )
 register_protocol(
@@ -264,7 +204,7 @@ register_protocol(
         name="hbbft",
         description="HoneyBadgerBFT-style exact agreement baseline",
         agreement=EXACT_AGREEMENT,
-        run=_run_exact("run_hbbft"),
+        run=lambda spec, inputs, **env: _runner("run_hbbft")(spec.n, inputs, **env),
     )
 )
 register_protocol(
@@ -275,7 +215,9 @@ register_protocol(
             "among representatives, final value fanned back down"
         ),
         agreement=HIERARCHICAL_AGREEMENT,
-        run=_run_sharded,
+        run=lambda spec, inputs, **env: _runner("run_sharded_delphi")(
+            _sharded_parameters(spec), inputs, **env
+        ),
         derived=_sharded_derived,
     )
 )

@@ -10,6 +10,7 @@ traffic statistics the paper's figures report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.adversary.base import AdversaryStrategy
@@ -27,7 +28,7 @@ from repro.protocols.baselines.hbbft_acs import HoneyBadgerAcsNode
 from repro.protocols.sharded_delphi import ShardedDelphiParameters, ShardedDelphiNode
 from repro.protocols.topology import Topology
 from repro.sim.observers import SimObserver
-from repro.sim.runtime import ComputeModel, SimulationConfig, SimulationResult, SimulationRuntime
+from repro.sim.runtime import ComputeModel, SimulationConfig, SimulationRuntime
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,6 @@ def run_protocol(
         topology=topology,
     )
     result = runtime.run()
-    return _wrap_result(protocol, result)
-
-
-def _wrap_result(protocol: str, result: SimulationResult) -> ProtocolRunResult:
     return ProtocolRunResult(
         protocol=protocol,
         outputs=result.outputs,
@@ -106,9 +103,24 @@ def _wrap_result(protocol: str, result: SimulationResult) -> ProtocolRunResult:
     )
 
 
-def _check_inputs(n: int, values: Sequence[float]) -> None:
+def _run(
+    protocol: str,
+    n: int,
+    values: Sequence[float],
+    make_node: Callable[..., ProtocolNode],
+    env: tuple,
+    topology: Optional[Topology] = None,
+) -> ProtocolRunResult:
+    """The body every ``run_<protocol>`` helper shares: one node per input
+    value, then :func:`run_protocol` with the caller's ``(network,
+    byzantine, compute, config, observers)`` passed through as ``env``."""
     if len(values) != n:
         raise ConfigurationError(f"expected {n} input values, got {len(values)}")
+    nodes = {
+        node_id: make_node(node_id=node_id, value=float(values[node_id]))
+        for node_id in range(n)
+    }
+    return run_protocol(protocol, nodes, *env, topology=topology)
 
 
 def run_delphi(
@@ -121,12 +133,8 @@ def run_delphi(
     observers: Optional[Sequence[SimObserver]] = None,
 ) -> ProtocolRunResult:
     """Run one Delphi instance with the given per-node input values."""
-    _check_inputs(params.n, values)
-    nodes: Dict[int, ProtocolNode] = {
-        node_id: DelphiNode(node_id=node_id, params=params, value=float(values[node_id]))
-        for node_id in range(params.n)
-    }
-    return run_protocol("delphi", nodes, network, byzantine, compute, config, observers)
+    env = (network, byzantine, compute, config, observers)
+    return _run("delphi", params.n, values, partial(DelphiNode, params=params), env)
 
 
 def run_dora(
@@ -140,15 +148,11 @@ def run_dora(
     observers: Optional[Sequence[SimObserver]] = None,
 ) -> ProtocolRunResult:
     """Run Delphi plus the DORA attestation step."""
-    _check_inputs(params.n, values)
-    scheme = scheme or SignatureScheme(num_nodes=params.n)
-    nodes: Dict[int, ProtocolNode] = {
-        node_id: DoraNode(
-            node_id=node_id, params=params, value=float(values[node_id]), scheme=scheme
-        )
-        for node_id in range(params.n)
-    }
-    return run_protocol("dora", nodes, network, byzantine, compute, config, observers)
+    make_node = partial(
+        DoraNode, params=params, scheme=scheme or SignatureScheme(num_nodes=params.n)
+    )
+    env = (network, byzantine, compute, config, observers)
+    return _run("dora", params.n, values, make_node, env)
 
 
 def run_sharded_delphi(
@@ -162,24 +166,10 @@ def run_sharded_delphi(
 ) -> ProtocolRunResult:
     """Run one two-level sharded Delphi instance (see
     :mod:`repro.protocols.sharded_delphi`)."""
-    n = params.topology.num_nodes
-    _check_inputs(n, values)
-    nodes: Dict[int, ProtocolNode] = {
-        node_id: ShardedDelphiNode(
-            node_id=node_id, params=params, value=float(values[node_id])
-        )
-        for node_id in range(n)
-    }
-    return run_protocol(
-        "sharded-delphi",
-        nodes,
-        network,
-        byzantine,
-        compute,
-        config,
-        observers,
-        topology=params.topology,
-    )
+    topology = params.topology
+    make_node = partial(ShardedDelphiNode, params=params)
+    env = (network, byzantine, compute, config, observers)
+    return _run("sharded-delphi", topology.num_nodes, values, make_node, env, topology)
 
 
 def run_abraham(
@@ -196,22 +186,16 @@ def run_abraham(
     observers: Optional[Sequence[SimObserver]] = None,
 ) -> ProtocolRunResult:
     """Run the Abraham et al. approximate-agreement baseline."""
-    _check_inputs(n, values)
-    if t is None:
-        t = (n - 1) // 3
-    nodes: Dict[int, ProtocolNode] = {
-        node_id: AbrahamAAANode(
-            node_id=node_id,
-            n=n,
-            t=t,
-            value=float(values[node_id]),
-            epsilon=epsilon,
-            delta_max=delta_max,
-            rounds=rounds,
-        )
-        for node_id in range(n)
-    }
-    return run_protocol("abraham", nodes, network, byzantine, compute, config, observers)
+    make_node = partial(
+        AbrahamAAANode,
+        n=n,
+        t=(n - 1) // 3 if t is None else t,
+        epsilon=epsilon,
+        delta_max=delta_max,
+        rounds=rounds,
+    )
+    env = (network, byzantine, compute, config, observers)
+    return _run("abraham", n, values, make_node, env)
 
 
 def run_dolev(
@@ -228,22 +212,16 @@ def run_dolev(
     observers: Optional[Sequence[SimObserver]] = None,
 ) -> ProtocolRunResult:
     """Run the Dolev et al. (n = 5t + 1) approximate-agreement baseline."""
-    _check_inputs(n, values)
-    if t is None:
-        t = (n - 1) // 5
-    nodes: Dict[int, ProtocolNode] = {
-        node_id: DolevAAANode(
-            node_id=node_id,
-            n=n,
-            t=t,
-            value=float(values[node_id]),
-            epsilon=epsilon,
-            delta_max=delta_max,
-            rounds=rounds,
-        )
-        for node_id in range(n)
-    }
-    return run_protocol("dolev", nodes, network, byzantine, compute, config, observers)
+    make_node = partial(
+        DolevAAANode,
+        n=n,
+        t=(n - 1) // 5 if t is None else t,
+        epsilon=epsilon,
+        delta_max=delta_max,
+        rounds=rounds,
+    )
+    env = (network, byzantine, compute, config, observers)
+    return _run("dolev", n, values, make_node, env)
 
 
 def run_fin(
@@ -257,14 +235,9 @@ def run_fin(
     observers: Optional[Sequence[SimObserver]] = None,
 ) -> ProtocolRunResult:
     """Run the FIN-style ACS baseline (output = median of the agreed set)."""
-    _check_inputs(n, values)
-    if t is None:
-        t = (n - 1) // 3
-    nodes: Dict[int, ProtocolNode] = {
-        node_id: FinAcsNode(node_id=node_id, n=n, t=t, value=float(values[node_id]))
-        for node_id in range(n)
-    }
-    return run_protocol("fin", nodes, network, byzantine, compute, config, observers)
+    make_node = partial(FinAcsNode, n=n, t=(n - 1) // 3 if t is None else t)
+    env = (network, byzantine, compute, config, observers)
+    return _run("fin", n, values, make_node, env)
 
 
 def run_hbbft(
@@ -278,11 +251,6 @@ def run_hbbft(
     observers: Optional[Sequence[SimObserver]] = None,
 ) -> ProtocolRunResult:
     """Run the HoneyBadger/BKR-style ACS baseline."""
-    _check_inputs(n, values)
-    if t is None:
-        t = (n - 1) // 3
-    nodes: Dict[int, ProtocolNode] = {
-        node_id: HoneyBadgerAcsNode(node_id=node_id, n=n, t=t, value=float(values[node_id]))
-        for node_id in range(n)
-    }
-    return run_protocol("hbbft", nodes, network, byzantine, compute, config, observers)
+    make_node = partial(HoneyBadgerAcsNode, n=n, t=(n - 1) // 3 if t is None else t)
+    env = (network, byzantine, compute, config, observers)
+    return _run("hbbft", n, values, make_node, env)

@@ -10,8 +10,9 @@ Delphi defaults (epsilon / delta_max calibrated to each workload's input
 spread).
 """
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
+from repro.analysis.parameters import DelphiParameters, derive_parameters
 from repro.errors import ConfigurationError
 from repro.workloads.bitcoin import BitcoinPriceFeed, ExchangeQuote
 from repro.workloads.drone import DroneLocalisationWorkload, DroneObservation
@@ -47,15 +48,45 @@ EPOCH_WORKLOADS: Dict[str, Dict[str, Any]] = {
 }
 
 
-def make_epoch_workload(name: str, seed: int = 0, **options: Any):
-    """Build the named workload as an epoch feed (``epoch_inputs`` hook)."""
+def epoch_workload_entry(name: str) -> Dict[str, Any]:
+    """The :data:`EPOCH_WORKLOADS` row for ``name``, or a ``ConfigurationError``
+    listing the known names."""
     try:
-        entry = EPOCH_WORKLOADS[name]
+        return EPOCH_WORKLOADS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown workload {name!r} (known: {', '.join(sorted(EPOCH_WORKLOADS))})"
         )
-    return entry["factory"](seed=seed, **options)
+
+
+def make_epoch_workload(name: str, seed: int = 0, **options: Any):
+    """Build the named workload as an epoch feed (``epoch_inputs`` hook)."""
+    return epoch_workload_entry(name)["factory"](seed=seed, **options)
+
+
+def epoch_parameters(
+    workload: str,
+    n: int,
+    *,
+    epsilon: Optional[float] = None,
+    rho0: Optional[float] = None,
+    delta_max: Optional[float] = None,
+    max_rounds: Optional[int] = 6,
+) -> DelphiParameters:
+    """Delphi parameters for serving ``workload`` on ``n`` oracles: the
+    workload's calibrated defaults with any override applied.  The default
+    ``rho0`` belongs to the default ``epsilon``: overriding ``epsilon``
+    alone falls back to the paper's static ``rho0 = epsilon``."""
+    defaults = epoch_workload_entry(workload)
+    if rho0 is None and epsilon is None:
+        rho0 = defaults["rho0"]
+    return derive_parameters(
+        n=n,
+        epsilon=defaults["epsilon"] if epsilon is None else epsilon,
+        rho0=rho0,
+        delta_max=defaults["delta_max"] if delta_max is None else delta_max,
+        max_rounds=max_rounds,
+    )
 
 
 __all__ = [
@@ -66,5 +97,7 @@ __all__ = [
     "ExchangeQuote",
     "SensorGridWorkload",
     "TickBufferWorkload",
+    "epoch_parameters",
+    "epoch_workload_entry",
     "make_epoch_workload",
 ]

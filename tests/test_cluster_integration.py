@@ -139,7 +139,7 @@ def test_cluster_config_round_trips_through_json(tmp_path):
     path = tmp_path / "cluster.json"
     config.write(path)
     clone = ClusterConfig.load(path)
-    assert clone.as_dict() == config.as_dict()
+    assert clone.to_dict() == config.to_dict()
     assert list(clone.addresses[0]) == ["tcp", "127.0.0.1", 9700]
     # The supervisor (id n) gets its own address too.
     assert clone.addresses[config.n][2] == 9700 + config.n

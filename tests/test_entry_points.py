@@ -1,0 +1,149 @@
+"""One way in: the tables that turn a name into behaviour, pinned.
+
+* a protocol name resolves through ``registry.get_protocol(name).run`` to
+  the same run the public ``repro.runner.run_<protocol>`` helper gives;
+* the plain ``adversary`` / ``num_byzantine`` fields are the one-group
+  ``FaultSpec`` they describe — the rule ``cells._make_strategy`` used to
+  spell out is kept here as the reference;
+* a workload name plus overrides gives the same ``DelphiParameters``
+  whichever way the oracle stack is assembled.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import runner
+from repro.adversary.strategies import (
+    CrashStrategy,
+    DelayedHonestStrategy,
+    EquivocatingStrategy,
+    RandomBitStrategy,
+    SpamStrategy,
+)
+from repro.experiments.cells import build_adversary, build_inputs, build_network, run_spec
+from repro.experiments.spec import ScenarioSpec
+from repro.faults.spec import scenario_corrupted_ids
+from repro.oracle.cluster import ClusterConfig
+from repro.oracle.gateway import build_gateway
+from repro.oracle.service import build_service
+from repro.protocols.registry import delphi_parameters, protocol_names
+from repro.protocols.sharded_delphi import sharded_parameters_of
+from repro.workloads import EPOCH_WORKLOADS
+from repro.workloads.ticks import TickBufferWorkload
+
+
+# ----------------------------------------------------------------------
+# Spec -> protocol run.
+
+
+def _public_call(spec: ScenarioSpec, inputs, **env):
+    """The public ``run_<protocol>`` call a spec stands for, written out."""
+    rounds = dict(epsilon=spec.epsilon, delta_max=spec.delta_max, rounds=spec.max_rounds)
+    calls = {
+        "delphi": lambda: runner.run_delphi(delphi_parameters(spec), inputs, **env),
+        "dora": lambda: runner.run_dora(delphi_parameters(spec), inputs, **env),
+        "abraham": lambda: runner.run_abraham(spec.n, inputs, **rounds, **env),
+        "dolev": lambda: runner.run_dolev(spec.n, inputs, **rounds, **env),
+        "fin": lambda: runner.run_fin(spec.n, inputs, **env),
+        "hbbft": lambda: runner.run_hbbft(spec.n, inputs, **env),
+        "sharded-delphi": lambda: runner.run_sharded_delphi(
+            sharded_parameters_of(spec), inputs, **env
+        ),
+    }
+    return calls[spec.protocol]()
+
+
+@pytest.mark.parametrize("protocol", protocol_names())
+def test_registry_run_is_the_public_runner_call(protocol):
+    spec = ScenarioSpec(protocol=protocol, n=7, seed=3, adversary="crash", num_byzantine=1)
+    if protocol == "sharded-delphi":
+        spec = spec.replace(n=12, group_size=4)
+    inputs = build_inputs(spec)
+    through_table, _derived = run_spec(spec, inputs)
+    network, compute = build_network(spec)
+    direct = _public_call(
+        spec, inputs, network=network, compute=compute, byzantine=build_adversary(spec)
+    )
+    assert through_table.protocol == direct.protocol == protocol
+    assert through_table.outputs == direct.outputs
+    assert through_table.runtime_seconds == direct.runtime_seconds
+    assert through_table.message_count == direct.message_count
+    assert through_table.events_processed == direct.events_processed
+    assert through_table.byzantine_nodes == direct.byzantine_nodes == [spec.n - 1]
+
+
+# ----------------------------------------------------------------------
+# Plain adversary fields -> FaultSpec.
+
+
+def _parent_rule(spec: ScenarioSpec):
+    """``build_adversary`` for the plain fields as it read before the lift."""
+    make = {
+        "crash": lambda node: CrashStrategy(),
+        "delay": lambda node: DelayedHonestStrategy(
+            hold_back=int(spec.extras.get("hold_back", 3))
+        ),
+        "equivocate": lambda node: EquivocatingStrategy(),
+        "random-bit": lambda node: RandomBitStrategy(seed=spec.seed + node),
+        "spam": lambda node: SpamStrategy(copies=int(spec.extras.get("spam_copies", 2))),
+    }[spec.adversary]
+    return {node: make(node) for node in range(spec.n - spec.num_byzantine, spec.n)}
+
+
+def _describe(strategy):
+    state = dict(vars(strategy))
+    if "_rng" in state:
+        state["_rng"] = state["_rng"].getstate()
+    return type(strategy), state
+
+
+@pytest.mark.parametrize("extras", [{}, {"hold_back": 5, "spam_copies": 4}])
+@pytest.mark.parametrize("num_byzantine", [1, 2, 4])  # t = 2 at n = 7: 4 is over budget
+@pytest.mark.parametrize("adversary", ["crash", "delay", "equivocate", "random-bit", "spam"])
+def test_plain_adversary_fields_lift_to_the_same_strategies(adversary, num_byzantine, extras):
+    spec = ScenarioSpec(
+        n=7, seed=11, adversary=adversary, num_byzantine=num_byzantine, extras=extras
+    )
+    built = build_adversary(spec)
+    expected = _parent_rule(spec)
+    assert sorted(built) == sorted(expected)
+    for node, strategy in expected.items():
+        assert _describe(built[node]) == _describe(strategy), node
+    assert sorted(scenario_corrupted_ids(spec)) == sorted(expected)
+
+
+def test_no_plain_adversary_means_no_strategies():
+    assert build_adversary(ScenarioSpec(adversary="crash", num_byzantine=0)) is None
+    assert build_adversary(ScenarioSpec(adversary="none", num_byzantine=2)) is None
+    assert scenario_corrupted_ids(ScenarioSpec(adversary="none", num_byzantine=2)) == []
+
+
+# ----------------------------------------------------------------------
+# Workload -> oracle stack.
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"epsilon": 0.25}, {"delta_max": 40.0}, {"epsilon": 0.25, "delta_max": 40.0}],
+    ids=["defaults", "epsilon", "delta_max", "both"],
+)
+@pytest.mark.parametrize("workload", sorted(EPOCH_WORKLOADS))
+def test_every_assembly_derives_the_same_parameters(workload, overrides):
+    service = build_service(workload, 7, engine="fast", **overrides)
+    gateway = build_gateway(workload, 7, **overrides)
+    config = ClusterConfig(n=7, workload=workload, **overrides)
+    assert service.params == gateway.service.params == config.params()
+
+    defaults = EPOCH_WORKLOADS[workload]
+    params = service.params
+    assert params.epsilon == overrides.get("epsilon", defaults["epsilon"])
+    assert params.delta_max == overrides.get("delta_max", defaults["delta_max"])
+    # The calibrated rho0 belongs to the calibrated epsilon.
+    assert params.rho0 == (params.epsilon if "epsilon" in overrides else defaults["rho0"])
+
+    ticks = gateway.service.workload
+    assert isinstance(ticks, TickBufferWorkload)
+    assert ticks.max_spread == params.delta_max
+    assert gateway.ticks is ticks
+    assert type(ticks.base) is type(service.workload)
