@@ -37,9 +37,6 @@ class LevelAggregate:
     weight: float
     fallback: bool
 
-    def as_tuple(self) -> tuple:
-        return (self.value, self.weight)
-
 
 def aggregate_level(
     level: int,

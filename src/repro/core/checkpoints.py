@@ -32,7 +32,7 @@ never lose their output).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.protocols.binaa import BinAAEngine, SubMessage
@@ -137,12 +137,6 @@ class LevelState:
         return self.split(index)
 
     # ------------------------------------------------------------------
-    def all_engines(self) -> Iterable[BinAAEngine]:
-        """Every engine at this level (default first, then explicit)."""
-        yield self.default_engine
-        for _index, engine in self.sorted_engines():
-            yield engine
-
     @property
     def terminated(self) -> bool:
         """Whether every engine at this level has completed all rounds.

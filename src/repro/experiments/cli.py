@@ -129,6 +129,7 @@ from repro.experiments.spec import (
     KNOWN_WORKLOADS,
     ScenarioSpec,
 )
+from repro.net.network import write_json
 from repro.oracle.service import KNOWN_SERVICE_ENGINES as SERVICE_ENGINES
 from repro.protocols.registry import list_protocols
 from repro.workloads import EPOCH_WORKLOADS as SERVICE_WORKLOADS
@@ -760,10 +761,7 @@ def _flags(args: argparse.Namespace, *names: str) -> Dict[str, Any]:
 def _write_json(path: str, payload: Any, announce_on: Any = None) -> None:
     """Write ``payload`` as sorted, indented JSON, creating the directory,
     and announce the path (on stdout unless the command's stdout is data)."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {target}", file=announce_on)
+    print(f"wrote {write_json(path, payload)}", file=announce_on)
 
 
 def _print_listing(kind: str, rows: Sequence[Any]) -> None:

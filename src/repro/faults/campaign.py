@@ -36,7 +36,7 @@ from repro.faults.spec import (
     fault_spec_of,
     scenario_corrupted_ids,
 )
-from repro.net.network import DelayWindow, LossWindow, PartitionWindow
+from repro.net.network import DelayWindow, LossWindow, PartitionWindow, write_json
 from repro.protocols.topology import ShardedTopology
 from repro.sim.observers import TraceRecorder
 from repro.sim.runtime import SimulationConfig
@@ -330,12 +330,7 @@ class CampaignResult:
 
     def write_json(self, path: str) -> Path:
         """Write the verdict artifact and return its path."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
-        )
-        return target
+        return write_json(path, self.to_payload())
 
 
 def run_fault_cell(
@@ -366,13 +361,9 @@ def run_fault_cell(
         for outcome in (fast, reference):
             if outcome.bundle is None:
                 continue
-            directory = Path(bundle_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            bundle_path = directory / (
-                f"VIOLATION_{spec.spec_hash()}_{outcome.engine}.json"
-            )
-            bundle_path.write_text(
-                json.dumps(outcome.bundle, indent=2, sort_keys=True) + "\n"
+            bundle_path = write_json(
+                Path(bundle_dir) / f"VIOLATION_{spec.spec_hash()}_{outcome.engine}.json",
+                outcome.bundle,
             )
             if verdict.bundle_path is None:
                 verdict.bundle_path = str(bundle_path)

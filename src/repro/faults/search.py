@@ -40,7 +40,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.spec import ScenarioSpec
 from repro.faults.campaign import CellVerdict, run_cell_engine, run_fault_cell
 from repro.faults.spec import CorruptionSpec, FaultSpec, fault_spec_of
-from repro.net.network import DelayWindow, LossWindow, PartitionWindow
+from repro.net.network import DelayWindow, LossWindow, PartitionWindow, write_json
 from repro.protocols.base import byzantine_bound
 from repro.protocols.registry import (
     HIERARCHICAL_AGREEMENT,
@@ -318,11 +318,7 @@ def save_corpus(path: str, entries: Sequence[Mapping[str, Any]]) -> Path:
     for entry in entries:
         unique[str(entry["spec_hash"])] = entry
     ordered = sorted(unique.values(), key=lambda e: (str(e["label"]), str(e["spec_hash"])))
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"schema": CORPUS_SCHEMA, "entries": list(ordered)}
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target
+    return write_json(path, {"schema": CORPUS_SCHEMA, "entries": list(ordered)})
 
 
 def corpus_entry(
@@ -429,12 +425,7 @@ class FuzzResult:
         }
 
     def write_json(self, path: str) -> Path:
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
-        )
-        return target
+        return write_json(path, self.to_payload())
 
 
 class ScheduleSearch:

@@ -44,7 +44,6 @@ from repro.net.network import (
     NetworkFaultPlan,
     PartitionWindow,
     optional_ids,
-    reject_unknown_keys,
 )
 from repro.protocols.base import byzantine_bound
 
@@ -306,27 +305,6 @@ class FaultSpec(JsonSpec):
         if self.expect_termination is not None:
             return self.expect_termination
         return not self.losses
-
-    # ------------------------------------------------------------------
-    # ``to_dict`` (inherited) is JSON-safe and embeddable in
-    # ``ScenarioSpec.extras['faults']``.
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        """Inverse of :meth:`to_dict` (tolerant of missing keys)."""
-        reject_unknown_keys(cls, data)
-        expect = data.get("expect_termination")
-        return cls(
-            corruptions=tuple(
-                CorruptionSpec.from_dict(e) for e in data.get("corruptions", ())
-            ),
-            partitions=tuple(
-                PartitionWindow.from_dict(e) for e in data.get("partitions", ())
-            ),
-            delays=tuple(DelayWindow.from_dict(e) for e in data.get("delays", ())),
-            losses=tuple(LossWindow.from_dict(e) for e in data.get("losses", ())),
-            allow_over_budget=bool(data.get("allow_over_budget", False)),
-            expect_termination=None if expect is None else bool(expect),
-        )
 
 
 def fault_spec_of(scenario: Any) -> Optional[FaultSpec]:

@@ -50,7 +50,7 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.message import Message
@@ -59,12 +59,8 @@ from repro.net.network import (
     HOLD,
     PASS,
     ChannelFilter,
-    DelayWindow,
     JsonSpec,
-    LossWindow,
     NetworkFaultPlan,
-    PartitionWindow,
-    reject_unknown_keys,
 )
 
 
@@ -122,22 +118,6 @@ class WireFaults(NetworkFaultPlan, JsonSpec):
     @property
     def active(self) -> bool:
         return bool(super().active or self.resets or self.corruptions)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WireFaults":
-        """Inverse of :meth:`to_dict` (tolerant of missing keys)."""
-        reject_unknown_keys(cls, data)
-        return cls(
-            partitions=tuple(
-                PartitionWindow.from_dict(e) for e in data.get("partitions", ())
-            ),
-            delays=tuple(DelayWindow.from_dict(e) for e in data.get("delays", ())),
-            losses=tuple(LossWindow.from_dict(e) for e in data.get("losses", ())),
-            resets=tuple(ResetSpec.from_dict(e) for e in data.get("resets", ())),
-            corruptions=tuple(
-                CorruptSpec.from_dict(e) for e in data.get("corruptions", ())
-            ),
-        )
 
 
 class ChaosTransport:

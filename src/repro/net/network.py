@@ -11,12 +11,14 @@ cannot drop them".
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -75,16 +77,29 @@ def _plain(value: Any) -> Any:
     return value
 
 
-def reject_unknown_keys(cls: type, data: Mapping[str, Any]) -> None:
-    """Raise :class:`ConfigurationError` naming the first key of ``data``
-    that is not a field of ``cls`` — a misspelt key in a hand-written
-    schedule must not silently run with no faults."""
-    known = [spec_field.name for spec_field in fields(cls)]
-    for key in data:
-        if key not in known:
-            raise ConfigurationError(
-                f"{cls.__name__}: unknown key {key!r} (known: {', '.join(known)})"
-            )
+def write_json(path: os.PathLike, payload: Any) -> Path:
+    """Write ``payload`` as sorted, indented JSON (stable bytes, so diffs and
+    hashes are), creating the directory; returns the path."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return target
+
+
+@functools.lru_cache(maxsize=None)
+def _spec_fields(
+    cls: type,
+) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, type, bool], ...]]:
+    """``(field names, nested)`` of a spec class, where ``nested`` lists the
+    fields annotated as a :class:`JsonSpec` subclass or a ``Tuple`` of one:
+    ``(name, that subclass, is a tuple)``."""
+    nested = []
+    for name, hint in get_type_hints(cls).items():
+        many = get_origin(hint) is tuple
+        inner = get_args(hint)[0] if many else hint
+        if isinstance(inner, type) and issubclass(inner, JsonSpec):
+            nested.append((name, inner, many))
+    return tuple(spec_field.name for spec_field in fields(cls)), tuple(nested)
 
 
 class JsonSpec:
@@ -92,7 +107,8 @@ class JsonSpec:
     by every spec dataclass.
 
     Subclasses are dataclasses whose ``__post_init__`` coerces and
-    validates the fields, so ``from_dict`` only has to reject unknown keys
+    validates the fields, so ``from_dict`` only has to reject unknown keys,
+    decode the fields that are themselves specs (read off the annotations)
     and let missing optional keys take their defaults.
     """
 
@@ -104,18 +120,34 @@ class JsonSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]):
-        """Inverse of :meth:`to_dict` (tolerant of missing optional keys)."""
-        reject_unknown_keys(cls, data)
+        """Inverse of :meth:`to_dict` (tolerant of missing optional keys; a
+        ``null`` spec-typed field means its default).  An unknown key is a
+        :class:`ConfigurationError` naming the class it was found in — a
+        misspelt key in a hand-written schedule must not silently run with
+        no faults."""
+        known, nested = _spec_fields(cls)
+        for key in data:
+            if key not in known:
+                raise ConfigurationError(
+                    f"{cls.__name__}: unknown key {key!r} (known: {', '.join(known)})"
+                )
+        values = dict(data)
+        for name, spec, many in nested:
+            raw = values.pop(name, None)
+            if raw is not None:
+                values[name] = (
+                    tuple(spec.from_dict(entry) for entry in raw)
+                    if many
+                    else spec.from_dict(raw)
+                )
         try:
-            return cls(**data)
+            return cls(**values)
         except (TypeError, ValueError) as error:
             raise ConfigurationError(f"{cls.__name__}: {error}") from None
 
     def write(self, path: os.PathLike) -> Path:
-        """Write :meth:`to_dict` as sorted, indented JSON; returns the path."""
-        target = Path(path)
-        target.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        return target
+        """:func:`write_json` of :meth:`to_dict`; returns the path."""
+        return write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: os.PathLike):

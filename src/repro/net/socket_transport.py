@@ -440,7 +440,7 @@ class SocketTransport:
     def wire_counters(self) -> Dict[str, int]:
         """What a run report carries (cluster report, chaos ``observed``)."""
         names = ("frames_sent", "frames_received", "messages_sent", "messages_received")
-        names += ("auth_failures", "replay_rejections")
+        names += ("auth_failures", "replay_rejections", "dropped_unreachable")
         return {name: getattr(self, name) for name in names}
 
     def advance_epoch(self, epoch: int) -> None:
@@ -468,12 +468,17 @@ class SocketTransport:
         """Sever the live ``sender -> target`` connection mid-stream.
 
         Returns ``True`` when a connection existed to reset.  The sender's
-        next frame triggers a fresh dial + handshake (no backoff penalty:
-        unlike a *failed* connect, a reset does not advance the failure
-        count), exercising the epoch-tagged reconnect path.
+        next frame triggers a fresh dial + handshake — also out of a redial
+        backoff, which is forgotten (the caller knows something the channel
+        does not: a chaos schedule, or a JOIN from a respawned peer) — with
+        no backoff penalty: unlike a *failed* connect, a reset does not
+        advance the failure count.  Exercises the epoch-tagged reconnect.
         """
         channel = self._senders.get((sender, target))
-        if channel is None or channel.writer is None:
+        if channel is None:
+            return False
+        channel.backoff_until = 0.0
+        if channel.writer is None:
             return False
         channel._disconnect()  # noqa: SLF001 - same-module channel teardown
         self.connections_reset += 1
@@ -575,6 +580,18 @@ class SocketTransport:
             sum(1 for item in inbox._queue if item is not _CLOSED)  # noqa: SLF001
             for inbox in self._inboxes.values()
         )
+
+    async def flush(self, timeout: float = 2.0) -> bool:
+        """Wait, at most ``timeout`` seconds, until every sender task has
+        taken what ``put`` queued for it — written it to its socket, or
+        dropped and counted it.  ``close`` cancels those tasks, so a process
+        whose last act is a send calls this first.  ``True`` when drained."""
+        deadline = time.monotonic() + timeout
+        while any(channel.outbox for channel in self._senders.values()):
+            if time.monotonic() >= deadline:
+                return False
+            await asyncio.sleep(0.005)
+        return True
 
     async def close(self) -> None:
         """Tear down every task, connection, listener and Unix path."""

@@ -40,10 +40,11 @@ supervisor SIGKILLs node ``x`` just after COMMIT of epoch ``k-1``; peers'
 sends to ``x`` fail and are dropped (counted, with redial backoff) — a
 textbook crash fault within the ``t`` budget, so the remaining nodes still
 gather ``t+1`` signatures for epoch ``k``.  The respawned ``x`` re-derives
-its keys, JOINs, is greeted with ``EPOCH(k)``, fast-forwards its workload
-feed, and — having missed epoch ``k``'s early rounds — adopts the epoch via
-the supervisor's COMMIT after verifying the aggregate signature itself.
-From epoch ``k+1`` on it participates normally.
+its keys, JOINs, is greeted with ``EPOCH(k)`` (over a freshly dialled
+channel — the old one points at the dead incarnation), fast-forwards its
+workload feed, and — having missed epoch ``k``'s early rounds — adopts the
+epoch via the supervisor's COMMIT after verifying the aggregate signature
+itself.  From epoch ``k+1`` on it participates normally.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from repro.errors import (
     ProtocolViolation,
     TransportClosedError,
 )
-from repro.faults.monitors import CertificateStreamMonitor
+from repro.faults.monitors import CertificateStreamMonitor, ClusterLivenessMonitor
 from repro.net.chaos import ChaosTransport, WireFaults
 from repro.net.message import Message
 from repro.net.network import JsonSpec
@@ -278,21 +279,6 @@ class EpochInputFeed:
 # ----------------------------------------------------------------------
 # Node process
 # ----------------------------------------------------------------------
-async def _send_outbound(
-    transport: SocketTransport,
-    node_id: int,
-    peers: Sequence[int],
-    outbound: Sequence[Outbound],
-) -> None:
-    """Deliver a protocol step's outbound batch, expanding BROADCAST."""
-    for target, message in outbound:
-        if target == BROADCAST:
-            for peer in peers:
-                await transport.put(peer, (node_id, message))
-        else:
-            await transport.put(target, (node_id, message))
-
-
 async def run_node(
     config: ClusterConfig, node_id: int, *, log: Any = None
 ) -> Dict[int, float]:
@@ -324,24 +310,47 @@ async def run_node(
         transport = ChaosTransport(
             transport, wire, seed=int(chaos.get("seed", config.seed))
         )
+
+    async def send(outbound: Sequence[Outbound]) -> None:
+        """Deliver a protocol step's outbound batch, expanding BROADCAST."""
+        for target, message in outbound:
+            for peer in peers if target == BROADCAST else (target,):
+                await transport.put(peer, (node_id, message))
+
+    async def tell(mtype: str, epoch: int, payload: Any) -> None:
+        """One control-plane message to the supervisor."""
+        message = Message(CLUSTER_PROTOCOL, mtype, epoch, payload)
+        await transport.put(supervisor, (node_id, message))
+
+    async def receive(deadline: float) -> Optional[Tuple[int, Message]]:
+        """The next ``(sender, message)`` before ``deadline`` (monotonic), or
+        ``None`` once it passes — silence is an outcome the caller handles
+        (resync, or a typed ``LivenessTimeout``), not a bare ``TimeoutError``."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return None
+        try:
+            async with asyncio.timeout(remaining):
+                return await transport.get(node_id)
+        except TimeoutError:
+            return None
+
     await transport.open([node_id])
     committed: Dict[int, float] = {}
     #: Early messages for epochs we have not entered yet.
     future: Dict[int, List[Tuple[int, Message]]] = {}
     try:
-        await transport.put(
-            supervisor, (node_id, Message(CLUSTER_PROTOCOL, JOIN, 0, 0))
-        )
+        await tell(JOIN, 0, 0)
         epoch: Optional[int] = None
         deadline = time.monotonic() + config.join_timeout
         while epoch is None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            received = await receive(deadline)
+            if received is None:
                 raise LivenessTimeout(
                     f"node {node_id}: no EPOCH greeting within "
                     f"{config.join_timeout}s of JOIN"
                 )
-            sender, message = await asyncio.wait_for(transport.get(node_id), remaining)
+            sender, message = received
             if message.protocol == CLUSTER_PROTOCOL:
                 if message.mtype == EPOCH:
                     epoch = int(message.payload)
@@ -357,11 +366,9 @@ async def run_node(
             inputs = feed.inputs(epoch)
             node = EpochNode.build(epoch, node_id, params, inputs[node_id], scheme)
             transport.advance_epoch(epoch)
-            await _send_outbound(transport, node_id, peers, node.on_start())
+            await send(node.on_start())
             for sender, message in future.pop(epoch, []):
-                await _send_outbound(
-                    transport, node_id, peers, node.on_message(sender, message)
-                )
+                await send(node.on_message(sender, message))
             reported = False
             advance_to: Optional[int] = None
             resyncs_used = 0
@@ -369,20 +376,11 @@ async def run_node(
             while advance_to is None:
                 if node.certificate is not None and not reported:
                     reported = True
-                    await transport.put(
-                        supervisor,
-                        (
-                            node_id,
-                            Message(
-                                CLUSTER_PROTOCOL,
-                                CERT,
-                                epoch,
-                                [epoch, node.rounded_value, node.certificate],
-                            ),
-                        ),
+                    await tell(
+                        CERT, epoch, [epoch, node.rounded_value, node.certificate]
                     )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                received = await receive(deadline)
+                if received is None:
                     if resyncs_used < config.epoch_resyncs:
                         # Graceful degradation: instead of dying, re-JOIN so
                         # the supervisor re-greets us with the live epoch
@@ -390,13 +388,7 @@ async def run_node(
                         # a COMMIT), and re-offer our certificate.
                         resyncs_used += 1
                         reported = False
-                        await transport.put(
-                            supervisor,
-                            (
-                                node_id,
-                                Message(CLUSTER_PROTOCOL, JOIN, epoch, epoch),
-                            ),
-                        )
+                        await tell(JOIN, epoch, epoch)
                         deadline = time.monotonic() + config.epoch_timeout
                         say(
                             f"node {node_id}: epoch {epoch} stalled, resync "
@@ -408,9 +400,7 @@ async def run_node(
                         f"{config.epoch_timeout}s "
                         f"(after {resyncs_used} resyncs)"
                     )
-                sender, message = await asyncio.wait_for(
-                    transport.get(node_id), remaining
-                )
+                sender, message = received
                 if message.protocol == CLUSTER_PROTOCOL:
                     if message.mtype == SHUTDOWN:
                         say(f"node {node_id}: shutdown at epoch {epoch}")
@@ -438,9 +428,7 @@ async def run_node(
                     continue
                 tag = parse_epoch_tag(message.protocol)
                 if tag is None or tag == epoch:
-                    await _send_outbound(
-                        transport, node_id, peers, node.on_message(sender, message)
-                    )
+                    await send(node.on_message(sender, message))
                 elif tag > epoch:
                     future.setdefault(tag, []).append((sender, message))
                 # tag < epoch: a straggler from a committed epoch; drop.
@@ -471,7 +459,17 @@ class CrashPlan:
 
 
 class ClusterSupervisor:
-    """Spawns, kills, restarts and audits an n-process oracle cluster."""
+    """Spawns, kills, pauses, restarts and audits an n-process oracle cluster.
+
+    The run is written once (:meth:`_run_async`); a subclass changes what a
+    run *means* through three seams — :meth:`_schedule_faults` (process
+    faults to start once the barrier has released epoch 0),
+    :meth:`_serve_epoch` (what one epoch's entry is, and whether a stalled
+    epoch ends the run) and :meth:`_report` (the shape of the result).
+    Every process fault goes through :meth:`_inject_kill` /
+    :meth:`_inject_pause` here, on the barrier clock, because this class owns
+    ``self.processes``.
+    """
 
     def __init__(
         self,
@@ -498,21 +496,44 @@ class ClusterSupervisor:
             validator=certificate_validator(self.scheme, self.params.t + 1)
         )
         self.monitor = CertificateStreamMonitor(self.params)
+        # Per-epoch certify budget: the supervisor itself gives up at
+        # epoch_timeout, so anything certifying beyond timeout + grace +
+        # pacing (+ slack) means the accounting itself broke.
+        self.liveness = ClusterLivenessMonitor(
+            epochs=config.epochs,
+            deadline=config.epoch_timeout
+            + config.epoch_grace
+            + config.epoch_interval
+            + 1.0,
+        )
         self.feed = EpochInputFeed(config.workload, config.seed, config.n)
         self.processes: Dict[int, subprocess.Popen] = {}
+        self.fault_events: List[Dict[str, Any]] = []
         self.restarts: List[Dict[str, int]] = []
         self.rejoins: List[Dict[str, int]] = []
         #: ``{"node", "boot_seconds"}`` per spawn: ``_spawn_node`` to its JOIN.
         self.boots: List[Dict[str, Any]] = []
+        #: CERTs dropped for their shape (count-and-drop: the sender is
+        #: authenticated, not trusted).
+        self.malformed_certs = 0
         self._spawned_at: Dict[int, float] = {}
         #: Consumed certificate of the most recent epoch (the chaos
         #: controller publishes it to an optional gateway front).
         self.last_certificate: Optional[DoraCertificate] = None
         self._config_path: Optional[Path] = None
+        #: The supervisor's own endpoint, for the duration of the run.
+        self._transport: Any = None
         self._epoch = 0
         self._started = False
         self._joined: set = set()
         self._down: set = set()
+        #: Barrier clock: process-fault times count from here.
+        self._zero = 0.0
+        self._injectors: List[asyncio.Task] = []
+        self._fired: set = set()
+        self._paused: Dict[int, subprocess.Popen] = {}
+        #: Set by a seam to wind the run down after the current epoch.
+        self._halt = False
 
     # -- helpers ---------------------------------------------------------
     def _say(self, text: str) -> None:
@@ -558,6 +579,45 @@ class ClusterSupervisor:
                 {"node": node_id, "boot_seconds": time.monotonic() - spawned_at}
             )
 
+    # -- the control plane -------------------------------------------------
+    async def _control(self, deadline: float) -> Optional[Tuple[int, Message]]:
+        """The next control-plane ``(sender, message)`` before ``deadline``
+        (monotonic), or ``None`` once it passes.  Every supervisor-side wait
+        is this call; anything that is not cluster traffic is skipped."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return None
+        try:
+            async with asyncio.timeout(remaining):
+                while True:
+                    received = await self._transport.get(self.config.supervisor_id)
+                    if received[1].protocol == CLUSTER_PROTOCOL:
+                        return received
+        except TimeoutError:
+            return None
+
+    async def _tell(self, node_id: int, mtype: str, epoch: int, payload: Any) -> None:
+        message = Message(CLUSTER_PROTOCOL, mtype, epoch, payload)
+        await self._transport.put(node_id, (self.config.supervisor_id, message))
+
+    async def _broadcast(self, mtype: str, epoch: int, payload: Any = None) -> None:
+        for node_id in range(self.config.n):
+            await self._tell(node_id, mtype, epoch, payload)
+
+    async def _greet(self, node_id: int, epoch: int) -> None:
+        """Answer a JOIN: tell the node which epoch to (re)start from."""
+        if self._started:
+            # A new incarnation, whoever restarted it: our channel still
+            # points at the old one, and the first write on a dead connection
+            # is lost finding that out — with no broadcast since the crash,
+            # that write would be this greeting.  Dial afresh.
+            self._transport.reset_connection(self.config.supervisor_id, node_id)
+            self.liveness.on_rejoin(node_id)
+            self.rejoins.append({"node": node_id, "epoch": epoch})
+            self._say(f"# cluster: node {node_id} rejoined, greeted with epoch {epoch}")
+        self._note_join(node_id)
+        await self._tell(node_id, EPOCH, epoch, epoch)
+
     # -- the run ---------------------------------------------------------
     def run(self) -> Dict[str, Any]:
         """Drive the whole cluster; returns the JSON-safe report.
@@ -577,187 +637,221 @@ class ClusterSupervisor:
         directory.mkdir(parents=True, exist_ok=True)
         self._config_path = directory / "cluster.json"
         config.write(self._config_path)
-        supervisor_id = config.supervisor_id
-        transport = config.make_transport(supervisor_id)
-        await transport.open([supervisor_id])
+        transport = self._transport = config.make_transport(config.supervisor_id)
+        await transport.open([config.supervisor_id])
         started_wall = time.monotonic()
-        epoch_reports: List[Dict[str, Any]] = []
-        crash_task: Optional[asyncio.Task] = None
+        epochs: List[Dict[str, Any]] = []
+        exit_codes: Dict[int, Optional[int]] = {}
         try:
             if self.spawn:
                 for node_id in range(config.n):
                     self.processes[node_id] = self._spawn_node(node_id)
-            await self._startup_barrier(transport)
+            await self._startup_barrier()
+            self._zero = time.monotonic()
+            self._schedule_faults()
             for epoch in range(config.epochs):
                 self._epoch = epoch
-                if self.crash is not None and self.crash.epoch == epoch:
-                    crash_task = asyncio.create_task(self._inject_crash())
-                epoch_reports.append(await self._run_epoch(transport, epoch))
-            if crash_task is not None:
-                await crash_task
-            await self._await_rejoin(transport)
-            await self._broadcast(transport, Message(CLUSTER_PROTOCOL, SHUTDOWN, 0))
+                crash = self.crash
+                if crash is not None and crash.epoch == epoch:
+                    # An epoch-anchored plan is a barrier-clock kill whose
+                    # time is only known now, as its epoch opens — and which
+                    # happens even if that epoch is over before ``after`` is.
+                    at = time.monotonic() - self._zero + crash.after
+                    self._start_fault(
+                        self._inject_kill(crash.node, at, crash.restart_delay),
+                        fired=True,
+                    )
+                epochs.append(await self._serve_epoch(epoch))
+                if self._halt:
+                    break
+            await self._settle_faults()
+            await self._await_rejoins()
+            await self._broadcast(SHUTDOWN, 0)
+            # ``put`` only queues and ``close`` cancels the sender tasks: with
+            # no children to reap (--no-spawn) nothing else would wait for the
+            # final COMMIT and SHUTDOWN to leave.
+            await transport.flush()
             exit_codes = await self._reap_children()
         finally:
-            if crash_task is not None and not crash_task.done():
-                crash_task.cancel()
+            await self._settle_faults(abandon=True)
+            self._resume_paused()
             self._kill_children()
             await transport.close()
             self._sweep_sockets()
-        report = {
-            "n": config.n,
-            "t": self.params.t,
-            "workload": config.workload,
-            "seed": config.seed,
-            "epochs": epoch_reports,
+        observed = {
+            "wall_seconds": time.monotonic() - started_wall,
             "restarts": self.restarts,
             "rejoins": self.rejoins,
             "boots": self.boots,
+            "exit_codes": {str(node): code for node, code in exit_codes.items()},
+            "malformed_certs": self.malformed_certs,
             "chain_entries": len(self.chain.entries),
             "chain_validations": self.chain.validations,
-            "distinct_valid_payloads": self.chain.distinct_valid_payloads,
-            "wall_seconds": time.monotonic() - started_wall,
-            "exit_codes": exit_codes if self.spawn else {},
             "transport": transport.wire_counters(),
         }
-        return report
+        return self._report(epochs, observed)
 
-    async def _startup_barrier(self, transport: SocketTransport) -> None:
+    # -- seams -------------------------------------------------------------
+    def _schedule_faults(self) -> None:
+        """Seam: start process faults against the barrier clock (called once,
+        right after the barrier releases epoch 0).  A plain run has none."""
+
+    async def _serve_epoch(self, epoch: int) -> Dict[str, Any]:
+        """Seam: one epoch's entry in the result.  A plain run lets a stalled
+        epoch (``LivenessTimeout``) or a monitor breach end it."""
+        return await self._run_epoch(epoch)
+
+    def _report(
+        self, epochs: List[Dict[str, Any]], observed: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """Seam: the run's result, from the per-epoch entries and the
+        restart/rejoin/boot/chain/transport block every run accounts."""
+        return {
+            "n": self.config.n,
+            "t": self.params.t,
+            "workload": self.config.workload,
+            "seed": self.config.seed,
+            "epochs": epochs,
+            "distinct_valid_payloads": self.chain.distinct_valid_payloads,
+            **observed,
+        }
+
+    # -- barrier, rejoin -----------------------------------------------------
+    async def _startup_barrier(self) -> None:
         """Wait for every node's JOIN, then release them into epoch 0."""
         config = self.config
         deadline = time.monotonic() + config.join_timeout
         while len(self._joined) < config.n:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            received = await self._control(deadline)
+            if received is None:
                 missing = sorted(set(range(config.n)) - self._joined)
                 raise LivenessTimeout(
                     f"cluster barrier: nodes {missing} never joined within "
                     f"{config.join_timeout}s"
                 )
-            sender, message = await asyncio.wait_for(
-                transport.get(config.supervisor_id), remaining
-            )
-            if message.protocol == CLUSTER_PROTOCOL and message.mtype == JOIN:
-                self._note_join(sender)
+            if received[1].mtype == JOIN:
+                self._note_join(received[0])
         self._started = True
-        await self._broadcast(transport, Message(CLUSTER_PROTOCOL, EPOCH, 0, 0))
+        await self._broadcast(EPOCH, 0, 0)
         self._say(f"# cluster: all {config.n} nodes joined")
 
-    async def _broadcast(self, transport: SocketTransport, message: Message) -> None:
-        for node_id in range(self.config.n):
-            await transport.put(node_id, (self.config.supervisor_id, message))
-
-    async def _greet(
-        self, transport: SocketTransport, node_id: int, epoch: int
-    ) -> None:
-        """Answer a JOIN: tell the node which epoch to (re)start from."""
-        if self._started:
-            self.rejoins.append({"node": node_id, "epoch": epoch})
-            self._say(f"# cluster: node {node_id} rejoined, greeted with epoch {epoch}")
-        self._note_join(node_id)
-        await transport.put(
-            node_id,
-            (
-                self.config.supervisor_id,
-                Message(CLUSTER_PROTOCOL, EPOCH, epoch, epoch),
-            ),
-        )
-
-    async def _idle(self, transport: SocketTransport, seconds: float, epoch: int) -> None:
-        """Pace the run by *withholding the COMMIT*: every node sits waiting
-        for it in the current epoch, so nothing but JOINs (greeted with that
-        epoch — they adopt via the imminent COMMIT) can arrive that matters.
-        Pacing this way keeps the run live long enough for a respawned
-        interpreter to boot and rejoin mid-run."""
-        deadline = time.monotonic() + seconds
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            try:
-                sender, message = await asyncio.wait_for(
-                    transport.get(self.config.supervisor_id), remaining
-                )
-            except asyncio.TimeoutError:
-                return
-            if message.protocol == CLUSTER_PROTOCOL and message.mtype == JOIN:
-                await self._greet(transport, sender, epoch)
-            # Anything else here is a late duplicate CERT for the already-
-            # consumed epoch; the chain keeps its consumed entry either way.
-
-    async def _await_rejoin(self, transport: SocketTransport) -> None:
-        """After the final epoch: if the crashed node's replacement has not
-        reconnected yet (interpreter boot can outlast short runs), wait for
-        its JOIN and greet it with the terminal epoch so it exits cleanly —
-        otherwise SHUTDOWN would race its connect and orphan it."""
-        crash = self.crash
-        if crash is None or not self.spawn:
-            return
-        if any(entry["node"] == crash.node for entry in self.rejoins):
+    async def _await_rejoins(self) -> None:
+        """After the final epoch: wait for the JOIN of every killed node's
+        replacement (interpreter boot can outlast short runs) and greet it
+        with the terminal epoch so it exits cleanly — otherwise SHUTDOWN
+        would race its connect and orphan it."""
+        if not self.spawn:
             return
         deadline = time.monotonic() + self.config.join_timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+        while self.liveness.unrejoined():
+            received = await self._control(deadline)
+            if received is None:
                 self._say(
-                    f"# cluster: node {crash.node} never rejoined within "
-                    f"{self.config.join_timeout}s"
+                    f"# cluster: nodes {self.liveness.unrejoined()} never "
+                    f"rejoined within {self.config.join_timeout}s"
                 )
                 return
-            try:
-                sender, message = await asyncio.wait_for(
-                    transport.get(self.config.supervisor_id), remaining
-                )
-            except asyncio.TimeoutError:
-                continue
-            if message.protocol == CLUSTER_PROTOCOL and message.mtype == JOIN:
-                await self._greet(transport, sender, self.config.epochs)
-                if sender == crash.node:
-                    return
+            if received[1].mtype == JOIN:
+                await self._greet(received[0], self.config.epochs)
 
-    async def _inject_crash(self) -> None:
-        """SIGKILL the planned node mid-epoch, then respawn it."""
-        crash = self.crash
-        assert crash is not None
-        await asyncio.sleep(crash.after)
-        process = self.processes.get(crash.node)
+    # -- process faults ------------------------------------------------------
+    def _start_fault(self, injector: Any, *, fired: bool = False) -> None:
+        task = asyncio.create_task(injector)
+        self._injectors.append(task)
+        if fired:
+            self._fired.add(task)
+
+    async def _sleep_until(self, at: float) -> None:
+        """Sleep to ``at`` seconds on the barrier clock, then mark the calling
+        injector as fired (see :meth:`_settle_faults`)."""
+        delay = self._zero + at - time.monotonic()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        self._fired.add(asyncio.current_task())
+
+    async def _settle_faults(self, *, abandon: bool = False) -> None:
+        """End of run: an injector that has fired is awaited through its
+        respawn or resume (its node must be back before SHUTDOWN); one still
+        sleeping toward its ``at`` is cancelled.  ``abandon`` (teardown)
+        cancels both."""
+        for task in self._injectors:
+            if abandon or task not in self._fired:
+                task.cancel()
+        outcomes = await asyncio.gather(*self._injectors, return_exceptions=True)
+        self._injectors.clear()
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):  # not a cancellation: a failed spawn
+                self._say(f"# cluster: fault injector failed: {outcome!r}")
+
+    def _note_fault(self, kind: str, node: int) -> None:
+        self.fault_events.append({"kind": kind, "node": node, "epoch": self._epoch})
+
+    async def _inject_kill(self, node: int, at: float, restart_delay: float) -> None:
+        """SIGKILL ``node`` at ``at``; respawn it ``restart_delay`` later."""
+        await self._sleep_until(at)
+        process = self.processes.get(node)
         if process is not None and process.poll() is None:
             process.send_signal(signal.SIGKILL)
             process.wait()
-            self._say(f"# cluster: SIGKILLed node {crash.node} in epoch {crash.epoch}")
-        self._down.add(crash.node)
-        await asyncio.sleep(crash.restart_delay)
+        self._down.add(node)
+        self.liveness.on_kill(node)
+        self._note_fault("kill", node)
+        self._say(f"# cluster: SIGKILLed node {node} (epoch {self._epoch})")
+        await asyncio.sleep(restart_delay)
         if self.spawn:
-            self.processes[crash.node] = self._spawn_node(crash.node)
-        self._down.discard(crash.node)
-        self.restarts.append({"node": crash.node, "epoch": self._epoch})
-        self._say(f"# cluster: respawned node {crash.node}")
+            self.processes[node] = self._spawn_node(node)
+            self.restarts.append({"node": node, "epoch": self._epoch})
+            self._say(f"# cluster: respawned node {node}")
+        self._down.discard(node)
 
-    async def _run_epoch(
-        self, transport: SocketTransport, epoch: int
-    ) -> Dict[str, Any]:
+    async def _inject_pause(self, node: int, at: float, duration: float) -> None:
+        """SIGSTOP ``node`` at ``at``; SIGCONT it ``duration`` later."""
+        await self._sleep_until(at)
+        process = self.processes.get(node)
+        if process is None or process.poll() is not None:
+            self._note_fault("pause-noop", node)
+            return
+        process.send_signal(signal.SIGSTOP)
+        self._paused[node] = process
+        # A stopped node misses its epoch like a crashed one; counting it
+        # in _down keeps the grace drain from waiting on it.
+        self._down.add(node)
+        self._note_fault("pause", node)
+        self._say(f"# cluster: SIGSTOPped node {node} (epoch {self._epoch})")
+        await asyncio.sleep(duration)
+        if self._paused.pop(node, None) is process and process.poll() is None:
+            process.send_signal(signal.SIGCONT)
+            self._note_fault("resume", node)
+            self._say(f"# cluster: SIGCONTed node {node}")
+        self._down.discard(node)
+
+    def _resume_paused(self) -> None:
+        """Teardown backstop: a SIGSTOPped child ignores SIGTERM *and*
+        keeps its sockets bound — resume it so the normal teardown works."""
+        for process in self._paused.values():
+            if process.poll() is None:
+                process.send_signal(signal.SIGCONT)
+        self._paused.clear()
+
+    # -- one epoch -----------------------------------------------------------
+    async def _run_epoch(self, epoch: int) -> Dict[str, Any]:
         """Collect one epoch's certificates, validate, COMMIT."""
         config = self.config
-        inputs = self.feed.inputs(epoch)
-        self.monitor.begin_epoch(epoch, inputs)
-        transport.advance_epoch(epoch)
+        self.liveness.begin_epoch(epoch, time.monotonic())
+        self.monitor.begin_epoch(epoch, self.feed.inputs(epoch))
+        self._transport.advance_epoch(epoch)
         mark = len(self.chain.entries)
         cert_senders: List[int] = []
         consumed: Optional[DoraCertificate] = None
         deadline = time.monotonic() + config.epoch_timeout
-        grace_deadline: Optional[float] = None
-        while True:
-            now = time.monotonic()
-            if consumed is not None:
-                # Drain extra certificates briefly so slower-but-alive nodes
-                # land in the report; stop early once everyone expected did.
-                expected = set(range(config.n)) - self._down
-                if expected <= set(cert_senders) or now >= grace_deadline:
-                    break
-                remaining = min(grace_deadline, deadline) - now
-            else:
-                remaining = deadline - now
-            if remaining <= 0:
+        # Until a certificate is consumed the deadline is the epoch budget;
+        # from then on it is the grace drain, which ends early once every
+        # node expected alive has reported.
+        while consumed is None or not (
+            set(range(config.n)) - self._down <= set(cert_senders)
+        ):
+            received = await self._control(deadline)
+            if received is None:
                 if consumed is not None:
                     break
                 raise LivenessTimeout(
@@ -765,23 +859,25 @@ class ClusterSupervisor:
                     f"{config.epoch_timeout}s "
                     f"(certificates from {sorted(cert_senders)})",
                 )
-            try:
-                sender, message = await asyncio.wait_for(
-                    transport.get(config.supervisor_id), remaining
-                )
-            except asyncio.TimeoutError:
-                continue
-            if message.protocol != CLUSTER_PROTOCOL:
-                continue
+            sender, message = received
             if message.mtype == JOIN:
                 # A (re)joining node: greet it with the current epoch so it
                 # fast-forwards its feed and state to the live cluster.
-                await self._greet(transport, sender, epoch)
+                await self._greet(sender, epoch)
                 continue
             if message.mtype != CERT:
                 continue
-            cert_epoch, rounded, certificate = message.payload
-            if int(cert_epoch) != epoch:
+            payload = message.payload
+            if not (
+                isinstance(payload, (list, tuple))
+                and len(payload) == 3
+                and type(payload[0]) is int
+                and (payload[1] is None or isinstance(payload[1], (int, float)))
+            ):
+                self.malformed_certs += 1
+                continue
+            cert_epoch, rounded, certificate = payload
+            if cert_epoch != epoch:
                 continue  # stale certificate from a committed epoch
             self.chain.submit(sender, certificate)
             if sender not in cert_senders:
@@ -792,21 +888,21 @@ class ClusterSupervisor:
                 entry = self.chain.first_valid(since=mark)
                 if entry is not None:
                     consumed = entry.payload
-                    grace_deadline = time.monotonic() + config.epoch_grace
-        assert consumed is not None
+                    deadline = min(deadline, time.monotonic() + config.epoch_grace)
         self.last_certificate = consumed
         self.monitor.check_certificate(epoch, consumed)
         if config.epoch_interval > 0 and epoch + 1 < config.epochs:
-            await self._idle(transport, config.epoch_interval, epoch)
-        await self._broadcast(
-            transport,
-            Message(
-                CLUSTER_PROTOCOL,
-                COMMIT,
-                epoch,
-                [epoch, consumed.value, consumed.aggregate],
-            ),
-        )
+            # Pace the run by *withholding the COMMIT*: every node sits
+            # waiting for it in this epoch, so nothing but JOINs (greeted with
+            # this epoch — they adopt via the imminent COMMIT) can arrive that
+            # matters; a late duplicate CERT changes nothing.  A respawned
+            # interpreter gets this long to boot and rejoin mid-run.
+            pace = time.monotonic() + config.epoch_interval
+            while (received := await self._control(pace)) is not None:
+                if received[1].mtype == JOIN:
+                    await self._greet(received[0], epoch)
+        await self._broadcast(COMMIT, epoch, [epoch, consumed.value, consumed.aggregate])
+        self.liveness.on_certified(epoch, time.monotonic())
         self._say(
             f"  epoch {epoch}: value={consumed.value:.6g} "
             f"signers={consumed.signer_count} certs_from={sorted(cert_senders)}"

@@ -185,10 +185,6 @@ class ShardedTopology(Topology):
         """Per-group Byzantine budget: floor((m - 1) / 3) for group size m."""
         return byzantine_bound(len(self.groups[group]))
 
-    def representative_budget(self) -> int:
-        """Byzantine budget of the inter-group round among the reps."""
-        return byzantine_bound(self.num_groups)
-
     def safe_corrupted_ids(self, count: int) -> Tuple[int, ...]:
         """Pick ``count`` non-representative ids within every group budget.
 
@@ -220,29 +216,6 @@ class ShardedTopology(Topology):
                 )
             depth += 1
         return tuple(sorted(chosen))
-
-    def validate_corruptions(self, corrupted: Iterable[int]) -> None:
-        """Raise when corruptions exceed a group budget or the rep budget."""
-        per_group: Dict[int, int] = {}
-        corrupted_reps = 0
-        for node in corrupted:
-            group = self.group_of.get(node)
-            if group is None:
-                raise ConfigurationError(f"corrupted id {node} is not in the topology")
-            per_group[group] = per_group.get(group, 0) + 1
-            if self.representatives[group] == node:
-                corrupted_reps += 1
-        for group, used in per_group.items():
-            budget = self.group_budget(group)
-            if used > budget:
-                raise ConfigurationError(
-                    f"group {group} has {used} corruptions, budget is {budget}"
-                )
-        rep_budget = self.representative_budget()
-        if corrupted_reps > rep_budget:
-            raise ConfigurationError(
-                f"{corrupted_reps} representatives corrupted, budget is {rep_budget}"
-            )
 
     def describe(self) -> Dict[str, object]:
         return {

@@ -174,8 +174,3 @@ class BitcoinPriceFeed:
     def minute(self) -> int:
         """Minutes generated so far."""
         return self._minute
-
-    @property
-    def mid_price(self) -> float:
-        """Current mid-price of the random walk."""
-        return self._mid_price

@@ -1,0 +1,521 @@
+"""Tier-1 vehicle for the cluster run loop: a whole cluster on one event loop.
+
+The multi-process tests (``-m slow``) are the only ones that deliver real
+signals, but everything else about a run — barrier, epochs, COMMIT, skip,
+kill bookkeeping, rejoin, SHUTDOWN, teardown — needs no second process:
+``ClusterSupervisor._run_async()`` runs beside ``run_node`` coroutines over
+real Unix sockets in ``tmp_path``.  Two shapes are used:
+
+* **no-spawn** — the ``--no-spawn`` deployment itself: the supervisor spawns
+  nothing, the nodes are tasks "started elsewhere";
+* **task children** — ``_spawn_node`` is replaced so that each child is a
+  :class:`TaskChild`, a ``Popen``-shaped handle on a ``run_node`` task whose
+  SIGKILL cancels it.  The supervisor's own spawn / kill / respawn / rejoin
+  / reap path then runs unchanged, crash recovery included.
+
+Each liveness bug the merged loop fixed has its reproduction here; the
+module docstrings of the tests say what the parent did.
+"""
+
+import asyncio
+import json
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from repro.errors import LivenessTimeout
+from repro.net.message import Message
+from repro.oracle.chaos import (
+    ChaosController,
+    ChaosSchedule,
+    KillSpec,
+    PauseSpec,
+    deterministic_view,
+)
+from repro.oracle.cluster import (
+    CERT,
+    CLUSTER_PROTOCOL,
+    EPOCH,
+    JOIN,
+    SHUTDOWN,
+    ClusterSupervisor,
+    CrashPlan,
+    build_cluster_config,
+    run_node,
+)
+
+N = 4
+#: No test below should come near this; it turns a hang into a failure.
+HANG = 20.0
+
+
+def _config(runtime_dir, **overrides):
+    settings = dict(
+        epochs=3,
+        seed=7,
+        runtime_dir=runtime_dir,
+        secret_seed=b"in-process",
+        epoch_timeout=5.0,
+    )
+    settings.update(overrides)
+    return build_cluster_config("sensors", N, **settings)
+
+
+def _run(coroutine):
+    return asyncio.run(asyncio.wait_for(coroutine, HANG))
+
+
+async def _no_spawn_run(supervisor, others=()):
+    """The supervisor beside one ``run_node`` task per node id not taken by
+    ``others`` (extra coroutines playing the remaining endpoints)."""
+    config = supervisor.config
+    taken = {node_id for node_id, _ in others}
+    nodes = {
+        node_id: asyncio.create_task(run_node(config, node_id))
+        for node_id in range(config.n)
+        if node_id not in taken
+    }
+    extras = [asyncio.create_task(coroutine) for _, coroutine in others]
+    result = await supervisor._run_async()
+    outcomes = await asyncio.gather(*nodes.values(), return_exceptions=True)
+    await asyncio.gather(*extras)
+    return result, dict(zip(nodes, outcomes))
+
+
+class TaskChild:
+    """``Popen``-shaped handle on an in-process ``run_node`` task.
+
+    SIGKILL cancels the task, whose ``finally`` closes its transport — the
+    listener goes away and every connection dies, which is what the kernel
+    does to a killed process's sockets.
+    """
+
+    def __init__(self, config, node_id):
+        self.task = asyncio.create_task(run_node(config, node_id))
+        self.killed = False
+
+    def poll(self):
+        if self.killed:
+            return -signal.SIGKILL
+        if not self.task.done():
+            return None
+        return 0 if self.task.exception() is None else 1
+
+    def send_signal(self, signum):
+        assert signum == signal.SIGKILL, "only a kill can be played by a task"
+        self.killed = True
+        self.task.cancel()
+
+    def kill(self):
+        self.send_signal(signal.SIGKILL)
+
+    terminate = kill
+
+    def wait(self):
+        return self.poll()
+
+
+def _with_task_children(supervisor):
+    """Make ``supervisor`` spawn :class:`TaskChild` instead of processes;
+    returns the list every incarnation is appended to."""
+    incarnations = []
+
+    def spawn(node_id):
+        supervisor._spawned_at[node_id] = time.monotonic()  # as _spawn_node does
+        child = TaskChild(supervisor.config, node_id)
+        incarnations.append((node_id, child))
+        return child
+
+    supervisor._spawn_node = spawn
+    return incarnations
+
+
+def _final_commits(supervisor):
+    """``node -> committed map`` of every node's final incarnation."""
+    return {node: child.task.result() for node, child in supervisor.processes.items()}
+
+
+# ----------------------------------------------------------------------
+# B1 / B2: shutdown and starvation
+# ----------------------------------------------------------------------
+class TestNoSpawnRun:
+    def test_every_node_hears_the_final_commit_and_shutdown(self, tmp_path):
+        """B1.  ``put`` only queues; the parent had no children to reap, so
+        it closed its transport (cancelling the sender tasks) with the last
+        COMMIT and SHUTDOWN still queued, and all four nodes died at
+        ``epoch_timeout`` one epoch short."""
+        supervisor = ClusterSupervisor(_config(tmp_path), spawn=False)
+        started = time.monotonic()
+        report, outcomes = _run(_no_spawn_run(supervisor))
+        assert time.monotonic() - started < 2.0
+        values = {entry["epoch"]: entry["value"] for entry in report["epochs"]}
+        assert sorted(values) == [0, 1, 2]
+        assert outcomes == {node: values for node in range(N)}
+        assert report["exit_codes"] == {} and report["boots"] == []
+        assert report["malformed_certs"] == 0
+        assert report["transport"]["dropped_unreachable"] == 0
+        assert not list(tmp_path.glob("*.sock")), "leaked unix sockets"
+
+    def test_a_node_nobody_greets_times_out_typed(self, tmp_path):
+        """B2, JOIN wait.  The parent let ``asyncio.wait_for`` raise a bare
+        ``TimeoutError`` past the ``LivenessTimeout`` written for this."""
+        config = _config(tmp_path)
+        config.join_timeout = 0.3
+        with pytest.raises(LivenessTimeout, match="no EPOCH greeting"):
+            _run(run_node(config, 0))
+
+    @pytest.mark.parametrize("resyncs", [0, 2])
+    def test_a_node_starved_mid_epoch_resyncs_then_times_out_typed(
+        self, tmp_path, resyncs
+    ):
+        """B2, epoch wait.  Greeted, then silence: the node re-JOINs
+        ``epoch_resyncs`` times (the branch written for exactly this stall,
+        which the parent's uncaught ``TimeoutError`` bypassed) and then dies
+        with ``LivenessTimeout`` naming the epoch."""
+        config = _config(tmp_path, epoch_timeout=0.2)
+        config.epoch_resyncs = resyncs
+        heard = []
+
+        async def scenario():
+            supervisor = config.make_transport(config.supervisor_id)
+            await supervisor.open([config.supervisor_id])
+            node = asyncio.create_task(run_node(config, 0))
+            try:
+                sender, message = await supervisor.get(config.supervisor_id)
+                heard.append((sender, message.mtype, message.payload))
+                greeting = Message(CLUSTER_PROTOCOL, EPOCH, 0, 0)
+                await supervisor.put(0, (config.supervisor_id, greeting))
+                return await asyncio.gather(node, return_exceptions=True)
+            finally:
+                while supervisor.pending():
+                    sender, message = await supervisor.get(config.supervisor_id)
+                    heard.append((sender, message.mtype, message.payload))
+                await supervisor.close()
+
+        (outcome,) = _run(scenario())
+        assert isinstance(outcome, LivenessTimeout), repr(outcome)
+        assert f"epoch 0 saw no COMMIT within 0.2s (after {resyncs} resyncs)" in str(
+            outcome
+        )
+        assert heard == [(0, JOIN, 0)] * (1 + resyncs)
+
+
+# ----------------------------------------------------------------------
+# B3: a malformed CERT
+# ----------------------------------------------------------------------
+MALFORMED_CERTS = [
+    None,
+    [0, 25.0],
+    [0, 25.0, None, None],
+    ["0", 25.0, None],
+    [0, "25.0", None],
+    {"epoch": 0},
+]
+
+
+class TestMalformedCert:
+    def test_a_malformed_cert_costs_a_counter_and_nothing_else(self, tmp_path):
+        """B3.  The parent unpacked ``message.payload`` unchecked: one
+        ``CERT`` carrying ``None`` from an authenticated endpoint ended the
+        run with ``TypeError`` — no report, no verdict."""
+        config = _config(tmp_path)
+        config.epoch_grace = 0.1  # the rogue never certifies; don't wait long
+        rogue_id = N - 1
+
+        async def rogue():
+            transport = config.make_transport(rogue_id)
+            await transport.open([rogue_id])
+
+            async def tell(mtype, payload):
+                message = Message(CLUSTER_PROTOCOL, mtype, 0, payload)
+                await transport.put(config.supervisor_id, (rogue_id, message))
+
+            try:
+                await tell(JOIN, 0)
+                for payload in MALFORMED_CERTS:
+                    await tell(CERT, payload)
+                # Well-formed but worthless: the chain's validator, not the
+                # shape check, is what refuses a non-certificate.
+                await tell(CERT, [0, None, "not a certificate"])
+                while (await transport.get(rogue_id))[1].mtype != SHUTDOWN:
+                    pass
+            finally:
+                await transport.close()
+
+        supervisor = ClusterSupervisor(config, spawn=False)
+        report, outcomes = _run(_no_spawn_run(supervisor, others=[(rogue_id, rogue())]))
+        assert report["malformed_certs"] == len(MALFORMED_CERTS)
+        assert [entry["epoch"] for entry in report["epochs"]] == [0, 1, 2]
+        # n - t = 3 honest nodes carry every epoch.  The rogue's one
+        # well-formed CERT is an (invalid) chain entry of epoch 0.
+        senders = [entry["cert_senders"] for entry in report["epochs"]]
+        assert senders == [[0, 1, 2, 3], [0, 1, 2], [0, 1, 2]]
+        assert report["chain_entries"] == 3 * 3 + 1
+        assert all(sorted(outcome) == [0, 1, 2] for outcome in outcomes.values())
+
+
+# ----------------------------------------------------------------------
+# ChaosController = the same loop plus a schedule
+# ----------------------------------------------------------------------
+def _chaos_run(runtime_dir, schedule=ChaosSchedule(seed=7), **overrides):
+    controller = ChaosController(_config(runtime_dir, **overrides), schedule, spawn=False)
+    verdict, outcomes = _run(_no_spawn_run(controller))
+    return controller, verdict, outcomes
+
+
+class TestChaosControllerRun:
+    def test_empty_schedule_certifies_every_epoch_deterministically(self, tmp_path):
+        views = []
+        for run_dir in ("first", "second"):
+            _controller, verdict, outcomes = _chaos_run(tmp_path / run_dir)
+            assert verdict["ok"] and verdict["violations"] == []
+            assert verdict["epochs"] == [
+                {"epoch": epoch, "outcome": "certified"} for epoch in range(3)
+            ]
+            observed = verdict["observed"]
+            assert [d["epoch"] for d in observed["epoch_details"]] == [0, 1, 2]
+            assert observed["fault_events"] == [] and observed["malformed_certs"] == 0
+            assert observed["liveness"]["unaccounted"] == []
+            assert all(sorted(outcome) == [0, 1, 2] for outcome in outcomes.values())
+            views.append(json.dumps(deterministic_view(verdict), sort_keys=True))
+        assert views[0] == views[1]
+
+    def test_report_and_verdict_share_the_supervisors_accounting(self, tmp_path):
+        """The restart/rejoin/boot/chain/transport block is built once: top
+        level of the cluster report, under ``observed`` in the verdict."""
+        supervisor = ClusterSupervisor(_config(tmp_path / "plain"), spawn=False)
+        report, _ = _run(_no_spawn_run(supervisor))
+        _controller, verdict, _ = _chaos_run(tmp_path / "chaos")
+        shared = {
+            "wall_seconds", "restarts", "rejoins", "boots", "exit_codes",
+            "malformed_certs", "chain_entries", "chain_validations", "transport",
+        }  # fmt: skip
+        assert set(report) == shared | {
+            "n", "t", "workload", "seed", "epochs", "distinct_valid_payloads"
+        }  # fmt: skip
+        assert set(verdict["observed"]) == shared | {
+            "epoch_details", "fault_events", "liveness", "margins"
+        }  # fmt: skip
+        assert set(verdict) == {
+            "kind", "seed", "n", "t", "workload", "epochs_planned", "schedule",
+            "epochs", "violations", "ok", "observed",
+        }  # fmt: skip
+
+    def test_an_epoch_nobody_certifies_is_skipped_and_the_nodes_released(
+        self, tmp_path
+    ):
+        """Four endpoints that JOIN and then only listen: every epoch runs
+        out its budget, is skipped *and accounted*, and each node is
+        released with ``EPOCH(k+1)`` instead of the run aborting."""
+        config = _config(tmp_path, epochs=2, epoch_timeout=0.2)
+        heard = {node_id: [] for node_id in range(N)}
+
+        async def listener(node_id):
+            transport = config.make_transport(node_id)
+            await transport.open([node_id])
+            try:
+                join = Message(CLUSTER_PROTOCOL, JOIN, 0, 0)
+                await transport.put(config.supervisor_id, (node_id, join))
+                while not heard[node_id] or heard[node_id][-1][0] != SHUTDOWN:
+                    _sender, message = await transport.get(node_id)
+                    heard[node_id].append((message.mtype, message.payload))
+            finally:
+                await transport.close()
+
+        controller = ChaosController(config, ChaosSchedule(seed=3), spawn=False)
+        verdict, _ = _run(
+            _no_spawn_run(controller, others=[(i, listener(i)) for i in range(N)])
+        )
+        reason = "no valid certificate within 0.2s"
+        assert verdict["epochs"] == [
+            {"epoch": epoch, "outcome": "skipped", "reason": reason}
+            for epoch in range(2)
+        ]
+        assert verdict["ok"]  # skipped is accounted; nothing is unaccounted
+        assert verdict["observed"]["liveness"]["skipped"] == {"0": reason, "1": reason}
+        assert verdict["observed"]["epoch_details"] == []
+        assert controller._health_source()[0] == "degraded"
+        for node_id in range(N):
+            assert heard[node_id] == [
+                (EPOCH, 0),  # the barrier
+                (EPOCH, 1),  # released from skipped epoch 0
+                (EPOCH, 2),  # ... and from skipped epoch 1
+                (SHUTDOWN, None),
+            ]
+
+
+# ----------------------------------------------------------------------
+# One kill path, one clock
+# ----------------------------------------------------------------------
+class TestOneKillPath:
+    def _crash_run(self, supervisor):
+        incarnations = _with_task_children(supervisor)
+        result = _run(supervisor._run_async())
+        return result, incarnations
+
+    def test_crash_plan_and_kill_spec_account_the_same_fault(self, tmp_path):
+        """An epoch-anchored ``CrashPlan`` is resolved onto the barrier clock
+        as its epoch opens, and from there *is* a ``KillSpec``: same
+        injector, same bookkeeping, same rejoin wait."""
+        plain = ClusterSupervisor(
+            _config(tmp_path / "plan", epoch_interval=0.4),
+            crash=CrashPlan(node=1, epoch=0, after=0.05, restart_delay=0.1),
+        )
+        chaos = ChaosController(
+            _config(tmp_path / "spec", epoch_interval=0.4),
+            ChaosSchedule(kills=(KillSpec(node=1, at=0.05, restart_delay=0.1),)),
+        )
+        for supervisor in (plain, chaos):
+            # The peers' own channels to node 1 lose a write finding out it
+            # died, which can cost the respawn its first full epoch.
+            supervisor.config.epoch_grace = 0.2
+        (report, plain_children), (verdict, chaos_children) = (
+            self._crash_run(plain),
+            self._crash_run(chaos),
+        )
+        assert plain.fault_events == chaos.fault_events == [
+            {"kind": "kill", "node": 1, "epoch": 0}
+        ]
+        assert report["restarts"] == verdict["observed"]["restarts"] == [
+            {"node": 1, "epoch": 0}
+        ]
+        assert report["rejoins"] == verdict["observed"]["rejoins"] == [
+            {"node": 1, "epoch": 0}
+        ]
+        for supervisor, children in ((plain, plain_children), (chaos, chaos_children)):
+            assert [node for node, _child in children] == [0, 1, 2, 3, 1]
+            assert children[1][1].killed and not children[4][1].killed
+            assert supervisor.liveness.kills == [1]
+            assert supervisor.liveness.unrejoined() == []
+            assert supervisor._down == set()
+            commits = _final_commits(supervisor)
+            # The respawn adopted the epoch it rejoined in via COMMIT.
+            assert all(sorted(done) == [0, 1, 2] for done in commits.values())
+        for codes in (report["exit_codes"], verdict["observed"]["exit_codes"]):
+            assert codes == {"0": 0, "1": 0, "2": 0, "3": 0}
+        assert sorted(b["node"] for b in report["boots"]) == [0, 1, 1, 2, 3]
+        assert verdict["ok"]
+
+    @pytest.mark.parametrize(
+        "after, restart_delay",
+        [
+            pytest.param(0.3, 0.05, id="greeting-is-the-first-write"),
+            pytest.param(0.0, 0.1, id="greeting-falls-in-the-redial-backoff"),
+        ],
+    )
+    def test_a_kill_in_the_last_epoch_still_gets_its_greeting(
+        self, tmp_path, after, restart_delay
+    ):
+        """B5 — the ``cluster-smoke`` CI command line in miniature: no pacing
+        after the last epoch, so the respawn JOINs into the rejoin wait.
+
+        Killed *after* the last COMMIT, no broadcast comes between the kill
+        and that JOIN, and the ``EPOCH`` greeting was the first write on a
+        channel that still pointed at the dead incarnation.  Killed *before*
+        it, the COMMIT is that write, its failure starts a redial backoff,
+        and the greeting arrived inside the window.  Either way it was lost
+        (dropped and counted, invisibly), the respawn never logged "joined",
+        and the run ended by SIGTERMing it after the 10 s reap."""
+        config = _config(tmp_path, epochs=2)
+        supervisor = ClusterSupervisor(
+            config,
+            crash=CrashPlan(node=1, epoch=1, after=after, restart_delay=restart_delay),
+        )
+        started = time.monotonic()
+        report, children = self._crash_run(supervisor)
+        assert time.monotonic() - started < 5.0
+        assert report["restarts"] == [{"node": 1, "epoch": 1}]
+        # Greeted with the terminal epoch (or, on a slow box, the last one's
+        # COMMIT still to come): nothing left to run, exit cleanly.
+        assert [entry["node"] for entry in report["rejoins"]] == [1]
+        assert report["exit_codes"] == {"0": 0, "1": 0, "2": 0, "3": 0}
+        # (Past the last COMMIT the first incarnation has already exited;
+        # the channel to it is just as stale as to a killed one.)
+        assert [node for node, _child in children] == [0, 1, 2, 3, 1]
+        assert set(children[-1][1].task.result()) <= {1}
+
+    def test_a_fired_kill_is_awaited_a_sleeping_one_cancelled(self, tmp_path):
+        """B4.  The parent waited 1 s for injectors, then set a flag that
+        suppressed the respawn of a kill that had already fired — and then
+        waited the whole ``join_timeout`` for the node it had just declined
+        to respawn (``restarts: []``, ``unrejoined: [1]``, ``ok: True``)."""
+        config = _config(tmp_path, epochs=2)
+        config.join_timeout = 8.0
+        schedule = ChaosSchedule(
+            kills=(
+                KillSpec(node=1, at=0.02, restart_delay=1.2),  # outlasts the epochs
+                KillSpec(node=2, at=60.0),  # never reached
+            ),
+            pauses=(PauseSpec(node=3, at=60.0),),
+        )
+        controller = ChaosController(config, schedule)
+        started = time.monotonic()
+        verdict, children = self._crash_run(controller)
+        wall = time.monotonic() - started
+        assert 1.2 <= wall < 1.2 + 2.0, f"{wall:.2f}s: not restart_delay + boot"
+        observed = verdict["observed"]
+        assert observed["fault_events"] == [{"kind": "kill", "node": 1, "epoch": 0}]
+        assert observed["restarts"] == [{"node": 1, "epoch": 1}]
+        assert observed["liveness"]["unrejoined"] == []
+        assert observed["exit_codes"] == {"0": 0, "1": 0, "2": 0, "3": 0}
+        assert [node for node, _child in children] == [0, 1, 2, 3, 1]
+        assert verdict["ok"]
+
+
+class TestRealSignals:
+    """The two injectors against real (stub) children: what a ``TaskChild``
+    cannot play.  The slow tier does this to whole clusters."""
+
+    def _supervisor(self, tmp_path):
+        supervisor = ClusterSupervisor(_config(tmp_path), spawn=False)
+        supervisor._zero = time.monotonic()
+        return supervisor
+
+    @staticmethod
+    def _child():
+        return subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+
+    @staticmethod
+    def _state(process):
+        stat = Path(f"/proc/{process.pid}/stat").read_text()
+        return stat.rsplit(")", 1)[1].split()[0]
+
+    def test_kill_and_respawn(self, tmp_path):
+        supervisor = self._supervisor(tmp_path)
+        victim, replacement = self._child(), self._child()
+        supervisor.processes[1] = victim
+        supervisor.spawn = True
+        supervisor._spawn_node = lambda node_id: replacement
+        try:
+            asyncio.run(supervisor._inject_kill(1, at=0.0, restart_delay=0.05))
+            assert victim.poll() == -signal.SIGKILL
+            assert supervisor.processes[1] is replacement
+            assert supervisor.restarts == [{"node": 1, "epoch": 0}]
+            assert supervisor.liveness.unrejoined() == [1]  # until it JOINs
+        finally:
+            supervisor._kill_children()
+            victim.kill()
+
+    def test_pause_stops_then_resumes(self, tmp_path):
+        supervisor = self._supervisor(tmp_path)
+        child = supervisor.processes[2] = self._child()
+        seen = []
+
+        async def scenario():
+            pause = asyncio.create_task(supervisor._inject_pause(2, 0.0, 0.3))
+            await asyncio.sleep(0.1)
+            seen.append((self._state(child), set(supervisor._down)))
+            await pause
+
+        try:
+            asyncio.run(scenario())
+            assert seen == [("T", {2})]  # stopped, and not waited on meanwhile
+            assert self._state(child) in "SR" and supervisor._down == set()
+            kinds = [event["kind"] for event in supervisor.fault_events]
+            assert kinds == ["pause", "resume"]
+        finally:
+            supervisor._kill_children()

@@ -249,13 +249,15 @@ class TestChaosControllerWiring:
         controller._zero = time.monotonic()
 
         async def scenario():
-            await controller._inject_kill(controller.schedule.kills[0])
-            await controller._inject_pause(controller.schedule.pauses[0])
+            controller._schedule_faults()  # the supervisor's injectors, as tasks
+            await asyncio.sleep(0.02)  # both fire at once (at=0.0) ...
+            await controller._settle_faults()  # ... and are awaited through
 
         asyncio.run(scenario())
         assert controller.liveness.kills == [1]
         kinds = [event["kind"] for event in controller.fault_events]
         assert kinds == ["kill", "pause-noop"]  # no live process to pause
+        assert controller.restarts == []  # spawn=False: nothing to respawn
         assert controller._down == set()  # always cleaned up
 
 

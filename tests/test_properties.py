@@ -17,7 +17,8 @@ every spec type survives ``from_dict(to_dict(x))`` through real JSON.
 import json
 from typing import List
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.adversary.strategies import (
     CrashStrategy,
@@ -34,10 +35,11 @@ from repro.core.aggregation import (
     round_to_epsilon,
     LevelAggregate,
 )
+from repro.errors import ConfigurationError
 from repro.faults.spec import CorruptionSpec, FaultSpec
 from repro.net.chaos import CorruptSpec, ResetSpec, WireFaults
 from repro.net.message import Message, estimate_size_bits
-from repro.net.network import DelayWindow, LossWindow, PartitionWindow
+from repro.net.network import DelayWindow, JsonSpec, LossWindow, PartitionWindow
 from repro.oracle.chaos import ChaosSchedule, KillSpec, PauseSpec
 from repro.protocols.base import BROADCAST, Outbound, ProtocolNode
 from repro.protocols.baselines.abraham_aaa import trimmed_mean
@@ -433,3 +435,40 @@ class TestFaultSpecRoundTrip:
         wire_form = json.loads(json.dumps(spec.to_dict()))
         assert type(spec).from_dict(wire_form) == spec
         assert type(spec).from_dict(wire_form).to_dict() == spec.to_dict()
+
+    @given(
+        spec=st.one_of(_wire_faults, _fault_specs, _schedules), data=st.data()
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_unknown_nested_key_names_the_inner_class(self, spec, data):
+        """The nested decode is read off the annotations, so a misspelt key
+        two levels down is still refused, by the class it was found in."""
+        wire_form = json.loads(json.dumps(spec.to_dict()))
+        nested = [
+            (entry, type(inner).__name__)
+            for name, value in wire_form.items()
+            for entry, inner in (
+                zip(value, getattr(spec, name))
+                if isinstance(value, list)
+                else [(value, getattr(spec, name))]
+            )
+            if isinstance(inner, JsonSpec)
+        ]
+        assume(nested)
+        entry, inner_class = data.draw(st.sampled_from(nested))
+        entry["bogus"] = 1
+        message = f"{inner_class}: unknown key 'bogus'"
+        with pytest.raises(ConfigurationError, match=message):
+            type(spec).from_dict(wire_form)
+
+    @given(spec=st.one_of(_wire_faults, _fault_specs, _schedules))
+    @settings(max_examples=50, deadline=None)
+    def test_null_or_missing_spec_fields_mean_the_default(self, spec):
+        wire_form = json.loads(json.dumps(spec.to_dict()))
+        empty = type(spec)()
+        for name in wire_form:
+            default = getattr(empty, name)
+            if isinstance(default, (tuple, JsonSpec)):
+                without = {key: value for key, value in wire_form.items() if key != name}
+                for form in (without, {**without, name: None}):
+                    assert getattr(type(spec).from_dict(form), name) == default

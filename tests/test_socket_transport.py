@@ -407,8 +407,45 @@ class TestCoalescedFrames:
                 "messages_received": 6,
                 "auth_failures": 0,
                 "replay_rejections": 0,
+                "dropped_unreachable": 0,
             }
             await transport.close()
+
+        run(scenario())
+
+    def test_flush_waits_for_the_sender_tasks_before_close(self, tmp_path):
+        """``put`` only queues and ``close`` cancels the sender tasks, so a
+        send that is a process's last act needs ``flush`` in between."""
+        addresses = {i: ("unix", str(tmp_path / f"{i}.sock")) for i in (0, 1)}
+
+        async def scenario():
+            receiver = SocketTransport(addresses, local_ids=[1])
+            await receiver.open([1])
+            sender = SocketTransport(addresses, local_ids=[0])
+            await sender.open([0])
+            assert await sender.flush() is True  # nothing queued: at once
+            await sender.put(1, (0, msg(payload="last words")))
+            assert await sender.flush() is True  # dialled, sealed, written
+            await sender.close()
+            received = await asyncio.wait_for(receiver.get(1), 5)
+            assert received[1].payload == "last words"
+            await receiver.close()
+
+        run(scenario())
+
+    def test_flush_is_bounded_when_a_peer_cannot_be_reached(self, tmp_path):
+        addresses = {i: ("unix", str(tmp_path / f"{i}.sock")) for i in (0, 1)}
+
+        async def scenario():
+            sender = SocketTransport(
+                addresses, local_ids=[0], dial_retries=100, dial_retry_delay=0.05
+            )
+            await sender.open([0])
+            await sender.put(1, (0, msg(payload="nobody listens")))
+            started = time.monotonic()
+            assert await sender.flush(timeout=0.2) is False
+            assert 0.2 <= time.monotonic() - started < 2.0
+            await sender.close()
 
         run(scenario())
 
@@ -1020,6 +1057,33 @@ class TestRedialBackoff:
             assert channel.failures == 0
             assert channel.backoff_until == 0.0
 
+            await sender_side.close()
+            await receiver_side.close()
+
+        run(scenario())
+
+    def test_reset_connection_forgets_a_redial_backoff(self, tmp_path):
+        """A frame offered during the backoff window is dropped; a caller
+        that knows the peer is back (the supervisor, holding its JOIN)
+        resets the channel and the very next frame dials and lands."""
+        addresses = {i: ("unix", str(tmp_path / f"{i}.sock")) for i in (0, 1)}
+
+        async def scenario():
+            sender_side = SocketTransport(
+                addresses, local_ids=[0], dial_retries=1, redial_backoff=30.0
+            )
+            await sender_side.open([0])
+            await sender_side.put(1, (0, msg(payload="nobody home")))
+            assert await until(lambda: sender_side.dropped_unreachable == 1)
+            receiver_side = SocketTransport(addresses, local_ids=[1])
+            await receiver_side.open([1])
+            await sender_side.put(1, (0, msg(payload="still backing off")))
+            assert await until(lambda: sender_side.dropped_unreachable == 2)
+            assert sender_side.reset_connection(0, 1) is False  # nothing live
+            await sender_side.put(1, (0, msg(payload="greeting")))
+            received = await asyncio.wait_for(receiver_side.get(1), 5)
+            assert received[1].payload == "greeting"
+            assert sender_side.connections_reset == 0
             await sender_side.close()
             await receiver_side.close()
 
