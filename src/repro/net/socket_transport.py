@@ -19,7 +19,7 @@ authenticated per ordered node pair with the HMAC-SHA256 keys of
 
 Transport contract: the one :class:`InMemoryTransport` states (regression
 tests assert both agree).  What a real network adds: ``put`` never blocks on
-it — remote sends are queued for a per-peer sender task, self-delivery goes
+it — remote sends are queued on a per-peer channel, self-delivery goes
 straight to the local inbox — and a message for an unreachable peer, or one
 no frame could carry, is **dropped and counted** like a ``put`` after
 ``close`` (``dropped_unreachable`` / ``dropped_oversize`` /
@@ -27,8 +27,8 @@ no frame could carry, is **dropped and counted** like a ``put`` after
 fault model, and teardown races must not crash a node.  ``close`` tears down
 every task, socket and Unix path the transport created.
 
-Wire.  Each time a sender task runs, everything queued for its peer leaves
-as one sealed DATA frame of length-prefixed message blobs
+Wire.  Each time a channel's flush callback runs, everything queued for its
+peer leaves as one sealed DATA frame of length-prefixed message blobs
 (:func:`~repro.net.framing.join_blobs`): one sequence number, one HMAC, one
 ``write`` per batch, nothing held back for more traffic.  Two payload-pure
 caches keep the pickle off the per-message path: a broadcast is pickled once
@@ -53,7 +53,8 @@ import pickle
 import random
 import time
 from collections import deque
-from typing import Any, Awaitable, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.crypto.hmac_channel import ChannelKeyring
 from repro.errors import (
@@ -81,16 +82,11 @@ from repro.net.framing import (
     verify_ack,
     verify_hello,
 )
+from repro.net.inbox import Inbox
 from repro.net.message import Message
 
 #: A listen/dial address: ``("tcp", host, port)`` or ``("unix", path)``.
 Address = Tuple[Any, ...]
-
-#: Inbox sentinel that wakes blocked ``get`` calls on close.
-_CLOSED = object()
-
-#: Read chunk size for connection reader loops.
-_READ_CHUNK = 65536
 
 #: Exclusive upper bound on the round field :func:`loads_message` accepts.
 MAX_WIRE_ROUND = 2**32
@@ -185,10 +181,10 @@ def loads_message(payload: bytes) -> Message:
 
 
 class _Sender:
-    """One ordered channel ``local_id -> peer``: outbox, dialer, writer task.
+    """One ordered channel ``local_id -> peer``: outbox, connection, dial task.
 
-    A single task drains the outbox and owns the connection, and each time
-    it runs everything queued leaves as one frame — concurrent ``put``
+    ``put`` schedules one :meth:`_flush` loop callback, and everything
+    queued by the time it runs leaves as one frame — concurrent ``put``
     callers can interleave *messages* but never *bytes within a frame*, and
     per-channel FIFO holds across frame boundaries.
     """
@@ -198,7 +194,6 @@ class _Sender:
         self.local_id = local_id
         self.peer = peer
         self.outbox: deque[Message] = deque()
-        self.wake = asyncio.Event()
         self.writer: Optional[asyncio.StreamWriter] = None
         self.codec: Optional[ChannelCodec] = None
         self.backoff_until = 0.0
@@ -210,7 +205,10 @@ class _Sender:
         self._backoff_rng = random.Random(
             (transport.backoff_seed << 16) ^ (local_id << 8) ^ peer
         )
-        self.task = asyncio.create_task(self._run())
+        #: A ``_flush`` callback is scheduled or the dial task alive: either
+        #: takes what ``put`` appends.
+        self.busy = False
+        self.task: Optional[asyncio.Task] = None
 
     # -- connection management -----------------------------------------
     async def _dial(self) -> None:
@@ -227,7 +225,6 @@ class _Sender:
                 nonce = os.urandom(NONCE_BYTES)
                 hello = encode_hello(key, self.local_id, self.peer, transport.epoch, nonce)
                 writer.write(encode_frame(hello, transport.max_frame_bytes))
-                await writer.drain()
                 prefix = await reader.readexactly(LENGTH_PREFIX_BYTES)
                 length = int.from_bytes(prefix, "big")
                 if length > transport.max_frame_bytes:
@@ -249,11 +246,12 @@ class _Sender:
     def _disconnect(self) -> None:
         if self.writer is not None:
             self.writer.close()
-        self.writer = None
-        self.codec = None
+        self.writer = self.codec = None
 
     async def _connect_with_retries(self) -> bool:
         transport = self.transport
+        if time.monotonic() < self.backoff_until:
+            return False
         for attempt in range(transport.dial_retries):
             try:
                 await self._dial()
@@ -265,7 +263,8 @@ class _Sender:
         return False
 
     def _note_failure(self) -> None:
-        """Schedule the next redial attempt: exponential, capped, jittered."""
+        """Hang up and schedule the next redial: exponential, capped, jittered."""
+        self._disconnect()
         self.failures += 1
         delay = backoff_delay(
             self.transport.redial_backoff,
@@ -275,23 +274,23 @@ class _Sender:
         )
         self.backoff_until = time.monotonic() + delay
 
-    # -- the sender loop -----------------------------------------------
-    async def _run(self) -> None:
-        transport, outbox = self.transport, self.outbox
-        while True:
-            if not outbox:
-                self.wake.clear()
-                await self.wake.wait()
-            if self.writer is None and (
-                time.monotonic() < self.backoff_until
-                or not await self._connect_with_retries()
-            ):
-                transport.dropped_unreachable += len(outbox)
-                outbox.clear()
-                continue
-            assert self.codec is not None and self.writer is not None
-            # Everything queued, in order, split only where the next blob
-            # would pass the frame cap; a lone blob past it costs itself only.
+    # -- the send path --------------------------------------------------
+    def _flush(self) -> None:
+        """Loop callback: write what is queued now, or hand it to the task."""
+        if self.writer is not None:
+            self._write()
+        self.busy = bool(self.outbox)
+        if self.busy:  # channel down, or its write buffer full
+            self.task = asyncio.create_task(self._run())
+
+    def _write(self) -> None:
+        """Everything queued, in order, one frame per ``max_frame_bytes``, until
+        the write buffer passes its high-water mark (``drain()`` would wait)."""
+        transport, outbox, wire = self.transport, self.outbox, self.writer.transport
+        high_water = wire.get_write_buffer_limits()[1]
+        while outbox and wire.get_write_buffer_size() <= high_water:
+            # Split only where the next blob would pass the frame cap; a
+            # lone blob past it costs itself only.
             blobs: List[bytes] = []
             room = transport.max_frame_bytes - DATA_HEADER_BYTES
             while outbox:
@@ -304,21 +303,41 @@ class _Sender:
             if room < 0:  # only a lone first blob can overdraw the frame
                 transport.dropped_oversize += 1
                 continue
-            try:
-                body = self.codec.seal(join_blobs(blobs))
-                frame = encode_frame(body, transport.max_frame_bytes)
-                frame = transport._maybe_corrupt(self.local_id, self.peer, frame)
-                self.writer.write(frame)
-                await self.writer.drain()
-                transport.frames_sent += 1
-                transport.messages_sent += len(blobs)
-            except Exception:  # noqa: BLE001 - peer died mid-write
-                self._disconnect()
+            body = self.codec.seal(join_blobs(blobs))
+            frame = encode_frame(body, transport.max_frame_bytes)
+            wire.write(transport._maybe_corrupt(self.local_id, self.peer, frame))
+            if wire.is_closing():  # the peer hung up, or this write failed
                 self._note_failure()
                 transport.dropped_unreachable += len(blobs)
+                return
+            transport.frames_sent += 1
+            transport.messages_sent += len(blobs)
+
+    async def _run(self) -> None:
+        """The dial task lives while the outbox waits on an ``await`` — connect
+        + handshake, the retry sleep, ``drain()`` — and ``put`` keeps coalescing."""
+        transport, outbox = self.transport, self.outbox
+        try:
+            while outbox:
+                if self.writer is None and not await self._connect_with_retries():
+                    transport.dropped_unreachable += len(outbox)
+                    outbox.clear()
+                    return
+                self._write()
+                writer = self.writer
+                if outbox and writer is not None:  # over the high-water mark
+                    try:
+                        await writer.drain()
+                    except Exception:  # noqa: BLE001 - peer died with bytes buffered
+                        if self.writer is writer:  # not our own reset_connection
+                            self._note_failure()
+        finally:
+            self.task, self.busy = None, False
 
     def close(self) -> None:
-        self.task.cancel()
+        if self.task is not None:
+            self.task.cancel()
+        self.outbox.clear()
         self._disconnect()
 
 
@@ -391,10 +410,10 @@ class SocketTransport:
         self.redial_backoff_max = redial_backoff_max
         self.backoff_seed = backoff_seed
         # Live state (built in open()).
-        self._inboxes: Dict[int, asyncio.Queue] = {}
+        self._inboxes: Dict[int, Inbox] = {}
         self._servers: Dict[int, asyncio.AbstractServer] = {}
         self._senders: Dict[Tuple[int, int], _Sender] = {}
-        self._reader_tasks: set = set()
+        self._inbound: Set[_Inbound] = set()
         self._keyrings: Dict[int, ChannelKeyring] = {}
         self._unix_paths: List[str] = []
         self._closed = True
@@ -502,36 +521,32 @@ class SocketTransport:
         """Start one listener per hosted id and fresh inboxes."""
         hosted = list(self.local_ids) if self.local_ids is not None else list(node_ids)
         self._closed = False
-        self._inboxes = {node_id: asyncio.Queue() for node_id in hosted}
+        self._inboxes = {node_id: Inbox() for node_id in hosted}
         for node_id in hosted:
-            await self._start_server(node_id)
+            await self._listen(node_id)
 
-    async def _start_server(self, node_id: int) -> None:
-        if self._auto_addresses:
-            server = await asyncio.start_server(
-                self._acceptor(node_id), host="127.0.0.1", port=0
-            )
-            port = server.sockets[0].getsockname()[1]
-            self._addresses[node_id] = ("tcp", "127.0.0.1", port)
+    async def _listen(self, node_id: int) -> None:
+        loop, accept = asyncio.get_running_loop(), partial(_Inbound, self, node_id)
+        auto = self._auto_addresses
+        address = ("tcp", "127.0.0.1", 0) if auto else self.address_of(node_id)
+        if address[0] == "unix":
+            path = address[1]
+            if os.path.exists(path):
+                os.unlink(path)
+            server = await loop.create_unix_server(accept, path=path)
+            self._unix_paths.append(path)
         else:
-            address = self.address_of(node_id)
-            if address[0] == "unix":
-                path = address[1]
-                if os.path.exists(path):
-                    os.unlink(path)
-                server = await asyncio.start_unix_server(self._acceptor(node_id), path=path)
-                self._unix_paths.append(path)
-            else:
-                server = await asyncio.start_server(
-                    self._acceptor(node_id), host=address[1], port=address[2]
-                )
+            server = await loop.create_server(accept, host=address[1], port=address[2])
+            if auto:  # bound to an ephemeral port: publish it
+                port = server.sockets[0].getsockname()[1]
+                self._addresses[node_id] = ("tcp", "127.0.0.1", port)
         self._servers[node_id] = server
 
     async def put(self, target: int, item: Tuple[int, Message]) -> None:
         """Enqueue one ``(sender, message)`` pair for ``target``.
 
-        Never blocks on the network: remote sends are handed to the
-        per-peer sender task.  Silently drops (and counts) after ``close``.
+        Never blocks on the network: remote sends are queued on the per-peer
+        channel.  Silently drops (and counts) after ``close``.
         """
         if self._closed:
             self.dropped_after_close += 1
@@ -543,7 +558,7 @@ class SocketTransport:
             if inbox is None:
                 self.dropped_after_close += 1
                 return
-            inbox.put_nowait(item)
+            inbox.put(item)
             return
         if sender not in self._inboxes:
             raise TransportError(
@@ -555,39 +570,36 @@ class SocketTransport:
             self.address_of(target)  # raise now if the peer is unknown
             channel = self._senders[key] = _Sender(self, sender, target)
         channel.outbox.append(message)
-        channel.wake.set()
+        if not channel.busy:
+            channel.busy = True
+            asyncio.get_running_loop().call_soon(channel._flush)  # noqa: SLF001
 
     async def get(self, node_id: int) -> Tuple[int, Message]:
         """Dequeue the next ``(sender, message)`` pair for ``node_id``.
 
-        Raises
-        ------
-        TransportClosedError
-            If the transport is closed (also when closed mid-wait).
+        Raises :class:`~repro.errors.TransportClosedError` once the
+        transport is closed, also for a ``get`` already waiting.
         """
         inbox = self._inboxes.get(node_id)
-        if self._closed or inbox is None:
+        if inbox is None:
             raise TransportClosedError(f"transport closed (get for node {node_id})")
-        item = await inbox.get()
-        if item is _CLOSED:
-            inbox.put_nowait(_CLOSED)  # wake any other waiter too
-            raise TransportClosedError(f"transport closed (get for node {node_id})")
-        return item
+        return await inbox.get()
 
     def pending(self) -> int:
         """Messages enqueued locally but not yet consumed."""
-        return sum(
-            sum(1 for item in inbox._queue if item is not _CLOSED)  # noqa: SLF001
-            for inbox in self._inboxes.values()
-        )
+        return sum(inbox.qsize() for inbox in self._inboxes.values())
 
     async def flush(self, timeout: float = 2.0) -> bool:
-        """Wait, at most ``timeout`` seconds, until every sender task has
-        taken what ``put`` queued for it — written it to its socket, or
-        dropped and counted it.  ``close`` cancels those tasks, so a process
-        whose last act is a send calls this first.  ``True`` when drained."""
+        """Wait, at most ``timeout`` seconds, until what ``put`` queued has
+        left this process (no outbox holds a message, no live channel's write
+        buffer a byte) or was dropped and counted.  ``close`` discards both: a
+        process whose last act is a send calls this first.  ``True`` if so."""
         deadline = time.monotonic() + timeout
-        while any(channel.outbox for channel in self._senders.values()):
+        while any(
+            channel.outbox
+            or (channel.writer and channel.writer.transport.get_write_buffer_size())
+            for channel in self._senders.values()
+        ):
             if time.monotonic() >= deadline:
                 return False
             await asyncio.sleep(0.005)
@@ -600,26 +612,20 @@ class SocketTransport:
         self._closed = True
         senders = list(self._senders.values())
         self._senders = {}
+        tasks = [channel.task for channel in senders if channel.task is not None]
         for channel in senders:
             channel.close()
-        readers = list(self._reader_tasks)
-        self._reader_tasks = set()
-        for task in readers:
-            task.cancel()
-        tasks = [channel.task for channel in senders] + readers
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        await asyncio.gather(*tasks, return_exceptions=True)
+        for connection in list(self._inbound):
+            connection.transport.abort()
         servers = list(self._servers.values())
         self._servers = {}
         for server in servers:
             server.close()
         for server in servers:
-            try:
-                await server.wait_closed()
-            except Exception:  # pragma: no cover - platform-dependent teardown
-                pass
+            await server.wait_closed()
         for inbox in self._inboxes.values():
-            inbox.put_nowait(_CLOSED)
+            inbox.close()
         for path in self._unix_paths:
             try:
                 os.unlink(path)
@@ -627,76 +633,73 @@ class SocketTransport:
                 pass
         self._unix_paths = []
 
-    # ------------------------------------------------------------------
-    # Inbound connections
-    # ------------------------------------------------------------------
-    def _acceptor(
-        self, local_id: int
-    ) -> Callable[[asyncio.StreamReader, asyncio.StreamWriter], Awaitable[None]]:
-        async def handle(
-            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-        ) -> None:
-            task = asyncio.current_task()
-            if task is not None:
-                self._reader_tasks.add(task)
-                task.add_done_callback(self._reader_tasks.discard)
-            try:
-                await self._serve_connection(local_id, reader, writer)
-            except asyncio.CancelledError:
-                # Swallow rather than re-raise: asyncio's stream-server
-                # machinery calls ``task.exception()`` on this task from a
-                # plain loop callback, and a cancelled task would make that
-                # call itself raise and be logged as a loop error.
-                pass
-            except ReplayError:
-                self.replay_rejections += 1
-            except AuthenticationError:
-                self.auth_failures += 1
-            except Exception:  # noqa: BLE001 - a broken peer must not crash us
-                self.frame_errors += 1  # FrameError, or a HELLO that never came
-            finally:
-                writer.close()
 
-        return handle
+class _Inbound(asyncio.Protocol):
+    """One accepted connection.  Whatever a ``recv`` returns is reassembled,
+    verified and delivered inside :meth:`data_received`: no stream buffer and
+    no reader task between the kernel and the inbox."""
 
-    async def _serve_connection(
-        self, local_id: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        decoder = FrameDecoder(self.max_frame_bytes)
-        codec: Optional[ChannelCodec] = None
-        peer: Optional[int] = None
-        # A dialer that never sends its HELLO must not park this task for
+    def __init__(self, owner: SocketTransport, local_id: int) -> None:
+        self.owner = owner
+        self.local_id = local_id
+        self.decoder = FrameDecoder(owner.max_frame_bytes)
+        self.codec: Optional[ChannelCodec] = None
+        self.peer = -1
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport, self.inbox = transport, self.owner._inboxes[self.local_id]
+        self.owner._inbound.add(self)
+        # A dialer that never sends its HELLO must not hold this socket for
         # the life of the transport; the deadline lifts once it has.
-        async with asyncio.timeout(self.dial_timeout) as hello_deadline:
-            while True:
-                chunk = await reader.read(_READ_CHUNK)
-                if not chunk:
-                    decoder.finish()  # raises TruncatedStreamError mid-frame
-                    return
-                for body in decoder.feed(chunk):
-                    if codec is None:
-                        peer, codec = await self._handshake(local_id, body, writer)
-                        hello_deadline.reschedule(None)
-                        continue
-                    # Tag and replay window first; then the batch is split and
-                    # every blob validated before any of it is delivered.
-                    payload = codec.open(body)  # AuthenticationError / ReplayError
-                    messages = [loads_message(blob) for blob in split_blobs(payload)]
-                    self.frames_received += 1
-                    self.messages_received += len(messages)
-                    inbox = self._inboxes.get(local_id)
-                    if inbox is not None and not self._closed:
-                        for message in messages:
-                            inbox.put_nowait((peer, message))
+        self.deadline = asyncio.get_running_loop().call_later(
+            self.owner.dial_timeout, self._reject, FrameError("no HELLO in time")
+        )
 
-    async def _handshake(
-        self, local_id: int, body: bytes, writer: asyncio.StreamWriter
-    ) -> Tuple[int, ChannelCodec]:
+    def data_received(self, data: bytes) -> None:
+        owner = self.owner
+        try:
+            for body in self.decoder.feed(data):
+                if self.codec is None:
+                    self._handshake(body)
+                    continue
+                # Tag and replay window first; then the batch is split and
+                # every blob validated before any of it is delivered.
+                payload = self.codec.open(body)  # AuthenticationError / ReplayError
+                messages = [loads_message(blob) for blob in split_blobs(payload)]
+                owner.frames_received += 1
+                owner.messages_received += len(messages)
+                for message in messages:  # close() aborts us: the inbox is live
+                    self.inbox.put((self.peer, message))
+        except Exception as error:  # noqa: BLE001 - a broken peer must not crash us
+            self._reject(error)
+
+    def _handshake(self, body: bytes) -> None:
+        owner, local_id = self.owner, self.local_id
         sender, peer_epoch, nonce, tag = decode_hello(body)
-        key = self.keyring(local_id).key_for(sender)
+        key = owner.keyring(local_id).key_for(sender)
         verify_hello(key, sender, local_id, peer_epoch, nonce, tag)
         ack_nonce = os.urandom(NONCE_BYTES)
-        ack = encode_ack(key, sender, local_id, self.epoch, nonce, ack_nonce)
-        writer.write(encode_frame(ack, self.max_frame_bytes))
-        await writer.drain()
-        return sender, ChannelCodec(key, nonce, ack_nonce)
+        ack = encode_ack(key, sender, local_id, owner.epoch, nonce, ack_nonce)
+        self.transport.write(encode_frame(ack, owner.max_frame_bytes))
+        self.peer, self.codec = sender, ChannelCodec(key, nonce, ack_nonce)
+        self.deadline.cancel()
+
+    def _reject(self, error: Exception) -> None:
+        """Count ``error`` under its type and hang up."""
+        if isinstance(error, ReplayError):
+            self.owner.replay_rejections += 1
+        elif isinstance(error, AuthenticationError):
+            self.owner.auth_failures += 1
+        else:
+            self.owner.frame_errors += 1  # FrameError, or a HELLO that never came
+        self.transport.close()
+
+    def eof_received(self) -> None:
+        if self.decoder.partial:
+            self._reject(FrameError("stream ended mid-frame"))
+
+    def connection_lost(self, error: Optional[Exception]) -> None:
+        self.deadline.cancel()
+        self.owner._inbound.discard(self)
+        if error is not None:  # reset under us, as a failed read was
+            self.owner.frame_errors += 1

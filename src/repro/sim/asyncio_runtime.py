@@ -46,11 +46,12 @@ from repro.errors import (
     SimulationError,
     TransportClosedError,
 )
+from repro.net.inbox import Inbox
 from repro.net.latency import LatencyModel
-from repro.net.message import Envelope, Message, MessageTrace
+from repro.net.message import HMAC_TAG_BITS, Message, MessageTrace
 from repro.protocols.base import BROADCAST, ProtocolNode
 from repro.sim.events import DELIVER_EVENT, START_EVENT
-from repro.sim.observers import SimObserver
+from repro.sim.observers import SimObserver, event_observers
 
 
 @dataclass
@@ -81,7 +82,7 @@ class AsyncioRunResult:
 
 
 class InMemoryTransport:
-    """The default transport: one asyncio FIFO queue per node.
+    """The default transport: one FIFO :class:`~repro.net.inbox.Inbox` per node.
 
     The transport seam is deliberately tiny, so the socket transport
     (:class:`~repro.net.socket_transport.SocketTransport` — each node a real
@@ -106,14 +107,14 @@ class InMemoryTransport:
     """
 
     def __init__(self) -> None:
-        self._inboxes: Dict[int, asyncio.Queue] = {}
+        self._inboxes: Dict[int, Inbox] = {}
         self._closed = True
         #: ``put`` calls dropped because the transport was already closed.
         self.dropped_after_close = 0
 
     def open(self, node_ids: Sequence[int]) -> None:
         """(Re)create one empty inbox per node; called at run start."""
-        self._inboxes = {node_id: asyncio.Queue() for node_id in node_ids}
+        self._inboxes = {node_id: Inbox() for node_id in node_ids}
         self._closed = False
 
     async def put(self, target: int, item: Tuple[int, Message]) -> None:
@@ -125,7 +126,7 @@ class InMemoryTransport:
         if self._closed:
             self.dropped_after_close += 1
             return
-        await self._inboxes[target].put(item)
+        self._inboxes[target].put(item)
 
     async def get(self, node_id: int) -> Tuple[int, Message]:
         """Dequeue the next ``(sender, message)`` pair for ``node_id``."""
@@ -138,7 +139,9 @@ class InMemoryTransport:
         return sum(queue.qsize() for queue in self._inboxes.values())
 
     def close(self) -> None:
-        """Drop all inboxes (and any undelivered messages)."""
+        """Drop all inboxes and what they hold; a parked ``get`` fails."""
+        for inbox in self._inboxes.values():
+            inbox.close()
         self._inboxes = {}
         self._closed = True
 
@@ -194,6 +197,7 @@ class AsyncioRuntime:
         if timeout <= 0:
             raise SimulationError(f"timeout must be positive, got {timeout}")
         self.nodes = nodes
+        self._everyone = tuple(nodes)
         self.latency = latency
         self.timeout = timeout
         self.byzantine: Dict[int, AdversaryStrategy] = dict(byzantine or {})
@@ -202,6 +206,7 @@ class AsyncioRuntime:
                 raise SimulationError(f"cannot corrupt unknown node {node_id}")
             strategy.attach(self.nodes[node_id])
         self.observers: tuple = tuple(observers or ())
+        self._event_observers = event_observers(self.observers)
         self.transport = transport if transport is not None else InMemoryTransport()
         self.trace = MessageTrace()
         self._timed: Dict[int, AdversaryStrategy] = {
@@ -274,7 +279,8 @@ class AsyncioRuntime:
                 self._events_processed += 1
                 self._observe_event(START_EVENT, node_id, -1, None)
                 self._note_decision(node_id)
-                await self._dispatch(node_id, outbound)
+                if outbound:
+                    await self._dispatch(node_id, outbound)
 
             done, _pending = await asyncio.wait(
                 [waiter, self._failure],
@@ -368,11 +374,10 @@ class AsyncioRuntime:
     def _observe_event(
         self, kind: int, node_id: int, sender: int, message: Optional[Message]
     ) -> None:
-        if not self.observers:
-            return
-        now = self._now()
-        for observer in self.observers:
-            observer.on_event(now, kind, node_id, sender, message)
+        if self._event_observers:
+            now = self._now()
+            for observer in self._event_observers:
+                observer.on_event(now, kind, node_id, sender, message)
 
     def _fail(self, error: BaseException) -> None:
         if self._failure is not None and not self._failure.done():
@@ -382,45 +387,42 @@ class AsyncioRuntime:
     async def _node_loop(self, node_id: int) -> None:
         handler = self._handler(node_id)
         timed = node_id in self._timed
+        get, decided = self.transport.get, self._decided_nodes
         try:
             while True:
-                sender, message = await self.transport.get(node_id)
+                sender, message = await get(node_id)
                 if timed:
                     handler.now = self._now()
                 outbound = handler.on_message(sender, message)
                 self._events_processed += 1
                 self._observe_event(DELIVER_EVENT, node_id, sender, message)
-                self._note_decision(node_id)
-                await self._dispatch(node_id, outbound)
+                if node_id not in decided:  # looked for until there is one
+                    self._note_decision(node_id)
+                if outbound:  # most deliveries emit nothing
+                    await self._dispatch(node_id, outbound)
         except asyncio.CancelledError:
             raise
         except BaseException as error:  # noqa: BLE001 - abort the whole run
             self._fail(error)
 
-    async def _dispatch(
-        self, sender: int, outbound: List[Tuple[int, Message]]
-    ) -> None:
+    async def _dispatch(self, sender: int, outbound: List[Tuple[int, Message]]) -> None:
+        put, latency = self.transport.put, self.latency
         for destination, message in outbound:
-            if destination == BROADCAST:
-                if self.topology is not None:
-                    targets = self.topology.broadcast_targets(sender, message)
-                else:
-                    targets = list(self.nodes)
+            if destination != BROADCAST:
+                targets: Sequence[int] = (destination,)
+            elif self.topology is not None:
+                targets = self.topology.broadcast_targets(sender, message)
             else:
-                targets = [destination]
+                targets = self._everyone
+            # Every remote copy is one authenticated envelope on the trace,
+            # accounted in one update; the self-copy is local and is not.
+            copies = len(targets) - (sender in targets)
+            if copies:
+                bits = copies * (message.size_bits() + HMAC_TAG_BITS)
+                self.trace.merge_counts(copies, bits, {sender: bits})
             for target in targets:
-                if target == sender:
-                    # Local self-delivery: no network, no trace, no delay.
-                    await self.transport.put(target, (sender, message))
-                    continue
-                self.trace.record(
-                    Envelope(sender=sender, destination=target, message=message)
-                )
-                delay = (
-                    self.latency.delay(sender, target)
-                    if self.latency is not None
-                    else 0.0
-                )
+                remote = latency is not None and target != sender
+                delay = latency.delay(sender, target) if remote else 0.0
                 if delay > 0.0:
                     task = asyncio.create_task(
                         self._delayed_put(sender, target, message, delay)
@@ -432,7 +434,7 @@ class AsyncioRuntime:
                     self._delivery_tasks.add(task)
                     task.add_done_callback(self._delivery_tasks.discard)
                 else:
-                    await self.transport.put(target, (sender, message))
+                    await put(target, (sender, message))
 
     async def _delayed_put(
         self, sender: int, target: int, message: Message, delay: float

@@ -43,6 +43,7 @@ from repro.errors import NetworkError, SimulationError
 from repro.net.message import HMAC_TAG_BITS
 from repro.protocols.base import BROADCAST
 from repro.sim.events import DELIVER_EVENT, START_EVENT
+from repro.sim.observers import event_observers
 
 __all__ = ["run_fast"]
 
@@ -123,6 +124,7 @@ def _run_fast_loop(runtime, SimulationResult) -> "SimulationResult":
     # hoisted boolean guards each so fault-free runs pay one branch).
     observers = runtime.observers
     has_obs = bool(observers)
+    per_event = event_observers(observers)
     timed = [h if getattr(h, "wants_time", False) else None for h in handlers]
     any_timed = any(t is not None for t in timed)
 
@@ -219,7 +221,7 @@ def _run_fast_loop(runtime, SimulationResult) -> "SimulationResult":
                 newly_decided = True
 
         if has_obs:
-            for obs in observers:
+            for obs in per_event:
                 obs.on_event(event_time, event[3], node_id, event[5], event[6])
             if newly_decided:
                 output = node_list[node_id].output

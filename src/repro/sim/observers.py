@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.message import Message
 from repro.sim.events import DELIVER_EVENT, START_EVENT
@@ -49,6 +49,13 @@ class SimObserver:
 
     def on_run_end(self, result: Any) -> None:
         """Called once with the final :class:`SimulationResult`."""
+
+
+def event_observers(observers: Sequence[SimObserver]) -> Tuple[SimObserver, ...]:
+    """The observers whose class overrides ``on_event``: the only ones the
+    engines call per event (``on_decide``/``on_run_end`` reach every one)."""
+    base = (None, SimObserver.on_event)
+    return tuple(o for o in observers if getattr(type(o), "on_event", None) not in base)
 
 
 class TraceRecorder(SimObserver):

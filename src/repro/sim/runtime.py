@@ -25,7 +25,7 @@ from repro.net.network import AsynchronousNetwork
 from repro.protocols.base import BROADCAST, Outbound, ProtocolNode
 from repro.protocols.topology import FlatTopology, Topology
 from repro.sim.events import DELIVER_EVENT, START_EVENT, Event, EventKind
-from repro.sim.observers import SimObserver
+from repro.sim.observers import SimObserver, event_observers
 from repro.sim.scheduler import EventScheduler
 
 
@@ -191,6 +191,7 @@ class SimulationRuntime:
             node_id for node_id in nodes if node_id not in self.byzantine
         )
         self.observers: tuple = tuple(observers or ())
+        self._event_observers = event_observers(self.observers)
         # Strategies with ``wants_time = True`` (schedule-driven corruption)
         # get the current event time injected before each dispatch.
         self._timed: Dict[int, AdversaryStrategy] = {
@@ -370,7 +371,7 @@ class SimulationRuntime:
 
         if self.observers:
             kind = START_EVENT if event.kind is EventKind.START else DELIVER_EVENT
-            for observer in self.observers:
+            for observer in self._event_observers:
                 observer.on_event(event.time, kind, node_id, sender, message)
             if newly_decided:
                 for observer in self.observers:

@@ -65,6 +65,17 @@ assert "scipy" not in sys.modules
 """
 
 
+#: One of each on the live wire: text a second receive or send path, a
+#: queue fallback or a per-target ``Envelope`` would have to bring back.
+ABSENT = {
+    "net/socket_transport.py": (
+        "StreamReader", "start_server", "start_unix_server", "asyncio.Queue",
+        "_reader_tasks", "_CLOSED",
+    ),
+    "sim/asyncio_runtime.py": ("Envelope", "asyncio.Queue"),
+}  # fmt: skip
+
+
 def _fresh_interpreter(code: str) -> None:
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
@@ -79,3 +90,22 @@ def test_live_and_cli_imports_leave_scipy_out():
 
 def test_everything_but_the_fit_works_without_scipy():
     _fresh_interpreter(WITHOUT_SCIPY)
+
+
+def test_the_live_wire_has_one_receive_path_one_send_path_and_one_inbox():
+    package = Path(SRC) / "repro"
+    for name, words in ABSENT.items():
+        text = (package / name).read_text()
+        assert [word for word in words if word in text] == [], name
+    wire = (package / "net/socket_transport.py").read_text()
+    # The only task a transport starts is a channel's dial task.
+    assert wire.count("create_task(") == 1 and "create_task(self._run())" in wire
+    sources = {path: path.read_text() for path in package.rglob("*.py")}
+    assert [str(p.relative_to(package)) for p, t in sources.items() if "class Inbox" in t] == [
+        "net/inbox.py"
+    ]
+    engines = ("sim/fastpath.py", "sim/runtime.py", "sim/asyncio_runtime.py")
+    for name in engines:
+        assert "event_observers(" in (package / name).read_text(), name
+    definitions = [p for p, t in sources.items() if "def event_observers(" in t]
+    assert definitions == [package / "sim/observers.py"]

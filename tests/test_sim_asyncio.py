@@ -2,21 +2,31 @@
 byzantine/observer/fault seams, and the transport abstraction."""
 
 import asyncio
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
+from helpers import small_network
 from repro.adversary.strategies import CrashStrategy
 from repro.errors import InvariantViolation, LivenessTimeout, SimulationError
 from repro.faults.monitors import EpsilonAgreementMonitor
 from repro.net.chaos import ChaosTransport, WireFaults
 from repro.net.latency import ConstantLatency
-from repro.net.message import Message
+from repro.net.message import Envelope, Message, MessageTrace
 from repro.net.network import LossWindow
-from repro.protocols.base import ProtocolNode
+from repro.protocols.base import BROADCAST, ProtocolNode
 from repro.protocols.binaa import BinAANode
 from repro.protocols.bv_broadcast import BVBroadcastNode
+from repro.protocols.topology import ShardedTopology
 from repro.sim.asyncio_runtime import AsyncioRuntime, InMemoryTransport
-from repro.sim.observers import TraceRecorder
+from repro.sim.observers import (
+    ScheduleDigest,
+    SimObserver,
+    TraceRecorder,
+    event_observers,
+)
+from repro.sim.runtime import SimulationConfig, SimulationRuntime
 
 
 class InstantDecideNode(ProtocolNode):
@@ -123,6 +133,135 @@ class TestOnStartDecisionLiveness:
         assert result.wall_seconds < 5.0
 
 
+class ChattyInstant(InstantDecideNode):
+    """Decides in on_start *and* broadcasts, so deliveries follow the decision."""
+
+    def on_start(self):
+        self._decide(self.node_id)
+        return [self.broadcast(Message("chat", "HI", None, self.node_id))]
+
+
+class DecisionCounter(SimObserver):
+    """No ``on_event`` of its own: only decisions and the end of the run."""
+
+    def __init__(self):
+        self.decided, self.ended = [], 0
+
+    def on_decide(self, node_id, output, time):
+        self.decided.append(node_id)
+
+    def on_run_end(self, result):
+        self.ended += 1
+
+
+class TestDecisionIsLookedForUntilThereIsOne:
+    def test_deciding_in_on_start_ends_the_run_and_is_reported_once(self):
+        nodes = {i: ChattyInstant(i, 3) for i in range(3)}
+        counter = DecisionCounter()
+        result = AsyncioRuntime(nodes, timeout=30.0, observers=[counter]).run()
+        assert result.outputs == {0: 0, 1: 1, 2: 2}
+        assert sorted(counter.decided) == [0, 1, 2] and counter.ended == 1
+        assert result.wall_seconds < 5.0
+
+    def test_deciding_on_a_delivery_is_reported_once_whatever_follows(self):
+        nodes = {i: BVBroadcastNode(i, 4, 1, value=1) for i in range(4)}
+        counter = DecisionCounter()
+        result = AsyncioRuntime(
+            nodes, timeout=10.0, byzantine={3: CrashStrategy()}, observers=[counter]
+        ).run()
+        assert sorted(counter.decided) == [0, 1, 2] == sorted(result.decision_times)
+
+
+class RecordingTransport(InMemoryTransport):
+    """Keeps every ``put`` instead of delivering it."""
+
+    def __init__(self):
+        super().__init__()
+        self.puts = []
+
+    async def put(self, target, item):
+        self.puts.append((target, item))
+
+
+_TOPOLOGY = ShardedTopology(6, group_size=3, seed=1)
+_destinations = st.one_of(st.just(BROADCAST), st.integers(min_value=0, max_value=5))
+_messages = st.builds(
+    Message,
+    st.sampled_from(["flat", "group:0/x", "group:1/x", "reps/x"]),
+    st.sampled_from(["ECHO", "BUNDLE"]),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
+    st.one_of(st.none(), st.integers(), st.lists(st.floats(allow_nan=False), max_size=4)),
+)
+
+
+class TestBulkTraceAccounting:
+    """``_dispatch`` accounts a message's remote copies in one update; the
+    totals must be what one ``Envelope`` per remote target recorded."""
+
+    @given(
+        sender=st.integers(min_value=0, max_value=5),
+        outbound=st.lists(st.tuples(_destinations, _messages), max_size=6),
+        sharded=st.booleans(),
+    )
+    def test_trace_equals_per_envelope_accounting(self, sender, outbound, sharded):
+        topology = _TOPOLOGY if sharded else None
+        transport = RecordingTransport()
+        runtime = AsyncioRuntime(
+            {i: SilentNode(i, 6) for i in range(6)}, transport=transport, topology=topology
+        )
+        asyncio.run(runtime._dispatch(sender, outbound))
+
+        expected, deliveries = MessageTrace(), []
+        for destination, message in outbound:
+            if destination != BROADCAST:
+                targets = [destination]
+            elif sharded:
+                targets = list(_TOPOLOGY.broadcast_targets(sender, message))
+            else:
+                targets = list(range(6))
+            for target in targets:
+                deliveries.append((target, (sender, message)))
+                if target != sender:  # the self-copy never touches the network
+                    expected.record(Envelope(sender, target, message))
+        assert transport.puts == deliveries
+        trace = runtime.trace
+        assert trace.message_count == expected.message_count
+        assert trace.total_bits == expected.total_bits
+        assert trace.per_sender_bits == expected.per_sender_bits
+
+
+class TestOnlyOverridersAreCalledPerEvent:
+    def test_the_one_rule(self):
+        recorder, digest, counter = TraceRecorder(), ScheduleDigest(), DecisionCounter()
+        monitor = EpsilonAgreementMonitor(epsilon=1.0)
+        duck = type("Duck", (), {"on_decide": lambda *a: None, "on_run_end": lambda *a: None})()
+        assert event_observers([counter, recorder, monitor, digest, duck]) == (recorder, digest)
+        assert event_observers([]) == ()
+
+    @pytest.mark.parametrize("engine", ["fast", "reference", "asyncio"])
+    def test_observer_without_on_event_gets_decisions_and_run_end_only(
+        self, engine, monkeypatch
+    ):
+        def forbidden(self, *event):
+            raise AssertionError(f"{type(self).__name__}.on_event called per event")
+
+        monkeypatch.setattr(SimObserver, "on_event", forbidden)
+        nodes = {i: BVBroadcastNode(i, 4, 1, value=i % 2) for i in range(4)}
+        counter, recorder = DecisionCounter(), TraceRecorder(limit=10)
+        observers = [counter, EpsilonAgreementMonitor(epsilon=1.0), recorder]
+        if engine == "asyncio":
+            result = AsyncioRuntime(nodes, timeout=10.0, observers=observers).run()
+        else:
+            result = SimulationRuntime(
+                nodes=nodes,
+                network=small_network(4),
+                config=SimulationConfig(engine=engine),
+                observers=observers,
+            ).run()
+        assert sorted(counter.decided) == [0, 1, 2, 3] and counter.ended == 1
+        assert recorder.events_seen == result.events_processed > 0
+
+
 class TestDeliveryTaskHygiene:
     """Regression: _dispatch spawned untracked fire-and-forget delivery
     tasks that leaked past (and could be GC'd during) the run."""
@@ -140,11 +279,6 @@ class TestDeliveryTaskHygiene:
         # Huge latency: every cross-node message is still in flight when the
         # last node decides (all decide at start), so shutdown must cancel
         # and drain them all.
-        class ChattyInstant(InstantDecideNode):
-            def on_start(self):
-                self._decide(self.node_id)
-                return [self.broadcast(Message("chat", "HI", None, self.node_id))]
-
         nodes = {i: ChattyInstant(i, 3) for i in range(3)}
         runtime = AsyncioRuntime(nodes, latency=ConstantLatency(30.0), timeout=10.0)
         result, error, leaked = run_and_audit_tasks(runtime)
@@ -181,11 +315,11 @@ class TestFailFast:
     def test_node_exception_aborts_run_as_simulation_error(self):
         nodes = {i: ExplodingNode(i, 2) for i in range(2)}
         runtime = AsyncioRuntime(nodes, timeout=10.0)
-        started = asyncio.new_event_loop().time()
+        started = time.monotonic()
         with pytest.raises(SimulationError, match="malformed payload"):
             runtime.run()
         # Fail-fast, not timeout: nowhere near the 10s budget.
-        assert asyncio.new_event_loop().time() - started < 5.0
+        assert time.monotonic() - started < 5.0
 
     def test_observer_violation_propagates(self):
         nodes = {i: InstantDecideNode(i, 2) for i in range(2)}

@@ -27,14 +27,18 @@ from repro.errors import (
 from repro.crypto.signatures import SignatureScheme
 from repro.net.framing import (
     ChannelCodec,
+    FrameDecoder,
     LENGTH_PREFIX_BYTES,
     NONCE_BYTES,
     decode_ack,
+    decode_hello,
+    encode_ack,
     encode_frame,
     encode_hello,
     join_blobs,
     split_blobs,
     verify_ack,
+    verify_hello,
 )
 from repro.net import socket_transport
 from repro.net.message import Message
@@ -208,21 +212,33 @@ class TestSocketDelivery:
 # ----------------------------------------------------------------------
 # Authentication: tamper and replay over live connections
 # ----------------------------------------------------------------------
-async def _authenticated_raw_client(transport, sender, receiver):
-    """Dial ``receiver`` as ``sender`` by hand; returns (codec, writer)."""
-    address = transport.addresses[receiver]
+def _hello(transport, sender, receiver):
+    """``(key, nonce, HELLO frame)`` for a hand-made dial of ``receiver``."""
     key = ChannelKeyring(
         node_id=sender, num_nodes=2, master_secret=transport.master_secret
     ).key_for(receiver)
-    reader, writer = await asyncio.open_connection(address[1], address[2])
     nonce = os.urandom(NONCE_BYTES)
-    writer.write(encode_frame(encode_hello(key, sender, receiver, 0, nonce)))
+    return key, nonce, encode_frame(encode_hello(key, sender, receiver, 0, nonce))
+
+
+async def _authenticated_raw_client(transport, sender, receiver):
+    """Dial ``receiver`` as ``sender`` by hand; returns (codec, writer)."""
+    codec, _reader, writer = await _raw_connection(transport, sender, receiver)
+    return codec, writer
+
+
+async def _raw_connection(transport, sender, receiver):
+    """The same dial, keeping the reader: returns (codec, reader, writer)."""
+    address = transport.addresses[receiver]
+    key, nonce, hello = _hello(transport, sender, receiver)
+    reader, writer = await asyncio.open_connection(address[1], address[2])
+    writer.write(hello)
     await writer.drain()
     prefix = await reader.readexactly(LENGTH_PREFIX_BYTES)
     body = await reader.readexactly(int.from_bytes(prefix, "big"))
     peer_epoch, ack_nonce, tag = decode_ack(body)
     verify_ack(key, sender, receiver, peer_epoch, nonce, ack_nonce, tag)
-    return ChannelCodec(key, nonce, ack_nonce), writer
+    return ChannelCodec(key, nonce, ack_nonce), reader, writer
 
 
 class TestAuthentication:
@@ -614,9 +630,9 @@ class TestHandshakeDeadline:
             await transport.open([0, 1])
             address = transport.addresses[1]
             reader, writer = await asyncio.open_connection(address[1], address[2])
-            assert await until(lambda: len(transport._reader_tasks) == 1)
+            assert await until(lambda: len(transport._inbound) == 1)
             assert await until(lambda: transport.frame_errors == 1)
-            assert await until(lambda: not transport._reader_tasks)
+            assert await until(lambda: not transport._inbound)
             assert await asyncio.wait_for(reader.read(), 5) == b""  # hung up on
             writer.close()
             await transport.close()
@@ -666,6 +682,222 @@ class TestHandshakeDeadline:
             await transport.close()
             server.close()
             await server.wait_closed()
+
+        run(scenario())
+
+
+# ----------------------------------------------------------------------
+# A frame is decoded where it is read and written where it is queued
+# ----------------------------------------------------------------------
+class TestDecodedWhereItIsRead:
+    def test_hello_and_data_dribbled_a_byte_at_a_time_arrive_once_in_order(self):
+        async def scenario():
+            transport = SocketTransport()
+            await transport.open([0, 1])
+            address = transport.addresses[1]
+            key, nonce, hello = _hello(transport, 0, 1)
+            reader, writer = await asyncio.open_connection(address[1], address[2])
+
+            async def dribble(data):
+                for index in range(len(data)):
+                    writer.write(data[index : index + 1])
+                    await writer.drain()
+                    if index % 16 == 0:
+                        await asyncio.sleep(0)  # let the listener see a short read
+
+            await dribble(hello)
+            prefix = await reader.readexactly(LENGTH_PREFIX_BYTES)
+            body = await reader.readexactly(int.from_bytes(prefix, "big"))
+            peer_epoch, ack_nonce, tag = decode_ack(body)
+            verify_ack(key, 0, 1, peer_epoch, nonce, ack_nonce, tag)
+            codec = ChannelCodec(key, nonce, ack_nonce)
+            await dribble(data_frame(codec, msg(payload=0), msg(payload=1)))
+            await dribble(data_frame(codec, msg(payload=2)))
+            received = [await asyncio.wait_for(transport.get(1), 5) for _ in range(3)]
+            assert [(s, m.payload) for s, m in received] == [(0, 0), (0, 1), (0, 2)]
+            await asyncio.sleep(0.05)
+            assert transport.pending() == 0  # once each
+            assert (transport.frames_received, transport.messages_received) == (2, 3)
+            assert transport.frame_errors == transport.auth_failures == 0
+            writer.close()
+            await transport.close()
+
+        run(scenario())
+
+    def test_data_in_the_same_read_as_the_hello_is_delivered(self, monkeypatch):
+        """The dialer normally waits for the ACK; one that knows the
+        listener's nonce need not, and its frames behind the HELLO count."""
+        ack_nonce = b"\x07" * NONCE_BYTES
+        monkeypatch.setattr(
+            socket_transport, "os", SimpleNamespace(urandom=lambda size: ack_nonce[:size])
+        )
+
+        async def scenario():
+            transport = SocketTransport()
+            await transport.open([0, 1])
+            address = transport.addresses[1]
+            key, nonce, hello = _hello(transport, 0, 1)
+            codec = ChannelCodec(key, nonce, ack_nonce)
+            burst = hello + data_frame(codec, msg(payload="a")) + data_frame(codec, msg(payload="b"))
+            # Handed to the protocol as one read, exactly as one recv would.
+            with socket_module.create_connection(address[1:]) as raw:
+                raw.sendall(burst)
+                received = [await asyncio.wait_for(transport.get(1), 5) for _ in range(2)]
+            assert [(s, m.payload) for s, m in received] == [(0, "a"), (0, "b")]
+            assert transport.frames_received == 2 and transport.frame_errors == 0
+            await transport.close()
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "fault, counter",
+        [
+            ("garbage", "frame_errors"),
+            ("tampered", "auth_failures"),
+            ("replayed", "replay_rejections"),
+            ("cut", "frame_errors"),
+        ],
+    )
+    def test_each_bad_frame_costs_its_counter_and_its_connection_only(self, fault, counter):
+        counters = ("frame_errors", "auth_failures", "replay_rejections")
+
+        async def scenario():
+            transport = SocketTransport()
+            await transport.open([0, 1])
+            codec, reader, writer = await _raw_connection(transport, 0, 1)
+            good = data_frame(codec, msg(payload="good"))
+            writer.write(good)
+            if fault == "garbage":  # authenticated length, unauthenticated noise
+                writer.write(encode_frame(b"\x02" + os.urandom(60)))
+            elif fault == "tampered":
+                bad = bytearray(data_frame(codec, msg(payload="evil")))
+                bad[-1] ^= 0x01
+                writer.write(bytes(bad))
+            elif fault == "replayed":
+                writer.write(good)
+            else:  # the stream ends inside a frame
+                writer.write(data_frame(codec, msg(payload="never whole"))[:-5])
+                writer.write_eof()
+            await writer.drain()
+            assert (await asyncio.wait_for(transport.get(1), 5))[1].payload == "good"
+            assert await until(lambda: getattr(transport, counter) == 1)
+            assert [getattr(transport, name) for name in counters].count(0) == 2
+            assert await asyncio.wait_for(reader.read(), 5) == b""  # hung up on
+            assert transport.pending() == 0 and transport.messages_received == 1
+            writer.close()
+            assert await until(lambda: not transport._inbound)
+            # The listener still serves: a fresh dial is greeted and heard.
+            codec, writer = await _authenticated_raw_client(transport, 0, 1)
+            writer.write(data_frame(codec, msg(payload="next")))
+            assert (await asyncio.wait_for(transport.get(1), 5))[1].payload == "next"
+            assert getattr(transport, counter) == 1
+            writer.close()
+            await transport.close()
+
+        run(scenario())
+
+
+class _StalledListener:
+    """A listener that completes the handshake by hand and then reads only
+    when told to: the peer a sender meets under backpressure."""
+
+    def __init__(self, path, master_secret):
+        self.path, self.master_secret = path, master_secret
+        self.read_now, self.hung_up = asyncio.Event(), asyncio.Event()
+        self.messages = []
+        self.frames = 0
+
+    async def start(self):
+        listener = socket_module.socket(socket_module.AF_UNIX)
+        listener.setsockopt(socket_module.SOL_SOCKET, socket_module.SO_RCVBUF, 4096)
+        listener.bind(self.path)
+        self.server = await asyncio.start_unix_server(self._serve, sock=listener)
+
+    async def _serve(self, reader, writer):
+        try:
+            prefix = await reader.readexactly(LENGTH_PREFIX_BYTES)
+            body = await reader.readexactly(int.from_bytes(prefix, "big"))
+            sender, epoch, nonce, tag = decode_hello(body)
+            key = ChannelKeyring(
+                node_id=1, num_nodes=2, master_secret=self.master_secret
+            ).key_for(sender)
+            verify_hello(key, sender, 1, epoch, nonce, tag)
+            ack_nonce = os.urandom(NONCE_BYTES)
+            writer.write(encode_frame(encode_ack(key, sender, 1, 0, nonce, ack_nonce)))
+            codec, decoder = ChannelCodec(key, nonce, ack_nonce), FrameDecoder()
+            await self.read_now.wait()
+            while chunk := await reader.read(1 << 16):
+                for frame in decoder.feed(chunk):
+                    self.frames += 1
+                    self.messages += [
+                        loads_message(blob) for blob in split_blobs(codec.open(frame))
+                    ]
+        finally:
+            writer.close()
+            self.hung_up.set()
+
+    async def stop(self):
+        """After the sender closed: wait for the EOF, then stop listening."""
+        await asyncio.wait_for(self.hung_up.wait(), 5)
+        self.server.close()
+        await self.server.wait_closed()
+
+
+class TestWrittenWhereItIsQueued:
+    def _sender(self, tmp_path):
+        addresses = {i: ("unix", str(tmp_path / f"n{i}.sock")) for i in range(2)}
+        return SocketTransport(addresses=addresses, local_ids=[0])
+
+    def test_outbox_keeps_coalescing_while_the_peer_does_not_read(self, tmp_path):
+        puts = 10_000
+
+        async def scenario():
+            sender = self._sender(tmp_path)
+            listener = _StalledListener(sender.address_of(1)[1], sender.master_secret)
+            await listener.start()
+            await sender.open([0])
+            for index in range(puts):
+                await sender.put(1, (0, msg(payload=(index, "x" * 1000))))
+                if index % 10 == 0:
+                    await asyncio.sleep(0)  # a flush per ten puts, were the peer reading
+            channel = sender._senders[(0, 1)]
+            assert channel.task is not None  # parked in drain(), not writing
+            assert len(channel.outbox) > puts // 2  # and the outbox holds the rest
+            assert sender.frames_sent < puts // 100
+            assert await sender.flush(0.05) is False
+            listener.read_now.set()
+            assert await sender.flush(10.0) is True
+            assert await until(lambda: len(listener.messages) == puts, timeout=10)
+            assert [m.payload[0] for m in listener.messages] == list(range(puts))  # FIFO
+            assert sender.messages_sent == puts and listener.frames == sender.frames_sent
+            assert sender.frames_sent < puts // 100  # the backlog left as a few frames
+            assert sender.dropped_unreachable == sender.dropped_oversize == 0
+            await sender.close()
+            await listener.stop()
+
+        run(scenario())
+
+    def test_flush_means_flushed_not_merely_handed_to_asyncio(self, tmp_path):
+        """One frame larger than the kernel will take: the outbox is empty
+        at once, the write buffer is not — ``flush`` must wait for that."""
+
+        async def scenario():
+            sender = self._sender(tmp_path)
+            listener = _StalledListener(sender.address_of(1)[1], sender.master_secret)
+            await listener.start()
+            await sender.open([0])
+            await sender.put(1, (0, msg(payload="y" * 2_000_000)))
+            assert await until(lambda: sender.frames_sent == 1)
+            channel = sender._senders[(0, 1)]
+            assert not channel.outbox  # everything queued was written ...
+            assert channel.writer.transport.get_write_buffer_size() > 0  # ... into a buffer
+            assert await sender.flush(0.2) is False
+            listener.read_now.set()
+            assert await sender.flush(10.0) is True
+            assert channel.writer.transport.get_write_buffer_size() == 0
+            assert await until(lambda: len(listener.messages) == 1, timeout=10)
+            await sender.close()
+            await listener.stop()
 
         run(scenario())
 
