@@ -223,11 +223,20 @@ def decode_bundle(payload: Sequence) -> Bundle:
     Raises
     ------
     ProtocolError
-        If the payload is structurally malformed (Byzantine senders may
-        craft such payloads; the caller discards the whole message).
+        If the payload is structurally malformed or a field does not convert
+        to its type (Byzantine senders may craft such payloads; the caller
+        discards the whole message).
     """
     if not isinstance(payload, (list, tuple)):
         raise ProtocolError("bundle payload must be a list")
+    try:
+        return _decode_levels(payload)
+    except (TypeError, ValueError, OverflowError) as exc:
+        # ``int(None)``, ``int("x")``, ``int(inf)``, iterating an int ...
+        raise ProtocolError(f"malformed bundle payload: {exc}") from exc
+
+
+def _decode_levels(payload: Sequence) -> Bundle:
     bundle = Bundle()
     levels = bundle.levels
     for raw_level in payload:

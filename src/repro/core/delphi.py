@@ -179,16 +179,16 @@ class DelphiNode(ProtocolNode):
                         if engine.output is None:
                             self._pending_engines += 1
 
-            exclude_now = state.exclude_key()
-
             # 2. Explicit sub-messages go to their dedicated engines (the
-            #    decoder pre-flattened them into index-sorted pairs).
+            #    decoder pre-flattened them into index-sorted pairs).  The
+            #    explicit set no longer changes below, so our exclude key is
+            #    read only when something is emitted.
             for index, sub in entry.explicit_pairs:
                 emitted = explicit_map[index].handle(sender, sub)
                 if emitted:
                     if outgoing is None:
                         outgoing = Bundle()
-                    outgoing.add_explicit(level, exclude_now, index, emitted)
+                    outgoing.add_explicit(level, state.exclude_key(), index, emitted)
 
             # 3. Default sub-messages go to our default engine and to every
             #    explicit engine the sender still covers with its default.
@@ -200,8 +200,12 @@ class DelphiNode(ProtocolNode):
                     if emitted:
                         if outgoing is None:
                             outgoing = Bundle()
-                        outgoing.add_default(level, exclude_now, emitted)
+                        outgoing.add_default(level, state.exclude_key(), emitted)
                 excluded_by_sender = entry.exclude_set
+                if explicit_map.keys() <= excluded_by_sender:
+                    # The sender tracks every one of our explicit
+                    # checkpoints itself: its default covers none of them.
+                    continue
                 for index, engine in state.sorted_engines():
                     if index in excluded_by_sender:
                         continue
@@ -210,7 +214,7 @@ class DelphiNode(ProtocolNode):
                         if emitted:
                             if outgoing is None:
                                 outgoing = Bundle()
-                            outgoing.add_explicit(level, exclude_now, index, emitted)
+                            outgoing.add_explicit(level, state.exclude_key(), index, emitted)
         return outgoing
 
     def _emit(self, bundle: Bundle) -> List[Outbound]:

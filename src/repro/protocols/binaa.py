@@ -27,15 +27,27 @@ exactly representable as Python floats for any practical ``r_max``, so
 cross-node equality checks on values are exact.
 
 Hot-path design.  :meth:`BinAAEngine.handle` is the single most-called
-protocol function (one call per sub-message per engine per delivery), and
-its state can only change when the touched value's support count crosses a
-threshold — ``t + 1`` (amplification) or ``n - t`` (quorum).  Counts grow
-by exactly one per recorded echo, so :meth:`handle` re-evaluates the full
-progress conditions only when the new count *equals* a threshold (or the
-echo was buffered for a future round, which re-evaluates on round entry);
-every other echo provably leaves the engine at its previous fixpoint and
-returns immediately.  This turns the per-event collection scans into an
-incremental counter check without changing a single emitted sub-message.
+protocol function (one call per sub-message per engine per delivery).
+Between calls the engine sits at a fixpoint of the current round's
+progress conditions, and a support count grows by exactly one per new
+sender, so an echo can only move the engine when its value's count lands
+*exactly* on a threshold — and then only through that value:
+
+* an ``ECHO1`` count reaching ``t + 1`` can only amplify that value;
+* an ``ECHO1`` count reaching ``n - t`` can only send the round's single
+  ``ECHO2`` (for that value) and complete the round by condition (1) if one
+  other value is already at ``n - t``;
+* an ``ECHO2`` count reaching ``n - t`` completes the round by condition (2)
+  with that value: at a fixpoint no other ``ECHO2`` value is at quorum and
+  fewer than two ``ECHO1`` values are.
+
+Each crossing is therefore settled from the value that crossed it.  The full
+re-evaluation of a round (:meth:`BinAAEngine._progress`) runs once, on round
+entry, where echoes buffered while the round lay in the future are read for
+the first time.  An echo for a past round can change nothing and is not
+recorded.  The emitted sub-messages, and their order, are exactly those of a
+full re-evaluation after every echo (``tests/test_binaa.py`` holds that
+model).
 """
 
 from __future__ import annotations
@@ -72,14 +84,13 @@ class _RoundState:
     n = 40.  ``sender`` is the engine-supplied channel id, never payload.
     """
 
-    __slots__ = ("echo1", "echo2", "amplified", "echo2_sent", "completed")
+    __slots__ = ("echo1", "echo2", "amplified", "echo2_sent")
 
     def __init__(self) -> None:
         self.echo1: Dict[float, int] = {}
         self.echo2: Dict[float, int] = {}
         self.amplified: Set[float] = set()
         self.echo2_sent = False
-        self.completed = False
 
     def copy(self) -> "_RoundState":
         """Independent copy (the tables hold immutable floats and ints)."""
@@ -88,7 +99,6 @@ class _RoundState:
         clone.echo2 = dict(self.echo2)
         clone.amplified = set(self.amplified)
         clone.echo2_sent = self.echo2_sent
-        clone.completed = self.completed
         return clone
 
 
@@ -188,8 +198,6 @@ class BinAAEngine:
         state = self._round_state.get(round_number)
         if state is None:
             state = self._round_state[round_number] = _RoundState()
-        if round_number == self.current_round:
-            self._cur_state = state
         return state
 
     # ------------------------------------------------------------------
@@ -211,131 +219,118 @@ class BinAAEngine:
             # response either.
             return []
         mtype, round_number, value = sub
-        if round_number == self.current_round:
-            # Hot path: an echo for the round we are in.
+        current = self.current_round
+        if round_number == current:
             state = self._cur_state
-            if mtype == ECHO1:
-                table = state.echo1
-                amplify_at = self.amplify_at
-            elif mtype == ECHO2:
-                table = state.echo2
-                amplify_at = -1  # ECHO2 only feeds the quorum condition
-            else:
-                return []
-            bit = 1 << sender
-            senders = table.get(value, 0)
-            if senders & bit:
-                # Duplicate echo: no state change, the previous fixpoint
-                # still holds.
-                return []
-            table[value] = senders = senders | bit
-            count = senders.bit_count()
-            # Incremental threshold check: support counts grow by one, so
-            # the progress conditions can only newly fire when the count
-            # lands exactly on a threshold.
-            if count != self.quorum and count != amplify_at:
-                return []
-            return self._progress()
-        # Cold path: buffered traffic for another round.  Future rounds are
-        # consulted when we get there; past rounds are already completed
-        # locally.
-        if round_number < 1 or round_number > self.rounds:
+        elif current < round_number <= self.rounds:
+            # Buffered unevaluated until round entry.
+            state = self._state(round_number)
+        else:
+            # A past round is complete here: its echo can change nothing.
             return []
-        state = self._round_state.get(round_number)
-        if state is None:
-            state = self._round_state[round_number] = _RoundState()
         if mtype == ECHO1:
             table = state.echo1
         elif mtype == ECHO2:
             table = state.echo2
         else:
             return []
-        table[value] = table.get(value, 0) | 1 << sender
+        bit = 1 << sender
+        senders = table.get(value, 0)
+        if senders & bit:
+            return []
+        table[value] = senders = senders | bit
+        if round_number != current:
+            return []
+        # The engine was at a fixpoint and this count grew by one, so only
+        # a count landing exactly on a threshold can move it (module
+        # docstring), and only through ``value``.
+        count = senders.bit_count()
+        if count == self.quorum:
+            if mtype == ECHO2:
+                return self._complete((value,), value)
+            return self._echo1_quorum(state, value)
+        if count == self.amplify_at and mtype == ECHO1 and value not in state.amplified:
+            state.amplified.add(value)
+            return [(ECHO1, current, value)]
         return []
 
     # ------------------------------------------------------------------
     def _enter_round(self, round_number: int) -> List[SubMessage]:
         self.current_round = round_number
-        state = self._state(round_number)
+        state = self._cur_state = self._state(round_number)
         assert self.value is not None
         state.amplified.add(self.value)
         out: List[SubMessage] = [(ECHO1, round_number, self.value)]
         # Messages from faster nodes may already satisfy this round.
-        out.extend(self._progress())
+        out += self._progress(state)
         return out
 
-    def _progress(self) -> List[SubMessage]:
+    def _progress(self, state: _RoundState) -> List[SubMessage]:
+        """Full re-evaluation of the round just entered, where the echoes
+        buffered while it lay in the future are read for the first time
+        (every later echo of the round is settled by :meth:`handle`)."""
+        round_number = self.current_round
         out: List[SubMessage] = []
-        while True:
-            round_number = self.current_round
-            state = self._state(round_number)
-            if state.completed:
-                return out
+        # Bracha amplification at t+1 support (mutates only
+        # ``state.amplified``, so iterating the live dict is safe).
+        amplify_at = self.amplify_at
+        for value, senders in state.echo1.items():
+            if senders.bit_count() >= amplify_at and value not in state.amplified:
+                state.amplified.add(value)
+                out.append((ECHO1, round_number, value))
+        # The first value at n-t ECHO1 support sends the round's ECHO2 and
+        # tests condition (1).
+        quorum = self.quorum
+        for value, senders in state.echo1.items():
+            if senders.bit_count() >= quorum:
+                out += self._echo1_quorum(state, value)
+                break
+        if round_number in self.bv_outputs:  # completed by condition (1)
+            return out
+        strong_echo2 = [
+            value for value, senders in state.echo2.items() if senders.bit_count() >= quorum
+        ]
+        if strong_echo2:
+            # Condition (2): adopt the smallest ECHO2-supported value.
+            chosen = min(strong_echo2)
+            out += self._complete((chosen,), chosen)
+        return out
 
-            # Bracha amplification at t+1 support (mutates only
-            # ``state.amplified``, so iterating the live dict is safe).
-            amplify_at = self.amplify_at
-            for value, senders in state.echo1.items():
-                if senders.bit_count() >= amplify_at and value not in state.amplified:
-                    state.amplified.add(value)
-                    out.append((ECHO1, round_number, value))
+    def _echo1_quorum(self, state: _RoundState, value: float) -> List[SubMessage]:
+        """``value`` has just reached n-t ECHO1 support in the current round."""
+        round_number = self.current_round
+        out: List[SubMessage] = []
+        if value not in state.amplified:  # t + 1 == n - t only at n = 1
+            state.amplified.add(value)
+            out.append((ECHO1, round_number, value))
+        # Single ECHO2 per round.
+        if not state.echo2_sent:
+            state.echo2_sent = True
+            out.append((ECHO2, round_number, value))
+        quorum = self.quorum
+        strong_echo1 = sorted(
+            other for other, senders in state.echo1.items() if senders.bit_count() >= quorum
+        )
+        if len(strong_echo1) >= 2:
+            # Condition (1): adopt the midpoint of the two smallest strongly
+            # echoed values.
+            low, high = strong_echo1[0], strong_echo1[1]
+            out += self._complete((low, high), (low + high) / 2.0)
+        return out
 
-            # Single ECHO2 per round once a value has n-t ECHO1 support.
-            if not state.echo2_sent:
-                for value, senders in state.echo1.items():
-                    if senders.bit_count() >= self.quorum:
-                        state.echo2_sent = True
-                        out.append((ECHO2, round_number, value))
-                        break
-
-            quorum = self.quorum
-            strong_echo1 = [
-                value
-                for value, senders in state.echo1.items()
-                if senders.bit_count() >= quorum
-            ]
-
-            next_value: Optional[float] = None
-            if len(strong_echo1) >= 2:
-                # Condition (1): adopt the midpoint of the two smallest
-                # strongly echoed values.
-                strong_echo1.sort()
-                low, high = strong_echo1[0], strong_echo1[1]
-                self.bv_outputs[round_number] = (low, high)
-                next_value = (low + high) / 2.0
-            else:
-                strong_echo2 = [
-                    value
-                    for value, senders in state.echo2.items()
-                    if senders.bit_count() >= quorum
-                ]
-                if strong_echo2:
-                    # Condition (2): adopt the smallest ECHO2-supported value.
-                    chosen = min(strong_echo2)
-                    self.bv_outputs[round_number] = (chosen,)
-                    next_value = chosen
-
-            if next_value is None:
-                return out
-
-            state.completed = True
-            self.value = next_value
-            if round_number >= self.rounds:
-                self.output = self.value
-                callback = self.on_complete
-                if callback is not None:
-                    callback()
-                return out
-            out.extend(self._enter_round_inline(round_number + 1))
-
-    def _enter_round_inline(self, round_number: int) -> List[SubMessage]:
-        """Enter a round without recursing into :meth:`_progress` (the outer
-        while-loop in :meth:`_progress` performs the re-evaluation)."""
-        self.current_round = round_number
-        state = self._state(round_number)
-        assert self.value is not None
-        state.amplified.add(self.value)
-        return [(ECHO1, round_number, self.value)]
+    def _complete(self, bv_output: Tuple[float, ...], next_value: float) -> List[SubMessage]:
+        """Finish the current round on ``next_value`` and enter the next one,
+        or produce the output after the last."""
+        round_number = self.current_round
+        self.bv_outputs[round_number] = bv_output
+        self.value = next_value
+        if round_number < self.rounds:
+            return self._enter_round(round_number + 1)
+        self.output = next_value
+        callback = self.on_complete
+        if callback is not None:
+            callback()
+        return []
 
 
 class BinAANode(ProtocolNode):
@@ -382,7 +377,10 @@ class BinAANode(ProtocolNode):
             or not isinstance(payload[0], str)
         ):
             return []
-        sub: SubMessage = (payload[0], int(payload[1]), float(payload[2]))
+        try:
+            sub: SubMessage = (payload[0], int(payload[1]), float(payload[2]))
+        except (TypeError, ValueError, OverflowError):
+            return []
         out = self._wrap(self.engine.handle(sender, sub))
         if self.engine.has_output:
             self._decide(self.engine.output)

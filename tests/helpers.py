@@ -25,6 +25,19 @@ from repro.protocols.base import ProtocolNode
 from repro.sim.runtime import SimulationConfig, SimulationResult, SimulationRuntime
 
 
+#: Bundle-shaped payloads whose fields do not convert to their types
+#: (``TypeError``, ``ValueError``, ``OverflowError`` in the codec): a
+#: Byzantine sender's cheapest way at an honest node's decoder.
+UNCONVERTIBLE_BUNDLES = [
+    ((None, (), (), ()),),
+    ((0, 5, (), ()),),
+    ((0, (), (), ((1, None),)),),
+    (("x", (), (), ()),),
+    ((0, (), (("ECHO1", "r", 1.0),), ()),),
+    ((0, (), (("ECHO1", float("inf"), 1.0),), ()),),
+]
+
+
 def small_network(
     n: int, seed: int = 0, adversarial_delay: float = 0.0
 ) -> AsynchronousNetwork:
@@ -39,13 +52,14 @@ def run_nodes(
     adversarial_delay: float = 0.0,
     max_events: int = 2_000_000,
     observers: Optional[Sequence] = None,
+    engine: str = "fast",
 ) -> SimulationResult:
     """Run a set of protocol nodes through the simulator and return the result."""
     runtime = SimulationRuntime(
         nodes=nodes,
         network=small_network(len(nodes), seed=seed, adversarial_delay=adversarial_delay),
         byzantine=byzantine,
-        config=SimulationConfig(max_events=max_events),
+        config=SimulationConfig(max_events=max_events, engine=engine),
         observers=observers,
     )
     return runtime.run()

@@ -5,8 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.adversary.strategies import CrashStrategy, EquivocatingStrategy, RandomBitStrategy
 from repro.errors import ConfigurationError
+from repro.experiments.cells import build_inputs, run_spec
+from repro.experiments.spec import ScenarioSpec
 from repro.net.message import Message
 from repro.protocols.binaa import BinAAEngine, BinAANode, rounds_for_epsilon
+from repro.sim.runtime import SimulationConfig
 
 from helpers import run_nodes
 
@@ -123,6 +126,57 @@ class TestBinAAEngineUnit:
         assert engine.handle(0, ("ECHO1", 99, 1.0)) == []
         assert engine.handle(0, ("ECHO1", 0, 1.0)) == []
 
+    def test_past_round_echo_is_not_recorded(self):
+        engine = BinAAEngine(4, 1, rounds=3)
+        engine.start(1)
+        for sender in range(3):
+            engine.handle(sender, ("ECHO2", 1, 1.0))
+        assert engine.current_round == 2
+        before = _tables(engine)
+        for sub in [("ECHO1", 1, 0.0), ("ECHO2", 1, 0.5), ("ECHO1", 1, 1.0)]:
+            assert engine.handle(3, sub) == []
+        assert _tables(engine) == before
+
+    def test_round_entry_finds_two_buffered_echo1_quorums(self):
+        # Round 2's ECHO1 quorums for 0.0 and 1.0 arrive while round 1 is
+        # open; entering round 2 settles it by the midpoint at once.
+        engine, model = BinAAEngine(4, 1, rounds=3), _SetModel(4, 1, rounds=3)
+        assert engine.start(0) == model.start(0)
+        for value in (0.0, 1.0):
+            for sender in range(3):
+                assert engine.handle(sender, ("ECHO1", 2, value)) == []
+                model.handle(sender, ("ECHO1", 2, value))
+        completing = [engine.handle(sender, ("ECHO2", 1, 0.0)) for sender in range(3)]
+        assert completing[-1] == [
+            ("ECHO1", 2, 0.0),
+            ("ECHO1", 2, 1.0),
+            ("ECHO2", 2, 0.0),
+            ("ECHO1", 3, 0.5),
+        ]
+        assert completing == [model.handle(sender, ("ECHO2", 1, 0.0)) for sender in range(3)]
+        assert engine.bv_outputs == {1: (0.0,), 2: (0.0, 1.0)}
+        assert engine.current_round == 3 and engine.value == 0.5
+
+    def test_round_entry_finds_a_buffered_echo2_quorum(self):
+        engine, model = BinAAEngine(4, 1, rounds=3), _SetModel(4, 1, rounds=3)
+        assert engine.start(0) == model.start(0)
+        for sender in range(3):
+            assert engine.handle(sender, ("ECHO2", 2, 1.0)) == []
+            model.handle(sender, ("ECHO2", 2, 1.0))
+        completing = [engine.handle(sender, ("ECHO2", 1, 0.0)) for sender in range(3)]
+        assert completing[-1] == [("ECHO1", 2, 0.0), ("ECHO1", 3, 1.0)]
+        assert completing == [model.handle(sender, ("ECHO2", 1, 0.0)) for sender in range(3)]
+        assert engine.bv_outputs == {1: (0.0,), 2: (1.0,)}
+        assert engine.current_round == 3 and engine.value == 1.0
+
+
+def _tables(engine):
+    """Every per-round table of ``engine``, as plain comparable values."""
+    return {
+        round_number: (dict(state.echo1), dict(state.echo2), set(state.amplified), state.echo2_sent)
+        for round_number, state in engine._round_state.items()
+    }
+
 
 class _SetModel:
     """Algorithm 1 with a set of sender ids per value and a full
@@ -175,35 +229,98 @@ class _SetModel:
         return out + self._enter()
 
 
+_VALUES = [0.0, 1.0, 0.5, 0.25, 0.75]
+
 # Rounds are drawn relative to the engine's current one so that long random
 # sequences do cross quorums: mostly the live round, some buffered for the
 # next, some stale or out of range; senders repeat freely.
 _ECHO = st.tuples(
-    st.integers(0, 6),  # sender
+    st.integers(0, 9),  # sender
     st.sampled_from(["ECHO1", "ECHO1", "ECHO2", "ECHO2", "READY"]),
     st.sampled_from([0, 0, 0, 0, 1, 1, -1, 9]),  # round - current round
-    st.sampled_from([0.0, 1.0, 0.5, 0.25, 0.75]),
+    st.sampled_from(_VALUES),
 )
+
+# A whole next round delivered before the current one completes: every
+# sender's ECHO1 for one or two values, and maybe every sender's ECHO2 for
+# the first, so that round entry finds quorums already buffered.
+_NEXT_ROUND = st.tuples(
+    st.just("NEXT_ROUND"),
+    st.lists(st.sampled_from(_VALUES), min_size=1, max_size=2, unique=True),
+    st.booleans(),  # with ECHO2s
+)
+
+
+def _expand(step, n, current_round):
+    if step[0] != "NEXT_ROUND":
+        sender, mtype, offset, value = step
+        return [(sender % n, (mtype, current_round + offset, value))]
+    _, values, with_echo2 = step
+    echoes = [("ECHO1", value) for value in values]
+    echoes += [("ECHO2", values[0])] * with_echo2
+    return [
+        (sender, (mtype, current_round + 1, value))
+        for mtype, value in echoes
+        for sender in range(n)
+    ]
 
 
 class TestBitmaskEngineEqualsSetModel:
     @given(
-        echoes=st.lists(_ECHO, max_size=30)
-        | st.lists(_ECHO, min_size=80, max_size=300),
+        steps=st.lists(_ECHO | _NEXT_ROUND, max_size=30)
+        | st.lists(_ECHO, min_size=80, max_size=300)
+        | st.lists(_ECHO | _NEXT_ROUND, min_size=40, max_size=80),
         own=st.integers(0, 1),
-        big=st.booleans(),
+        nt=st.sampled_from([(4, 1), (7, 2), (10, 3)]),
     )
-    @settings(max_examples=200)
-    def test_same_submessages_bv_outputs_and_output(self, echoes, own, big):
-        n, t = (7, 2) if big else (4, 1)
+    @settings(max_examples=250)
+    def test_same_submessages_bv_outputs_and_output(self, steps, own, nt):
+        n, t = nt
         engine, model = BinAAEngine(n, t, rounds=3), _SetModel(n, t, rounds=3)
         assert engine.start(own) == model.start(own)
-        for sender, mtype, offset, value in echoes:
-            sub = (mtype, engine.current_round + offset, value)
-            assert engine.handle(sender % n, sub) == model.handle(sender % n, sub)
-            assert engine.current_round == model.round
+        for step in steps:
+            for sender, sub in _expand(step, n, engine.current_round):
+                assert engine.handle(sender, sub) == model.handle(sender, sub)
+                assert engine.current_round == model.round
         assert engine.bv_outputs == model.bv_outputs
         assert engine.output == model.output
+
+
+class TestRescanOnlyOnRoundEntry:
+    """The clock-free guard on the incremental engine: the full
+    re-evaluation of a round runs once per engine start and once per round
+    entry, never on a threshold crossing."""
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_rescans_equal_starts_plus_round_entries(self, engine, monkeypatch):
+        counts = {"rescans": 0, "entries": 0}
+        start, handle, progress = BinAAEngine.start, BinAAEngine.handle, BinAAEngine._progress
+
+        def counting_start(self, value):
+            out = start(self, value)
+            counts["entries"] += self.current_round  # round 1 and any cascade
+            return out
+
+        def counting_handle(self, sender, sub):
+            before = self.current_round
+            out = handle(self, sender, sub)
+            counts["entries"] += self.current_round - before
+            return out
+
+        def counting_progress(self, *args):
+            counts["rescans"] += 1
+            return progress(self, *args)
+
+        monkeypatch.setattr(BinAAEngine, "start", counting_start)
+        monkeypatch.setattr(BinAAEngine, "handle", counting_handle)
+        monkeypatch.setattr(BinAAEngine, "_progress", counting_progress)
+        spec = ScenarioSpec(protocol="delphi", n=10, testbed="aws", seed=1)
+        result, _ = run_spec(spec, build_inputs(spec), config=SimulationConfig(engine=engine))
+        assert result.all_decided
+        # 1,250 here (150 starts + 1,100 round entries); a rescan on every
+        # threshold crossing would be 4,140.
+        assert counts["entries"] > 0
+        assert counts["rescans"] == counts["entries"]
 
 
 class TestBinAAProtocol:
@@ -265,3 +382,6 @@ class TestBinAAProtocol:
         node.on_start()
         assert node.on_message(1, Message("binaa", "ECHO1", 1, "garbage")) == []
         assert node.on_message(1, Message("binaa", "ECHO1", 1, [1, 2])) == []
+        # Fields that do not convert are dropped, not raised.
+        for payload in [("ECHO1", "x", 1.0), ("ECHO1", 1, None), ("ECHO1", float("inf"), 1.0)]:
+            assert node.on_message(1, Message("binaa", "ECHO1", 1, payload)) == []

@@ -20,6 +20,8 @@ from repro.errors import ProtocolError
 from repro.net.message import Message, estimate_size_bits
 from repro.protocols.binaa import BinAAEngine
 
+from helpers import UNCONVERTIBLE_BUNDLES
+
 
 def legacy_encode_bundle(bundle):
     """The pre-tuple (nested-list, "dict-shaped") bundle encoding, kept as
@@ -232,6 +234,9 @@ class TestBundleCodec:
             decode_bundle([[0, [1]]])  # wrong arity
         with pytest.raises(ProtocolError):
             decode_bundle([[0, [], [["ECHO1", 1]], []]])  # bad sub-message
+        for payload in UNCONVERTIBLE_BUNDLES:
+            with pytest.raises(ProtocolError):
+                decode_bundle(payload)
 
     def test_exclude_fixed_at_first_touch(self):
         bundle = Bundle()
@@ -260,6 +265,48 @@ def bundle_message(payload):
 def fields_of(bundle):
     """Every field of a decoded bundle, with the concrete types visible."""
     return repr([dataclasses.astuple(entry) for entry in bundle.levels.values()])
+
+
+_junk = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+def _or_junk(good):
+    """``good`` most of the time; anything at all otherwise."""
+    return good | good | _junk
+
+
+def _seq(element, max_size=3):
+    return _or_junk(st.lists(element, max_size=max_size).map(tuple) | st.lists(element, max_size=max_size))
+
+
+_hostile_sub = _or_junk(
+    st.tuples(
+        _or_junk(st.sampled_from(["ECHO1", "ECHO2"])),
+        _or_junk(st.integers(1, 3)),
+        _or_junk(st.sampled_from([0.0, 1.0, 0.5])),
+    )
+)
+
+#: Payloads shaped like a bundle at every depth, with any field replaced by
+#: arbitrary nested junk: what a Byzantine sender can hand the codec.
+_hostile_payloads = _junk | _seq(
+    _or_junk(
+        st.tuples(
+            _or_junk(st.integers(0, 2)),
+            _seq(_or_junk(st.integers(0, 5))),
+            _seq(_hostile_sub),
+            _seq(_or_junk(st.tuples(_or_junk(st.integers(0, 5)), _seq(_hostile_sub))), 2),
+        )
+    )
+)
 
 
 class _Liar:
@@ -371,6 +418,11 @@ class TestSharedDecode:
         assert shared_decode(bundle_message(malformed)) is None
         assert decodes == [unhashable, unhashable, malformed, malformed]
         assert bundling._DECODED == {}
+
+    @given(_hostile_payloads)
+    def test_arbitrary_payloads_decode_or_are_dropped(self, payload):
+        decoded = shared_decode(bundle_message(payload))
+        assert decoded is None or isinstance(decoded, Bundle)
 
     def test_table_is_bounded_under_a_flood_of_unique_payloads(self):
         for index in range(3 * bundling._DECODED_CAP):

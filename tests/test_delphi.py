@@ -9,14 +9,14 @@ fallback, scalar vs structured output).
 
 import pytest
 
-from repro.adversary.base import HonestWithInput
+from repro.adversary.base import AdversaryStrategy, HonestWithInput
 from repro.adversary.strategies import CrashStrategy, SpamStrategy
 from repro.analysis.parameters import derive_parameters
 from repro.core.delphi import DelphiNode, DelphiOutput
 from repro.errors import ProtocolError
 from repro.net.message import Message
 
-from helpers import assert_agreement, assert_validity, run_nodes
+from helpers import UNCONVERTIBLE_BUNDLES, assert_agreement, assert_validity, run_nodes
 
 
 @pytest.fixture
@@ -101,6 +101,31 @@ class TestDelphiHappyPath:
             assert node.output_value == pytest.approx(node.output.value)
 
 
+class _UnconvertibleBundles(AdversaryStrategy):
+    """Runs the honest protocol but ships each bundle as one of
+    :data:`helpers.UNCONVERTIBLE_BUNDLES`, which an honest receiver must
+    drop rather than raise on."""
+
+    PAYLOADS = UNCONVERTIBLE_BUNDLES
+
+    def __init__(self):
+        self.sent = 0
+
+    def on_start(self):
+        return self._replace(self.node.on_start())
+
+    def on_message(self, sender, message):
+        return self._replace(self.node.on_message(sender, message))
+
+    def _replace(self, outbound):
+        replaced = []
+        for to, message in outbound:
+            payload = self.PAYLOADS[self.sent % len(self.PAYLOADS)]
+            replaced.append((to, message.with_payload(payload)))
+            self.sent += 1
+        return replaced
+
+
 class TestDelphiFaults:
     def test_crash_faults(self, run_delphi):
         values = [10.2, 10.5, 10.9, 11.4, 10.1, 10.7, 11.0]
@@ -139,6 +164,21 @@ class TestDelphiFaults:
         outputs = [nodes[i].output for i in range(3)]
         assert result.all_honest_decided
         assert_agreement(outputs, params.epsilon)
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_bundles_with_unconvertible_fields(self, make_delphi_params, engine):
+        values = [10.2, 10.5, 10.9, 11.4, 10.1, 10.7, 11.0]
+        params = make_delphi_params(n=7)
+        nodes = {i: DelphiNode(i, params, value=values[i]) for i in range(7)}
+        liar = _UnconvertibleBundles()
+        result = run_nodes(nodes, byzantine={6: liar}, engine=engine)
+        assert liar.sent > len(_UnconvertibleBundles.PAYLOADS)
+        honest_inputs = values[:6]
+        outputs = [nodes[i].output for i in range(6)]
+        assert result.all_honest_decided
+        assert_agreement(outputs, params.epsilon)
+        delta = max(honest_inputs) - min(honest_inputs)
+        assert_validity(outputs, honest_inputs, relaxation=max(params.rho0, delta))
 
     def test_adversarial_delay(self, run_delphi):
         values = [10.2, 10.5, 10.9, 11.4, 10.1, 10.7, 11.0]
