@@ -30,16 +30,17 @@ nested lists:
 * sub-message triples are already tuples — encoding reuses them zero-copy,
   and encoded sub-sequences are interned per content key, so the recurring
   fragments (a level's default block, one checkpoint's echoes) are shared
-  objects across bundles with their size computed exactly once;
+  objects across bundles with their size computed exactly once, as is each
+  exclude tuple's (a level state hands out one until its next split);
 * :func:`encode_bundle_sized` returns the payload *and* its wire size in
   bits, accumulated from the interned fragment sizes, so the enclosing
   :class:`~repro.net.message.Message` never walks the payload at all (the
   number it produces is exactly ``estimate_size_bits(payload)``);
-* :func:`decode_bundle` normalises as it parses — levels and explicit
-  checkpoints come out iteration-sorted, the union of ``exclude`` and
-  explicit keys (``divergent``) and the exclude membership set are
-  precomputed — so the n receivers of a broadcast share one sorted
-  structure instead of re-sorting per delivery.
+* :func:`decode_bundle` also computes the *receive plan*: per level, every
+  fact the receive path needs that depends on the payload alone (sorted and
+  set projections of ``exclude`` and the explicit keys, the flattened
+  explicit sub-messages), so the n receivers of a broadcast share one plan
+  instead of re-deriving it per delivery.
 
 Tuples and lists are charged identically by
 :func:`~repro.net.message.estimate_size_bits` (8 bits of framing plus the
@@ -83,24 +84,22 @@ def _encode_subs(subs: Sequence[SubMessage]) -> Tuple[Tuple[SubMessage, ...], in
     return entry
 
 
+#: Exclude fragment sizes in bits, by exclude tuple (capped like the above).
+_EXCLUDE_BITS: Dict[Tuple[int, ...], int] = {}
+
+
 @dataclass
 class LevelBundle:
-    """One level's share of a bundled Delphi message.
+    """One level's share of a bundled Delphi message, as a sender builds it.
 
-    ``divergent`` and ``exclude_set`` are receiver-independent projections
-    precomputed by :func:`decode_bundle` (the sorted union of ``exclude``
-    and the explicit keys, and the exclude membership set); they are unset
-    on locally built outgoing bundles.
+    A decoded bundle carries these too, as a read-only view of the payload;
+    what the receive path reads is the bundle's :attr:`Bundle.plan`.
     """
 
     level: int
     exclude: Tuple[int, ...] = ()
     default: List[SubMessage] = field(default_factory=list)
     explicit: Dict[int, List[SubMessage]] = field(default_factory=dict)
-    divergent: Tuple[int, ...] = ()
-    divergent_set: frozenset = frozenset()
-    exclude_set: frozenset = frozenset()
-    explicit_pairs: Tuple[Tuple[int, SubMessage], ...] = ()
 
     @property
     def empty(self) -> bool:
@@ -110,9 +109,11 @@ class LevelBundle:
 
 @dataclass
 class Bundle:
-    """A full bundled Delphi message: one :class:`LevelBundle` per level."""
+    """A full bundled Delphi message: one :class:`LevelBundle` per level,
+    and, once decoded, its receive plan (see :func:`decode_bundle`)."""
 
     levels: Dict[int, LevelBundle] = field(default_factory=dict)
+    plan: Tuple[Tuple, ...] = ()
 
     def level(self, level: int, exclude: Sequence[int]) -> LevelBundle:
         """Get (or create) the bundle entry for ``level`` with the sender's
@@ -173,9 +174,11 @@ def encode_bundle_sized(bundle: Bundle) -> Tuple[Tuple, int]:
             explicit_items.append((index, subs_fragment))
             explicit_bits += 8 + int_size_bits(index) + subs_bits
         exclude = entry.exclude
-        exclude_bits = 8
-        for index in exclude:
-            exclude_bits += int_size_bits(index)
+        exclude_bits = _EXCLUDE_BITS.get(exclude)
+        if exclude_bits is None:
+            if len(_EXCLUDE_BITS) >= _SUBS_INTERN_CAP:
+                _EXCLUDE_BITS.clear()
+            exclude_bits = _EXCLUDE_BITS[exclude] = 8 + sum(map(int_size_bits, exclude))
         payload.append((level, exclude, default_fragment, tuple(explicit_items)))
         bits += (
             8  # level-entry framing
@@ -216,9 +219,11 @@ def _decode_subs(raw: Sequence) -> List[SubMessage]:
 def decode_bundle(payload: Sequence) -> Bundle:
     """Decode a bundle payload produced by :func:`encode_bundle`.
 
-    The decoded bundle is normalised for the receive hot path: levels and
-    explicit checkpoints iterate in sorted order, and each level carries its
-    precomputed ``divergent`` union and ``exclude_set``.
+    Levels and explicit checkpoints iterate in sorted order, and ``plan``
+    has one row per level, ``(level, divergent_set, divergent,
+    explicit_pairs, default_subs, exclude_set)``: ``divergent`` is the sorted
+    union of ``exclude`` and the explicit keys, ``explicit_pairs`` the
+    index-sorted ``(index, sub)`` pairs.
 
     Raises
     ------
@@ -263,18 +268,17 @@ def _decode_levels(payload: Sequence) -> Bundle:
     # and processed by n receivers, so sort and project here, not there.
     if len(levels) > 1 and list(levels) != sorted(levels):
         bundle.levels = {level: levels[level] for level in sorted(levels)}
+    plan = []
     for entry in bundle.levels.values():
         explicit = entry.explicit
         if len(explicit) > 1 and list(explicit) != sorted(explicit):
-            entry.explicit = {index: explicit[index] for index in sorted(explicit)}
-        entry.exclude_set = frozenset(entry.exclude)
-        entry.divergent_set = entry.exclude_set.union(entry.explicit)
-        entry.divergent = tuple(sorted(entry.divergent_set))
-        entry.explicit_pairs = tuple(
-            (index, sub)
-            for index, subs in entry.explicit.items()
-            for sub in subs
-        )
+            explicit = entry.explicit = {index: explicit[index] for index in sorted(explicit)}
+        exclude_set = frozenset(entry.exclude)
+        divergent_set = exclude_set.union(explicit)
+        divergent = tuple(sorted(divergent_set))
+        pairs = tuple((index, sub) for index, subs in explicit.items() for sub in subs)
+        plan.append((entry.level, divergent_set, divergent, pairs, entry.default, exclude_set))
+    bundle.plan = tuple(plan)
     return bundle
 
 

@@ -23,10 +23,10 @@ module implements the state-level counterpart of that optimisation:
   checkpoint's explicit engine.
 
 The explicit set changes only on splits (rare) but is consulted on every
-delivered bundle (hot), so the sorted projections the receive path needs —
-the exclude tuple and the index-sorted engine list — are cached here and
-invalidated on mutation, and termination is memoised once reached (engines
-never lose their output).
+delivered bundle (hot), so the projections the receive path needs — the
+explicit index set, the exclude tuple and the index-sorted engine list —
+are cached here and refreshed on mutation, and termination is memoised once
+reached (engines never lose their output).
 """
 
 from __future__ import annotations
@@ -58,9 +58,11 @@ class LevelState:
     explicit:
         Engines for checkpoints with explicit state, keyed by checkpoint
         index.  Mutate only through :meth:`register_explicit` /
-        :meth:`split` so the sorted-projection caches stay coherent.
+        :meth:`split` so the projection caches stay coherent.
     own_checkpoints:
         The indices this node input 1 to.
+    explicit_set:
+        The explicit indices as a ``frozenset`` (cached like the rest).
     """
 
     level: int
@@ -75,6 +77,10 @@ class LevelState:
         default=None, repr=False, compare=False
     )
     _terminated_memo: bool = field(default=False, repr=False, compare=False)
+    explicit_set: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._invalidate()
 
     # ------------------------------------------------------------------
     def is_explicit(self, index: int) -> bool:
@@ -104,6 +110,7 @@ class LevelState:
         return pairs
 
     def _invalidate(self) -> None:
+        self.explicit_set = frozenset(self.explicit)
         self._exclude_cache = None
         self._sorted_engines_cache = None
 

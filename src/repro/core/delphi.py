@@ -154,15 +154,17 @@ class DelphiNode(ProtocolNode):
     # Bundle processing
     # ------------------------------------------------------------------
     def _process_bundle(self, sender: int, incoming: Bundle) -> Optional[Bundle]:
-        # Decoded bundles iterate levels and explicit checkpoints in sorted
-        # order and carry their precomputed divergent/exclude projections
-        # (see decode_bundle), so this path performs no per-delivery sorts.
+        # Everything that depends on the payload alone was computed once per
+        # distinct content by decode_bundle (the plan rows), and our explicit
+        # set is a frozenset LevelState keeps current, so this path performs
+        # no per-delivery sorts and both coverage tests are set against set.
         # The outgoing bundle is allocated lazily: the overwhelming majority
         # of deliveries emit nothing (``None`` is returned instead).
         outgoing: Optional[Bundle] = None
         levels = self._levels
-        for entry in incoming.levels.values():
-            level = entry.level
+        for (
+            level, divergent_set, divergent, explicit_pairs, default_subs, excluded_by_sender
+        ) in incoming.plan:
             state = levels.get(level)
             if state is None:
                 continue
@@ -170,20 +172,19 @@ class DelphiNode(ProtocolNode):
 
             # 1. Split every checkpoint the sender no longer covers with its
             #    default block, so our shared block's history stays uniform.
-            #    One C-level subset test skips the whole scan in the common
-            #    case where every divergent checkpoint is already explicit.
-            if not entry.divergent_set <= explicit_map.keys():
-                for index in entry.divergent:
+            #    One subset test skips the whole scan in the common case
+            #    where every divergent checkpoint is already explicit.
+            if not divergent_set <= state.explicit_set:
+                for index in divergent:
                     if index not in explicit_map:
                         engine = state.split(index)
                         if engine.output is None:
                             self._pending_engines += 1
 
-            # 2. Explicit sub-messages go to their dedicated engines (the
-            #    decoder pre-flattened them into index-sorted pairs).  The
+            # 2. Explicit sub-messages go to their dedicated engines.  The
             #    explicit set no longer changes below, so our exclude key is
             #    read only when something is emitted.
-            for index, sub in entry.explicit_pairs:
+            for index, sub in explicit_pairs:
                 emitted = explicit_map[index].handle(sender, sub)
                 if emitted:
                     if outgoing is None:
@@ -192,7 +193,6 @@ class DelphiNode(ProtocolNode):
 
             # 3. Default sub-messages go to our default engine and to every
             #    explicit engine the sender still covers with its default.
-            default_subs = entry.default
             if default_subs:
                 default_engine = state.default_engine
                 for sub in default_subs:
@@ -201,8 +201,7 @@ class DelphiNode(ProtocolNode):
                         if outgoing is None:
                             outgoing = Bundle()
                         outgoing.add_default(level, state.exclude_key(), emitted)
-                excluded_by_sender = entry.exclude_set
-                if explicit_map.keys() <= excluded_by_sender:
+                if state.explicit_set <= excluded_by_sender:
                     # The sender tracks every one of our explicit
                     # checkpoints itself: its default covers none of them.
                     continue

@@ -84,11 +84,11 @@ class AuthenticatedChannel:
     def seal(self, destination: int, message: Message) -> Envelope:
         """Produce an authenticated envelope for ``message`` to ``destination``."""
         key = self.keyring.key_for(destination)
-        tag = hmac.new(
+        tag = hmac.digest(
             key,
             self._message_bytes(self.keyring.node_id, destination, message),
-            hashlib.sha256,
-        ).digest()
+            "sha256",
+        )
         return Envelope(
             sender=self.keyring.node_id,
             destination=destination,
@@ -113,11 +113,11 @@ class AuthenticatedChannel:
         if envelope.tag is None:
             raise AuthenticationError("envelope carries no authentication tag")
         key = self.keyring.key_for(envelope.sender)
-        expected = hmac.new(
+        expected = hmac.digest(
             key,
             self._message_bytes(envelope.sender, envelope.destination, envelope.message),
-            hashlib.sha256,
-        ).digest()
+            "sha256",
+        )
         if not hmac.compare_digest(expected, envelope.tag):
             raise AuthenticationError(
                 f"invalid HMAC tag on message from {envelope.sender}"

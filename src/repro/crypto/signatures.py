@@ -71,7 +71,7 @@ class SimulatedSigner:
 
     def sign(self, message: Any) -> Signature:
         """Sign a JSON-like message."""
-        digest = hmac.new(self._key, hash_value(message), hashlib.sha256).digest()
+        digest = hmac.digest(self._key, hash_value(message), "sha256")
         return Signature(signer=self.node_id, digest=digest)
 
 
@@ -193,7 +193,7 @@ class ThresholdSignatureScheme:
         if node_id not in self._share_keys:
             raise ConfigurationError(f"unknown share holder {node_id}")
         self.share_count += 1
-        digest = hmac.new(self._share_keys[node_id], hash_value(message), hashlib.sha256).digest()
+        digest = hmac.digest(self._share_keys[node_id], hash_value(message), "sha256")
         return ThresholdShare(signer=node_id, digest=digest)
 
     def verify_share(self, message: Any, share: ThresholdShare) -> bool:
@@ -201,9 +201,7 @@ class ThresholdSignatureScheme:
         self.verify_count += 1
         if share.signer not in self._share_keys:
             return False
-        expected = hmac.new(
-            self._share_keys[share.signer], hash_value(message), hashlib.sha256
-        ).digest()
+        expected = hmac.digest(self._share_keys[share.signer], hash_value(message), "sha256")
         return hmac.compare_digest(expected, share.digest)
 
     def combine(self, message: Any, shares: Iterable[ThresholdShare]) -> bytes:
@@ -217,10 +215,10 @@ class ThresholdSignatureScheme:
                 f"need {self.threshold} valid shares, got {len(valid_signers)}"
             )
         self.combine_count += 1
-        return hmac.new(self._group_key, hash_value(message), hashlib.sha256).digest()
+        return hmac.digest(self._group_key, hash_value(message), "sha256")
 
     def verify_combined(self, message: Any, signature: bytes) -> bool:
         """Verify a combined (group) signature."""
         self.verify_count += 1
-        expected = hmac.new(self._group_key, hash_value(message), hashlib.sha256).digest()
+        expected = hmac.digest(self._group_key, hash_value(message), "sha256")
         return hmac.compare_digest(expected, signature)

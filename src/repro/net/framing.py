@@ -40,7 +40,6 @@ tag *before* it splits or deserialises, so untrusted bytes are never parsed.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from typing import List, Optional, Sequence, Tuple
 
@@ -209,7 +208,7 @@ def _hello_tag(key: bytes, sender: int, receiver: int, epoch: int, nonce: bytes)
         + epoch.to_bytes(8, "big")
         + nonce
     )
-    return hmac.new(key, material, hashlib.sha256).digest()
+    return hmac.digest(key, material, "sha256")
 
 
 def _ack_tag(
@@ -228,7 +227,7 @@ def _ack_tag(
         + hello_nonce
         + ack_nonce
     )
-    return hmac.new(key, material, hashlib.sha256).digest()
+    return hmac.digest(key, material, "sha256")
 
 
 def encode_hello(key: bytes, sender: int, receiver: int, epoch: int, nonce: bytes) -> bytes:
@@ -334,7 +333,7 @@ class ChannelCodec:
 
     def _tag(self, seq: int, payload: bytes) -> bytes:
         material = b"data" + self._session + seq.to_bytes(8, "big") + payload
-        return hmac.new(self._key, material, hashlib.sha256).digest()
+        return hmac.digest(self._key, material, "sha256")
 
     def seal(self, payload: bytes) -> bytes:
         """Build the authenticated DATA body for ``payload``."""

@@ -45,6 +45,19 @@ def legacy_encode_bundle(bundle):
     return payload
 
 
+def plan_of(payload):
+    """The receive plan of an encoded payload, recomputed from the payload
+    alone: per level in level order, ``(level, divergent_set, divergent,
+    explicit_pairs, default_subs, exclude_set)``."""
+    rows = []
+    for level, exclude, default, explicit in sorted(payload):
+        exclude_set = frozenset(exclude)
+        divergent = exclude_set | {index for index, _subs in explicit}
+        pairs = tuple((index, sub) for index, subs in sorted(explicit) for sub in subs)
+        rows.append((level, divergent, tuple(sorted(divergent)), pairs, list(default), exclude_set))
+    return tuple(rows)
+
+
 #: Strategy for honest sub-messages: BinAA echo triples.
 _subs = st.lists(
     st.tuples(
@@ -88,7 +101,7 @@ class TestTupleCodecEquivalence:
             assert entry.exclude == legacy.exclude
             assert entry.default == legacy.default
             assert entry.explicit == legacy.explicit
-            assert entry.divergent == legacy.divergent
+        assert from_new.plan == from_old.plan
 
     @given(bundle=bundles())
     def test_wire_size_identical_to_legacy_and_precomputed(self, bundle):
@@ -98,19 +111,17 @@ class TestTupleCodecEquivalence:
 
     @given(bundle=bundles())
     def test_decode_normalises_iteration_order(self, bundle):
-        decoded = decode_bundle(encode_bundle(bundle))
+        payload = encode_bundle(bundle)
+        decoded = decode_bundle(payload)
         assert list(decoded.levels) == sorted(decoded.levels)
         for entry in decoded.levels.values():
             assert list(entry.explicit) == sorted(entry.explicit)
-            assert entry.divergent == tuple(
-                sorted(set(entry.exclude) | set(entry.explicit))
-            )
-            assert entry.exclude_set == frozenset(entry.exclude)
-            assert tuple(entry.explicit_pairs) == tuple(
-                (index, sub)
-                for index, subs in entry.explicit.items()
-                for sub in subs
-            )
+        # One plan row per level, each equal to the projections recomputed
+        # from the payload, with the concrete types the receive path tests.
+        assert decoded.plan == plan_of(payload)
+        for row, entry in zip(decoded.plan, decoded.levels.values()):
+            assert row[0] == entry.level and row[4] is entry.default
+            assert type(row[1]) is frozenset and type(row[5]) is frozenset
 
     def test_decode_accepts_unsorted_byzantine_levels(self):
         # Byzantine senders may scramble level and exclude order; the decoder
@@ -264,7 +275,7 @@ def bundle_message(payload):
 
 def fields_of(bundle):
     """Every field of a decoded bundle, with the concrete types visible."""
-    return repr([dataclasses.astuple(entry) for entry in bundle.levels.values()])
+    return repr(([dataclasses.astuple(entry) for entry in bundle.levels.values()], bundle.plan))
 
 
 _junk = st.recursive(

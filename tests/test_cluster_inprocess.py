@@ -442,12 +442,17 @@ class TestOneKillPath:
         """B4.  The parent waited 1 s for injectors, then set a flag that
         suppressed the respawn of a kill that had already fired — and then
         waited the whole ``join_timeout`` for the node it had just declined
-        to respawn (``restarts: []``, ``unrejoined: [1]``, ``ok: True``)."""
+        to respawn (``restarts: []``, ``unrejoined: [1]``, ``ok: True``).
+
+        The fired kill is due at the barrier itself: its injector then runs
+        at the supervisor's first wait of epoch 0, which no epoch can finish
+        without, so the kill is recorded in epoch 0 however fast epochs run
+        (any ``at > 0`` races an n = 4 in-process epoch)."""
         config = _config(tmp_path, epochs=2)
         config.join_timeout = 8.0
         schedule = ChaosSchedule(
             kills=(
-                KillSpec(node=1, at=0.02, restart_delay=1.2),  # outlasts the epochs
+                KillSpec(node=1, at=0.0, restart_delay=1.2),  # outlasts the epochs
                 KillSpec(node=2, at=60.0),  # never reached
             ),
             pauses=(PauseSpec(node=3, at=60.0),),

@@ -1,6 +1,11 @@
 """Tests for hashing, HMAC channels, simulated signatures and common coins."""
 
+import hashlib
+import hmac
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import AuthenticationError, ConfigurationError
 from repro.crypto.hashing import hash_bytes, hash_hex, hash_value
@@ -26,6 +31,29 @@ class TestHashing:
 
     def test_bytes_passthrough(self):
         assert hash_bytes(b"abc") == hash_value(b"abc")
+
+
+class TestOneShotHmac:
+    """Every tag in the package (channel seal/verify, frame handshake and
+    DATA tags, signatures, threshold shares) is ``hmac.digest(key, material,
+    "sha256")``; it must be the very bytes of the streaming ``hmac.new`` form
+    peers and committed fingerprints were produced with."""
+
+    @given(key=st.binary(max_size=200), material=st.binary(max_size=4096))
+    def test_one_shot_equals_streaming(self, key, material):
+        # Keys past SHA-256's 64-byte block are hashed first: both sides of it.
+        assert hmac.digest(key, material, "sha256") == hmac.new(
+            key, material, hashlib.sha256
+        ).digest()
+
+    @given(destination=st.integers(1, 3), payload=st.binary(max_size=64))
+    def test_channel_tag_is_the_streaming_hmac(self, destination, payload):
+        keyring = build_keyrings(4)[0]
+        message = Message("p", "T", 1, payload)
+        tag = AuthenticatedChannel(keyring).seal(destination, message).tag
+        material = AuthenticatedChannel._message_bytes(0, destination, message)
+        key = keyring.key_for(destination)
+        assert tag == hmac.new(key, material, hashlib.sha256).digest()
 
 
 class TestAuthenticatedChannel:

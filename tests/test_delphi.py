@@ -8,10 +8,13 @@ fallback, scalar vs structured output).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary.base import AdversaryStrategy, HonestWithInput
 from repro.adversary.strategies import CrashStrategy, SpamStrategy
 from repro.analysis.parameters import derive_parameters
+from repro.core.bundling import Bundle, decode_bundle
 from repro.core.delphi import DelphiNode, DelphiOutput
 from repro.errors import ProtocolError
 from repro.net.message import Message
@@ -260,3 +263,164 @@ class TestDelphiMechanics:
         ratio = result_large.trace.message_count / result_small.trace.message_count
         # Quadratic growth predicts ~4x; allow generous slack but reject ~8x+ (cubic).
         assert ratio < 7.0
+
+
+def parent_process_bundle(node, sender, incoming):
+    """The receive path before decoded bundles carried plan rows: the
+    per-level projections are rebuilt from the decoded levels on every
+    delivery and coverage is tested against ``dict_keys`` views.  The
+    reference :class:`TestReceivePlan` holds ``_process_bundle`` to."""
+    outgoing = None
+    for entry in incoming.levels.values():
+        level = entry.level
+        state = node.levels.get(level)
+        if state is None:
+            continue
+        explicit_map = state.explicit
+        exclude_set = frozenset(entry.exclude)
+        divergent_set = exclude_set.union(entry.explicit)
+        if not divergent_set <= explicit_map.keys():
+            for index in sorted(divergent_set):
+                if index not in explicit_map:
+                    engine = state.split(index)
+                    if engine.output is None:
+                        node._pending_engines += 1
+        for index, subs in entry.explicit.items():
+            for sub in subs:
+                emitted = explicit_map[index].handle(sender, sub)
+                if emitted:
+                    if outgoing is None:
+                        outgoing = Bundle()
+                    outgoing.add_explicit(level, state.exclude_key(), index, emitted)
+        default_subs = entry.default
+        if default_subs:
+            for sub in default_subs:
+                emitted = state.default_engine.handle(sender, sub)
+                if emitted:
+                    if outgoing is None:
+                        outgoing = Bundle()
+                    outgoing.add_default(level, state.exclude_key(), emitted)
+            if explicit_map.keys() <= exclude_set:
+                continue
+            for index, engine in state.sorted_engines():
+                if index in exclude_set:
+                    continue
+                for sub in default_subs:
+                    emitted = engine.handle(sender, sub)
+                    if emitted:
+                        if outgoing is None:
+                            outgoing = Bundle()
+                        outgoing.add_explicit(level, state.exclude_key(), index, emitted)
+    return outgoing
+
+
+def engine_state(engine):
+    rounds = {
+        number: (dict(state.echo1), dict(state.echo2), set(state.amplified), state.echo2_sent)
+        for number, state in engine._round_state.items()
+    }
+    return engine.value, engine.current_round, engine.output, dict(engine.bv_outputs), rounds
+
+
+def node_state(node):
+    return node._pending_engines, {
+        level: (
+            engine_state(state.default_engine),
+            [(index, engine_state(engine)) for index, engine in state.explicit.items()],
+            state.explicit_set,
+        )
+        for level, state in node.levels.items()
+    }
+
+
+def bundle_fields(bundle):
+    if bundle is None:
+        return None
+    fields = []
+    for level, entry in bundle.levels.items():
+        explicit = [(index, list(subs)) for index, subs in entry.explicit.items()]
+        fields.append((level, entry.exclude, list(entry.default), explicit))
+    return fields
+
+
+_stream_sub = st.one_of(
+    st.tuples(st.sampled_from(["ECHO1", "ECHO2"]), st.integers(1, 6), st.sampled_from([0.0, 1.0])),
+    st.tuples(
+        st.sampled_from(["ECHO1", "ECHO2", "BOGUS"]),
+        st.sampled_from([0, 1, 9]),
+        st.sampled_from([0.5, -2.0, 0.0]),
+    ),
+)
+#: An honest-looking echo run: ECHO1 and ECHO2 of one value for rounds
+#: 1..k, so that three senders' copies carry engines through rounds.
+_stream_run = st.builds(
+    lambda k, value: [(mtype, r, value) for r in range(1, k + 1) for mtype in ("ECHO1", "ECHO2")],
+    st.integers(1, 6),
+    st.sampled_from([0.0, 0.0, 1.0]),
+)
+_stream_subs = st.one_of(st.lists(_stream_sub, max_size=4), _stream_run)
+_stream_index = st.integers(0, 9)
+#: Excludes that shadow the receiver's level-0 checkpoints (5, 6) half the
+#: time: the case where the walk over its engines is skipped.
+_stream_exclude = st.one_of(
+    st.lists(_stream_index, max_size=4),
+    st.lists(_stream_index, max_size=2).map(lambda extra: [6, 5, *extra]),
+)
+
+#: Bundle-shaped payloads as any sender may ship them: unsorted and repeated
+#: levels, excludes and explicit indices, unknown levels, foreign rounds and
+#: message types; about half are left as an honest sender encodes them.
+_stream_payload = st.lists(
+    st.tuples(
+        st.sampled_from([0, 0, 0, 1, 5]),  # 5: a level the receiver does not run
+        _stream_exclude,
+        _stream_subs,
+        st.lists(st.tuples(_stream_index, _stream_subs), max_size=3),
+    ),
+    max_size=3,
+)
+
+
+class TestReceivePlan:
+    """``_process_bundle`` reads plan rows and a cached explicit set; for any
+    stream of bundles it must act exactly as the parent's receive path."""
+
+    PARAMS = derive_parameters(n=4, epsilon=1.0, delta_max=8.0, max_rounds=6)
+
+    def _node(self):
+        node = DelphiNode(0, self.PARAMS, value=5.3)
+        node.on_start()
+        return node
+
+    def test_a_split_reopens_the_senders_default_to_the_new_engine(self):
+        node = self._node()
+        state = node.level_state(0)
+        own = state.exclude_key()
+        assert own == (5, 6)
+        # Sender 1 tracks exactly our explicit checkpoints: its default
+        # covers none of them, and the walk over our engines is skipped.
+        node._process_bundle(1, decode_bundle(((0, own, (("ECHO1", 1, 0.0),), ()),)))
+        # Sender 2's divergent checkpoint 8 splits here.
+        node._process_bundle(2, decode_bundle(((0, (8,), (), ((8, (("ECHO1", 1, 1.0),)),)),)))
+        assert 8 in state.explicit
+        # Sender 1 does not track 8, so its default now covers engine 8.
+        node._process_bundle(1, decode_bundle(((0, own, (("ECHO2", 1, 0.0),), ()),)))
+        assert state.explicit[8]._state(1).echo2.get(0.0, 0) >> 1 & 1
+
+    @settings(max_examples=150)
+    @given(
+        stream=st.lists(
+            st.tuples(st.integers(0, 3), st.one_of(_stream_payload, _stream_payload.map(sorted))),
+            max_size=40,
+        )
+    )
+    def test_same_outgoing_bundles_and_engine_states_as_the_parent(self, stream):
+        node, reference = self._node(), self._node()
+        for sender, payload in stream:
+            try:
+                incoming = decode_bundle(payload)
+            except ProtocolError:
+                continue
+            expected = bundle_fields(parent_process_bundle(reference, sender, incoming))
+            assert bundle_fields(node._process_bundle(sender, incoming)) == expected
+            assert node_state(node) == node_state(reference)
