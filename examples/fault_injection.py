@@ -19,12 +19,14 @@ Run with::
 
 from __future__ import annotations
 
-from repro.adversary.adaptive import AdaptiveAdversary, CorruptionPlan
+import random
+
 from repro.adversary.base import HonestWithInput
 from repro.adversary.strategies import CrashStrategy, EquivocatingStrategy
 from repro.analysis.parameters import derive_parameters
 from repro.analysis.range_analysis import validity_margin
 from repro.core.delphi import DelphiNode
+from repro.faults.spec import CorruptionSpec, FaultSpec
 from repro.net.latency import UniformLatency
 from repro.net.network import AsynchronousNetwork, DeliveryPolicy
 from repro.runner import run_delphi
@@ -52,13 +54,14 @@ def main() -> None:
     # Scenario 1: no faults.
     scenarios["no faults"] = ({}, 0.0, list(range(n)))
 
-    # Scenario 2: t crash faults chosen at random by an adaptive adversary.
-    adversary = AdaptiveAdversary(n=n, t=t, seed=3)
-    plan = adversary.corrupt_random(strategy_factory=CrashStrategy)
+    # Scenario 2: t crash faults on randomly chosen nodes (the fault spec
+    # checks them against the t budget).
+    crashed = random.Random(3).sample(range(n), t)
+    crashes = FaultSpec(corruptions=(CorruptionSpec("crash", nodes=crashed),))
     scenarios["crash x3"] = (
-        adversary.strategies(),
+        crashes.build_strategies(n),
         0.0,
-        [i for i in range(n) if i not in plan.node_ids],
+        [i for i in range(n) if i not in crashed],
     )
 
     # Scenario 3: poisoned inputs — Byzantine nodes claim absurd prices.

@@ -10,13 +10,10 @@ from repro.adversary.strategies import (
     ScheduledStrategy,
     SpamStrategy,
 )
-from repro.adversary.adaptive import AdaptiveAdversary, CorruptionPlan
 
 __all__ = [
-    "AdaptiveAdversary",
     "AdversaryStrategy",
     "BogusPayloadStrategy",
-    "CorruptionPlan",
     "CrashStrategy",
     "DelayedHonestStrategy",
     "EquivocatingStrategy",

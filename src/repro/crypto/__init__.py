@@ -1,8 +1,8 @@
-"""Cryptographic substrates: HMAC channels, hashing, simulated signatures
+"""Cryptographic substrates: HMAC channel keys, hashing, simulated signatures
 and common coins."""
 
-from repro.crypto.hashing import hash_bytes, hash_hex, hash_value
-from repro.crypto.hmac_channel import AuthenticatedChannel, ChannelKeyring
+from repro.crypto.hashing import hash_bytes, hash_value
+from repro.crypto.hmac_channel import ChannelKeyring
 from repro.crypto.signatures import (
     AggregateSignature,
     SignatureScheme,
@@ -13,13 +13,11 @@ from repro.crypto.coin import CommonCoin
 
 __all__ = [
     "AggregateSignature",
-    "AuthenticatedChannel",
     "ChannelKeyring",
     "CommonCoin",
     "SignatureScheme",
     "SimulatedSigner",
     "ThresholdSignatureScheme",
     "hash_bytes",
-    "hash_hex",
     "hash_value",
 ]

@@ -32,7 +32,3 @@ def hash_value(value: Any) -> bytes:
     """SHA-256 digest of a JSON-serialisable Python value."""
     return hash_bytes(_canonical_bytes(value))
 
-
-def hash_hex(value: Any) -> str:
-    """Hex-encoded SHA-256 digest of a JSON-serialisable Python value."""
-    return hash_value(value).hex()

@@ -1,23 +1,20 @@
-"""HMAC-SHA256 authenticated point-to-point channels.
+"""Pairwise keys for the HMAC-SHA256 authenticated channels.
 
 The paper implements authenticated channels "with Hash-based Message
 Authentication Codes (HMAC) with the SHA256 Hash function and shared
-symmetric keys".  :class:`ChannelKeyring` derives one pairwise symmetric key
-per ordered node pair from a system master secret, and
-:class:`AuthenticatedChannel` signs and verifies messages with the real
-:mod:`hmac` module, so the authentication path exercised here is the same
-primitive the paper's implementation uses.
+symmetric keys".  :class:`ChannelKeyring` derives one symmetric key per
+node pair from a system master secret.  The channel that uses them is
+:class:`~repro.net.framing.ChannelCodec` on the socket wire; the simulators
+account its tag as :data:`~repro.net.message.HMAC_TAG_BITS` per message.
 """
 
 from __future__ import annotations
 
-import hmac
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
-from repro.errors import AuthenticationError, ConfigurationError
-from repro.net.message import Envelope, Message
+from repro.errors import ConfigurationError
 
 
 def _derive_pair_key(master: bytes, a: int, b: int) -> bytes:
@@ -58,76 +55,3 @@ class ChannelKeyring:
         if peer not in self._keys:
             raise ConfigurationError(f"no channel key for peer {peer}")
         return self._keys[peer]
-
-
-class AuthenticatedChannel:
-    """Signs outgoing and verifies incoming envelopes with HMAC-SHA256."""
-
-    def __init__(self, keyring: ChannelKeyring) -> None:
-        self.keyring = keyring
-
-    @staticmethod
-    def _message_bytes(sender: int, destination: int, message: Message) -> bytes:
-        parts = [
-            sender.to_bytes(4, "big"),
-            destination.to_bytes(4, "big"),
-            message.protocol.encode("utf-8"),
-            b"\x00",
-            message.mtype.encode("utf-8"),
-            b"\x00",
-            repr(message.round).encode("utf-8"),
-            b"\x00",
-            repr(message.payload).encode("utf-8"),
-        ]
-        return b"".join(parts)
-
-    def seal(self, destination: int, message: Message) -> Envelope:
-        """Produce an authenticated envelope for ``message`` to ``destination``."""
-        key = self.keyring.key_for(destination)
-        tag = hmac.digest(
-            key,
-            self._message_bytes(self.keyring.node_id, destination, message),
-            "sha256",
-        )
-        return Envelope(
-            sender=self.keyring.node_id,
-            destination=destination,
-            message=message,
-            authenticated=True,
-            tag=tag,
-        )
-
-    def verify(self, envelope: Envelope) -> Message:
-        """Verify an incoming envelope's tag and return its message.
-
-        Raises
-        ------
-        AuthenticationError
-            If the envelope carries no tag or the tag does not verify.
-        """
-        if envelope.destination != self.keyring.node_id:
-            raise AuthenticationError(
-                f"envelope addressed to {envelope.destination}, "
-                f"not to this node {self.keyring.node_id}"
-            )
-        if envelope.tag is None:
-            raise AuthenticationError("envelope carries no authentication tag")
-        key = self.keyring.key_for(envelope.sender)
-        expected = hmac.digest(
-            key,
-            self._message_bytes(envelope.sender, envelope.destination, envelope.message),
-            "sha256",
-        )
-        if not hmac.compare_digest(expected, envelope.tag):
-            raise AuthenticationError(
-                f"invalid HMAC tag on message from {envelope.sender}"
-            )
-        return envelope.message
-
-
-def build_keyrings(num_nodes: int, master_secret: bytes = b"repro-delphi-master-secret") -> Dict[int, ChannelKeyring]:
-    """Build one keyring per node, all derived from the same master secret."""
-    return {
-        node_id: ChannelKeyring(node_id=node_id, num_nodes=num_nodes, master_secret=master_secret)
-        for node_id in range(num_nodes)
-    }

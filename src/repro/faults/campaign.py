@@ -333,27 +333,10 @@ class CampaignResult:
         return write_json(path, self.to_payload())
 
 
-def run_fault_cell(
-    spec: ScenarioSpec,
-    bundle_dir: Optional[str] = None,
-    extra_byzantine_factory: Optional[Callable[[], Dict[int, Any]]] = None,
-) -> CellVerdict:
-    """Run one cell on both engines, compare them, and persist any bundle.
-
-    ``extra_byzantine_factory`` builds a *fresh* strategy map per engine run
-    (strategies are stateful), used by tests to inject invariant-breaking
-    behaviour.
-    """
-    fast = run_cell_engine(
-        spec,
-        "fast",
-        extra_byzantine=extra_byzantine_factory() if extra_byzantine_factory else None,
-    )
-    reference = run_cell_engine(
-        spec,
-        "reference",
-        extra_byzantine=extra_byzantine_factory() if extra_byzantine_factory else None,
-    )
+def run_fault_cell(spec: ScenarioSpec, bundle_dir: Optional[str] = None) -> CellVerdict:
+    """Run one cell on both engines, compare them, and persist any bundle."""
+    fast = run_cell_engine(spec, "fast")
+    reference = run_cell_engine(spec, "reference")
     verdict = CellVerdict(spec=spec, fast=fast, reference=reference)
     if bundle_dir is not None:
         # Persist every engine's bundle: when only the reference engine

@@ -50,6 +50,9 @@ from repro.protocols.registry import (
 )
 from repro.sim.observers import SimObserver
 
+#: Floating-point slack every agreement and validity check allows.
+TOLERANCE = 1e-9
+
 
 def _scalar(output: Any) -> Optional[float]:
     """Unwrap an output to a float when possible (certificates and structured
@@ -126,9 +129,8 @@ class EpsilonAgreementMonitor(InvariantMonitor):
 
     name = "epsilon-agreement"
 
-    def __init__(self, epsilon: float, tolerance: float = 1e-9) -> None:
+    def __init__(self, epsilon: float) -> None:
         self.epsilon = epsilon
-        self.tolerance = tolerance
         self.min_margin = epsilon
         self._decided: Dict[int, float] = {}
 
@@ -145,7 +147,7 @@ class EpsilonAgreementMonitor(InvariantMonitor):
         self._decided[node_id] = value
         spread = max(self._decided.values()) - min(self._decided.values())
         self.min_margin = min(self.min_margin, self.epsilon - spread)
-        if spread > self.epsilon + self.tolerance:
+        if spread > self.epsilon + TOLERANCE:
             pairs = ", ".join(
                 f"node {n} -> {v:.6g}" for n, v in sorted(self._decided.items())
             )
@@ -172,7 +174,6 @@ class ValidityMonitor(InvariantMonitor):
         self,
         honest_inputs: Sequence[float],
         relaxation: float = 0.0,
-        tolerance: float = 1e-9,
     ) -> None:
         if not honest_inputs:
             raise InvariantViolation(self.name, "no honest inputs to validate against")
@@ -180,7 +181,6 @@ class ValidityMonitor(InvariantMonitor):
         self.high = max(honest_inputs) + relaxation
         self.half_width = (self.high - self.low) / 2.0
         self.min_distance = self.half_width
-        self.tolerance = tolerance
 
     def margin_channels(self) -> Dict[str, float]:
         return {"hull_distance": self.min_distance}
@@ -195,7 +195,7 @@ class ValidityMonitor(InvariantMonitor):
         self.min_distance = min(
             self.min_distance, value - self.low, self.high - value
         )
-        if not (self.low - self.tolerance <= value <= self.high + self.tolerance):
+        if not (self.low - TOLERANCE <= value <= self.high + TOLERANCE):
             self.violation(
                 f"node {node_id} output {value:.6g} outside relaxed honest hull "
                 f"[{self.low:.6g}, {self.high:.6g}]",
@@ -310,9 +310,8 @@ class CertificateStreamMonitor(InvariantMonitor):
 
     name = "certificate-stream"
 
-    def __init__(self, params: Any, tolerance: float = 1e-9) -> None:
+    def __init__(self, params: Any) -> None:
         self.params = params
-        self.tolerance = tolerance
         self.epoch = -1
         self._low = 0.0
         self._high = 0.0
@@ -336,7 +335,7 @@ class CertificateStreamMonitor(InvariantMonitor):
         self._decided[node_id] = value
         spread = max(self._decided.values()) - min(self._decided.values())
         # Rounded honest values land on at most two *adjacent* multiples.
-        if spread > self.params.epsilon + self.tolerance:
+        if spread > self.params.epsilon + TOLERANCE:
             self.violation(
                 f"epoch {self.epoch}: rounded honest outputs spread "
                 f"{spread:.6g} beyond epsilon {self.params.epsilon:.6g}",
@@ -358,7 +357,7 @@ class CertificateStreamMonitor(InvariantMonitor):
                 f"epoch {epoch}: certificate carries {certificate.signer_count} "
                 f"signers, need t+1 = {self.params.t + 1}"
             )
-        if not (self._low - self.tolerance <= value <= self._high + self.tolerance):
+        if not (self._low - TOLERANCE <= value <= self._high + TOLERANCE):
             self.violation(
                 f"epoch {epoch}: certificate value {value:.6g} outside the "
                 f"relaxed honest hull [{self._low:.6g}, {self._high:.6g}]"
@@ -501,14 +500,8 @@ class HierarchicalAgreementMonitor(InvariantMonitor):
 
     name = "hierarchical-epsilon-agreement"
 
-    def __init__(
-        self,
-        groups: Sequence[Sequence[int]],
-        epsilon: float,
-        tolerance: float = 1e-9,
-    ) -> None:
+    def __init__(self, groups: Sequence[Sequence[int]], epsilon: float) -> None:
         self.epsilon = epsilon
-        self.tolerance = tolerance
         self.groups = [tuple(group) for group in groups]
         self._group_of = {
             node: index
@@ -550,7 +543,7 @@ class HierarchicalAgreementMonitor(InvariantMonitor):
         self.min_group_margin = min(
             self.min_group_margin, self.epsilon - group_spread
         )
-        if group_spread > self.epsilon + self.tolerance:
+        if group_spread > self.epsilon + TOLERANCE:
             pairs = ", ".join(
                 f"node {n} -> {v:.6g}" for n, v in sorted(decided_in_group.items())
             )
@@ -563,7 +556,7 @@ class HierarchicalAgreementMonitor(InvariantMonitor):
         self._decided[node_id] = value
         spread = max(self._decided.values()) - min(self._decided.values())
         self.min_margin = min(self.min_margin, self.epsilon - spread)
-        if spread > self.epsilon + self.tolerance:
+        if spread > self.epsilon + TOLERANCE:
             lows = min(self._decided, key=self._decided.get)
             highs = max(self._decided, key=self._decided.get)
             self.violation(

@@ -75,6 +75,12 @@ POISON_OFFSETS = (-16.0, -8.0, -4.0, 4.0, 8.0, 16.0)
 #: ``FaultSpec`` fields holding network-fault windows, in mutation order.
 WINDOW_KINDS = ("partitions", "delays", "losses")
 
+#: Evaluations kept per protocol population, shrink runs per search, and
+#: schedules per protocol on the leaderboard.
+MAX_POPULATION = 24
+MAX_SHRINK_RUNS = 120
+LEADERBOARD_SIZE = 5
+
 
 # ----------------------------------------------------------------------
 # Mutators.  Each is a pure function (rng, spec) -> spec drawing randomness
@@ -439,9 +445,6 @@ class ScheduleSearch:
         min_margin: float = 0.9,
         engine: str = "fast",
         corpus: Sequence[Mapping[str, Any]] = (),
-        max_population: int = 24,
-        max_shrink_runs: int = 120,
-        leaderboard_size: int = 5,
         progress: Optional[Callable[[str], None]] = None,
     ) -> None:
         if budget < 1:
@@ -460,9 +463,6 @@ class ScheduleSearch:
         self.min_margin = min_margin
         self.engine = engine
         self.corpus = list(corpus)
-        self.max_population = max_population
-        self.max_shrink_runs = max_shrink_runs
-        self.leaderboard_size = leaderboard_size
         self.progress = progress or (lambda message: None)
         self.rng = random.Random(seed)
         self.runs = 0
@@ -521,7 +521,7 @@ class ScheduleSearch:
         if keep:
             population = self._population[protocol]
             population.append(evaluation)
-            if len(population) > self.max_population:
+            if len(population) > MAX_POPULATION:
                 worst = max(range(len(population)), key=lambda i: population[i].fitness)
                 population.pop(worst)
         return keep
@@ -574,7 +574,7 @@ class ScheduleSearch:
 
         A violating schedule must keep violating the *same* monitor; a
         near-miss must keep its minimum normalised margin no worse than the
-        original's.  Shrink runs are bounded by ``max_shrink_runs`` and do
+        original's.  Shrink runs are bounded by :data:`MAX_SHRINK_RUNS` and do
         not consume the search budget.
         """
         if evaluation.violation is not None:
@@ -594,10 +594,10 @@ class ScheduleSearch:
 
         current = evaluation
         shrunk = True
-        while shrunk and self.shrink_runs < self.max_shrink_runs:
+        while shrunk and self.shrink_runs < MAX_SHRINK_RUNS:
             shrunk = False
             for variant in self._shrink_variants(current.spec):
-                if self.shrink_runs >= self.max_shrink_runs:
+                if self.shrink_runs >= MAX_SHRINK_RUNS:
                     break
                 if variant.spec_hash() == current.spec.spec_hash():
                     continue
@@ -694,7 +694,7 @@ class ScheduleSearch:
                 {e.spec.spec_hash(): e for e in self._population[protocol]}.values(),
                 key=lambda e: (e.fitness, e.spec.spec_hash()),
             )
-            for rank, evaluation in enumerate(ranked[: self.leaderboard_size], start=1):
+            for rank, evaluation in enumerate(ranked[:LEADERBOARD_SIZE], start=1):
                 result.leaderboard.append({"rank": rank, **evaluation.as_dict()})
         result.runs = self.runs
         result.cache_hits = self.cache_hits

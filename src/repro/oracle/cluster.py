@@ -28,7 +28,8 @@ Control plane (all over the same authenticated transport):
 ========  =========  ====================================================
 mtype     direction  payload
 ========  =========  ====================================================
-JOIN      node→sup   epoch the node believes it is in (0 when fresh)
+JOIN      node→sup   epoch the node believes it is in (0 when fresh;
+                     repeated until greeted)
 EPOCH     sup→node   current epoch — the start barrier and rejoin catch-up
 CERT      node→sup   ``[epoch, rounded_value, DoraCertificate]``
 COMMIT    sup→all    ``[epoch, value, AggregateSignature]``
@@ -87,18 +88,10 @@ CERT = "CERT"
 COMMIT = "COMMIT"
 SHUTDOWN = "SHUTDOWN"
 
-_EPOCH_PREFIX = "epoch:"
-
-
-def parse_epoch_tag(protocol: str) -> Optional[int]:
-    """Epoch number of an ``epoch:<k>/...`` protocol tag (``None`` if untagged)."""
-    if not protocol.startswith(_EPOCH_PREFIX):
-        return None
-    head, _, _rest = protocol.partition("/")
-    try:
-        return int(head[len(_EPOCH_PREFIX):])
-    except ValueError:
-        return None
+#: Seconds a node waits for its greeting before it JOINs again: either half
+#: of the exchange can be lost (a JOIN inside a loss window, a greeting
+#: dropped with its channel), and the supervisor counts a repeat once.
+JOIN_RETRY_SECONDS = 1.0
 
 
 # ----------------------------------------------------------------------
@@ -340,12 +333,17 @@ async def run_node(
     #: Early messages for epochs we have not entered yet.
     future: Dict[int, List[Tuple[int, Message]]] = {}
     try:
-        await tell(JOIN, 0, 0)
         epoch: Optional[int] = None
         deadline = time.monotonic() + config.join_timeout
+        rejoin_at = 0.0
         while epoch is None:
-            received = await receive(deadline)
+            if time.monotonic() >= rejoin_at:
+                await tell(JOIN, 0, 0)
+                rejoin_at = time.monotonic() + JOIN_RETRY_SECONDS
+            received = await receive(min(deadline, rejoin_at))
             if received is None:
+                if time.monotonic() < deadline:
+                    continue
                 raise LivenessTimeout(
                     f"node {node_id}: no EPOCH greeting within "
                     f"{config.join_timeout}s of JOIN"
@@ -357,7 +355,7 @@ async def run_node(
                 elif message.mtype == SHUTDOWN:
                     return committed
             else:
-                tag = parse_epoch_tag(message.protocol)
+                tag = EpochNode.epoch_of(message)
                 if tag is not None:
                     future.setdefault(tag, []).append((sender, message))
         say(f"node {node_id}: joined at epoch {epoch}")
@@ -426,7 +424,7 @@ async def run_node(
                         if target > epoch:
                             advance_to = target
                     continue
-                tag = parse_epoch_tag(message.protocol)
+                tag = EpochNode.epoch_of(message)
                 if tag is None or tag == epoch:
                     await send(node.on_message(sender, message))
                 elif tag > epoch:
@@ -525,6 +523,8 @@ class ClusterSupervisor:
         self._transport: Any = None
         self._epoch = 0
         self._started = False
+        #: Nodes whose current incarnation has JOINed and sent no CERT since:
+        #: a JOIN from one of them repeats one already greeted.
         self._joined: set = set()
         self._down: set = set()
         #: Barrier clock: process-fault times count from here.
@@ -610,11 +610,15 @@ class ClusterSupervisor:
             # A new incarnation, whoever restarted it: our channel still
             # points at the old one, and the first write on a dead connection
             # is lost finding that out — with no broadcast since the crash,
-            # that write would be this greeting.  Dial afresh.
+            # that write would be this greeting.  Dial afresh.  A repeated
+            # JOIN lost its greeting: dial afresh too, but count it once.
             self._transport.reset_connection(self.config.supervisor_id, node_id)
-            self.liveness.on_rejoin(node_id)
-            self.rejoins.append({"node": node_id, "epoch": epoch})
-            self._say(f"# cluster: node {node_id} rejoined, greeted with epoch {epoch}")
+            if node_id not in self._joined:
+                self.liveness.on_rejoin(node_id)
+                self.rejoins.append({"node": node_id, "epoch": epoch})
+                self._say(
+                    f"# cluster: node {node_id} rejoined, greeted with epoch {epoch}"
+                )
         self._note_join(node_id)
         await self._tell(node_id, EPOCH, epoch, epoch)
 
@@ -794,6 +798,7 @@ class ClusterSupervisor:
             process.send_signal(signal.SIGKILL)
             process.wait()
         self._down.add(node)
+        self._joined.discard(node)  # its next JOIN is a new incarnation
         self.liveness.on_kill(node)
         self._note_fault("kill", node)
         self._say(f"# cluster: SIGKILLed node {node} (epoch {self._epoch})")
@@ -867,6 +872,7 @@ class ClusterSupervisor:
                 continue
             if message.mtype != CERT:
                 continue
+            self._joined.discard(sender)  # greeted: a later JOIN is news
             payload = message.payload
             if not (
                 isinstance(payload, (list, tuple))

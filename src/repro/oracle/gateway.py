@@ -65,8 +65,8 @@ DEFAULT_QUEUE_LIMIT = 64
 #: Default bound on the in-memory certificate index.
 DEFAULT_HISTORY_LIMIT = 1024
 
-#: Default bound on the delivery-latency reservoir (newest samples win).
-DEFAULT_LATENCY_RESERVOIR = 65536
+#: Bound on the delivery-latency reservoir (newest samples win).
+LATENCY_RESERVOIR = 65536
 
 #: Cap on a plain-HTTP request body (tick batches are small).
 MAX_BODY_BYTES = 1024 * 1024
@@ -134,11 +134,9 @@ class OracleGateway:
         Per-subscriber send-queue bound; overflow evicts the subscriber.
     history_limit:
         Bound on the queryable certificate index.
-    write_buffer_limit:
-        Optional per-connection socket write-buffer high-water mark in
-        bytes.  Lowering it makes a stalled consumer back up into its send
-        queue (and get evicted) sooner; tests use a tiny value to exercise
-        eviction deterministically.
+
+    Request heads and bodies are capped at :data:`MAX_HEAD_BYTES` and
+    :data:`MAX_BODY_BYTES`.
     """
 
     def __init__(
@@ -149,22 +147,13 @@ class OracleGateway:
         port: int = 0,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         history_limit: int = DEFAULT_HISTORY_LIMIT,
-        latency_reservoir: int = DEFAULT_LATENCY_RESERVOIR,
-        write_buffer_limit: Optional[int] = None,
-        max_head_bytes: int = MAX_HEAD_BYTES,
-        max_body_bytes: int = MAX_BODY_BYTES,
     ) -> None:
-        if queue_limit <= 0 or history_limit <= 0 or latency_reservoir <= 0:
-            raise ConfigurationError(
-                "queue_limit, history_limit and latency_reservoir must be positive"
-            )
+        if queue_limit <= 0 or history_limit <= 0:
+            raise ConfigurationError("queue_limit and history_limit must be positive")
         self.service = service
         self.host = host
         self.port = port
         self.queue_limit = queue_limit
-        self.write_buffer_limit = write_buffer_limit
-        self.max_head_bytes = max_head_bytes
-        self.max_body_bytes = max_body_bytes
         self.ticks: Optional[TickBufferWorkload] = (
             service.workload if isinstance(service.workload, TickBufferWorkload) else None
         )
@@ -172,7 +161,7 @@ class OracleGateway:
         self._subscribers: Dict[int, _Subscriber] = {}
         self._connection_tasks: set = set()
         self._history: Deque[Dict[str, Any]] = deque(maxlen=history_limit)
-        self._latencies: Deque[float] = deque(maxlen=latency_reservoir)
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_RESERVOIR)
         self._next_subscriber_id = 0
         self._closed = False
         self._failure: Optional[str] = None
@@ -473,11 +462,7 @@ class OracleGateway:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            if self.write_buffer_limit is not None:
-                writer.transport.set_write_buffer_limits(
-                    high=self.write_buffer_limit
-                )
-            head, overrun = await read_head(reader, self.max_head_bytes)
+            head, overrun = await read_head(reader, MAX_HEAD_BYTES)
             method, target, headers = parse_request_head(head)
             parsed = urlparse(target)
             if headers.get("upgrade", "").lower() == "websocket":
@@ -520,11 +505,14 @@ class OracleGateway:
     async def _read_body(
         self, reader: asyncio.StreamReader, headers: Dict[str, str], overrun: bytes
     ) -> bytes:
-        length = int(headers.get("content-length", "0") or 0)
-        if length < 0 or length > self.max_body_bytes:
+        try:
+            length = int(headers.get("content-length", "0") or 0)
+        except ValueError:
+            raise GatewayError("Content-Length must be an integer") from None
+        if length < 0 or length > MAX_BODY_BYTES:
             raise GatewayError(
                 f"request body of {length} bytes exceeds the "
-                f"{self.max_body_bytes}-byte cap"
+                f"{MAX_BODY_BYTES}-byte cap"
             )
         body = bytearray(overrun)
         while len(body) < length:
@@ -676,12 +664,10 @@ def build_gateway(
     port: int = 0,
     queue_limit: int = DEFAULT_QUEUE_LIMIT,
     history_limit: int = DEFAULT_HISTORY_LIMIT,
-    write_buffer_limit: Optional[int] = None,
     epsilon: Optional[float] = None,
     delta_max: Optional[float] = None,
     max_rounds: Optional[int] = 6,
     epoch_timeout: float = 30.0,
-    max_pending_ticks: int = 4096,
 ) -> OracleGateway:
     """Assemble a gateway over a fresh tick-fed :class:`OracleService`.
 
@@ -704,9 +690,7 @@ def build_gateway(
         epoch_timeout=epoch_timeout,
     )
     service.workload = TickBufferWorkload(
-        service.workload,
-        max_pending=max_pending_ticks,
-        max_spread=service.params.delta_max,
+        service.workload, max_spread=service.params.delta_max
     )
     return OracleGateway(
         service,
@@ -714,5 +698,4 @@ def build_gateway(
         port=port,
         queue_limit=queue_limit,
         history_limit=history_limit,
-        write_buffer_limit=write_buffer_limit,
     )

@@ -117,14 +117,11 @@ class OracleNetwork:
             config=config,
         )
         result = runtime.run()
-        mark = len(self.chain.entries)
-        for node_id in result.honest_nodes:
-            if nodes[node_id].certificate is not None:
-                self.chain.submit(node_id, nodes[node_id].certificate)
-        consumed = self.chain.first_valid(since=mark)
-        if consumed is None:
-            raise ConfigurationError("no oracle produced a valid attested report")
-        certificate = consumed.payload
+        certificate = self.chain.consume(
+            (node_id, nodes[node_id].certificate)
+            for node_id in result.honest_nodes
+            if nodes[node_id].certificate is not None
+        )
         assert isinstance(certificate, DoraCertificate)
         honest_outputs = {
             node_id: nodes[node_id].rounded_value

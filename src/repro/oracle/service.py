@@ -71,7 +71,7 @@ from repro.net.latency import ConstantLatency, LatencyModel, UniformLatency
 from repro.net.message import Message
 from repro.net.network import AsynchronousNetwork, DeliveryPolicy
 from repro.oracle.smr import SMRChannel
-from repro.protocols.base import Namespace, Outbound, ProtocolNode
+from repro.protocols.base import Namespace, Outbound, ProtocolNode, peel
 from repro.sim.asyncio_runtime import AsyncioRuntime
 from repro.sim.events import DELIVER_EVENT
 from repro.sim.observers import SimObserver
@@ -118,12 +118,15 @@ class EpochNode(ProtocolNode):
     :attr:`stale_messages`.
     """
 
+    #: Namespace prefix of an epoch: ``epoch:<k>/``.
+    TAG = "epoch:"
+
     def __init__(self, inner: DoraNode, epoch: int) -> None:
         super().__init__(inner.node_id, inner.n, inner.t)
         self.inner = inner
         self.epoch = epoch
         self.stale_messages = 0
-        self._namespace = Namespace(f"epoch:{epoch}")
+        self._namespace = Namespace(f"{self.TAG}{epoch}")
 
     @classmethod
     def build(
@@ -137,6 +140,19 @@ class EpochNode(ProtocolNode):
         """The epoch's node around its own new :class:`DoraNode`."""
         inner = DoraNode(node_id=node_id, params=params, value=float(value), scheme=scheme)
         return cls(inner, epoch)
+
+    @staticmethod
+    def epoch_of(message: Message) -> Optional[int]:
+        """The ``k`` of an ``epoch:<k>/...`` message (``None`` if untagged or
+        malformed), read from the same memoised :func:`peel` as
+        :meth:`on_message`."""
+        head, _inner = peel(message)
+        if head is None or not head.startswith(EpochNode.TAG):
+            return None
+        try:
+            return int(head[len(EpochNode.TAG):])
+        except ValueError:
+            return None
 
     def on_start(self) -> List[Outbound]:
         outbound = self._namespace.wrap_all(self.inner.on_start())
@@ -173,6 +189,18 @@ class EpochNode(ProtocolNode):
     @property
     def rounded_value(self) -> Optional[float]:
         return self.inner.rounded_value
+
+
+def _submissions(
+    nodes: Dict[int, ProtocolNode], offline: Tuple[int, ...]
+) -> List[Tuple[int, DoraCertificate]]:
+    """The epoch's ``(node, certificate)`` chain submissions: every online
+    node that certified, in id order."""
+    return [
+        (node_id, node.certificate)
+        for node_id, node in nodes.items()
+        if node_id not in offline and node.certificate is not None
+    ]
 
 
 @dataclass(frozen=True)
@@ -324,8 +352,8 @@ class OracleService:
         Passing ``lambda epoch: SocketTransport(...)`` runs every epoch
         over real authenticated sockets (the transport-parity tests do
         exactly this).  Deterministic engines ignore it.
-    monitor:
-        Attach the :class:`CertificateStreamMonitor` invariants (default).
+
+    Every epoch is watched by a :class:`CertificateStreamMonitor`.
     """
 
     def __init__(
@@ -344,7 +372,6 @@ class OracleService:
         latency: Optional[LatencyModel] = None,
         epoch_timeout: float = 30.0,
         transport_factory: Optional[Callable[[int], Any]] = None,
-        monitor: bool = True,
         workload_name: str = "custom",
         epoch_retries: int = 0,
         retry_backoff: float = 0.1,
@@ -389,7 +416,7 @@ class OracleService:
         # Persistent service state: the PKI and the SMR chain outlive epochs.
         self.scheme = SignatureScheme(num_nodes=params.n)
         self.chain = SMRChannel(validator=certificate_validator(self.scheme, params.t + 1))
-        self.monitor = CertificateStreamMonitor(params) if monitor else None
+        self.monitor = CertificateStreamMonitor(params)
         self._epoch = 0
         # Epoch-watchdog (graceful-degradation) knobs and accounting.
         self.epoch_retries = epoch_retries
@@ -470,26 +497,6 @@ class OracleService:
         )
         return nodes, runtime.run()
 
-    @staticmethod
-    def _consume_certificate(
-        chain: SMRChannel,
-        nodes: Dict[int, ProtocolNode],
-        online_honest: Sequence[int],
-        mark: int,
-    ) -> DoraCertificate:
-        """Submit the epoch's certificates and return the consumed one (the
-        first valid entry ordered after ``mark``)."""
-        for node_id in online_honest:
-            certificate = nodes[node_id].certificate
-            if certificate is not None:
-                chain.submit(node_id, certificate)
-        consumed = chain.first_valid(since=mark)
-        if consumed is None:
-            raise CertificateShortfall("epoch produced no valid attested certificate")
-        payload = consumed.payload
-        assert isinstance(payload, DoraCertificate)
-        return payload
-
     def _parity_value(
         self, epoch: int, inputs: Sequence[float], offline: Tuple[int, ...]
     ) -> float:
@@ -500,8 +507,7 @@ class OracleService:
         nodes, _result = self._run_epoch_on_engine(
             self.parity_engine, epoch, inputs, offline, scheme, observers=()
         )
-        online_honest = [i for i in range(self.params.n) if i not in offline]
-        certificate = self._consume_certificate(chain, nodes, online_honest, mark=0)
+        certificate = chain.consume(_submissions(nodes, offline))
         return float(certificate.value)
 
     def _replay_schedule(
@@ -568,23 +574,19 @@ class OracleService:
         offline = self.offline_nodes(epoch)
         online_honest = [i for i in range(self.params.n) if i not in offline]
         honest_inputs = [inputs[i] for i in online_honest]
-        observers: List[Any] = []
-        if self.monitor is not None:
-            self.monitor.begin_epoch(epoch, honest_inputs)
-            observers.append(self.monitor)
+        self.monitor.begin_epoch(epoch, honest_inputs)
+        observers: List[Any] = [self.monitor]
         recorder: Optional[ScheduleRecorder] = None
         if self.parity_engine is not None and self.engine == "asyncio":
             recorder = ScheduleRecorder()
             observers.append(recorder)
 
         started = time.perf_counter()
-        mark = len(self.chain.entries)
         nodes, result = self._run_epoch_on_engine(
             self.engine, epoch, inputs, offline, self.scheme, tuple(observers)
         )
-        certificate = self._consume_certificate(self.chain, nodes, online_honest, mark)
-        if self.monitor is not None:
-            self.monitor.check_certificate(epoch, certificate)
+        certificate = self.chain.consume(_submissions(nodes, offline))
+        self.monitor.check_certificate(epoch, certificate)
         # Serving latency of the primary run only; the parity replays below
         # are verification overhead, not part of the epoch's service time.
         wall = time.perf_counter() - started

@@ -14,9 +14,9 @@ per report, which this model counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import CertificateShortfall
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,22 @@ class SMRChannel:
                 return entry
         return None
 
-    def consumed_value(self) -> object:
-        """Payload of the consumed report.
+    def consume(self, submissions: Iterable[Tuple[int, object]]) -> object:
+        """Submit one reporting round's ``(submitter, payload)`` pairs, in
+        order, and return the payload the chain consumes: the first valid
+        one of *these* (earlier rounds' entries never count).
 
         Raises
         ------
-        ConfigurationError
-            If no valid report has been submitted yet.
+        CertificateShortfall
+            If none of the round's submissions is valid.
         """
-        entry = self.first_valid()
+        since = len(self.entries)
+        for submitter, payload in submissions:
+            self.submit(submitter, payload)
+        entry = self.first_valid(since)
         if entry is None:
-            raise ConfigurationError("no valid report has been submitted")
+            raise CertificateShortfall("epoch produced no valid attested certificate")
         return entry.payload
 
     @property

@@ -1,17 +1,12 @@
-"""Tests for the Byzantine adversary strategies and adaptive corruption."""
+"""Tests for the Byzantine adversary strategies."""
 
-import pytest
-
-from repro.adversary.adaptive import AdaptiveAdversary, CorruptionPlan
 from repro.adversary.strategies import (
     CrashStrategy,
     DelayedHonestStrategy,
     EquivocatingStrategy,
     RandomBitStrategy,
-    ScheduledStrategy,
     SpamStrategy,
 )
-from repro.errors import ConfigurationError
 from repro.net.message import Message
 from repro.protocols.base import BROADCAST
 from repro.protocols.bv_broadcast import BVBroadcastNode
@@ -90,40 +85,3 @@ class TestSpamStrategy:
         result = run_nodes(nodes, byzantine={3: SpamStrategy()})
         for node_id in (0, 1, 2):
             assert nodes[node_id].output == frozenset({1})
-
-
-class TestAdaptiveAdversary:
-    def test_budget_enforced(self):
-        adversary = AdaptiveAdversary(n=7, t=2)
-        adversary.corrupt(CorruptionPlan(node_ids=(0, 1)))
-        with pytest.raises(ConfigurationError):
-            adversary.corrupt(CorruptionPlan(node_ids=(2,)))
-
-    def test_random_corruption_respects_budget(self):
-        adversary = AdaptiveAdversary(n=10, t=3, seed=1)
-        plan = adversary.corrupt_random()
-        assert len(plan.node_ids) == 3
-        assert len(adversary.corrupted) == 3
-
-    def test_strategies_and_activation_times(self):
-        adversary = AdaptiveAdversary(n=4, t=1)
-        adversary.corrupt(
-            CorruptionPlan(node_ids=(2,), strategy_factory=CrashStrategy, activation_time=1.5)
-        )
-        strategies = adversary.strategies()
-        # Delayed activation wraps the strategy so it behaves honestly until
-        # the activation time (the runtime injects the simulated clock).
-        assert isinstance(strategies[2], ScheduledStrategy)
-        assert isinstance(strategies[2].inner, CrashStrategy)
-        assert strategies[2].activation_time == 1.5
-        assert adversary.activation_times()[2] == 1.5
-
-    def test_immediate_corruption_not_wrapped(self):
-        adversary = AdaptiveAdversary(n=4, t=1)
-        adversary.corrupt(CorruptionPlan(node_ids=(3,), strategy_factory=CrashStrategy))
-        assert isinstance(adversary.strategies()[3], CrashStrategy)
-
-    def test_unknown_node_rejected(self):
-        adversary = AdaptiveAdversary(n=4, t=1)
-        with pytest.raises(ConfigurationError):
-            adversary.corrupt(CorruptionPlan(node_ids=(9,)))

@@ -36,6 +36,7 @@ from repro.oracle.chaos import (
     PauseSpec,
     deterministic_view,
 )
+from repro.oracle import cluster
 from repro.oracle.cluster import (
     CERT,
     CLUSTER_PROTOCOL,
@@ -202,6 +203,56 @@ class TestNoSpawnRun:
             outcome
         )
         assert heard == [(0, JOIN, 0)] * (1 + resyncs)
+
+
+    def test_a_message_for_a_later_epoch_waits_for_that_epoch(
+        self, tmp_path, monkeypatch
+    ):
+        """``run_node`` routes protocol traffic by its ``epoch:<k>/`` tag, read
+        by ``EpochNode``: a later epoch's message is held until the node
+        enters that epoch (whether it came before the greeting or during an
+        earlier epoch), an untagged one goes to the current epoch's node,
+        and a malformed tag is dropped before the greeting."""
+        config = _config(tmp_path)
+        delivered = []
+
+        class RecordingEpochNode(cluster.EpochNode):
+            def on_message(self, sender, message):
+                if message.mtype == "PING":  # not the node's own broadcasts
+                    delivered.append((self.epoch, message.protocol))
+                return super().on_message(sender, message)
+
+        monkeypatch.setattr(cluster, "EpochNode", RecordingEpochNode)
+
+        def control(mtype, epoch=None):
+            return Message(CLUSTER_PROTOCOL, mtype, epoch, epoch)
+
+        script = [
+            Message("epoch:1/dora", "PING", None, None),  # before the greeting
+            Message("epoch:x/dora", "PING", None, None),
+            control(EPOCH, 0),
+            Message("epoch:2/dora", "PING", None, None),  # during epoch 0
+            Message("dora", "PING", None, None),
+            control(EPOCH, 1),
+            control(EPOCH, 2),
+            control(SHUTDOWN),
+        ]
+
+        async def scenario():
+            supervisor = config.make_transport(config.supervisor_id)
+            await supervisor.open([config.supervisor_id])
+            node = asyncio.create_task(run_node(config, 0))
+            try:
+                _sender, join = await supervisor.get(config.supervisor_id)
+                assert join.mtype == JOIN
+                for message in script:  # one channel: delivered in this order
+                    await supervisor.put(0, (config.supervisor_id, message))
+                return await node
+            finally:
+                await supervisor.close()
+
+        assert _run(scenario()) == {}
+        assert delivered == [(0, "dora"), (1, "epoch:1/dora"), (2, "epoch:2/dora")]
 
 
 # ----------------------------------------------------------------------
@@ -437,6 +488,50 @@ class TestOneKillPath:
         # the channel to it is just as stale as to a killed one.)
         assert [node for node, _child in children] == [0, 1, 2, 3, 1]
         assert set(children[-1][1].task.result()) <= {1}
+
+    @pytest.mark.parametrize("lost", ["greeting", "join"])
+    def test_a_respawn_whose_greeting_exchange_is_lost_joins_again(
+        self, tmp_path, lost
+    ):
+        """The greeting residue.  A node sent one JOIN and then waited out
+        ``join_timeout``, so losing either half of the exchange stranded it:
+        the respawn never rejoined the run and ended by ``LivenessTimeout``
+        (or by the SHUTDOWN it could only hear in its greeting wait).
+
+        ``greeting``: the supervisor's greeting to the respawn is bit-flipped
+        on the wire (the transport's own fault hook), so node 1 drops it with
+        the connection.  ``join``: every node process loses what it sends the
+        supervisor in its first 0.5 s, a loss window each respawn re-enters
+        at zero, so the first JOIN of every incarnation is lost — at the
+        parent, the startup barrier never completed.  Now the node JOINs
+        again each ``JOIN_RETRY_SECONDS`` until greeted, and a repeated JOIN
+        is the same incarnation: one ``rejoins`` entry, one ``on_rejoin``."""
+        config = _config(tmp_path, epochs=5, epoch_interval=0.5)
+        config.join_timeout = 4.0
+        supervisor = ClusterSupervisor(
+            config, crash=CrashPlan(node=1, epoch=0, after=0.05, restart_delay=0.1)
+        )
+        supervisor.config.epoch_grace = 0.2
+        if lost == "join":
+            loss = {"start": 0.0, "end": 0.5, "probability": 1.0, "receivers": [N]}
+            config.chaos = {"seed": 0, "wire": {"losses": [loss]}}
+        else:
+            greet = supervisor._greet
+
+            async def greet_through_a_bit_flip(node_id, epoch):
+                if supervisor._started and not supervisor.rejoins:
+                    supervisor._transport.corrupt_next_frame(N, node_id)
+                await greet(node_id, epoch)
+
+            supervisor._greet = greet_through_a_bit_flip
+        report, children = self._crash_run(supervisor)
+        assert report["restarts"] == [{"node": 1, "epoch": 0}]
+        assert [entry["node"] for entry in report["rejoins"]] == [1]
+        assert supervisor.liveness._rejoined == {1: 1}
+        assert report["exit_codes"] == {"0": 0, "1": 0, "2": 0, "3": 0}
+        assert [node for node, _child in children] == [0, 1, 2, 3, 1]
+        # The respawn was greeted in time to commit the run's last epoch.
+        assert config.epochs - 1 in children[-1][1].task.result()
 
     def test_a_fired_kill_is_awaited_a_sleeping_one_cancelled(self, tmp_path):
         """B4.  The parent waited 1 s for injectors, then set a flag that

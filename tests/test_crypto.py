@@ -1,4 +1,4 @@
-"""Tests for hashing, HMAC channels, simulated signatures and common coins."""
+"""Tests for hashing, channel keys, simulated signatures and common coins."""
 
 import hashlib
 import hmac
@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import AuthenticationError, ConfigurationError
-from repro.crypto.hashing import hash_bytes, hash_hex, hash_value
-from repro.crypto.hmac_channel import AuthenticatedChannel, ChannelKeyring, build_keyrings
+from repro.errors import ConfigurationError
+from repro.crypto.hashing import hash_bytes, hash_value
+from repro.crypto.hmac_channel import ChannelKeyring
 from repro.crypto.signatures import (
     SignatureScheme,
     Signature,
     ThresholdSignatureScheme,
 )
 from repro.crypto.coin import CommonCoin
-from repro.net.message import Message
 
 
 class TestHashing:
@@ -26,18 +25,15 @@ class TestHashing:
     def test_different_values_different_digests(self):
         assert hash_value(1) != hash_value(2)
 
-    def test_hex_is_hex_of_digest(self):
-        assert hash_hex("x") == hash_value("x").hex()
-
     def test_bytes_passthrough(self):
         assert hash_bytes(b"abc") == hash_value(b"abc")
 
 
 class TestOneShotHmac:
-    """Every tag in the package (channel seal/verify, frame handshake and
-    DATA tags, signatures, threshold shares) is ``hmac.digest(key, material,
-    "sha256")``; it must be the very bytes of the streaming ``hmac.new`` form
-    peers and committed fingerprints were produced with."""
+    """Every tag in the package (frame handshake and DATA tags, signatures,
+    threshold shares) is ``hmac.digest(key, material, "sha256")``; it must be
+    the very bytes of the streaming ``hmac.new`` form peers and committed
+    fingerprints were produced with."""
 
     @given(key=st.binary(max_size=200), material=st.binary(max_size=4096))
     def test_one_shot_equals_streaming(self, key, material):
@@ -46,61 +42,10 @@ class TestOneShotHmac:
             key, material, hashlib.sha256
         ).digest()
 
-    @given(destination=st.integers(1, 3), payload=st.binary(max_size=64))
-    def test_channel_tag_is_the_streaming_hmac(self, destination, payload):
-        keyring = build_keyrings(4)[0]
-        message = Message("p", "T", 1, payload)
-        tag = AuthenticatedChannel(keyring).seal(destination, message).tag
-        material = AuthenticatedChannel._message_bytes(0, destination, message)
-        key = keyring.key_for(destination)
-        assert tag == hmac.new(key, material, hashlib.sha256).digest()
 
-
-class TestAuthenticatedChannel:
-    def _channels(self, n=4):
-        keyrings = build_keyrings(n)
-        return {i: AuthenticatedChannel(keyrings[i]) for i in range(n)}
-
-    def test_seal_and_verify_roundtrip(self):
-        channels = self._channels()
-        message = Message("p", "T", 1, [1.0, 2.0])
-        envelope = channels[0].seal(1, message)
-        assert channels[1].verify(envelope) == message
-
-    def test_tampered_payload_rejected(self):
-        channels = self._channels()
-        envelope = channels[0].seal(1, Message("p", "T", 1, 5.0))
-        forged = type(envelope)(
-            sender=envelope.sender,
-            destination=envelope.destination,
-            message=Message("p", "T", 1, 6.0),
-            authenticated=True,
-            tag=envelope.tag,
-        )
-        with pytest.raises(AuthenticationError):
-            channels[1].verify(forged)
-
-    def test_wrong_destination_rejected(self):
-        channels = self._channels()
-        envelope = channels[0].seal(1, Message("p", "T", None, None))
-        with pytest.raises(AuthenticationError):
-            channels[2].verify(envelope)
-
-    def test_missing_tag_rejected(self):
-        channels = self._channels()
-        envelope = channels[0].seal(1, Message("p", "T", None, None))
-        stripped = type(envelope)(
-            sender=envelope.sender,
-            destination=envelope.destination,
-            message=envelope.message,
-            authenticated=True,
-            tag=None,
-        )
-        with pytest.raises(AuthenticationError):
-            channels[1].verify(stripped)
-
+class TestChannelKeyring:
     def test_pairwise_keys_symmetric(self):
-        keyrings = build_keyrings(3)
+        keyrings = [ChannelKeyring(node_id=i, num_nodes=3) for i in range(3)]
         assert keyrings[0].key_for(1) == keyrings[1].key_for(0)
         assert keyrings[0].key_for(1) != keyrings[0].key_for(2)
 

@@ -7,7 +7,7 @@ from repro.adversary.strategies import CrashStrategy
 from repro.analysis.parameters import derive_parameters
 from repro.core.dora import DoraCertificate, DoraNode
 from repro.crypto.signatures import SignatureScheme
-from repro.errors import ConfigurationError
+from repro.errors import CertificateShortfall, ConfigurationError
 from repro.oracle.network import OracleNetwork
 from repro.oracle.smr import SMRChannel
 
@@ -165,11 +165,27 @@ class TestSMRChannel:
         assert chain.first_valid(since=mark).payload == "new"
         assert chain.first_valid(since=len(chain.entries)) is None
 
-    def test_consumed_value_requires_valid_entry(self):
+    def test_consume_returns_the_first_valid_submission_of_its_round(self):
+        chain = SMRChannel(validator=lambda payload: payload != "bad")
+        assert chain.consume([(0, "bad"), (1, "a"), (2, "b")]) == "a"
+        assert [entry.submitter for entry in chain.entries] == [0, 1, 2]
+        assert chain.validations == 3
+
+    def test_consume_never_returns_an_earlier_rounds_entry(self):
+        chain = SMRChannel(validator=lambda payload: payload != "bad")
+        assert chain.consume([(0, "old")]) == "old"
+        assert chain.consume([(1, "bad"), (2, "new")]) == "new"
+        with pytest.raises(CertificateShortfall):
+            chain.consume([(3, "bad")])  # "old" and "new" do not count
+
+    def test_consume_without_a_valid_submission_is_a_shortfall(self):
         chain = SMRChannel(validator=lambda payload: False)
-        chain.submit(0, "x")
-        with pytest.raises(ConfigurationError):
-            chain.consumed_value()
+        with pytest.raises(CertificateShortfall) as raised:
+            chain.consume([(0, "x"), (1, "y")])
+        assert isinstance(raised.value, ConfigurationError)  # report_round's contract
+        with pytest.raises(CertificateShortfall):
+            chain.consume([])
+        assert len(chain.entries) == 2
 
     def test_distinct_valid_payload_count(self):
         chain = SMRChannel()

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.adversary.base import AdversaryStrategy, HonestWithInput
+from repro.adversary.strategies import CrashStrategy, ScheduledStrategy
 from repro.analysis.parameters import derive_parameters
 from repro.core.delphi import DelphiNode
 from repro.errors import ConfigurationError, InvariantViolation
@@ -105,6 +106,49 @@ class TestFaultSpec:
             corruptions=(CorruptionSpec("crash", count=2),), allow_over_budget=True
         )
         assert allowed.corrupted_ids(4) == [3, 2]
+        # Explicit nodes count against the same t budget, alone or beside an
+        # implicit group.
+        explicit = (CorruptionSpec("crash", nodes=(0, 1)),)
+        with pytest.raises(ConfigurationError, match="budget"):
+            FaultSpec(corruptions=explicit).corrupted_ids(4)
+        assert FaultSpec(corruptions=explicit).corrupted_ids(7) == [0, 1]
+        mixed = (CorruptionSpec("crash", nodes=(0,)), CorruptionSpec("spam", count=2))
+        with pytest.raises(ConfigurationError, match="budget"):
+            FaultSpec(corruptions=mixed).corrupted_ids(7)
+        assert FaultSpec(corruptions=mixed).corrupted_ids(10) == [0, 9, 8]
+
+    @pytest.mark.parametrize("nodes", [(4,), (9,), (-1,), (0, 4)])
+    def test_explicit_node_outside_the_system_rejected(self, nodes):
+        spec = FaultSpec(corruptions=(CorruptionSpec("crash", nodes=nodes),))
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 4\)"):
+            spec.build_strategies(4)
+
+    def test_explicit_nodes_duplicated_or_claimed_twice_rejected(self):
+        with pytest.raises(ConfigurationError, match="duplicates"):
+            CorruptionSpec("crash", nodes=(2, 2))
+        twice = FaultSpec(
+            corruptions=(
+                CorruptionSpec("crash", nodes=(2,)),
+                CorruptionSpec("spam", nodes=(2,)),
+            ),
+            allow_over_budget=True,
+        )
+        with pytest.raises(ConfigurationError, match="multiple groups"):
+            twice.corrupted_ids(7)
+
+    def test_activation_time_wraps_the_strategy(self):
+        spec = FaultSpec(
+            corruptions=(
+                CorruptionSpec("crash", nodes=(2,), activation_time=1.5),
+                CorruptionSpec("crash", nodes=(6,)),
+            )
+        )
+        strategies = spec.build_strategies(7)
+        # Honest until the activation time (the runtime injects the clock).
+        assert isinstance(strategies[2], ScheduledStrategy)
+        assert isinstance(strategies[2].inner, CrashStrategy)
+        assert strategies[2].activation_time == 1.5
+        assert type(strategies[6]) is CrashStrategy
 
     def test_unknown_strategy_rejected(self):
         spec = FaultSpec(corruptions=(CorruptionSpec("no-such-strategy", count=1),))

@@ -10,6 +10,7 @@ call returns after a bounded number of buffer operations").
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.crypto.hmac_channel import ChannelKeyring
 from repro.errors import (
     AuthenticationError,
     FrameError,
@@ -180,6 +181,16 @@ class TestChannelCodecProperties:
         body[(flip // 8) % len(body)] ^= 1 << (flip % 8)
         with pytest.raises((AuthenticationError, FrameError)):
             rx.open(bytes(body))
+
+    @given(payload=st.binary(max_size=100))
+    def test_a_frame_sealed_for_another_pair_is_rejected(self, payload):
+        """Keys are per node pair: a frame 0 sealed for 1 does not open on
+        the 0 -> 2 channel, even with the same session nonces."""
+        keyrings = [ChannelKeyring(node_id=i, num_nodes=3) for i in range(3)]
+        tx = ChannelCodec(keyrings[0].key_for(1), b"d" * 16, b"l" * 16)
+        rx = ChannelCodec(keyrings[2].key_for(0), b"d" * 16, b"l" * 16)
+        with pytest.raises(AuthenticationError):
+            rx.open(tx.seal(payload))
 
     @given(drop_then_replay=st.integers(min_value=0, max_value=5))
     def test_out_of_order_delivery_is_a_replay(self, drop_then_replay):

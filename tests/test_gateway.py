@@ -299,7 +299,17 @@ class TestGatewayEndpoints:
             assert status == 404
             status, _body = await http_request(host, port, "DELETE", "/metrics")
             assert status == 405
-            assert gateway.bad_requests == 2
+            for length in (b"abc", b"-1", b"99999999999"):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(
+                    b"POST /ticks HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: " + length + b"\r\n\r\n"
+                )
+                head, _overrun = await read_head(reader)
+                assert parse_response_head(head)[0] == 400, length
+                writer.close()
+            assert gateway.bad_requests == 5
+            assert gateway.handler_errors == 0
             await gateway.close()
 
         run(scenario())
@@ -428,19 +438,16 @@ class TestGatewayDegradation:
         run(scenario())
 
     def test_poisoned_frame_counts_handler_error_not_bad_request(self):
-        """A frame that parses as a head but explodes deeper in (here:
-        an unparseable Content-Length raising ValueError) must land in
-        handler_errors with a 500 — and the gateway must keep serving."""
+        """A request that parses but explodes deeper in (here: a handler that
+        raises ZeroDivisionError) must land in handler_errors with a 500 —
+        and the gateway must keep serving."""
 
         async def scenario():
             gateway = _gateway()
+            gateway.history = lambda **_query: 1 / 0
             host, port = await gateway.start()
             reader, writer = await asyncio.open_connection(host, port)
-            writer.write(
-                b"GET /metrics HTTP/1.1\r\n"
-                b"Host: x\r\n"
-                b"Content-Length: abc\r\n\r\n"
-            )
+            writer.write(b"GET /certs HTTP/1.1\r\nHost: x\r\n\r\n")
             await writer.drain()
             head, _overrun = await read_head(reader)
             status, _headers = parse_response_head(head)

@@ -3,7 +3,6 @@ benchmarks drive, at a reduced scale."""
 
 import pytest
 
-from repro.adversary.adaptive import AdaptiveAdversary, CorruptionPlan
 from repro.adversary.base import HonestWithInput
 from repro.adversary.strategies import CrashStrategy
 from repro.analysis.parameters import derive_parameters
@@ -111,16 +110,13 @@ class TestAdversarialEndToEnd:
         n, t = 7, 2
         params = derive_parameters(n=n, epsilon=1.0, delta_max=16.0, max_rounds=6)
         values = [10.2, 10.5, 10.9, 11.4, 10.1, 10.7, 11.0]
-        adversary = AdaptiveAdversary(n=n, t=t, seed=5)
-        adversary.corrupt(CorruptionPlan(node_ids=(5,), strategy_factory=CrashStrategy))
-        adversary.corrupt(
-            CorruptionPlan(
-                node_ids=(6,),
-                strategy_factory=lambda: HonestWithInput(DelphiNode(6, params, value=0.0)),
-            )
-        )
+        byzantine = {
+            5: CrashStrategy(),
+            6: HonestWithInput(DelphiNode(6, params, value=0.0)),
+        }
+        assert len(byzantine) == t
         nodes = {i: DelphiNode(i, params, value=values[i]) for i in range(n)}
-        result = run_nodes(nodes, byzantine=adversary.strategies())
+        result = run_nodes(nodes, byzantine=byzantine)
         honest_inputs = values[:5]
         outputs = [nodes[i].output for i in range(5)]
         assert result.all_honest_decided

@@ -66,6 +66,29 @@ class TestEpochNode:
         assert seen[0] is seen[1]
         assert seen[0] == Message("dora", "REPORT", None, [2.0, None])
 
+    @pytest.mark.parametrize(
+        "protocol, epoch",
+        [
+            ("dora", None),  # untagged
+            ("cluster", None),
+            ("epoch:x/dora", None),  # malformed
+            ("epoch:/dora", None),
+            ("epochs:3/dora", None),
+            ("epoch:3", None),  # a head with nothing inside it
+            ("epoch:3/dora", 3),
+            ("epoch:3/group:1/delphi", 3),  # nested: the outermost tag
+            ("group:1/epoch:3/delphi", None),
+        ],
+    )
+    def test_epoch_tag_reader(self, protocol, epoch):
+        message = Message(protocol, "REPORT", None, None)
+        assert EpochNode.epoch_of(message) == epoch
+
+    def test_the_tag_reader_and_the_node_share_one_peel(self, epoch_node):
+        received = Message("epoch:1/dora", "REPORT", None, [2.0, None])
+        assert EpochNode.epoch_of(received) == epoch_node.epoch
+        assert epoch_node._namespace.unwrap(received) is received._peel[1]
+
     def test_decision_mirrors_inner_node(self, epoch_node):
         # The fast engine reads _has_output directly, so the wrapper must
         # mirror the inner decision into its own output slots.

@@ -44,7 +44,6 @@ from repro.oracle.chaos import ChaosSchedule, KillSpec, PauseSpec
 from repro.protocols.base import BROADCAST, Outbound, ProtocolNode
 from repro.protocols.baselines.abraham_aaa import trimmed_mean
 from repro.protocols.binaa import BinAAEngine
-from repro.protocols.fifo import ShiftCodec
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -131,24 +130,6 @@ class TestTrimmedMeanProperties:
         # With at most `trim` adversarial values and `trim` removed from each
         # side, the result cannot leave the honest convex hull.
         assert min(honest) - 1e-9 <= result <= max(honest) + 1e-9
-
-
-class TestShiftCodecProperties:
-    @given(st.lists(st.sampled_from(["2L", "L", "C", "R", "2R"]), max_size=20))
-    def test_reconstruct_is_deterministic(self, tokens):
-        first = ShiftCodec.reconstruct(1.0, tokens)
-        second = ShiftCodec.reconstruct(1.0, tokens)
-        assert first == second
-
-    @given(
-        st.integers(min_value=2, max_value=30),
-        st.sampled_from(["2L", "L", "C", "R", "2R"]),
-        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    )
-    def test_encode_inverts_apply(self, round_number, token, previous):
-        current = ShiftCodec.apply(token, round_number, previous)
-        encoded = ShiftCodec(previous).encode(round_number, previous, current)
-        assert ShiftCodec.apply(encoded, round_number, previous) == current
 
 
 class TestSizeAccountingProperties:
