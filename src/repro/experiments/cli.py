@@ -24,8 +24,9 @@ Subcommands:
     Run a fault-injection campaign (protocol × fault case × schedule × n) on
     both engines with runtime invariant monitors attached, assert engine
     equivalence under faults, and write a JSON verdict artifact.
-    ``--replay BUNDLE`` re-runs a violation repro bundle and exits non-zero
-    when the recorded violation no longer reproduces (stale-corpus check).
+    ``--replay PINS`` re-runs every pin in a pin file (a violation bundle or
+    a committed corpus) and exits non-zero when any replay departs from its
+    record (stale-corpus check).
 
 ``repro fuzz``
     Coverage-guided adversarial-schedule search: mutate fault schedules
@@ -402,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--replay",
         dest="bundle_path",
-        help="re-run the cell recorded in a violation repro bundle",
+        help="re-run every pin in a pin file (violation bundle or corpus)",
     )
 
     fuzz = _command(
@@ -857,7 +858,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults.campaign import (
         campaign,
         list_campaigns,
-        replay_bundle_report,
+        load_pins,
+        replay_pin,
         run_campaign,
     )
 
@@ -866,12 +868,20 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         return 0
 
     if args.bundle_path:
-        report = replay_bundle_report(args.bundle_path)
-        print(json.dumps(report.verdict.as_dict(), indent=2, sort_keys=True))
-        print(report.describe(), file=sys.stderr)
-        # Non-zero exactly when the bundle is stale: the recorded violation
-        # (same monitor, same detail) must reproduce on the recorded engine.
-        return 0 if report.reproduced else 1
+        pins = load_pins(args.bundle_path)
+        if not pins:
+            raise ConfigurationError(f"{args.bundle_path}: no pins to replay")
+        verdicts, stale = [], 0
+        for pin in pins:
+            verdict, problems = replay_pin(pin)
+            verdicts.append(verdict.as_dict())
+            stale += bool(problems)
+            for line in problems or ["replayed as pinned"]:
+                print(f"{pin['label']}: {line}", file=sys.stderr)
+        print(json.dumps(verdicts, indent=2, sort_keys=True))
+        # Non-zero exactly when a pin is stale: runs are deterministic, so a
+        # replay that departs from its record means the record is out of date.
+        return 1 if stale else 0
 
     selected = campaign(args.campaign)
     cells = selected.cells()
@@ -972,9 +982,10 @@ def _cmd_sharded_smoke(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.faults.search import fuzz_schedules, load_corpus, save_corpus
+    from repro.faults.campaign import load_pins, pin_hash, write_pins
+    from repro.faults.search import fuzz_schedules
 
-    corpus = [] if args.no_corpus else load_corpus(args.corpus)
+    corpus = [] if args.no_corpus else load_pins(args.corpus)
     result = fuzz_schedules(
         protocols=tuple(args.protocols) if args.protocols else ("delphi", "fin"),
         budget=args.budget,
@@ -1005,15 +1016,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             str(Path(args.output) / f"FUZZ_seed{result.seed}.json")
         )
         print(f"wrote {path}")
-    known_hashes = {str(entry["spec_hash"]) for entry in corpus}
+    known_hashes = {pin_hash(pin) for pin in corpus}
     if args.update_corpus and result.corpus_candidates:
-        merged = corpus + result.corpus_candidates
-        path = save_corpus(args.corpus, merged)
-        fresh = [
-            c for c in result.corpus_candidates if c["spec_hash"] not in known_hashes
-        ]
+        path = write_pins(args.corpus, corpus + result.corpus_candidates)
+        promoted = [pin_hash(pin) for pin in result.corpus_candidates]
+        fresh = [key for key in promoted if key not in known_hashes]
         print(f"promoted {len(fresh)} new schedules into {path}")
-        known_hashes.update(str(entry["spec_hash"]) for entry in merged)
+        known_hashes.update(promoted)
     # A violation whose shrunk schedule is not already a committed corpus
     # entry is new and un-triaged: fail so CI surfaces it.
     new_violations = [

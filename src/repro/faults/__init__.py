@@ -8,8 +8,9 @@ The subsystem has three layers:
 * :mod:`repro.faults.monitors` — :class:`~repro.sim.observers.SimObserver`
   subclasses that watch the paper's invariants during a run and fail fast;
 * :mod:`repro.faults.campaign` — :class:`FaultCampaign` matrices run on both
-  simulation engines with equivalence asserted, verdict artifacts and
-  violation repro bundles.
+  simulation engines with equivalence asserted, verdict artifacts, and the
+  pin files (violation bundles, committed corpora) with their one replay
+  check.
 """
 
 from repro.net.network import DelayWindow, LossWindow, PartitionWindow
@@ -38,33 +39,28 @@ from repro.faults.campaign import (
     CellVerdict,
     FaultCampaign,
     FaultCase,
-    ReplayReport,
     campaign,
     list_campaigns,
-    replay_bundle,
-    replay_bundle_report,
+    load_pins,
+    make_pin,
+    replay_pin,
     run_campaign,
     run_fault_cell,
+    write_pins,
 )
 from repro.faults.search import (
-    CORPUS_SCHEMA,
     FUZZ_SCHEMA,
     Evaluation,
     FuzzResult,
     MUTATORS,
     ScheduleSearch,
-    corpus_entry,
     fuzz_schedules,
-    load_corpus,
     mutate,
-    replay_corpus_entry,
-    save_corpus,
 )
 
 __all__ = [
     "BinaryBASafetyMonitor",
     "CAMPAIGNS",
-    "CORPUS_SCHEMA",
     "CampaignResult",
     "CellVerdict",
     "CorruptionSpec",
@@ -82,7 +78,6 @@ __all__ = [
     "MUTATORS",
     "PartitionWindow",
     "RbcSafetyMonitor",
-    "ReplayReport",
     "ScheduleSearch",
     "StrategyContext",
     "TerminationMonitor",
@@ -90,18 +85,16 @@ __all__ = [
     "build_monitors",
     "campaign",
     "collect_margins",
-    "corpus_entry",
     "fault_spec_of",
     "fuzz_schedules",
     "list_campaigns",
-    "load_corpus",
+    "load_pins",
+    "make_pin",
     "mutate",
     "register_strategy",
-    "replay_bundle",
-    "replay_bundle_report",
-    "replay_corpus_entry",
+    "replay_pin",
     "run_campaign",
     "run_fault_cell",
-    "save_corpus",
     "scenario_corrupted_ids",
+    "write_pins",
 ]

@@ -12,9 +12,10 @@ with the runtime invariant monitors attached, then:
   stay byte-identical even under partitions, targeted delay, message loss
   and adaptive corruption);
 * records a per-cell verdict (``ok`` / ``violation`` / ``stalled``);
-* on an invariant violation, writes a **repro bundle** — the cell's spec,
-  seed and the trace recorder's event tail — so the exact schedule can be
-  replayed (``python -m repro faults --replay BUNDLE``).
+* on an invariant violation, writes a **repro bundle** — a one-entry pin
+  file (:func:`make_pin`) holding the cell's spec, the violation and the
+  trace recorder's event tail — so the exact schedule can be replayed
+  (``python -m repro faults --replay BUNDLE``).
 
 The campaign verdict is written as a JSON artifact by the
 ``python -m repro faults`` CLI subcommand.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.experiments.spec import ScenarioSpec, SweepSpec
@@ -44,8 +45,8 @@ from repro.sim.runtime import SimulationConfig
 #: Schema tag written into every campaign verdict artifact.
 FAULTS_SCHEMA = "repro-faults/1"
 
-#: Schema tag written into every violation repro bundle.
-BUNDLE_SCHEMA = "repro-fault-bundle/1"
+#: Schema tag of every pin file (violation bundles and committed corpora).
+PINS_SCHEMA = "repro-fault-pins/1"
 
 #: Events kept in the repro bundle's trace tail.
 TRACE_TAIL_LIMIT = 200
@@ -125,7 +126,8 @@ class EngineOutcome:
     status: str  # "ok" | "stalled" | "violation"
     projection: Optional[Dict[str, Any]] = None
     violation: Optional[Dict[str, Any]] = None
-    bundle: Optional[Dict[str, Any]] = None
+    #: ``events_seen`` and ``trace_tail`` of a violating run, for its bundle.
+    trace: Optional[Dict[str, Any]] = None
     margins: Dict[str, float] = field(default_factory=dict)
     margin_ratios: Dict[str, float] = field(default_factory=dict)
 
@@ -182,23 +184,12 @@ def run_cell_engine(
             "time": violation.time,
             "node": violation.node,
         }
-        bundle = {
-            "schema": BUNDLE_SCHEMA,
-            "campaign_cell": spec.label,
-            "spec": spec.to_dict(),
-            "spec_hash": spec.spec_hash(),
-            "seed": spec.seed,
-            "engine": engine,
-            "violation": detail,
-            "events_seen": recorder.events_seen,
-            "trace_tail": recorder.tail(),
-        }
         channels = collect_margins(monitors)
         return EngineOutcome(
             engine=engine,
             status="violation",
             violation=detail,
-            bundle=bundle,
+            trace={"events_seen": recorder.events_seen, "trace_tail": recorder.tail()},
             margins=channels["margins"],
             margin_ratios=channels["ratios"],
         )
@@ -342,11 +333,18 @@ def run_fault_cell(spec: ScenarioSpec, bundle_dir: Optional[str] = None) -> Cell
         # Persist every engine's bundle: when only the reference engine
         # violated (an engine divergence), its bundle is the sole repro.
         for outcome in (fast, reference):
-            if outcome.bundle is None:
+            if outcome.violation is None:
                 continue
-            bundle_path = write_json(
+            pin = make_pin(
+                spec,
+                spec.label,
+                status="violation",
+                violation={**outcome.violation, "engine": outcome.engine},
+                **(outcome.trace or {}),
+            )
+            bundle_path = write_pins(
                 Path(bundle_dir) / f"VIOLATION_{spec.spec_hash()}_{outcome.engine}.json",
-                outcome.bundle,
+                [pin],
             )
             if verdict.bundle_path is None:
                 verdict.bundle_path = str(bundle_path)
@@ -374,90 +372,82 @@ def run_campaign(
     return result
 
 
-@dataclass
-class ReplayReport:
-    """Outcome of replaying a violation repro bundle against its record.
-
-    ``reproduced`` is the stale-corpus check: the engine that recorded the
-    violation must observe the *same* violation again (same monitor, same
-    detail — runs are deterministic, so anything less means the bundle no
-    longer describes the current code's behaviour).
-    """
-
-    verdict: CellVerdict
-    recorded_engine: str
-    recorded_violation: Dict[str, Any]
-
-    @property
-    def replayed_violation(self) -> Optional[Dict[str, Any]]:
-        outcome = (
-            self.verdict.fast
-            if self.recorded_engine == "fast"
-            else self.verdict.reference
-        )
-        return outcome.violation
-
-    @property
-    def reproduced(self) -> bool:
-        replayed = self.replayed_violation
-        if replayed is None:
-            return False
-        return (
-            replayed["monitor"] == self.recorded_violation.get("monitor")
-            and replayed["detail"] == self.recorded_violation.get("detail")
-        )
-
-    def describe(self) -> str:
-        if self.reproduced:
-            return "violation reproduced"
-        replayed = self.replayed_violation
-        recorded = self.recorded_violation
-        if replayed is None:
-            return (
-                f"stale bundle: recorded {recorded.get('monitor')!r} violation "
-                f"no longer reproduces (replay status: {self.verdict.status})"
-            )
-        return (
-            "stale bundle: replay violated "
-            f"{replayed['monitor']!r} ({replayed['detail']}) but the bundle "
-            f"recorded {recorded.get('monitor')!r} ({recorded.get('detail')})"
-        )
+# ----------------------------------------------------------------------
+# Pins: a spec plus what replaying it must show.
 
 
-def _load_bundle(path: str) -> Dict[str, Any]:
-    data = json.loads(Path(path).read_text())
-    if data.get("schema") != BUNDLE_SCHEMA:
+def make_pin(spec: ScenarioSpec, label: str, **fields: Any) -> Dict[str, Any]:
+    """A pin for ``spec``.  Replay reads ``status`` (default ``"ok"``),
+    ``margins`` and ``violation`` (``monitor``, ``detail``, ``engine``) from
+    ``fields``; any other field, ``spec_hash`` included, is provenance."""
+    return {
+        "label": label, "spec": spec.to_dict(), "spec_hash": spec.spec_hash(), **fields
+    }
+
+
+def pin_hash(pin: Mapping[str, Any]) -> str:
+    """What identifies a pin's schedule: its spec's hash, derived afresh."""
+    return ScenarioSpec.from_dict(pin["spec"]).spec_hash()
+
+
+def load_pins(path: str) -> List[Dict[str, Any]]:
+    """The pins in a pin file; an absent file holds none."""
+    target = Path(path)
+    if not target.exists():
+        return []
+    data = json.loads(target.read_text())
+    if data.get("schema") != PINS_SCHEMA:
         raise ConfigurationError(
-            f"{path} is not a fault repro bundle (schema {data.get('schema')!r})"
+            f"{path} is not a pin file (schema {data.get('schema')!r})"
         )
-    return data
+    return list(data["entries"])
 
 
-def replay_bundle(path: str) -> CellVerdict:
-    """Re-run the cell recorded in a violation repro bundle.
+def write_pins(path: str, pins: Sequence[Mapping[str, Any]]) -> Path:
+    """Write a pin file, deduplicated by spec hash and sorted for stable diffs."""
+    unique = {pin_hash(pin): pin for pin in pins}
+    ordered = [unique[key] for key in sorted(unique, key=lambda k: (unique[k]["label"], k))]
+    return write_json(path, {"schema": PINS_SCHEMA, "entries": ordered})
 
-    Rebuilds the exact :class:`ScenarioSpec` (spec + seed are in the bundle)
-    and runs it on both engines with monitors attached — the violation, being
-    deterministic, reproduces.
+
+def replay_pin(pin: Mapping[str, Any]) -> Tuple[CellVerdict, List[str]]:
+    """Re-run a pin on both engines and list how the replay departs from it.
+
+    A recorded ``violation`` must recur, same monitor and same detail, on
+    its recorded engine.  Any other pin must replay equivalent on both
+    engines with its recorded ``status`` and, if it records ``margins``,
+    exactly those margins on the fast engine.  Runs are deterministic, so
+    any problem means the pin no longer describes the code.
     """
-    data = _load_bundle(path)
-    spec = ScenarioSpec.from_dict(data["spec"])
-    return run_fault_cell(spec)
-
-
-def replay_bundle_report(path: str) -> ReplayReport:
-    """Replay a bundle *and* compare against its recorded verdict.
-
-    This is the stale-corpus detector behind ``repro faults --replay``: the
-    CLI exits non-zero when :attr:`ReplayReport.reproduced` is false.
-    """
-    data = _load_bundle(path)
-    verdict = replay_bundle(path)
-    return ReplayReport(
-        verdict=verdict,
-        recorded_engine=str(data.get("engine", "fast")),
-        recorded_violation=dict(data.get("violation", {})),
-    )
+    verdict = run_fault_cell(ScenarioSpec.from_dict(pin["spec"]))
+    problems: List[str] = []
+    recorded = pin.get("violation")
+    if recorded is not None:
+        engine = recorded["engine"]
+        replayed = (verdict.fast if engine == "fast" else verdict.reference).violation
+        if replayed is None:
+            problems.append(
+                f"recorded {recorded['monitor']!r} violation no longer reproduces "
+                f"on the {engine} engine (replay status: {verdict.status})"
+            )
+        elif any(replayed[key] != recorded[key] for key in ("monitor", "detail")):
+            problems.append(
+                f"replay violated {replayed['monitor']!r} ({replayed['detail']}) but "
+                f"the pin recorded {recorded['monitor']!r} ({recorded['detail']})"
+            )
+        return verdict, problems
+    if not verdict.equivalent:
+        problems.append("engines diverged on replay")
+    status = pin.get("status", "ok")
+    if verdict.status != status:
+        problems.append(f"status drifted: recorded {status!r}, replayed {verdict.status!r}")
+    if "margins" in pin:
+        margins = {channel: float(value) for channel, value in pin["margins"].items()}
+        if dict(verdict.fast.margins) != margins:
+            problems.append(
+                f"margins drifted: recorded {margins}, replayed {dict(verdict.fast.margins)}"
+            )
+    return verdict, problems
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,8 @@ drives latency sampling and delivery tiebreaks), the workload, testbed and
 system size.  Runs that *almost* violate an invariant — low normalised margin
 or a never-seen :class:`~repro.sim.observers.ScheduleDigest` — are kept and
 mutated further.  Any violation or retained near-miss is greedily shrunk
-before it is reported or promoted into the persistent corpus
+before it is reported or promoted, as a pin
+(:func:`~repro.faults.campaign.make_pin`), into the persistent corpus
 (``tests/data/adversarial_corpus.json``), which tier-1 replays on both
 engines.
 
@@ -30,7 +31,6 @@ iterated into output.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.spec import ScenarioSpec
-from repro.faults.campaign import CellVerdict, run_cell_engine, run_fault_cell
+from repro.faults.campaign import make_pin, run_cell_engine
 from repro.faults.spec import CorruptionSpec, FaultSpec, fault_spec_of
 from repro.net.network import DelayWindow, LossWindow, PartitionWindow, write_json
 from repro.protocols.base import byzantine_bound
@@ -52,12 +52,6 @@ from repro.sim.observers import ScheduleDigest
 
 #: Schema tag of the fuzz leaderboard artifact.
 FUZZ_SCHEMA = "repro-fuzz/1"
-
-#: Schema tag of the persistent adversarial corpus.
-CORPUS_SCHEMA = "repro-adversarial-corpus/1"
-
-#: Default committed corpus location (repo-relative).
-DEFAULT_CORPUS_PATH = "tests/data/adversarial_corpus.json"
 
 #: Search grids.  Values are drawn from fixed lattices so mutated specs stay
 #: JSON-clean and the shrinker's simplifications land on grid points too.
@@ -299,73 +293,6 @@ class Evaluation:
         if self.violation is not None:
             entry["violation"] = dict(self.violation)
         return entry
-
-
-# ----------------------------------------------------------------------
-# Corpus persistence.
-
-
-def load_corpus(path: str) -> List[Dict[str, Any]]:
-    """Load corpus entries; an absent file is an empty corpus."""
-    target = Path(path)
-    if not target.exists():
-        return []
-    data = json.loads(target.read_text())
-    if data.get("schema") != CORPUS_SCHEMA:
-        raise ConfigurationError(
-            f"{path} is not an adversarial corpus (schema {data.get('schema')!r})"
-        )
-    return list(data.get("entries", []))
-
-
-def save_corpus(path: str, entries: Sequence[Mapping[str, Any]]) -> Path:
-    """Write the corpus, deduplicated by spec hash, sorted for stable diffs."""
-    unique: Dict[str, Mapping[str, Any]] = {}
-    for entry in entries:
-        unique[str(entry["spec_hash"])] = entry
-    ordered = sorted(unique.values(), key=lambda e: (str(e["label"]), str(e["spec_hash"])))
-    return write_json(path, {"schema": CORPUS_SCHEMA, "entries": list(ordered)})
-
-
-def corpus_entry(
-    evaluation: Evaluation, channel: str, origin: str
-) -> Dict[str, Any]:
-    """The JSON-safe committed form of one shrunk schedule."""
-    return {
-        "label": f"{evaluation.spec.protocol}-{channel}",
-        "channel": channel,
-        "origin": origin,
-        "spec": evaluation.spec.to_dict(),
-        "spec_hash": evaluation.spec.spec_hash(),
-        "status": evaluation.status,
-        "margins": dict(evaluation.margins),
-        "ratios": dict(evaluation.ratios),
-    }
-
-
-def replay_corpus_entry(entry: Mapping[str, Any]) -> Tuple[CellVerdict, List[str]]:
-    """Replay one corpus entry on both engines and diff against its record.
-
-    Returns the verdict plus a list of problems (empty = faithful replay):
-    engine divergence, status drift, or margin drift all make the entry
-    stale — runs are deterministic, so any drift means the committed
-    schedule no longer exercises what it was saved for.
-    """
-    spec = ScenarioSpec.from_dict(entry["spec"])
-    verdict = run_fault_cell(spec)
-    problems: List[str] = []
-    if not verdict.equivalent:
-        problems.append("engines diverged on replay")
-    if verdict.status != entry["status"]:
-        problems.append(
-            f"status drifted: recorded {entry['status']!r}, replayed {verdict.status!r}"
-        )
-    recorded = {k: float(v) for k, v in entry.get("margins", {}).items()}
-    if dict(verdict.fast.margins) != recorded:
-        problems.append(
-            f"margins drifted: recorded {recorded}, replayed {dict(verdict.fast.margins)}"
-        )
-    return verdict, problems
 
 
 # ----------------------------------------------------------------------
@@ -682,7 +609,15 @@ class ScheduleSearch:
             if shrunk.margins.get(channel, float("inf")) > margin:
                 shrunk = best
             result.corpus_candidates.append(
-                corpus_entry(shrunk, channel, origin=f"fuzz-seed-{self.seed}")
+                make_pin(
+                    shrunk.spec,
+                    f"{protocol}-{channel}",
+                    status=shrunk.status,
+                    margins=dict(shrunk.margins),
+                    channel=channel,
+                    origin=f"fuzz-seed-{self.seed}",
+                    ratios=dict(shrunk.ratios),
+                )
             )
             self.progress(
                 f"[fuzz] corpus candidate {protocol}/{channel}: "

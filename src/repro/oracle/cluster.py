@@ -272,6 +272,26 @@ class EpochInputFeed:
 # ----------------------------------------------------------------------
 # Node process
 # ----------------------------------------------------------------------
+async def _get_before(
+    transport: Any, node_id: int, deadline: float, protocol: Optional[str] = None
+) -> Optional[Tuple[int, Message]]:
+    """The next ``(sender, message)`` for ``node_id`` before ``deadline``
+    (monotonic), or ``None`` once it passes — silence is an outcome the
+    caller handles (resync, or a typed ``LivenessTimeout``), not a bare
+    ``TimeoutError``.  With ``protocol``, other protocols' traffic is skipped."""
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        return None
+    try:
+        async with asyncio.timeout(remaining):
+            while True:
+                received = await transport.get(node_id)
+                if protocol is None or received[1].protocol == protocol:
+                    return received
+    except TimeoutError:
+        return None
+
+
 async def run_node(
     config: ClusterConfig, node_id: int, *, log: Any = None
 ) -> Dict[int, float]:
@@ -315,19 +335,6 @@ async def run_node(
         message = Message(CLUSTER_PROTOCOL, mtype, epoch, payload)
         await transport.put(supervisor, (node_id, message))
 
-    async def receive(deadline: float) -> Optional[Tuple[int, Message]]:
-        """The next ``(sender, message)`` before ``deadline`` (monotonic), or
-        ``None`` once it passes — silence is an outcome the caller handles
-        (resync, or a typed ``LivenessTimeout``), not a bare ``TimeoutError``."""
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return None
-        try:
-            async with asyncio.timeout(remaining):
-                return await transport.get(node_id)
-        except TimeoutError:
-            return None
-
     await transport.open([node_id])
     committed: Dict[int, float] = {}
     #: Early messages for epochs we have not entered yet.
@@ -340,7 +347,7 @@ async def run_node(
             if time.monotonic() >= rejoin_at:
                 await tell(JOIN, 0, 0)
                 rejoin_at = time.monotonic() + JOIN_RETRY_SECONDS
-            received = await receive(min(deadline, rejoin_at))
+            received = await _get_before(transport, node_id, min(deadline, rejoin_at))
             if received is None:
                 if time.monotonic() < deadline:
                     continue
@@ -377,7 +384,7 @@ async def run_node(
                     await tell(
                         CERT, epoch, [epoch, node.rounded_value, node.certificate]
                     )
-                received = await receive(deadline)
+                received = await _get_before(transport, node_id, deadline)
                 if received is None:
                     if resyncs_used < config.epoch_resyncs:
                         # Graceful degradation: instead of dying, re-JOIN so
@@ -581,20 +588,12 @@ class ClusterSupervisor:
 
     # -- the control plane -------------------------------------------------
     async def _control(self, deadline: float) -> Optional[Tuple[int, Message]]:
-        """The next control-plane ``(sender, message)`` before ``deadline``
-        (monotonic), or ``None`` once it passes.  Every supervisor-side wait
-        is this call; anything that is not cluster traffic is skipped."""
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return None
-        try:
-            async with asyncio.timeout(remaining):
-                while True:
-                    received = await self._transport.get(self.config.supervisor_id)
-                    if received[1].protocol == CLUSTER_PROTOCOL:
-                        return received
-        except TimeoutError:
-            return None
+        """The next control-plane ``(sender, message)`` before ``deadline``.
+        Every supervisor-side wait is this call; anything that is not cluster
+        traffic is skipped."""
+        return await _get_before(
+            self._transport, self.config.supervisor_id, deadline, CLUSTER_PROTOCOL
+        )
 
     async def _tell(self, node_id: int, mtype: str, epoch: int, payload: Any) -> None:
         message = Message(CLUSTER_PROTOCOL, mtype, epoch, payload)

@@ -1,8 +1,9 @@
 """Client-facing oracle API gateway: HTTP/WebSocket front end for the service.
 
-ROADMAP item 2: the paper's oracle network only matters to clients who can
-consume its certified values, so this module wraps :class:`OracleService`
-(and, through its transport seam, the PR-7 cluster) in an asyncio gateway
+The paper's oracle network only matters to clients who can consume its
+certified values, so this module wraps :class:`OracleService` (and, through
+its transport seam, the process cluster of :mod:`repro.oracle.cluster`) in
+an asyncio gateway
 built on ``asyncio.start_server`` plus the stdlib-only HTTP/WebSocket layer
 of :mod:`repro.net.http_ws` — no new runtime dependencies:
 
@@ -12,7 +13,7 @@ of :mod:`repro.net.http_ws` — no new runtime dependencies:
   that cannot keep up (queue overflow) is **evicted** — its connection is
   closed, its undelivered messages are counted in ``send_drops`` and the
   eviction in ``evictions`` — so one stalled client can never stall the
-  stream for the 10⁴–10⁶ others the north star calls for;
+  stream for every other subscriber;
 * **queries** — ``GET /certs/latest`` and ``GET /certs?since=S&limit=L``
   read a bounded in-memory certificate index (``history_limit`` newest
   epochs) without touching the service;

@@ -1,7 +1,7 @@
 """Gateway load generator: thousands of live subscribers against one gateway.
 
-``python -m repro loadgen`` answers the acceptance question for ROADMAP
-item 2 — *does the client-facing layer hold up under heavy traffic?* — by
+``python -m repro loadgen`` answers the acceptance question for the
+gateway — *does the client-facing layer hold up under heavy traffic?* — by
 standing up a real :class:`~repro.oracle.gateway.OracleGateway` (or dialing
 an external one) and driving it with:
 

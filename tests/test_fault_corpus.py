@@ -1,47 +1,84 @@
-"""Seed-corpus regression test: replay known-tricky seeds against the
-runtime invariant monitors.
+"""Pinned-schedule regression tests: replay every committed pin on both
+engines with the runtime invariant monitors attached.
 
-The corpus (``tests/data/fault_corpus.json``) commits the scenario specs —
-including the PR 2 FIN ACS early-vote stall seeds — that historically
-exposed liveness bugs.  Every entry is replayed on **both** simulation
-engines with monitors attached; a stall or invariant violation here means a
-fixed bug silently regressed.  See ``docs/TESTING.md`` for how to add an
-entry.
+Two committed pin files (schema ``repro-fault-pins/1``, one loader, one
+replay check — :func:`repro.faults.campaign.replay_pin`):
+
+* ``tests/data/fault_corpus.json`` — hand-written regression seeds that
+  historically exposed liveness bugs, among them the FIN ACS early-vote
+  stall seeds.  They record no status, so they must stay
+  ``ok``: a stall or violation means a fixed bug silently regressed.
+* ``tests/data/adversarial_corpus.json`` — the fuzzer's shrunk near-misses
+  (:mod:`repro.faults.search`), with their status and margins recorded;
+  the margins must reproduce exactly.  ``repro fuzz --update-corpus``
+  rewrites this file and only this one.
+
+``docs/TESTING.md`` ("Pins") covers how to add either kind.
 """
 
-import json
+import math
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.spec import ScenarioSpec
-from repro.faults.campaign import run_fault_cell
+from repro.faults.campaign import (
+    load_pins,
+    pin_hash,
+    replay_pin,
+    run_cell_engine,
+    smoke_campaign,
+)
 
-CORPUS_PATH = Path(__file__).parent / "data" / "fault_corpus.json"
-CORPUS = json.loads(CORPUS_PATH.read_text())
-
-
-def corpus_entries():
-    return [pytest.param(entry, id=entry["id"]) for entry in CORPUS["entries"]]
+DATA = Path(__file__).parent / "data"
+SEEDS = load_pins(str(DATA / "fault_corpus.json"))
+FUZZED = load_pins(str(DATA / "adversarial_corpus.json"))
 
 
 def test_corpus_schema():
-    assert CORPUS["schema"] == "repro-fault-corpus/1"
-    identifiers = [entry["id"] for entry in CORPUS["entries"]]
-    assert len(identifiers) == len(set(identifiers)), "duplicate corpus ids"
-    assert any("fin-early-vote-stall" in i for i in identifiers), (
-        "the PR 2 FIN ACS stall seeds must stay in the corpus"
+    labels = [pin["label"] for pin in SEEDS]
+    assert len(labels) == len(set(labels)), "duplicate seed labels"
+    assert any("fin-early-vote-stall" in label for label in labels), (
+        "the FIN ACS early-vote stall seeds must stay in the corpus"
     )
 
 
-@pytest.mark.parametrize("entry", corpus_entries())
-def test_corpus_seed_stays_green(entry):
-    spec = ScenarioSpec.from_dict(entry["spec"])
-    verdict = run_fault_cell(spec)
-    assert verdict.equivalent, (
-        f"{entry['id']}: fast and reference engines diverged"
+def test_corpus_schema_and_coverage():
+    hashes = [pin_hash(pin) for pin in FUZZED]
+    assert len(hashes) == len(set(hashes)), "duplicate fuzzed schedules"
+    # The fuzzer must have contributed at least 3 shrunk near-misses, each
+    # naming the channel it was saved for, with every margin finite.
+    assert len([p for p in FUZZED if p["origin"].startswith("fuzz-seed-")]) >= 3
+    for pin in FUZZED:
+        assert pin["channel"] in pin["margins"]
+        assert all(math.isfinite(value) for value in pin["margins"].values())
+
+
+@pytest.mark.parametrize("pin", [pytest.param(p, id=p["label"]) for p in SEEDS + FUZZED])
+def test_corpus_seed_stays_green(pin):
+    verdict, problems = replay_pin(pin)
+    assert problems == [], (
+        f"{pin['label']}: {problems} violation={verdict.fast.violation}"
     )
-    assert verdict.status == "ok", (
-        f"{entry['id']} regressed ({verdict.status}): {entry['description']} "
-        f"violation={verdict.fast.violation}"
+
+
+def test_fuzzed_epsilon_margin_beats_the_fixed_smoke_matrix():
+    """The acceptance bar for the search: a committed fuzz-found schedule
+    drives the epsilon-agreement margin strictly below anything the fixed
+    smoke campaign observes on the same protocol (delphi).  Fast engine
+    only — the per-pin replay test above already pins both engines."""
+    smoke_best = math.inf
+    for spec in smoke_campaign().cells():
+        if spec.protocol != "delphi":
+            continue
+        margin = run_cell_engine(spec, "fast").margins.get("epsilon_margin")
+        if margin is not None:
+            smoke_best = min(smoke_best, margin)
+    corpus_best = min(
+        pin["margins"]["epsilon_margin"]
+        for pin in FUZZED
+        if pin["spec"]["protocol"] == "delphi" and "epsilon_margin" in pin["margins"]
+    )
+    assert corpus_best < smoke_best, (
+        f"corpus best epsilon margin {corpus_best} does not beat the fixed "
+        f"smoke matrix's {smoke_best}"
     )

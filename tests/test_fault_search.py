@@ -13,18 +13,14 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigurationError
 from repro.experiments.cli import main as cli_main
 from repro.experiments.spec import ScenarioSpec
+from repro.faults.campaign import PINS_SCHEMA, load_pins, make_pin, replay_pin, write_pins
 from repro.faults.search import (
-    CORPUS_SCHEMA,
     FUZZ_SCHEMA,
     MUTATORS,
     ScheduleSearch,
     _base_spec,
-    corpus_entry,
     fuzz_schedules,
-    load_corpus,
     mutate,
-    replay_corpus_entry,
-    save_corpus,
 )
 from repro.faults.spec import FaultSpec, fault_spec_of
 from repro.protocols.base import byzantine_bound
@@ -242,37 +238,45 @@ class TestScheduleSearch:
 
 
 class TestCorpusPersistence:
-    def test_save_load_round_trip_dedupes_by_hash(self, tmp_path):
+    @staticmethod
+    def _pin():
         search = ScheduleSearch(protocols=("delphi",), budget=1, seed=0)
         evaluation = search.evaluate(_base_spec("delphi"), count_budget=False)
-        entry = corpus_entry(evaluation, "epsilon_margin", origin="test")
+        pin = make_pin(
+            evaluation.spec, "delphi-epsilon_margin",
+            status=evaluation.status, margins=dict(evaluation.margins),
+        )
+        return evaluation, pin
+
+    def test_save_load_round_trip_dedupes_by_hash(self, tmp_path):
+        evaluation, pin = self._pin()
         path = tmp_path / "corpus.json"
-        save_corpus(str(path), [entry, dict(entry)])
-        loaded = load_corpus(str(path))
+        # A copy whose stored hash is wrong still dedupes: the hash is
+        # derived from the spec.
+        write_pins(str(path), [pin, dict(pin, spec_hash="stale")])
+        loaded = load_pins(str(path))
         assert len(loaded) == 1
-        assert loaded[0]["spec_hash"] == evaluation.spec.spec_hash()
-        assert json.loads(path.read_text())["schema"] == CORPUS_SCHEMA
+        assert loaded[0]["spec"] == evaluation.spec.to_dict()
+        assert json.loads(path.read_text())["schema"] == PINS_SCHEMA
 
     def test_missing_corpus_is_empty(self, tmp_path):
-        assert load_corpus(str(tmp_path / "absent.json")) == []
+        assert load_pins(str(tmp_path / "absent.json")) == []
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "other/1", "entries": []}))
         with pytest.raises(ConfigurationError):
-            load_corpus(str(path))
+            load_pins(str(path))
 
     def test_replay_detects_margin_drift(self, tmp_path):
-        search = ScheduleSearch(protocols=("delphi",), budget=1, seed=0)
-        evaluation = search.evaluate(_base_spec("delphi"), count_budget=False)
-        entry = corpus_entry(evaluation, "epsilon_margin", origin="test")
-        _verdict, problems = replay_corpus_entry(entry)
+        _evaluation, pin = self._pin()
+        _verdict, problems = replay_pin(pin)
         assert problems == []
-        tampered = dict(entry, margins={"epsilon_margin": -1.0})
-        _verdict, problems = replay_corpus_entry(tampered)
+        tampered = dict(pin, margins={"epsilon_margin": -1.0})
+        _verdict, problems = replay_pin(tampered)
         assert problems and "margins drifted" in problems[0]
-        stale = dict(entry, status="violation")
-        _verdict, problems = replay_corpus_entry(stale)
+        stale = dict(pin, status="violation")
+        _verdict, problems = replay_pin(stale)
         assert any("status drifted" in p for p in problems)
 
 
@@ -326,8 +330,9 @@ class TestFuzzCli:
             ]
         )
         assert code == 0
-        entries = load_corpus(str(corpus_path))
+        entries = load_pins(str(corpus_path))
         assert entries, "no schedules promoted"
         for entry in entries:
             assert entry["status"] != "violation"
             assert entry["origin"] == "fuzz-seed-0"
+            assert replay_pin(entry)[1] == []  # what tier-1 will check

@@ -3,7 +3,9 @@ specs, network-fault injection, schedule-driven corruption, runtime
 invariant monitors (including a deliberately broken invariant caught with a
 seed repro bundle) and engine equivalence under faults."""
 
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,12 +27,15 @@ from repro.faults import (
     scenario_corrupted_ids,
 )
 from repro.faults.campaign import (
-    replay_bundle,
-    replay_bundle_report,
+    EngineOutcome,
+    load_pins,
+    make_pin,
+    replay_pin,
     run_campaign,
     run_cell_engine,
     smoke_campaign,
     tiny_campaign,
+    write_pins,
 )
 from repro.faults.monitors import (
     BinaryBASafetyMonitor,
@@ -419,23 +424,24 @@ class TestBrokenInvariantRepro:
         assert verdict.equivalent  # both engines observe the same violation
         assert verdict.fast.violation["monitor"] == "validity"
         bundle = json.loads(open(verdict.bundle_path).read())
-        assert bundle["schema"] == "repro-fault-bundle/1"
-        assert bundle["seed"] == 3
-        assert bundle["spec"]["protocol"] == "delphi"
-        assert bundle["trace_tail"], "bundle must carry the violating schedule"
-        assert bundle["violation"]["monitor"] == "validity"
+        assert bundle["schema"] == "repro-fault-pins/1"
+        (pin,) = bundle["entries"]
+        assert pin["spec"]["seed"] == 3
+        assert pin["spec"]["protocol"] == "delphi"
+        assert pin["trace_tail"], "bundle must carry the violating schedule"
+        assert pin["violation"]["monitor"] == "validity"
+        assert pin["violation"]["engine"] == "fast"
 
     def test_bundle_replay_reproduces_violation(self, tmp_path):
         verdict = run_fault_cell(self._spec(), bundle_dir=str(tmp_path))
-        replayed = replay_bundle(verdict.bundle_path)
+        replayed, _problems = replay_pin(load_pins(verdict.bundle_path)[0])
         assert replayed.status == "violation"
         assert replayed.fast.violation == verdict.fast.violation
 
     def test_replay_report_detects_faithful_bundle(self, tmp_path):
         verdict = run_fault_cell(self._spec(), bundle_dir=str(tmp_path))
-        report = replay_bundle_report(verdict.bundle_path)
-        assert report.reproduced
-        assert report.describe() == "violation reproduced"
+        _replayed, problems = replay_pin(load_pins(verdict.bundle_path)[0])
+        assert problems == []
         assert cli_main(["faults", "--replay", verdict.bundle_path]) == 0
 
     def test_replay_exits_nonzero_on_tampered_bundle(self, tmp_path):
@@ -443,32 +449,110 @@ class TestBrokenInvariantRepro:
         matches the replay must fail, both for a drifted detail and for a
         spec that no longer violates at all."""
         verdict = run_fault_cell(self._spec(), bundle_dir=str(tmp_path))
-        bundle = json.loads(open(verdict.bundle_path).read())
+        (pin,) = load_pins(verdict.bundle_path)
 
         # Same violation class, drifted detail (as if the monitor's numbers
         # changed under the committed bundle).
-        drifted = dict(bundle)
-        drifted["violation"] = dict(
-            bundle["violation"], detail="node 0 output 999 outside hull"
+        drifted = dict(
+            pin, violation=dict(pin["violation"], detail="node 0 output 999 outside hull")
         )
+        _replayed, problems = replay_pin(drifted)
+        assert len(problems) == 1 and "replay violated 'validity'" in problems[0]
         drifted_path = tmp_path / "drifted.json"
-        drifted_path.write_text(json.dumps(drifted))
-        report = replay_bundle_report(str(drifted_path))
-        assert not report.reproduced
-        assert "stale bundle" in report.describe()
+        write_pins(str(drifted_path), [drifted])
         assert cli_main(["faults", "--replay", str(drifted_path)]) == 1
 
         # Spec tampered into a healthy cell: nothing violates on replay.
-        healthy = dict(bundle)
-        healthy_spec = dict(bundle["spec"])
-        healthy_spec["extras"] = {}
-        healthy["spec"] = healthy_spec
+        healthy = dict(pin, spec=dict(pin["spec"], extras={}))
+        _replayed, problems = replay_pin(healthy)
+        assert len(problems) == 1 and "no longer reproduces" in problems[0]
         healthy_path = tmp_path / "healthy.json"
-        healthy_path.write_text(json.dumps(healthy))
-        report = replay_bundle_report(str(healthy_path))
-        assert not report.reproduced
-        assert "no longer reproduces" in report.describe()
+        write_pins(str(healthy_path), [healthy])
         assert cli_main(["faults", "--replay", str(healthy_path)]) == 1
+
+        # No pins at all is an error, never a clean replay.
+        assert cli_main(["faults", "--replay", str(tmp_path / "absent.json")]) == 2
+
+
+# ``repro.faults`` exports a function called ``campaign`` that shadows the
+# submodule of the same name.
+campaign_module = importlib.import_module("repro.faults.campaign")
+
+
+def _outcome(engine, outputs=None, violation=None):
+    """A canned engine outcome, for faking ``run_cell_engine``."""
+    margins = {"epsilon_margin": 0.5}
+    if violation is not None:
+        trace = {"events_seen": 1, "trace_tail": []}
+        return EngineOutcome(engine, "violation", violation=violation, trace=trace, margins=margins)
+    projection = {
+        "outputs": outputs or {"0": 1.0},
+        "decided": [0],
+        "honest": [0],
+        "events_processed": 1,
+        "runtime_seconds": 0.1,
+    }
+    return EngineOutcome(engine, "ok", projection=projection, margins=margins)
+
+
+class TestReplayPin:
+    """Each outcome of the one replay rule, on a faked ``run_cell_engine``
+    (the module-level seam ``run_fault_cell`` looks up at call time)."""
+
+    SPEC = ScenarioSpec(protocol="delphi", n=4, testbed="lan", seed=0)
+    VIOLATION = {"monitor": "validity", "detail": "node 1 left the hull", "time": 0.1, "node": 1}
+
+    @pytest.fixture
+    def engines(self, monkeypatch):
+        """Set ``engines["fast"]`` / ``engines["reference"]`` to the outcome
+        each engine should report."""
+        canned = {"fast": _outcome("fast"), "reference": _outcome("reference")}
+        monkeypatch.setattr(
+            campaign_module, "run_cell_engine", lambda spec, engine: canned[engine]
+        )
+        return canned
+
+    def test_margin_drift(self, engines):
+        pin = make_pin(self.SPEC, "p", margins={"epsilon_margin": 0.25})
+        (problem,) = replay_pin(pin)[1]
+        assert problem.startswith("margins drifted")
+
+    def test_status_drift(self, engines):
+        pin = make_pin(self.SPEC, "p", status="stalled")
+        (problem,) = replay_pin(pin)[1]
+        assert problem == "status drifted: recorded 'stalled', replayed 'ok'"
+
+    def test_engine_divergence(self, engines):
+        engines["reference"] = _outcome("reference", outputs={"0": 2.0})
+        problems = replay_pin(make_pin(self.SPEC, "p"))[1]
+        assert problems[0] == "engines diverged on replay"
+        assert "replayed 'engine-mismatch'" in problems[1]
+
+    def test_drifted_violation_detail(self, engines):
+        engines["fast"] = _outcome("fast", violation=self.VIOLATION)
+        recorded = dict(self.VIOLATION, detail="node 2 left the hull", engine="fast")
+        (problem,) = replay_pin(make_pin(self.SPEC, "p", violation=recorded))[1]
+        assert "node 1 left the hull" in problem and "node 2 left the hull" in problem
+
+    def test_violation_recorded_only_on_the_reference_engine(self, engines, tmp_path):
+        """The fastpath-divergence case: only the reference engine violates.
+        The verdict surfaces it, its bundle is the one written, and replaying
+        that bundle checks the reference engine, not the fast one."""
+        engines["reference"] = _outcome("reference", violation=self.VIOLATION)
+        verdict = run_fault_cell(self.SPEC, bundle_dir=str(tmp_path))
+        entry = verdict.as_dict()
+        assert entry["status"] == "engine-mismatch"
+        assert entry["violation_engine"] == "reference"
+        assert verdict.bundle_path.endswith("_reference.json")
+        assert [p.name for p in tmp_path.iterdir()] == [Path(verdict.bundle_path).name]
+        (pin,) = load_pins(verdict.bundle_path)
+        assert pin["violation"]["engine"] == "reference"
+        assert replay_pin(pin)[1] == []
+        assert cli_main(["faults", "--replay", verdict.bundle_path]) == 0
+        # The same record pinned to the fast engine is stale.
+        fast_pin = dict(pin, violation=dict(pin["violation"], engine="fast"))
+        (problem,) = replay_pin(fast_pin)[1]
+        assert "no longer reproduces on the fast engine" in problem
 
 
 class TestCampaign:

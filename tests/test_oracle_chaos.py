@@ -421,15 +421,23 @@ def _spawnless_supervisor(tmp_path):
 
 
 def _stubborn_child():
-    """A child that ignores SIGTERM (like a SIGSTOPped or wedged node)."""
-    return subprocess.Popen(
+    """A child that ignores SIGTERM (like a SIGSTOPped or wedged node).
+
+    Returns only once the child has said it ignores SIGTERM: on a busy host
+    a SIGTERM sent before ``signal.signal`` runs would still kill it."""
+    child = subprocess.Popen(
         [
             sys.executable,
             "-c",
-            "import signal, time; "
-            "signal.signal(signal.SIGTERM, signal.SIG_IGN); time.sleep(60)",
-        ]
+            "import signal, sys, time; "
+            "signal.signal(signal.SIGTERM, signal.SIG_IGN); "
+            "sys.stdout.write('.'); sys.stdout.flush(); time.sleep(60)",
+        ],
+        stdout=subprocess.PIPE,
     )
+    with child.stdout:
+        assert child.stdout.read(1) == b"."
+    return child
 
 
 class TestBootAccounting:
