@@ -40,8 +40,9 @@ two transports with the same seed, schedule and per-channel message
 sequence make byte-identical decisions (a hypothesis-checked property).
 
 The fault clock starts at :meth:`open` (``clock()`` is ``time.monotonic``
-unless injected); window times are seconds since then.  A respawned
-process re-enters the timeline at zero — document schedules accordingly.
+unless injected) and stops at :meth:`close`; window times are seconds since
+the start.  A respawned process re-enters the timeline at zero — document
+schedules accordingly.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ class ChaosTransport:
         self._start: Optional[float] = None
         self._hosted: Tuple[int, ...] = ()
         self._peers: Tuple[int, ...] = ()
-        self._tasks: set = set()
+        self._deliveries: set = set()  # held or delayed messages
+        self._timers: set = set()  # scheduled resets and corruptions
         self._rngs: Dict[Tuple[int, int], random.Random] = {}
         #: Every fault decision, in per-channel order:
         #: ``(kind, sender, target, channel_seq)``.
@@ -173,11 +175,6 @@ class ChaosTransport:
         # Only reached for attributes not defined on the wrapper: delegate
         # to the wrapped transport (counters, addresses, epoch hooks, ...).
         return getattr(self.inner, name)
-
-    @staticmethod
-    async def _maybe_await(result: Any) -> None:
-        if asyncio.iscoroutine(result) or isinstance(result, asyncio.Future):
-            await result
 
     def _now(self) -> float:
         assert self._start is not None
@@ -202,7 +199,7 @@ class ChaosTransport:
     # The transport seam
     # ------------------------------------------------------------------
     async def open(self, node_ids: Sequence[int]) -> None:
-        await self._maybe_await(self.inner.open(node_ids))
+        await self.inner.open(node_ids)
         hosted = getattr(self.inner, "local_ids", None)
         self._hosted = tuple(hosted) if hosted else tuple(node_ids)
         addresses = getattr(self.inner, "addresses", None) or {}
@@ -216,7 +213,7 @@ class ChaosTransport:
     async def put(self, target: int, item: Tuple[int, Message]) -> None:
         sender = item[0]
         if self._start is None or not self.faults.active or target == sender:
-            # Not opened yet / no faults / local self-delivery: passthrough.
+            # Not open / no faults / local self-delivery: passthrough.
             await self.inner.put(target, item)
             return
         seq = self._next_seq(sender, target)
@@ -247,36 +244,40 @@ class ChaosTransport:
         return await self.inner.get(node_id)
 
     def pending(self) -> int:
-        """Locally queued messages plus chaos-held in-flight deliveries."""
+        """Locally queued messages plus held or delayed deliveries."""
         inner_pending = getattr(self.inner, "pending", None)
         base = inner_pending() if callable(inner_pending) else 0
-        return base + len(self._tasks)
+        return base + len(self._deliveries)
 
     async def close(self) -> None:
-        # Held/delayed messages die with the transport: the seam is
-        # best-effort, exactly like sends racing teardown.
-        tasks = list(self._tasks)
-        self._tasks = set()
+        # Stop the fault clock: a later put passes through, and the closed
+        # inner transport drops and counts it.  Held/delayed messages die
+        # with the transport: the seam is best-effort, exactly like sends
+        # racing teardown.
+        self._start = None
+        tasks = [*self._deliveries, *self._timers]
+        self._deliveries, self._timers = set(), set()
         for task in tasks:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-        await self._maybe_await(self.inner.close())
+        await self.inner.close()
 
     # ------------------------------------------------------------------
     # Scheduled delivery and wire events
     # ------------------------------------------------------------------
-    def _track(self, coroutine: Any) -> None:
+    @staticmethod
+    def _track(tasks: set, coroutine: Any) -> None:
         task = asyncio.create_task(coroutine)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
 
     def _deliver_later(self, delay: float, target: int, item: Tuple[int, Message]) -> None:
         async def _later() -> None:
             await asyncio.sleep(max(0.0, delay))
             await self.inner.put(target, item)
 
-        self._track(_later())
+        self._track(self._deliveries, _later())
 
     def _spawn_timer(self, at: float, apply: Callable[[Any], None], spec: Any) -> None:
         async def _fire() -> None:
@@ -285,7 +286,7 @@ class ChaosTransport:
                 await asyncio.sleep(remaining)
             apply(spec)
 
-        self._track(_fire())
+        self._track(self._timers, _fire())
 
     def _apply_reset(self, spec: ResetSpec) -> None:
         reset = getattr(self.inner, "reset_connection", None)

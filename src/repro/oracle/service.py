@@ -52,6 +52,7 @@ the trajectory gate covers the serving layer.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -67,12 +68,13 @@ from repro.errors import (
     LivenessTimeout,
 )
 from repro.faults.monitors import CertificateStreamMonitor
-from repro.net.latency import ConstantLatency, LatencyModel, UniformLatency
+from repro.net.chaos import ChaosTransport, WireFaults
+from repro.net.latency import UniformLatency
 from repro.net.message import Message
-from repro.net.network import AsynchronousNetwork, DeliveryPolicy
+from repro.net.network import AsynchronousNetwork, DelayWindow, DeliveryPolicy
 from repro.oracle.smr import SMRChannel
 from repro.protocols.base import Namespace, Outbound, ProtocolNode, peel
-from repro.sim.asyncio_runtime import AsyncioRuntime
+from repro.sim.asyncio_runtime import AsyncioRuntime, InMemoryTransport
 from repro.sim.events import DELIVER_EVENT
 from repro.sim.observers import SimObserver
 from repro.sim.runtime import ComputeModel, SimulationConfig, SimulationRuntime
@@ -344,8 +346,10 @@ class OracleService:
         parity replays; defaults to a LAN-like jittered network seeded per
         epoch.
     latency / epoch_timeout:
-        Asyncio-engine delivery latency model (``None`` = as fast as the
-        loop allows) and per-epoch wall-clock budget.
+        Asyncio-engine delivery latency in seconds (``None`` = as fast as
+        the loop allows), added to every cross-node message by wrapping the
+        epoch's transport in a :class:`~repro.net.chaos.ChaosTransport`
+        with one all-run delay window; and the per-epoch wall-clock budget.
     transport_factory:
         ``epoch -> transport`` for the asyncio engine; each epoch runs over
         the returned transport instead of the default in-memory queues.
@@ -369,7 +373,7 @@ class OracleService:
         strict_parity: bool = False,
         network_factory: Optional[Callable[[int], AsynchronousNetwork]] = None,
         compute: Optional[ComputeModel] = None,
-        latency: Optional[LatencyModel] = None,
+        latency: Optional[float] = None,
         epoch_timeout: float = 30.0,
         transport_factory: Optional[Callable[[int], Any]] = None,
         workload_name: str = "custom",
@@ -476,11 +480,13 @@ class OracleService:
             transport = (
                 self.transport_factory(epoch)
                 if self.transport_factory is not None
-                else None
+                else InMemoryTransport()
             )
+            if self.latency is not None:
+                delay = DelayWindow(0.0, math.inf, self.latency)
+                transport = ChaosTransport(transport, WireFaults(delays=(delay,)))
             runtime = AsyncioRuntime(
                 nodes,
-                latency=self.latency,
                 timeout=self.epoch_timeout,
                 byzantine=byzantine,
                 observers=observers,
@@ -751,7 +757,6 @@ def build_service(
     parity_engine: Optional[str] = None
     if parity:
         parity_engine = "reference" if engine == "fast" else "fast"
-    latency = ConstantLatency(latency_seconds) if latency_seconds is not None else None
     return OracleService(
         params,
         feed,
@@ -760,7 +765,7 @@ def build_service(
         churn=churn,
         parity_engine=parity_engine,
         strict_parity=strict_parity,
-        latency=latency,
+        latency=latency_seconds,
         epoch_timeout=epoch_timeout,
         epoch_retries=epoch_retries,
         retry_backoff=retry_backoff,

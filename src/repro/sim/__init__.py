@@ -3,10 +3,9 @@
 from repro.sim.events import Event, EventKind
 from repro.sim.scheduler import EventScheduler
 from repro.sim.runtime import ComputeModel, SimulationConfig, SimulationResult, SimulationRuntime
-from repro.sim.asyncio_runtime import AsyncioRunResult, AsyncioRuntime, InMemoryTransport
+from repro.sim.asyncio_runtime import AsyncioRuntime, InMemoryTransport
 
 __all__ = [
-    "AsyncioRunResult",
     "AsyncioRuntime",
     "InMemoryTransport",
     "ComputeModel",

@@ -4,11 +4,11 @@ The two deterministic engines in :mod:`repro.sim.runtime` /
 :mod:`repro.sim.fastpath` are what the tests and benchmarks use, but the
 same protocol nodes can also be executed on real concurrency: each node
 becomes an asyncio task with an inbox, and messages travel through a
-pluggable :class:`AsyncioTransport` (in-memory queues today, a socket
-transport later) with optional real ``sleep`` delays drawn from a latency
-model.  This mirrors the paper's tokio-based Rust implementation and is the
-engine the epoch-pipelined oracle service (:mod:`repro.oracle.service`)
-serves on.
+pluggable transport (in-memory queues or real sockets).  The transport is
+the engine's only delivery plane: latency, partition, delay and loss all
+enter by wrapping it in a :class:`~repro.net.chaos.ChaosTransport`.  This
+mirrors the paper's tokio-based Rust implementation and is the engine the
+epoch-pipelined oracle service (:mod:`repro.oracle.service`) serves on.
 
 Contract differences vs the deterministic engines:
 
@@ -16,8 +16,9 @@ Contract differences vs the deterministic engines:
   run is still *correct* (the protocols are asynchronous by design) but two
   runs may produce different (epsilon-close) outputs.  The oracle service's
   parity harness replays each epoch through the fast engine to cross-check.
-* **Wall-clock time.**  Observer hooks and decision times report seconds
-  since the run started (the asyncio loop clock), not simulated time.
+* **Wall-clock time.**  Observer hooks, decision times and the result's
+  ``runtime_seconds`` report seconds since the run started (the asyncio
+  loop clock), not simulated time.
 * **Fail fast.**  An exception escaping a node (or an
   :class:`~repro.errors.InvariantViolation` raised by an observer) aborts
   the whole run instead of hanging; a wall-clock timeout raises
@@ -25,8 +26,8 @@ Contract differences vs the deterministic engines:
 
 Liveness/leak guarantees (regression-tested in ``tests/test_sim_asyncio.py``):
 
-* every delivery task spawned for a delayed message is strongly referenced
-  and cancelled + drained on shutdown — ``run()`` returns with **zero**
+* every node task is cancelled and drained, and the transport closed, on
+  shutdown — with a delaying transport too, ``run()`` returns with **zero**
   pending tasks on the loop;
 * nodes that decide during ``on_start()`` (before their node loop processes
   a single message) are counted, so trivially-deciding runs terminate
@@ -36,7 +37,6 @@ Liveness/leak guarantees (regression-tested in ``tests/test_sim_asyncio.py``):
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.adversary.base import AdversaryStrategy
@@ -47,38 +47,11 @@ from repro.errors import (
     TransportClosedError,
 )
 from repro.net.inbox import Inbox
-from repro.net.latency import LatencyModel
 from repro.net.message import HMAC_TAG_BITS, Message, MessageTrace
 from repro.protocols.base import BROADCAST, ProtocolNode
 from repro.sim.events import DELIVER_EVENT, START_EVENT
 from repro.sim.observers import SimObserver, event_observers
-
-
-@dataclass
-class AsyncioRunResult:
-    """Outputs and statistics of an asyncio execution.
-
-    The attribute names mirror :class:`~repro.sim.runtime.SimulationResult`
-    where the concepts coincide (``outputs``, ``decision_times``,
-    ``honest_nodes``, ``events_processed``) so the invariant monitors'
-    ``on_run_end`` hook works unchanged on both kinds of result.
-    """
-
-    outputs: Dict[int, Any]
-    decision_times: Dict[int, float]
-    trace: MessageTrace
-    wall_seconds: float
-    events_processed: int
-    honest_nodes: List[int]
-    byzantine_nodes: List[int]
-    #: Delivery tasks still in flight when the run finished (cancelled and
-    #: drained before ``run()`` returned — nonzero is normal, leaked is not).
-    cancelled_deliveries: int = 0
-
-    @property
-    def all_honest_decided(self) -> bool:
-        """Whether every honest node produced an output."""
-        return all(node in self.outputs for node in self.honest_nodes)
+from repro.sim.runtime import SimulationResult
 
 
 class InMemoryTransport:
@@ -89,8 +62,8 @@ class InMemoryTransport:
     process, as in the paper's tokio deployment) slots in without touching
     the runtime.  The contract every transport implements:
 
-    * ``open(node_ids)`` — (re)create the endpoints this transport hosts;
-      may be sync or async (the runtime awaits awaitables);
+    * ``open(node_ids)`` — async; (re)create the endpoints this transport
+      hosts;
     * ``put(target, (sender, message))`` — async, never blocks on the
       network.  **After ``close``, ``put`` silently drops the pair and
       counts it in ``dropped_after_close``** (best-effort semantics: late
@@ -100,9 +73,10 @@ class InMemoryTransport:
       ``close`` it raises :class:`~repro.errors.TransportClosedError`
       (the runtime cancels node loops *before* closing, so only external
       callers — e.g. the cluster node loop — ever observe it);
-    * ``close()`` — sync or async; idempotent; releases every resource.
+    * ``close()`` — async; idempotent; releases every resource.
 
-    Delays are the *runtime's* concern for in-memory queues; a socket
+    In-memory queues deliver at once; delays come from wrapping the
+    transport in a :class:`~repro.net.chaos.ChaosTransport`.  A socket
     transport has real ones.
     """
 
@@ -112,7 +86,7 @@ class InMemoryTransport:
         #: ``put`` calls dropped because the transport was already closed.
         self.dropped_after_close = 0
 
-    def open(self, node_ids: Sequence[int]) -> None:
+    async def open(self, node_ids: Sequence[int]) -> None:
         """(Re)create one empty inbox per node; called at run start."""
         self._inboxes = {node_id: Inbox() for node_id in node_ids}
         self._closed = False
@@ -138,7 +112,7 @@ class InMemoryTransport:
         """Messages enqueued but not yet consumed (drained on close)."""
         return sum(queue.qsize() for queue in self._inboxes.values())
 
-    def close(self) -> None:
+    async def close(self) -> None:
         """Drop all inboxes and what they hold; a parked ``get`` fails."""
         for inbox in self._inboxes.values():
             inbox.close()
@@ -153,10 +127,6 @@ class AsyncioRuntime:
     ----------
     nodes:
         Mapping of node id to protocol node (ids need not be contiguous).
-    latency:
-        Optional latency model; when provided, each cross-node delivery is a
-        tracked task awaiting ``asyncio.sleep(delay)``.  When omitted,
-        messages are delivered as fast as the event loop allows.
     timeout:
         Wall-clock timeout for the whole run, in seconds.  Hitting it raises
         :class:`~repro.errors.LivenessTimeout` with the partial outputs.
@@ -173,32 +143,27 @@ class AsyncioRuntime:
         :class:`~repro.errors.InvariantViolation` aborts the run.
     transport:
         Transport seam; defaults to :class:`InMemoryTransport`.  Any object
-        implementing the four-method contract documented there works —
-        ``open``/``close`` may be coroutines (the runtime awaits them), which
+        implementing the four-method contract documented there works, which
         is how :class:`~repro.net.socket_transport.SocketTransport` plugs in.
-        It is also the only fault-injection point of this engine: partition,
-        delay and loss windows enter by wrapping the transport in a
-        :class:`~repro.net.chaos.ChaosTransport`.
+        It is also the only delivery plane of this engine: latency,
+        partition, delay and loss windows enter by wrapping the transport
+        in a :class:`~repro.net.chaos.ChaosTransport`.
     """
 
     def __init__(
         self,
         nodes: Dict[int, ProtocolNode],
-        latency: Optional[LatencyModel] = None,
         timeout: float = 60.0,
         byzantine: Optional[Dict[int, AdversaryStrategy]] = None,
         observers: Optional[Sequence[SimObserver]] = None,
         transport: Optional[Any] = None,
-        topology: Optional[Any] = None,
     ) -> None:
         if not nodes:
             raise SimulationError("at least one node is required")
-        self.topology = topology
         if timeout <= 0:
             raise SimulationError(f"timeout must be positive, got {timeout}")
         self.nodes = nodes
         self._everyone = tuple(nodes)
-        self.latency = latency
         self.timeout = timeout
         self.byzantine: Dict[int, AdversaryStrategy] = dict(byzantine or {})
         for node_id, strategy in self.byzantine.items():
@@ -215,7 +180,6 @@ class AsyncioRuntime:
             if getattr(strategy, "wants_time", False)
         }
         # Run state (created fresh inside _run).
-        self._delivery_tasks: set = set()
         self._decided_nodes: set = set()
         self._decision_times: Dict[int, float] = {}
         self._events_processed = 0
@@ -236,12 +200,12 @@ class AsyncioRuntime:
         return asyncio.get_running_loop().time() - self._started_at
 
     # ------------------------------------------------------------------
-    def run(self) -> AsyncioRunResult:
+    def run(self) -> SimulationResult:
         """Execute the protocol on a fresh event loop and block until every
         honest node decides (or the timeout / a failure aborts the run)."""
         return asyncio.run(self.run_async())
 
-    async def run_async(self) -> AsyncioRunResult:
+    async def run_async(self) -> SimulationResult:
         """Coroutine form of :meth:`run`, for callers that already own an
         event loop (tests that audit ``asyncio.all_tasks`` after the run,
         or embedders driving several runtimes on one loop).
@@ -253,13 +217,10 @@ class AsyncioRuntime:
         self._started_at = loop.time()
         self._all_decided = asyncio.Event()
         self._failure = loop.create_future()
-        self._delivery_tasks = set()
         self._decided_nodes = set()
         self._decision_times = {}
         self._events_processed = 0
-        opened = self.transport.open(list(self.nodes))
-        if asyncio.iscoroutine(opened) or isinstance(opened, asyncio.Future):
-            await opened
+        await self.transport.open(list(self.nodes))
 
         node_tasks = [
             asyncio.create_task(self._node_loop(node_id)) for node_id in self.nodes
@@ -302,38 +263,30 @@ class AsyncioRuntime:
                     ],
                 )
         finally:
-            cancelled = await self._shutdown(node_tasks, waiter)
+            await self._shutdown(node_tasks, waiter)
 
-        result = AsyncioRunResult(
+        result = SimulationResult(
             outputs=self._partial_outputs(),
             decision_times=dict(self._decision_times),
-            trace=self.trace,
-            wall_seconds=self._now(),
+            runtime_seconds=self._now(),
             events_processed=self._events_processed,
+            trace=self.trace,
             honest_nodes=self.honest_nodes,
             byzantine_nodes=sorted(self.byzantine),
-            cancelled_deliveries=cancelled,
         )
         for observer in self.observers:
             observer.on_run_end(result)
         return result
 
-    async def _shutdown(self, node_tasks: List[asyncio.Task], waiter: asyncio.Task) -> int:
-        """Cancel and drain every task this run spawned; returns the number
-        of in-flight delivery tasks that had to be cancelled."""
-        in_flight = [task for task in self._delivery_tasks if not task.done()]
-        for task in [*node_tasks, waiter, *in_flight]:
+    async def _shutdown(self, node_tasks: List[asyncio.Task], waiter: asyncio.Task) -> None:
+        """Cancel and drain every task this run spawned, then close the
+        transport (which drains the deliveries it still holds)."""
+        for task in [*node_tasks, waiter]:
             task.cancel()
-        await asyncio.gather(
-            *node_tasks, waiter, *in_flight, return_exceptions=True
-        )
-        self._delivery_tasks.clear()
+        await asyncio.gather(*node_tasks, waiter, return_exceptions=True)
         if self._failure is not None and not self._failure.done():
             self._failure.cancel()
-        closed = self.transport.close()
-        if asyncio.iscoroutine(closed) or isinstance(closed, asyncio.Future):
-            await closed
-        return len(in_flight)
+        await self.transport.close()
 
     def _raise_failure(self) -> None:
         error = self._failure.exception() if self._failure.done() else None
@@ -406,14 +359,9 @@ class AsyncioRuntime:
             self._fail(error)
 
     async def _dispatch(self, sender: int, outbound: List[Tuple[int, Message]]) -> None:
-        put, latency = self.transport.put, self.latency
+        put, everyone = self.transport.put, self._everyone
         for destination, message in outbound:
-            if destination != BROADCAST:
-                targets: Sequence[int] = (destination,)
-            elif self.topology is not None:
-                targets = self.topology.broadcast_targets(sender, message)
-            else:
-                targets = self._everyone
+            targets = everyone if destination == BROADCAST else (destination,)
             # Every remote copy is one authenticated envelope on the trace,
             # accounted in one update; the self-copy is local and is not.
             copies = len(targets) - (sender in targets)
@@ -421,23 +369,4 @@ class AsyncioRuntime:
                 bits = copies * (message.size_bits() + HMAC_TAG_BITS)
                 self.trace.merge_counts(copies, bits, {sender: bits})
             for target in targets:
-                remote = latency is not None and target != sender
-                delay = latency.delay(sender, target) if remote else 0.0
-                if delay > 0.0:
-                    task = asyncio.create_task(
-                        self._delayed_put(sender, target, message, delay)
-                    )
-                    # Keep a strong reference: bare create_task results can
-                    # be garbage-collected mid-flight, and untracked tasks
-                    # leak past the run.  Completed tasks deregister
-                    # themselves; the rest are cancelled in _shutdown.
-                    self._delivery_tasks.add(task)
-                    task.add_done_callback(self._delivery_tasks.discard)
-                else:
-                    await put(target, (sender, message))
-
-    async def _delayed_put(
-        self, sender: int, target: int, message: Message, delay: float
-    ) -> None:
-        await asyncio.sleep(delay)
-        await self.transport.put(target, (sender, message))
+                await put(target, (sender, message))

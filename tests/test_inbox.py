@@ -1,7 +1,6 @@
 """The deque-plus-waiter inbox, alone and behind both transports' ``get``."""
 
 import asyncio
-import inspect
 
 import pytest
 
@@ -14,12 +13,6 @@ from repro.sim.asyncio_runtime import InMemoryTransport
 
 def run(coroutine):
     return asyncio.run(coroutine)
-
-
-async def settle(result):
-    """``open``/``close`` are sync on one transport and async on the other."""
-    if inspect.isawaitable(result):
-        await result
 
 
 async def parked(*tasks):
@@ -111,16 +104,16 @@ class TestBothTransportsShareTheInbox:
     def test_inboxes_are_the_one_class(self, make):
         async def scenario():
             transport = make()
-            await settle(transport.open([0, 1]))
+            await transport.open([0, 1])
             assert {type(inbox) for inbox in transport._inboxes.values()} == {Inbox}
-            await settle(transport.close())
+            await transport.close()
 
         run(scenario())
 
     def test_fifo_pending_and_a_cancelled_get(self, make):
         async def scenario():
             transport = make()
-            await settle(transport.open([0, 1]))
+            await transport.open([0, 1])
             with pytest.raises(asyncio.TimeoutError):
                 await asyncio.wait_for(transport.get(0), 0.01)
             for index in range(4):  # self-delivery: straight to the inbox on both
@@ -129,18 +122,18 @@ class TestBothTransportsShareTheInbox:
             received = [await asyncio.wait_for(transport.get(0), 1) for _ in range(4)]
             assert [message.payload for _sender, message in received] == [0, 1, 2, 3]
             assert transport.pending() == 0
-            await settle(transport.close())
+            await transport.close()
 
         run(scenario())
 
     def test_close_fails_every_parked_get_and_later_ones(self, make):
         async def scenario():
             transport = make()
-            await settle(transport.open([0, 1]))
+            await transport.open([0, 1])
             getters = [asyncio.ensure_future(transport.get(0)) for _ in range(2)]
             getters.append(asyncio.ensure_future(transport.get(1)))
             await parked(*getters)
-            await settle(transport.close())
+            await transport.close()
             for outcome in await asyncio.gather(*getters, return_exceptions=True):
                 assert isinstance(outcome, TransportClosedError)
             with pytest.raises(TransportClosedError):

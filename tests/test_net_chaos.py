@@ -120,9 +120,7 @@ class TestPassthroughTransparency:
         n, sends = plan
 
         async def deliveries(transport):
-            opened = transport.open(list(range(n)))
-            if opened is not None:
-                await opened
+            await transport.open(list(range(n)))
             for sender, target, payload in sends:
                 await transport.put(target, (sender, msg(payload=payload)))
             received = {node: [] for node in range(n)}
@@ -133,9 +131,7 @@ class TestPassthroughTransparency:
                     except asyncio.TimeoutError:
                         break
                     received[node].append((pair[0], pair[1].payload))
-            closed = transport.close()
-            if closed is not None and asyncio.iscoroutine(closed):
-                await closed
+            await transport.close()
             return received
 
         bare = run(deliveries(InMemoryTransport()))
@@ -319,6 +315,19 @@ class TestWindowSemantics:
             assert transport.pending() == 1
             await transport.close()
             assert transport.pending() == 0
+
+        run(scenario())
+
+    def test_pending_counts_deliveries_not_scheduled_timers(self):
+        faults = WireFaults(
+            resets=(ResetSpec(at=100.0),), corruptions=(CorruptSpec(at=100.0),)
+        )
+        transport = ChaosTransport(InMemoryTransport(), faults, seed=1)
+
+        async def scenario():
+            await transport.open([0, 1])
+            assert transport.pending() == 0  # two armed timers, no message
+            await transport.close()
 
         run(scenario())
 

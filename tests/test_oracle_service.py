@@ -2,6 +2,7 @@
 cross-engine parity, churn, epoch tagging, monitors and the serve CLI."""
 
 import json
+import time
 
 import pytest
 
@@ -11,7 +12,6 @@ from repro.crypto.signatures import SignatureScheme
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.experiments.cli import main
 from repro.faults.monitors import CertificateStreamMonitor
-from repro.net.latency import ConstantLatency
 from repro.net.message import Message
 from repro.oracle.service import (
     EpochNode,
@@ -20,6 +20,7 @@ from repro.oracle.service import (
     ServiceResult,
     build_service,
 )
+from repro.sim.asyncio_runtime import InMemoryTransport
 from repro.workloads import EPOCH_WORKLOADS, make_epoch_workload
 
 
@@ -390,13 +391,11 @@ class TestBuildServiceLatency:
         the old truthiness check (`if latency_seconds`) silently discarded
         it and left the engine on its default latency model."""
         service = small_service(engine="asyncio", latency_seconds=0.0)
-        assert isinstance(service.latency, ConstantLatency)
-        assert service.latency.seconds == 0.0
+        assert service.latency == 0.0 and service.latency is not None
 
     def test_positive_latency_still_wired(self):
         service = small_service(engine="asyncio", latency_seconds=0.25)
-        assert isinstance(service.latency, ConstantLatency)
-        assert service.latency.seconds == 0.25
+        assert service.latency == 0.25
 
     def test_default_latency_is_engine_choice(self):
         assert small_service().latency is None
@@ -405,6 +404,40 @@ class TestBuildServiceLatency:
         service = small_service(engine="asyncio", latency_seconds=0.0)
         report = service.run_epoch()
         assert report.certificate is not None
+
+    def test_latency_delays_the_epoch(self):
+        """Every cross-node message waits the latency, so an epoch cannot
+        finish sooner (a lower bound: it cannot flake)."""
+        service = small_service(engine="asyncio", latency_seconds=0.05)
+        report = service.run_epoch()
+        assert report.certificate is not None
+        assert report.wall_seconds >= 0.05
+
+    def test_latency_wraps_the_factory_transport(self):
+        """The factory's transport is kept and delayed, not replaced: no
+        cross-node message reaches it sooner than the latency."""
+
+        class Stamped(InMemoryTransport):
+            async def open(self, node_ids):
+                self.opened_at, self.remote_puts = time.monotonic(), []
+                await super().open(node_ids)
+
+            async def put(self, target, item):
+                if target != item[0]:
+                    self.remote_puts.append(time.monotonic() - self.opened_at)
+                await super().put(target, item)
+
+        transports = []
+
+        def factory(epoch):
+            transports.append(Stamped())
+            return transports[-1]
+
+        service = small_service(engine="asyncio", latency_seconds=0.05)
+        service.transport_factory = factory
+        service.run_epoch()
+        assert len(transports) == 1 and transports[0].remote_puts
+        assert min(transports[0].remote_puts) >= 0.05
 
 
 class TestServiceResultRates:

@@ -2,6 +2,7 @@
 byzantine/observer/fault seams, and the transport abstraction."""
 
 import asyncio
+import math
 import time
 
 import pytest
@@ -12,13 +13,11 @@ from repro.adversary.strategies import CrashStrategy
 from repro.errors import InvariantViolation, LivenessTimeout, SimulationError
 from repro.faults.monitors import EpsilonAgreementMonitor
 from repro.net.chaos import ChaosTransport, WireFaults
-from repro.net.latency import ConstantLatency
 from repro.net.message import Envelope, Message, MessageTrace
-from repro.net.network import LossWindow
+from repro.net.network import DelayWindow, LossWindow
 from repro.protocols.base import BROADCAST, ProtocolNode
 from repro.protocols.binaa import BinAANode
 from repro.protocols.bv_broadcast import BVBroadcastNode
-from repro.protocols.topology import ShardedTopology
 from repro.sim.asyncio_runtime import AsyncioRuntime, InMemoryTransport
 from repro.sim.observers import (
     ScheduleDigest,
@@ -68,6 +67,13 @@ class ExplodingNode(ProtocolNode):
         raise ValueError("malformed payload reached the state machine")
 
 
+def delayed(seconds):
+    """An in-memory transport that delivers every cross-node message
+    ``seconds`` late: the engine's one way to model latency."""
+    window = DelayWindow(start=0.0, end=math.inf, extra=seconds)
+    return ChaosTransport(InMemoryTransport(), WireFaults(delays=(window,)))
+
+
 def run_and_audit_tasks(runtime):
     """Run on a fresh loop and return (result_or_error, leaked_tasks)."""
     async def main():
@@ -102,14 +108,16 @@ class TestAsyncioRuntime:
 
     def test_latency_model_is_honoured(self):
         nodes = {i: BVBroadcastNode(i, 4, 1, value=1) for i in range(4)}
-        result = AsyncioRuntime(nodes, latency=ConstantLatency(0.001), timeout=10.0).run()
+        transport = delayed(0.001)
+        result = AsyncioRuntime(nodes, timeout=10.0, transport=transport).run()
         assert len(result.outputs) == 4
+        assert transport.frames_delayed > 0
 
     def test_traffic_is_traced(self):
         nodes = {i: BVBroadcastNode(i, 4, 1, value=0) for i in range(4)}
         result = AsyncioRuntime(nodes, timeout=10.0).run()
         assert result.trace.message_count > 0
-        assert result.wall_seconds >= 0.0
+        assert result.runtime_seconds >= 0.0
         assert result.events_processed > 0
         assert result.decision_times.keys() == result.outputs.keys()
 
@@ -125,12 +133,12 @@ class TestOnStartDecisionLiveness:
         assert result.outputs == {0: 0, 1: 10, 2: 20}
         # The old runtime slept the full timeout here; well under a second
         # proves the pre-decided nodes were counted at start dispatch.
-        assert result.wall_seconds < 5.0
+        assert result.runtime_seconds < 5.0
 
     def test_single_node_run_terminates(self):
         result = AsyncioRuntime({0: InstantDecideNode(0, 1)}, timeout=30.0).run()
         assert result.outputs == {0: 0}
-        assert result.wall_seconds < 5.0
+        assert result.runtime_seconds < 5.0
 
 
 class ChattyInstant(InstantDecideNode):
@@ -161,7 +169,7 @@ class TestDecisionIsLookedForUntilThereIsOne:
         result = AsyncioRuntime(nodes, timeout=30.0, observers=[counter]).run()
         assert result.outputs == {0: 0, 1: 1, 2: 2}
         assert sorted(counter.decided) == [0, 1, 2] and counter.ended == 1
-        assert result.wall_seconds < 5.0
+        assert result.runtime_seconds < 5.0
 
     def test_deciding_on_a_delivery_is_reported_once_whatever_follows(self):
         nodes = {i: BVBroadcastNode(i, 4, 1, value=1) for i in range(4)}
@@ -183,7 +191,6 @@ class RecordingTransport(InMemoryTransport):
         self.puts.append((target, item))
 
 
-_TOPOLOGY = ShardedTopology(6, group_size=3, seed=1)
 _destinations = st.one_of(st.just(BROADCAST), st.integers(min_value=0, max_value=5))
 _messages = st.builds(
     Message,
@@ -201,24 +208,15 @@ class TestBulkTraceAccounting:
     @given(
         sender=st.integers(min_value=0, max_value=5),
         outbound=st.lists(st.tuples(_destinations, _messages), max_size=6),
-        sharded=st.booleans(),
     )
-    def test_trace_equals_per_envelope_accounting(self, sender, outbound, sharded):
-        topology = _TOPOLOGY if sharded else None
+    def test_trace_equals_per_envelope_accounting(self, sender, outbound):
         transport = RecordingTransport()
-        runtime = AsyncioRuntime(
-            {i: SilentNode(i, 6) for i in range(6)}, transport=transport, topology=topology
-        )
+        runtime = AsyncioRuntime({i: SilentNode(i, 6) for i in range(6)}, transport=transport)
         asyncio.run(runtime._dispatch(sender, outbound))
 
         expected, deliveries = MessageTrace(), []
         for destination, message in outbound:
-            if destination != BROADCAST:
-                targets = [destination]
-            elif sharded:
-                targets = list(_TOPOLOGY.broadcast_targets(sender, message))
-            else:
-                targets = list(range(6))
+            targets = list(range(6)) if destination == BROADCAST else [destination]
             for target in targets:
                 deliveries.append((target, (sender, message)))
                 if target != sender:  # the self-copy never touches the network
@@ -263,32 +261,45 @@ class TestOnlyOverridersAreCalledPerEvent:
 
 
 class TestDeliveryTaskHygiene:
-    """Regression: _dispatch spawned untracked fire-and-forget delivery
-    tasks that leaked past (and could be GC'd during) the run."""
+    """Regression: delayed deliveries ran in untracked fire-and-forget
+    tasks that leaked past (and could be GC'd during) the run.  A delaying
+    transport tracks them, and closing it at shutdown drains them."""
 
     def test_no_pending_tasks_after_successful_run(self):
         nodes = {i: BVBroadcastNode(i, 4, 1, value=i % 2) for i in range(4)}
-        runtime = AsyncioRuntime(nodes, latency=ConstantLatency(0.002), timeout=10.0)
+        transport = delayed(0.002)
+        runtime = AsyncioRuntime(nodes, timeout=10.0, transport=transport)
         result, error, leaked = run_and_audit_tasks(runtime)
         assert error is None
         assert result.all_honest_decided
         assert leaked == []
-        assert not runtime._delivery_tasks
+        assert transport.pending() == 0
 
     def test_in_flight_deliveries_cancelled_and_counted(self):
         # Huge latency: every cross-node message is still in flight when the
         # last node decides (all decide at start), so shutdown must cancel
         # and drain them all.
         nodes = {i: ChattyInstant(i, 3) for i in range(3)}
-        runtime = AsyncioRuntime(nodes, latency=ConstantLatency(30.0), timeout=10.0)
+        transport = delayed(30.0)
+        runtime = AsyncioRuntime(nodes, timeout=10.0, transport=transport)
         result, error, leaked = run_and_audit_tasks(runtime)
         assert error is None
         assert leaked == []
-        assert result.cancelled_deliveries == 6  # 3 broadcasts x 2 receivers
+        assert transport.frames_delayed == 6  # 3 broadcasts x 2 receivers
+        assert transport.pending() == 0
+
+    def test_no_pending_tasks_after_failure(self):
+        nodes = {i: ExplodingNode(i, 2) for i in range(2)}
+        transport = delayed(0.001)
+        runtime = AsyncioRuntime(nodes, timeout=10.0, transport=transport)
+        result, error, leaked = run_and_audit_tasks(runtime)
+        assert result is None
+        assert isinstance(error, SimulationError)
+        assert leaked == []
 
     def test_no_pending_tasks_after_timeout(self):
         nodes = {i: SilentNode(i, 2) for i in range(2)}
-        runtime = AsyncioRuntime(nodes, latency=ConstantLatency(0.001), timeout=0.2)
+        runtime = AsyncioRuntime(nodes, timeout=0.2, transport=delayed(0.001))
         result, error, leaked = run_and_audit_tasks(runtime)
         assert result is None
         assert isinstance(error, LivenessTimeout)

@@ -4,6 +4,7 @@ put-after-close seam contract shared with InMemoryTransport, and the
 InMemory-vs-Socket DORA parity run."""
 
 import asyncio
+import math
 import os
 import pickle
 import random
@@ -41,7 +42,9 @@ from repro.net.framing import (
     verify_hello,
 )
 from repro.net import socket_transport
+from repro.net.chaos import ChaosTransport, WireFaults
 from repro.net.message import Message
+from repro.net.network import DelayWindow
 from repro.net.socket_transport import (
     SocketTransport,
     backoff_delay,
@@ -1032,8 +1035,8 @@ class TestSeamContract:
     def test_in_memory_put_after_close_drops_and_counts(self):
         async def scenario():
             transport = InMemoryTransport()
-            transport.open([0, 1])
-            transport.close()
+            await transport.open([0, 1])
+            await transport.close()
             await transport.put(1, (0, msg(payload="late")))
             assert transport.dropped_after_close == 1
             with pytest.raises(TransportClosedError):
@@ -1048,6 +1051,25 @@ class TestSeamContract:
             await transport.close()
             await transport.put(1, (0, msg(payload="late")))
             assert transport.dropped_after_close == 1
+            with pytest.raises(TransportClosedError):
+                await transport.get(1)
+
+        run(scenario())
+
+    def test_chaos_put_after_close_drops_and_counts(self):
+        """Closing the chaos wrapper stops its fault clock: a late put under
+        an all-run delay window reaches the closed inner transport, which
+        drops and counts it, instead of starting a delivery task."""
+
+        async def scenario():
+            window = DelayWindow(start=0.0, end=math.inf, extra=30.0)
+            transport = ChaosTransport(InMemoryTransport(), WireFaults(delays=(window,)))
+            await transport.open([0, 1])
+            await transport.close()
+            await transport.put(1, (0, msg(payload="late")))
+            assert transport.inner.dropped_after_close == 1
+            assert transport.pending() == 0 and transport.frames_delayed == 0
+            assert asyncio.all_tasks() == {asyncio.current_task()}
             with pytest.raises(TransportClosedError):
                 await transport.get(1)
 
