@@ -27,6 +27,7 @@ from typing import List, Sequence
 
 from repro.analysis.parameters import DelphiParameters, derive_parameters
 from repro.experiments import SweepExecutor
+from repro.experiments.cells import run_spec
 from repro.experiments.cells import spread_inputs as _spread_inputs
 from repro.experiments.presets import (
     DRONE_DELTA_MAX,
@@ -39,6 +40,7 @@ from repro.experiments.presets import (
 from repro.experiments.presets import aws_node_counts as _aws_node_counts
 from repro.experiments.presets import cps_node_counts as _cps_node_counts
 from repro.experiments.presets import max_rounds as _max_rounds
+from repro.experiments.spec import ScenarioSpec
 from repro.runner import ProtocolRunResult
 from repro.testbed.metrics import MetricsCollector
 
@@ -121,6 +123,14 @@ def drone_params(n: int) -> DelphiParameters:
 def spread_inputs(n: int, centre: float, delta: float, seed: int = 0) -> List[float]:
     """n honest inputs spread (deterministically) across a range of ``delta``."""
     return _spread_inputs(n, centre, delta)
+
+
+def run_named(protocol: str, values: Sequence[float], **spec_fields) -> ProtocolRunResult:
+    """One run of a protocol-table row over ``values`` (one node each) on
+    the ideal testbed, through ``cells.run_spec``."""
+    spec = ScenarioSpec(protocol=protocol, n=len(values), testbed="ideal", **spec_fields)
+    result, _derived = run_spec(spec, list(values))
+    return result
 
 
 def record_run(

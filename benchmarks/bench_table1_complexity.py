@@ -15,7 +15,7 @@ import math
 import pytest
 
 from repro.analysis.complexity import protocol_comparison_table
-from repro.runner import run_abraham, run_delphi, run_fin
+from repro.runner import run_delphi
 from repro.testbed.metrics import MetricsCollector
 
 from bench_common import emit as print  # noqa: A001 - route prints past pytest capture
@@ -26,6 +26,7 @@ from bench_common import (
     oracle_params,
     print_report,
     record_run,
+    run_named,
     spread_inputs,
 )
 
@@ -71,16 +72,16 @@ def test_table1_measured_scaling(benchmark):
                 collector,
                 "abraham",
                 n,
-                run_abraham(
-                    n,
+                run_named(
+                    "abraham",
                     inputs,
                     epsilon=ORACLE_EPSILON,
                     delta_max=ORACLE_DELTA_MAX,
-                    rounds=max_rounds(),
+                    max_rounds=max_rounds(),
                 ),
                 inputs,
             )
-            record_run(collector, "fin", n, run_fin(n, inputs), inputs)
+            record_run(collector, "fin", n, run_named("fin", inputs), inputs)
         return collector
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -19,12 +19,12 @@ import pytest
 
 from repro.analysis.parameters import derive_parameters
 from repro.analysis.range_analysis import distance_from_mean, validity_margin
-from repro.runner import run_delphi, run_fin
+from repro.runner import run_delphi
 from repro.workloads.bitcoin import BitcoinPriceFeed
 from repro.workloads.drone import DroneLocalisationWorkload
 
 from bench_common import emit as print  # noqa: A001 - route prints past pytest capture
-from bench_common import bench_scale, max_rounds
+from bench_common import bench_scale, max_rounds, run_named
 
 ROUNDS = 10 if bench_scale() == "full" else 4
 N = 7
@@ -48,7 +48,7 @@ def test_validity_relaxation_oracle(benchmark):
         for _ in range(ROUNDS):
             values = feed.node_inputs(N)
             delphi = run_delphi(params, values)
-            fin = run_fin(N, values)
+            fin = run_named("fin", values)
             rows.append((values, delphi.output_values, fin.output_values))
         return rows
 
@@ -86,7 +86,7 @@ def test_validity_relaxation_drone(benchmark):
         for _ in range(ROUNDS):
             xs, _ = workload.node_inputs(N)
             delphi = run_delphi(params, xs)
-            fin = run_fin(N, xs)
+            fin = run_named("fin", xs)
             rows.append((xs, delphi.output_values, fin.output_values))
         return rows
 

@@ -58,14 +58,7 @@ from repro.analysis.parameters import DelphiParameters
 from repro.core.delphi import DelphiNode, DelphiOutput
 from repro.core.dora import DoraNode
 from repro.protocols.binaa import BinAANode
-from repro.runner import (
-    ProtocolRunResult,
-    run_abraham,
-    run_delphi,
-    run_dora,
-    run_fin,
-    run_protocol,
-)
+from repro.runner import ProtocolRunResult, run_delphi, run_protocol
 
 __all__ = [
     "__version__",
@@ -75,9 +68,6 @@ __all__ = [
     "DelphiParameters",
     "DoraNode",
     "ProtocolRunResult",
-    "run_abraham",
     "run_delphi",
-    "run_dora",
-    "run_fin",
     "run_protocol",
 ]

@@ -33,7 +33,7 @@ from repro.faults.spec import corruption_spec_of, fault_spec_of
 from repro.net.latency import UniformLatency
 from repro.net.network import AsynchronousNetwork, DeliveryPolicy
 from repro.protocols.registry import get_protocol
-from repro.runner import ProtocolRunResult
+from repro.runner import ProtocolRunResult, run_protocol
 from repro.sim.runtime import ComputeModel, SimulationConfig
 from repro.testbed.aws import AwsTestbed
 from repro.testbed.cps import CpsTestbed
@@ -150,29 +150,30 @@ def run_spec(
     observers: Optional[List[Any]] = None,
     extra_byzantine: Optional[Dict[int, AdversaryStrategy]] = None,
 ) -> Tuple[ProtocolRunResult, Dict[str, Any]]:
-    """Run ``spec``'s protocol once through the registry.
+    """Run ``spec``'s protocol once through the protocol table.
 
-    Builds the spec's network, compute model and adversary, and returns the
-    run result with the protocol's derived parameters.  The one entry point
-    from a spec to a protocol run: the sweep cells, the fault campaign and
-    the perf fingerprint gate all go through it.
+    Builds the spec's network, compute model, adversary and nodes (from the
+    protocol row's roster), and returns the run result with the protocol's
+    derived parameters.  The one entry point from a spec to a protocol run:
+    the sweep cells, the fault campaign and the perf fingerprint gate all go
+    through it.
     """
     network, compute = build_network(spec)
     byzantine = build_adversary(spec)
     if extra_byzantine:
         byzantine = {**(byzantine or {}), **extra_byzantine}
-    runner = get_protocol(spec.protocol)
-    derived: Dict[str, Any] = runner.derived(spec) if runner.derived else {}
-    result = runner.run(
-        spec,
-        inputs,
-        network=network,
-        byzantine=byzantine,
-        compute=compute,
-        config=config,
-        observers=observers,
+    roster = get_protocol(spec.protocol).roster(spec)
+    result = run_protocol(
+        spec.protocol,
+        roster.nodes(inputs),
+        network,
+        byzantine,
+        compute,
+        config,
+        observers,
+        roster.topology,
     )
-    return result, derived
+    return result, roster.derived
 
 
 def run_protocol_cell(spec: ScenarioSpec) -> Dict[str, Any]:
@@ -188,7 +189,12 @@ def run_protocol_cell(spec: ScenarioSpec) -> Dict[str, Any]:
         "message_count": result.message_count,
         "events_processed": result.events_processed,
         "output_spread": result.output_spread,
-        "validity_margin": validity_margin(result.output_values, honest_inputs),
+        # No decision leaves the hull, so a stalled cell has margin 0.
+        "validity_margin": (
+            validity_margin(result.output_values, honest_inputs)
+            if result.output_values
+            else 0.0
+        ),
         "all_decided": result.all_decided,
         "decided_count": len(result.outputs),
         "num_byzantine": len(result.byzantine_nodes),

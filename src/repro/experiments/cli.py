@@ -132,7 +132,7 @@ from repro.experiments.spec import (
 )
 from repro.net.network import write_json
 from repro.oracle.service import KNOWN_SERVICE_ENGINES as SERVICE_ENGINES
-from repro.protocols.registry import list_protocols
+from repro.protocols.registry import PROTOCOLS
 from repro.workloads import EPOCH_WORKLOADS as SERVICE_WORKLOADS
 
 #: Default on-disk result cache used by the CLI.
@@ -767,17 +767,16 @@ def _write_json(path: str, payload: Any, announce_on: Any = None) -> None:
 
 def _print_listing(kind: str, rows: Sequence[Any]) -> None:
     """The ``(name, description, cell count)`` table of ``list-scenarios`` and
-    ``faults --list``, followed by the registered protocol runners."""
+    ``faults --list``, followed by the protocol table."""
     width = max(len(name) for name, _d, _c in rows)
     print(f"{kind.ljust(width)}  cells  description")
     for name, description, count in rows:
         print(f"{name.ljust(width)}  {count:>5}  {description}")
     print()
-    runners = list_protocols()
-    width = max(len(runner.name) for runner in runners)
+    width = max(len(name) for name in PROTOCOLS)
     print(f"{'protocol'.ljust(width)}  agreement     description")
-    for runner in runners:
-        print(f"{runner.name.ljust(width)}  {runner.agreement:<12}  {runner.description}")
+    for row in PROTOCOLS.values():
+        print(f"{row.name.ljust(width)}  {row.agreement:<12}  {row.description}")
 
 
 def _cmd_list(args: argparse.Namespace) -> int:

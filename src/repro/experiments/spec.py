@@ -34,13 +34,13 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.protocols.registry import is_known_protocol, protocol_names
+from repro.protocols.registry import PROTOCOLS
 
 #: Scenario kinds with a registered cell function (see ``cells.py``).
 KNOWN_KINDS = ("protocol", "bitcoin_range", "drone_iou")
 
-#: Protocols the protocol cell can run, from the protocol-runner registry.
-KNOWN_PROTOCOLS = protocol_names()
+#: Protocols the protocol cell can run, from the protocol table.
+KNOWN_PROTOCOLS = tuple(PROTOCOLS)
 
 #: Network/compute models a cell can run under.
 KNOWN_TESTBEDS = ("lan", "aws", "cps", "ideal")
@@ -116,7 +116,7 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.kind not in KNOWN_KINDS:
             raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
-        if self.kind == "protocol" and not is_known_protocol(self.protocol):
+        if self.kind == "protocol" and self.protocol not in PROTOCOLS:
             raise ConfigurationError(f"unknown protocol {self.protocol!r}")
         if self.testbed not in KNOWN_TESTBEDS:
             raise ConfigurationError(f"unknown testbed {self.testbed!r}")

@@ -45,8 +45,7 @@ from repro.protocols.registry import (
     EPSILON_AGREEMENT,
     EXACT_AGREEMENT,
     HIERARCHICAL_AGREEMENT,
-    agreement_kind,
-    protocols_by_agreement,
+    PROTOCOLS,
 )
 from repro.sim.observers import SimObserver
 
@@ -570,14 +569,6 @@ class HierarchicalAgreementMonitor(InvariantMonitor):
             )
 
 
-#: Protocols whose agreement property is ε-agreement on scalars (from the
-#: protocol-runner registry; kept as module constants for compatibility).
-APPROXIMATE_PROTOCOLS = protocols_by_agreement(EPSILON_AGREEMENT)
-
-#: Protocols whose agreement property is exact (common-subset medians).
-EXACT_PROTOCOLS = protocols_by_agreement(EXACT_AGREEMENT)
-
-
 def _approximate_relaxation(
     scenario: Any, honest_inputs: Sequence[float], levels: int = 1
 ) -> float:
@@ -601,15 +592,14 @@ def build_monitors(
 
     ``honest_inputs`` are the inputs of the nodes that stay honest for the
     whole run.  The protocol's agreement classification comes from the
-    protocol-runner registry.  The validity relaxation for the approximate
+    protocol table.  The validity relaxation for the approximate
     protocols follows the test-suite convention ``max(rho0, honest input
     range) + epsilon`` (Theorem IV.3's bound with Byzantine value
     injection); hierarchical protocols compose that bound over two levels;
     cells can override it through ``extras['validity_relaxation']``.
     """
     monitors: List[InvariantMonitor] = []
-    protocol = scenario.protocol
-    kind = agreement_kind(protocol)
+    kind = PROTOCOLS[scenario.protocol].agreement
     if kind == EPSILON_AGREEMENT:
         monitors.append(EpsilonAgreementMonitor(scenario.epsilon))
         monitors.append(

@@ -42,12 +42,7 @@ from repro.faults.campaign import make_pin, run_cell_engine
 from repro.faults.spec import CorruptionSpec, FaultSpec, fault_spec_of
 from repro.net.network import DelayWindow, LossWindow, PartitionWindow, write_json
 from repro.protocols.base import byzantine_bound
-from repro.protocols.registry import (
-    HIERARCHICAL_AGREEMENT,
-    agreement_kind,
-    is_known_protocol,
-    protocol_names,
-)
+from repro.protocols.registry import HIERARCHICAL_AGREEMENT, PROTOCOLS, get_protocol
 from repro.sim.observers import ScheduleDigest
 
 #: Schema tag of the fuzz leaderboard artifact.
@@ -312,7 +307,7 @@ def _base_spec(protocol: str) -> ScenarioSpec:
         max_rounds=4,
         seed=0,
     )
-    if agreement_kind(protocol) == HIERARCHICAL_AGREEMENT:
+    if PROTOCOLS[protocol].agreement == HIERARCHICAL_AGREEMENT:
         # Two-level protocols need at least two groups to exercise the
         # representative round; the resize mutator keeps the group size.
         spec = spec.replace(n=8, group_size=4)
@@ -379,11 +374,7 @@ class ScheduleSearch:
         if not protocols:
             raise ConfigurationError("fuzz needs at least one protocol")
         for protocol in protocols:
-            if not is_known_protocol(protocol):
-                raise ConfigurationError(
-                    f"unknown protocol {protocol!r} "
-                    f"(known: {', '.join(protocol_names())})"
-                )
+            get_protocol(protocol)  # raises on an unknown name
         self.protocols = tuple(protocols)
         self.budget = budget
         self.seed = seed

@@ -71,8 +71,8 @@ def _poison_input_strategy(ctx: StrategyContext) -> AdversaryStrategy:
 
     The node follows the protocol exactly but starts from an attacker-chosen
     value (``options['value']``), probing the validity-hull boundary rather
-    than the message layer.  Delphi-only: DORA constructs its shared
-    signature scheme inside its runner, so an externally-built node cannot
+    than the message layer.  Delphi-only: DORA's shared signature scheme
+    is built in its protocol-table row, so an externally-built node cannot
     join that run.
     """
     from repro.adversary.base import HonestWithInput

@@ -84,7 +84,7 @@ class PerfScenario:
 
 
 def _protocol(spec: ScenarioSpec) -> Callable[[str], Dict[str, Any]]:
-    """One protocol run of ``spec`` through the registry entry point."""
+    """One protocol run of ``spec`` through ``cells.run_spec``."""
 
     def runner(engine: str) -> Dict[str, Any]:
         result, _derived = run_spec(

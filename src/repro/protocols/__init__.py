@@ -10,14 +10,10 @@ from repro.protocols.registry import (
     EPSILON_AGREEMENT,
     EXACT_AGREEMENT,
     HIERARCHICAL_AGREEMENT,
-    ProtocolRunner,
-    agreement_kind,
+    PROTOCOLS,
+    ProtocolRow,
+    Roster,
     get_protocol,
-    is_known_protocol,
-    list_protocols,
-    protocol_names,
-    protocols_by_agreement,
-    register_protocol,
 )
 from repro.protocols.sharded_delphi import (
     ShardedDelphiNode,
@@ -36,19 +32,15 @@ __all__ = [
     "FlatTopology",
     "HIERARCHICAL_AGREEMENT",
     "Outbound",
+    "PROTOCOLS",
     "ProtocolNode",
-    "ProtocolRunner",
+    "ProtocolRow",
     "ReliableBroadcastNode",
+    "Roster",
     "ShardedDelphiNode",
     "ShardedDelphiParameters",
     "ShardedTopology",
     "Topology",
-    "agreement_kind",
     "derive_sharded_parameters",
     "get_protocol",
-    "is_known_protocol",
-    "list_protocols",
-    "protocol_names",
-    "protocols_by_agreement",
-    "register_protocol",
 ]

@@ -1,107 +1,74 @@
-"""Declarative protocol-runner registry.
+"""The protocol table: one row per protocol, the only description of it.
 
-Historically ``experiments/cells.py`` dispatched on hard-coded
-``spec.protocol in ("delphi", "dora")`` string checks, and the spec
-validator, monitors, campaign presets, fuzz search, and CLI each carried
-their own private protocol tables.  This module is the single source of
-truth: a :class:`ProtocolRunner` entry names the protocol, classifies
-its agreement property (which drives monitor construction), and runs it
-for a :class:`ScenarioSpec` — ``run(spec, inputs, **env)`` derives the
-protocol's own parameters from the spec and calls the public
-``repro.runner.run_<protocol>`` helper, handing ``env`` (``network``,
-``byzantine``, ``compute``, ``config``, ``observers``) through untouched.
-New protocols plug in with one :func:`register_protocol` call instead of
-edits at four call sites.
+A :class:`ProtocolRow` names the protocol, classifies its agreement
+property (which drives monitor construction) and builds, for a
+:class:`ScenarioSpec`, the :class:`Roster` a run needs: the node count, a
+``make_node(node_id=, value=)`` factory, the topology (sharded only) and
+the derived parameters the metrics dict reports.  ``cells.run_spec``
+turns a roster into nodes and runs them; the spec validator, monitors,
+fuzz search and CLI index :data:`PROTOCOLS`.
 
-Entries import :mod:`repro.runner` lazily: it imports ``repro.protocols``
-(a module-level import here would be circular), and this module is
-re-exported from ``repro.protocols`` and must not drag the simulation
-stack into every ``import repro.protocols``.
+Rows import their node classes at call time: ``repro.core`` imports the
+``repro.protocols`` package (for BinAA), and this module is re-exported
+from ``repro.protocols``, so a module-level import would be circular.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.protocols.topology import Topology
 
 #: Agreement classifications; monitors are built per kind.
 EPSILON_AGREEMENT = "epsilon"
 EXACT_AGREEMENT = "exact"
 HIERARCHICAL_AGREEMENT = "hierarchical"
 
-_AGREEMENT_KINDS = (EPSILON_AGREEMENT, EXACT_AGREEMENT, HIERARCHICAL_AGREEMENT)
+
+@dataclass(frozen=True)
+class Roster:
+    """What one run of a protocol is made of.
+
+    ``derived`` holds the parameters the protocol derived from the spec
+    (levels, rounds, topology shape) for the metrics dict.
+    """
+
+    n: int
+    make_node: Callable[..., Any]
+    topology: Optional[Topology] = None
+    derived: Dict[str, Any] = field(default_factory=dict)
+
+    def nodes(self, values: Sequence[float]) -> Dict[int, Any]:
+        """One node per input value, node ``i`` starting from ``values[i]``."""
+        if len(values) != self.n:
+            raise ConfigurationError(f"expected {self.n} input values, got {len(values)}")
+        return {
+            node_id: self.make_node(node_id=node_id, value=float(values[node_id]))
+            for node_id in range(self.n)
+        }
 
 
 @dataclass(frozen=True)
-class ProtocolRunner:
-    """One registered protocol.
-
-    ``run(spec, inputs, **env)`` executes the protocol and returns a
-    ``ProtocolRunResult``; ``derived`` optionally reports derived
-    parameters (levels, rounds, topology shape) for the metrics dict.
-    """
+class ProtocolRow:
+    """One protocol: ``roster(spec)`` derives its parameters once per run."""
 
     name: str
     description: str
     agreement: str
-    run: Callable[..., Any]
-    derived: Optional[Callable[[Any], Dict[str, Any]]] = None
-
-    def __post_init__(self) -> None:
-        if self.agreement not in _AGREEMENT_KINDS:
-            raise ConfigurationError(
-                f"unknown agreement kind {self.agreement!r}; "
-                f"expected one of {_AGREEMENT_KINDS}"
-            )
+    roster: Callable[[Any], Roster]
 
 
-_REGISTRY: Dict[str, ProtocolRunner] = {}
-
-
-def register_protocol(runner: ProtocolRunner, replace: bool = False) -> ProtocolRunner:
-    """Register a protocol runner; ``replace=True`` overrides an entry."""
-    if runner.name in _REGISTRY and not replace:
-        raise ConfigurationError(f"protocol {runner.name!r} already registered")
-    _REGISTRY[runner.name] = runner
-    return runner
-
-
-def get_protocol(name: str) -> ProtocolRunner:
-    """Resolve a registered protocol or raise ``ConfigurationError``."""
-    runner = _REGISTRY.get(name)
-    if runner is None:
+def get_protocol(name: str) -> ProtocolRow:
+    """Resolve a protocol row or raise ``ConfigurationError``."""
+    row = PROTOCOLS.get(name)
+    if row is None:
         raise ConfigurationError(
-            f"unknown protocol {name!r} (known: {', '.join(protocol_names())})"
+            f"unknown protocol {name!r} (known: {', '.join(PROTOCOLS)})"
         )
-    return runner
-
-
-def is_known_protocol(name: str) -> bool:
-    return name in _REGISTRY
-
-
-def protocol_names() -> Tuple[str, ...]:
-    """All registered protocol names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def protocols_by_agreement(kind: str) -> Tuple[str, ...]:
-    return tuple(name for name, r in _REGISTRY.items() if r.agreement == kind)
-
-
-def agreement_kind(name: str) -> Optional[str]:
-    runner = _REGISTRY.get(name)
-    return runner.agreement if runner is not None else None
-
-
-def list_protocols() -> Tuple[ProtocolRunner, ...]:
-    return tuple(_REGISTRY.values())
-
-
-# ----------------------------------------------------------------------
-# Built-in entries: spec -> the protocol's own parameters -> repro.runner.
+    return row
 
 
 def delphi_parameters(spec: Any):
@@ -117,107 +84,109 @@ def delphi_parameters(spec: Any):
     )
 
 
-def _delphi_derived(spec: Any) -> Dict[str, Any]:
+def _delphi_family(node_cls: Callable[..., Any], spec: Any, **shared: Any) -> Roster:
     params = delphi_parameters(spec)
-    return {"levels": params.level_count, "rounds": params.rounds}
+    derived = {"levels": params.level_count, "rounds": params.rounds}
+    return Roster(spec.n, partial(node_cls, params=params, **shared), derived=derived)
 
 
-def _runner(name: str) -> Callable[..., Any]:
-    """``repro.runner.<name>``, imported at call time (see the module docstring)."""
-    import repro.runner as runner_module
+def _delphi(spec: Any) -> Roster:
+    from repro.core.delphi import DelphiNode
 
-    return getattr(runner_module, name)
-
-
-def _epsilon_rounds(spec: Any) -> Dict[str, Any]:
-    """What the round-based baselines (abraham, dolev) take from a spec."""
-    return {"epsilon": spec.epsilon, "delta_max": spec.delta_max, "rounds": spec.max_rounds}
+    return _delphi_family(DelphiNode, spec)
 
 
-def _sharded_parameters(spec: Any):
-    from repro.protocols.sharded_delphi import sharded_parameters_of
+def _dora(spec: Any) -> Roster:
+    """Delphi plus the attestation step; the nodes share one signature scheme."""
+    from repro.core.dora import DoraNode
+    from repro.crypto.signatures import SignatureScheme
 
-    return sharded_parameters_of(spec)
+    return _delphi_family(DoraNode, spec, scheme=SignatureScheme(num_nodes=spec.n))
 
 
-def _sharded_derived(spec: Any) -> Dict[str, Any]:
-    params = _sharded_parameters(spec)
-    return {
-        "num_groups": params.topology.num_groups,
-        "group_sizes": [len(group) for group in params.topology.groups],
-        "representatives": list(params.topology.representatives),
+def _round_based(node_cls: Callable[..., Any], ratio: int, spec: Any) -> Roster:
+    """The round-based baselines, tolerating t = (n - 1) // ratio faults."""
+    make_node = partial(
+        node_cls,
+        n=spec.n,
+        t=(spec.n - 1) // ratio,
+        epsilon=spec.epsilon,
+        delta_max=spec.delta_max,
+        rounds=spec.max_rounds,
+    )
+    return Roster(spec.n, make_node)
+
+
+def _abraham(spec: Any) -> Roster:
+    from repro.protocols.baselines.abraham_aaa import AbrahamAAANode
+
+    return _round_based(AbrahamAAANode, 3, spec)
+
+
+def _dolev(spec: Any) -> Roster:
+    from repro.protocols.baselines.dolev_aaa import DolevAAANode
+
+    return _round_based(DolevAAANode, 5, spec)
+
+
+def _fin(spec: Any) -> Roster:
+    from repro.protocols.baselines.fin_acs import FinAcsNode
+
+    return Roster(spec.n, partial(FinAcsNode, n=spec.n, t=(spec.n - 1) // 3))
+
+
+def _hbbft(spec: Any) -> Roster:
+    from repro.protocols.baselines.hbbft_acs import HoneyBadgerAcsNode
+
+    return Roster(spec.n, partial(HoneyBadgerAcsNode, n=spec.n, t=(spec.n - 1) // 3))
+
+
+def _sharded(spec: Any) -> Roster:
+    from repro.protocols.sharded_delphi import ShardedDelphiNode, sharded_parameters_of
+
+    params = sharded_parameters_of(spec)
+    topology = params.topology
+    derived = {
+        "num_groups": topology.num_groups,
+        "group_sizes": [len(group) for group in topology.groups],
+        "representatives": list(topology.representatives),
     }
+    make_node = partial(ShardedDelphiNode, params=params)
+    return Roster(topology.num_nodes, make_node, topology, derived)
 
 
-register_protocol(
-    ProtocolRunner(
-        name="delphi",
-        description="Delphi approximate agreement (Algorithm 2, bundled checkpoints)",
-        agreement=EPSILON_AGREEMENT,
-        run=lambda spec, inputs, **env: _runner("run_delphi")(
-            delphi_parameters(spec), inputs, **env
+#: Every protocol a spec can name, in table order.
+PROTOCOLS: Dict[str, ProtocolRow] = {
+    row.name: row
+    for row in (
+        ProtocolRow(
+            "delphi",
+            "Delphi approximate agreement (Algorithm 2, bundled checkpoints)",
+            EPSILON_AGREEMENT,
+            _delphi,
         ),
-        derived=_delphi_derived,
-    )
-)
-register_protocol(
-    ProtocolRunner(
-        name="dora",
-        description="DORA oracle agreement over the Delphi core",
-        agreement=EPSILON_AGREEMENT,
-        run=lambda spec, inputs, **env: _runner("run_dora")(
-            delphi_parameters(spec), inputs, **env
+        ProtocolRow(
+            "dora", "DORA oracle agreement over the Delphi core", EPSILON_AGREEMENT, _dora
         ),
-        derived=_delphi_derived,
-    )
-)
-register_protocol(
-    ProtocolRunner(
-        name="abraham",
-        description="Abraham et al. synchronous approximate agreement baseline",
-        agreement=EPSILON_AGREEMENT,
-        run=lambda spec, inputs, **env: _runner("run_abraham")(
-            spec.n, inputs, **_epsilon_rounds(spec), **env
+        ProtocolRow(
+            "abraham",
+            "Abraham et al. synchronous approximate agreement baseline",
+            EPSILON_AGREEMENT,
+            _abraham,
         ),
-    )
-)
-register_protocol(
-    ProtocolRunner(
-        name="dolev",
-        description="Dolev et al. approximate agreement baseline",
-        agreement=EPSILON_AGREEMENT,
-        run=lambda spec, inputs, **env: _runner("run_dolev")(
-            spec.n, inputs, **_epsilon_rounds(spec), **env
+        ProtocolRow(
+            "dolev", "Dolev et al. approximate agreement baseline", EPSILON_AGREEMENT, _dolev
         ),
-    )
-)
-register_protocol(
-    ProtocolRunner(
-        name="fin",
-        description="FIN exact binary agreement baseline",
-        agreement=EXACT_AGREEMENT,
-        run=lambda spec, inputs, **env: _runner("run_fin")(spec.n, inputs, **env),
-    )
-)
-register_protocol(
-    ProtocolRunner(
-        name="hbbft",
-        description="HoneyBadgerBFT-style exact agreement baseline",
-        agreement=EXACT_AGREEMENT,
-        run=lambda spec, inputs, **env: _runner("run_hbbft")(spec.n, inputs, **env),
-    )
-)
-register_protocol(
-    ProtocolRunner(
-        name="sharded-delphi",
-        description=(
+        ProtocolRow("fin", "FIN exact binary agreement baseline", EXACT_AGREEMENT, _fin),
+        ProtocolRow(
+            "hbbft", "HoneyBadgerBFT-style exact agreement baseline", EXACT_AGREEMENT, _hbbft
+        ),
+        ProtocolRow(
+            "sharded-delphi",
             "Two-level Delphi: per-group instances, an inter-group round "
-            "among representatives, final value fanned back down"
+            "among representatives, final value fanned back down",
+            HIERARCHICAL_AGREEMENT,
+            _sharded,
         ),
-        agreement=HIERARCHICAL_AGREEMENT,
-        run=lambda spec, inputs, **env: _runner("run_sharded_delphi")(
-            _sharded_parameters(spec), inputs, **env
-        ),
-        derived=_sharded_derived,
     )
-)
+}

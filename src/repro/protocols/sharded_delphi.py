@@ -133,20 +133,6 @@ def derive_sharded_parameters(
     )
 
 
-def sharded_topology_of(spec: Any) -> ShardedTopology:
-    """The topology a scenario spec implies (shared by runner and monitors)."""
-    extras = spec.extras or {}
-    num_groups = int(extras.get("num_groups", 0))
-    group_size = int(extras.get("group_size", DEFAULT_GROUP_SIZE))
-    seed = int(extras.get("topology_seed", spec.seed))
-    return ShardedTopology(
-        spec.n,
-        group_size=0 if num_groups else group_size,
-        num_groups=num_groups,
-        seed=seed,
-    )
-
-
 def sharded_parameters_of(spec: Any) -> ShardedDelphiParameters:
     """Derive :class:`ShardedDelphiParameters` from a scenario spec."""
     extras = spec.extras or {}
@@ -160,6 +146,12 @@ def sharded_parameters_of(spec: Any) -> ShardedDelphiParameters:
         num_groups=int(extras.get("num_groups", 0)),
         seed=int(extras.get("topology_seed", spec.seed)),
     )
+
+
+def sharded_topology_of(spec: Any) -> ShardedTopology:
+    """The topology a scenario spec implies: the run's own groups, so the
+    monitors' groups cannot drift from the run's."""
+    return sharded_parameters_of(spec).topology
 
 
 class ShardedDelphiNode(ProtocolNode):

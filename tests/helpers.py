@@ -19,9 +19,11 @@ from typing import Dict, Optional, Sequence
 
 from repro.adversary.base import AdversaryStrategy
 from repro.analysis.parameters import DelphiParameters, derive_parameters
-from repro.experiments.cells import lan_network
+from repro.experiments.cells import lan_network, run_spec
+from repro.experiments.spec import ScenarioSpec
 from repro.net.network import AsynchronousNetwork
 from repro.protocols.base import ProtocolNode
+from repro.runner import ProtocolRunResult
 from repro.sim.runtime import SimulationConfig, SimulationResult, SimulationRuntime
 
 
@@ -63,6 +65,20 @@ def run_nodes(
         observers=observers,
     )
     return runtime.run()
+
+
+def run_named(
+    protocol: str,
+    values: Sequence[float],
+    byzantine: Optional[Dict[int, AdversaryStrategy]] = None,
+    **spec_fields,
+) -> ProtocolRunResult:
+    """Run a protocol-table row over ``values`` (one node each) through
+    ``cells.run_spec``.  ``spec_fields`` are further ``ScenarioSpec`` fields;
+    the testbed defaults to ``ideal`` (no network or compute model)."""
+    spec = ScenarioSpec(protocol=protocol, n=len(values), **{"testbed": "ideal", **spec_fields})
+    result, _derived = run_spec(spec, list(values), extra_byzantine=byzantine)
+    return result
 
 
 def small_delphi_params(

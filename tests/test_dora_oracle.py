@@ -15,7 +15,7 @@ from helpers import run_nodes
 
 
 @pytest.fixture
-def run_dora(make_delphi_params):
+def dora_run(make_delphi_params):
     """Build and run one DORA instance; parameters come from the shared
     ``make_delphi_params`` factory fixture (see ``tests/conftest.py``)."""
 
@@ -33,9 +33,9 @@ def run_dora(make_delphi_params):
 
 
 class TestDoraNode:
-    def test_all_nodes_produce_certificates(self, run_dora):
+    def test_all_nodes_produce_certificates(self, dora_run):
         values = [10.2, 10.5, 10.9, 11.4, 10.1, 10.7, 11.0]
-        nodes, result, params, scheme = run_dora(values)
+        nodes, result, params, scheme = dora_run(values)
         assert result.all_honest_decided
         for node in nodes.values():
             certificate = node.certificate
@@ -45,26 +45,26 @@ class TestDoraNode:
                 certificate.value, certificate.aggregate, threshold=params.t + 1
             )
 
-    def test_certified_values_on_adjacent_epsilon_multiples(self, run_dora):
+    def test_certified_values_on_adjacent_epsilon_multiples(self, dora_run):
         values = [10.2, 10.5, 10.9, 11.4, 10.1, 10.7, 11.0]
-        nodes, _, params, _ = run_dora(values)
+        nodes, _, params, _ = dora_run(values)
         certified = {node.certificate.value for node in nodes.values()}
         assert len(certified) <= 2
         for value in certified:
             assert value / params.epsilon == pytest.approx(round(value / params.epsilon))
 
-    def test_rounded_outputs_near_honest_inputs(self, run_dora):
+    def test_rounded_outputs_near_honest_inputs(self, dora_run):
         values = [10.2, 10.5, 10.9, 11.4, 10.1, 10.7, 11.0]
-        nodes, _, params, _ = run_dora(values)
+        nodes, _, params, _ = dora_run(values)
         delta = max(values) - min(values)
         slack = max(params.rho0, delta) + params.epsilon
         for node in nodes.values():
             assert min(values) - slack <= node.certificate.value <= max(values) + slack
 
-    def test_crash_faults_tolerated(self, run_dora):
+    def test_crash_faults_tolerated(self, dora_run):
         values = [10.2, 10.5, 10.9, 11.4, 10.1, 10.7, 11.0]
         byz = {6: CrashStrategy()}
-        nodes, result, params, _ = run_dora(values, byzantine=byz)
+        nodes, result, params, _ = dora_run(values, byzantine=byz)
         assert result.all_honest_decided
         certified = {nodes[i].certificate.value for i in range(6)}
         assert len(certified) <= 2
@@ -129,12 +129,12 @@ class TestByzantineReportPayloads:
         node.on_message(1, self._report([value, signature]))
         assert node._signatures == {value: {1: signature}}
 
-    def test_bogus_report_adversary_does_not_stall_the_network(self, run_dora):
+    def test_bogus_report_adversary_does_not_stall_the_network(self, dora_run):
         from repro.adversary.strategies import BogusPayloadStrategy
 
         values = [10.2, 10.5, 10.9, 11.4, 10.1, 10.7, 11.0]
         byz = {6: BogusPayloadStrategy()}
-        nodes, result, params, _ = run_dora(values, byzantine=byz)
+        nodes, result, params, _ = dora_run(values, byzantine=byz)
         assert result.all_honest_decided
         certified = {nodes[i].certificate.value for i in range(6)}
         assert len(certified) <= 2

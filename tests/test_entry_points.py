@@ -1,7 +1,9 @@
 """One way in: the tables that turn a name into behaviour, pinned.
 
-* a protocol name resolves through ``registry.get_protocol(name).run`` to
-  the same run the public ``repro.runner.run_<protocol>`` helper gives;
+* a spec runs, through its protocol-table row, the nodes the public
+  ``run_delphi`` / ``run_sharded_delphi`` calls build, and for the five
+  baselines the nodes their former ``runner`` helpers built — those
+  bodies are kept here as the reference;
 * the plain ``adversary`` / ``num_byzantine`` fields are the one-group
   ``FaultSpec`` they describe — the rule ``cells._make_strategy`` used to
   spell out is kept here as the reference;
@@ -10,6 +12,8 @@
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import pytest
 
@@ -21,13 +25,19 @@ from repro.adversary.strategies import (
     RandomBitStrategy,
     SpamStrategy,
 )
+from repro.core.dora import DoraNode
+from repro.crypto.signatures import SignatureScheme
 from repro.experiments.cells import build_adversary, build_inputs, build_network, run_spec
 from repro.experiments.spec import ScenarioSpec
 from repro.faults.spec import scenario_corrupted_ids
 from repro.oracle.cluster import ClusterConfig
 from repro.oracle.gateway import build_gateway
 from repro.oracle.service import build_service
-from repro.protocols.registry import delphi_parameters, protocol_names
+from repro.protocols.baselines.abraham_aaa import AbrahamAAANode
+from repro.protocols.baselines.dolev_aaa import DolevAAANode
+from repro.protocols.baselines.fin_acs import FinAcsNode
+from repro.protocols.baselines.hbbft_acs import HoneyBadgerAcsNode
+from repro.protocols.registry import PROTOCOLS, delphi_parameters
 from repro.protocols.sharded_delphi import sharded_parameters_of
 from repro.workloads import EPOCH_WORKLOADS
 from repro.workloads.ticks import TickBufferWorkload
@@ -38,23 +48,28 @@ from repro.workloads.ticks import TickBufferWorkload
 
 
 def _public_call(spec: ScenarioSpec, inputs, **env):
-    """The public ``run_<protocol>`` call a spec stands for, written out."""
+    """The run a spec stands for, written out: the public runner call, or
+    the node-building body of the baseline's former ``runner`` helper."""
+    if spec.protocol == "delphi":
+        return runner.run_delphi(delphi_parameters(spec), inputs, **env)
+    if spec.protocol == "sharded-delphi":
+        return runner.run_sharded_delphi(sharded_parameters_of(spec), inputs, **env)
+    n = spec.n
     rounds = dict(epsilon=spec.epsilon, delta_max=spec.delta_max, rounds=spec.max_rounds)
-    calls = {
-        "delphi": lambda: runner.run_delphi(delphi_parameters(spec), inputs, **env),
-        "dora": lambda: runner.run_dora(delphi_parameters(spec), inputs, **env),
-        "abraham": lambda: runner.run_abraham(spec.n, inputs, **rounds, **env),
-        "dolev": lambda: runner.run_dolev(spec.n, inputs, **rounds, **env),
-        "fin": lambda: runner.run_fin(spec.n, inputs, **env),
-        "hbbft": lambda: runner.run_hbbft(spec.n, inputs, **env),
-        "sharded-delphi": lambda: runner.run_sharded_delphi(
-            sharded_parameters_of(spec), inputs, **env
+    make_node = {
+        "dora": lambda: partial(
+            DoraNode, params=delphi_parameters(spec), scheme=SignatureScheme(num_nodes=n)
         ),
-    }
-    return calls[spec.protocol]()
+        "abraham": lambda: partial(AbrahamAAANode, n=n, t=(n - 1) // 3, **rounds),
+        "dolev": lambda: partial(DolevAAANode, n=n, t=(n - 1) // 5, **rounds),
+        "fin": lambda: partial(FinAcsNode, n=n, t=(n - 1) // 3),
+        "hbbft": lambda: partial(HoneyBadgerAcsNode, n=n, t=(n - 1) // 3),
+    }[spec.protocol]()
+    nodes = {node: make_node(node_id=node, value=float(inputs[node])) for node in range(n)}
+    return runner.run_protocol(spec.protocol, nodes, **env)
 
 
-@pytest.mark.parametrize("protocol", protocol_names())
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
 def test_registry_run_is_the_public_runner_call(protocol):
     spec = ScenarioSpec(protocol=protocol, n=7, seed=3, adversary="crash", num_byzantine=1)
     if protocol == "sharded-delphi":

@@ -122,6 +122,14 @@ class TestCells:
         metrics = run_cell(TINY.replace(n=4, adversary="crash", num_byzantine=1))
         assert metrics["num_byzantine"] == 1
         assert metrics["all_decided"] is True
+        # Three crashes at n = 7 (t = 2): no honest node decides, and the
+        # cell reports the stall instead of failing on an empty output set.
+        for protocol in ("delphi", "fin"):
+            spec = ScenarioSpec(protocol=protocol, n=7, adversary="crash", num_byzantine=3)
+            stalled = run_cell(spec)
+            assert stalled["all_decided"] is False, protocol
+            assert stalled["decided_count"] == 0, protocol
+            assert stalled["validity_margin"] == 0.0, protocol
 
 
 class TestExecutor:

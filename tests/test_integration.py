@@ -10,13 +10,13 @@ from repro.analysis.range_analysis import analyse_ranges, validity_margin
 from repro.core.delphi import DelphiNode
 from repro.distributions.extreme_value import delta_bound
 from repro.distributions.thin_tailed import NormalInputs
-from repro.runner import run_abraham, run_delphi, run_dora, run_fin, run_hbbft
+from repro.runner import run_delphi
 from repro.testbed.aws import AwsTestbed
 from repro.testbed.cps import CpsTestbed
 from repro.workloads.bitcoin import BitcoinPriceFeed
 from repro.workloads.drone import DroneLocalisationWorkload
 
-from helpers import assert_agreement, assert_validity, run_nodes
+from helpers import assert_agreement, assert_validity, run_named, run_nodes
 
 
 class TestOraclePipeline:
@@ -45,7 +45,7 @@ class TestOraclePipeline:
         values = feed.node_inputs(7)
         params = derive_parameters(n=7, epsilon=2.0, delta_max=2000.0, rho0=10.0, max_rounds=6)
         delphi = run_delphi(params, values)
-        fin = run_fin(7, values)
+        fin = run_named("fin", values)
         assert delphi.all_decided and fin.all_decided
         # Both land near the honest inputs.
         for result in (delphi, fin):
@@ -60,7 +60,7 @@ class TestOraclePipeline:
         params = derive_parameters(n=n, epsilon=2.0, delta_max=2000.0, rho0=10.0, max_rounds=6)
         testbed = AwsTestbed(num_nodes=n)
         delphi = run_delphi(params, values, network=testbed.network(), compute=testbed.compute())
-        fin = run_fin(n, values, network=testbed.network(), compute=testbed.compute())
+        fin = run_named("fin", values, testbed="aws")
         assert delphi.all_decided and fin.all_decided
         assert delphi.runtime_seconds > 0 and fin.runtime_seconds > 0
 
@@ -126,10 +126,10 @@ class TestAdversarialEndToEnd:
         assert margin <= max(params.rho0, delta) + params.epsilon
 
     def test_dora_certificates_under_crash_faults(self):
-        n = 7
-        params = derive_parameters(n=n, epsilon=1.0, delta_max=16.0, max_rounds=6)
         values = [10.2, 10.5, 10.9, 11.4, 10.1, 10.7, 11.0]
-        result = run_dora(params, values, byzantine={5: CrashStrategy()})
+        result = run_named(
+            "dora", values, {5: CrashStrategy()}, epsilon=1.0, delta_max=16.0, max_rounds=6
+        )
         assert result.all_decided
         certified = {output.value for output in result.outputs.values()}
         assert len(certified) <= 2
@@ -140,8 +140,10 @@ class TestAdversarialEndToEnd:
         params = derive_parameters(n=n, epsilon=1.0, delta_max=16.0, max_rounds=5)
         byz = {6: CrashStrategy()}
         delphi = run_delphi(params, values, byzantine=dict(byz))
-        abraham = run_abraham(n, values, epsilon=1.0, delta_max=16.0, byzantine={6: CrashStrategy()})
-        fin = run_fin(n, values, byzantine={6: CrashStrategy()})
-        hbbft = run_hbbft(n, values, byzantine={6: CrashStrategy()})
+        abraham = run_named(
+            "abraham", values, {6: CrashStrategy()}, epsilon=1.0, delta_max=16.0, max_rounds=None
+        )
+        fin = run_named("fin", values, {6: CrashStrategy()})
+        hbbft = run_named("hbbft", values, {6: CrashStrategy()})
         for result in (delphi, abraham, fin, hbbft):
             assert result.all_decided

@@ -21,14 +21,7 @@ from repro.experiments.spec import KNOWN_PROTOCOLS, ScenarioSpec
 from repro.faults.campaign import campaign, run_campaign, run_cell_engine
 from repro.faults.monitors import HierarchicalAgreementMonitor, build_monitors
 from repro.net.message import Message
-from repro.protocols.registry import (
-    HIERARCHICAL_AGREEMENT,
-    agreement_kind,
-    get_protocol,
-    is_known_protocol,
-    list_protocols,
-    protocol_names,
-)
+from repro.protocols.registry import HIERARCHICAL_AGREEMENT, PROTOCOLS, get_protocol
 from repro.protocols.sharded_delphi import (
     derive_sharded_parameters,
     sharded_parameters_of,
@@ -109,12 +102,10 @@ class TestParameters:
 class TestRegistryDispatch:
     def test_protocol_registered(self):
         assert "sharded-delphi" in KNOWN_PROTOCOLS
-        assert is_known_protocol("sharded-delphi")
-        assert "sharded-delphi" in protocol_names()
-        assert agreement_kind("sharded-delphi") == HIERARCHICAL_AGREEMENT
-        runner = get_protocol("sharded-delphi")
-        assert runner.agreement == HIERARCHICAL_AGREEMENT
-        assert any(r.name == "sharded-delphi" for r in list_protocols())
+        row = get_protocol("sharded-delphi")
+        assert PROTOCOLS["sharded-delphi"] is row
+        assert row.name == "sharded-delphi"
+        assert row.agreement == HIERARCHICAL_AGREEMENT
 
     def test_cell_runs_through_registry(self):
         metrics = run_protocol_cell(sharded_spec(12, 4))

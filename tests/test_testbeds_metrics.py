@@ -4,12 +4,13 @@ import pytest
 
 from repro.analysis.parameters import derive_parameters
 from repro.errors import ConfigurationError
-from repro.runner import run_delphi, run_fin, run_protocol
+from repro.runner import run_delphi, run_protocol
 from repro.sim.runtime import ComputeModel
 from repro.testbed.aws import AwsTestbed
 from repro.testbed.cps import CpsTestbed
 from repro.testbed.metrics import ExperimentRecord, MetricsCollector
 
+from helpers import run_named
 
 
 class TestAwsTestbed:
@@ -110,11 +111,8 @@ class TestRunnerHelpers:
         assert result.protocol == "delphi"
 
     def test_run_fin_under_cps_model_charges_crypto(self):
-        testbed = CpsTestbed(num_nodes=4)
-        plain = run_fin(4, [1.0, 2.0, 3.0, 4.0])
-        costly = run_fin(
-            4, [1.0, 2.0, 3.0, 4.0], network=testbed.network(), compute=testbed.compute()
-        )
+        plain = run_named("fin", [1.0, 2.0, 3.0, 4.0])
+        costly = run_named("fin", [1.0, 2.0, 3.0, 4.0], testbed="cps")
         assert costly.runtime_seconds > plain.runtime_seconds
 
     def test_input_length_checked(self, make_delphi_params):
