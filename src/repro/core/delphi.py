@@ -49,6 +49,23 @@ class DelphiOutput:
         return self.value
 
 
+class _PendingEngines:
+    """Count of a node's still-running BinAA engines.
+
+    Every engine's ``on_complete`` is this counter's :meth:`done`, which
+    points at the counter and not at the node, so node -> levels ->
+    engine -> counter stays acyclic and a finished run is freed by refcount.
+    """
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def done(self) -> None:
+        self.count -= 1
+
+
 class DelphiNode(ProtocolNode):
     """One node of the Delphi protocol.
 
@@ -84,7 +101,7 @@ class DelphiNode(ProtocolNode):
         # Engines still running across all levels; decremented whenever a
         # handled sub-message completes an engine, so the per-event "has
         # everything terminated?" check is a single integer comparison.
-        self._pending_engines = 0
+        self._pending = _PendingEngines()
 
     # ------------------------------------------------------------------
     # Setup
@@ -93,11 +110,8 @@ class DelphiNode(ProtocolNode):
         engine = BinAAEngine(n=self.n, t=self.t, rounds=self.params.rounds)
         # Completion feeds the pending-engine counter (split clones inherit
         # the callback), so termination checks never rescan collections.
-        engine.on_complete = self._engine_completed
+        engine.on_complete = self._pending.done
         return engine
-
-    def _engine_completed(self) -> None:
-        self._pending_engines -= 1
 
     def _setup_levels(self) -> Bundle:
         bundle = Bundle()
@@ -111,11 +125,11 @@ class DelphiNode(ProtocolNode):
                 own_checkpoints=own,
             )
             self._levels[level] = state
-            self._pending_engines += 1  # the default engine
+            self._pending.count += 1  # the default engine
             # Own checkpoints are explicit from the start with input 1.
             for index in own:
                 state.register_explicit(index, self._new_engine())
-                self._pending_engines += 1
+                self._pending.count += 1
             exclude = state.exclude_key()
             for index in own:
                 subs = state.explicit[index].start(1)
@@ -144,7 +158,7 @@ class DelphiNode(ProtocolNode):
             # Malformed (Byzantine) bundle: discard entirely.
             return []
         outgoing = self._process_bundle(sender, incoming)
-        if not self._pending_engines and not self._has_output:
+        if not self._pending.count and not self._has_output:
             self._maybe_decide()
         if outgoing is None:
             return []
@@ -179,7 +193,7 @@ class DelphiNode(ProtocolNode):
                     if index not in explicit_map:
                         engine = state.split(index)
                         if engine.output is None:
-                            self._pending_engines += 1
+                            self._pending.count += 1
 
             # 2. Explicit sub-messages go to their dedicated engines.  The
             #    explicit set no longer changes below, so our exclude key is
@@ -236,7 +250,7 @@ class DelphiNode(ProtocolNode):
     def _maybe_decide(self) -> None:
         # O(1) incremental check; the full terminated scan below runs once,
         # as a belt-and-braces guard on the counter bookkeeping.
-        if self._pending_engines or self._has_output:
+        if self._pending.count or self._has_output:
             return
         if not all(state.terminated for state in self._levels.values()):
             return

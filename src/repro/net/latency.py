@@ -208,15 +208,19 @@ class UniformLatency(LatencyModel):
                 f"low={self.low}, high={self.high}"
             )
 
-    def _fill(self, rng: np.random.Generator) -> List[float]:
-        return rng.uniform(self.low, self.high, JITTER_BLOCK).tolist()
-
     def _stream(self, sender: int, destination: int) -> PairStream:
         key = (sender, destination)
         stream = self._streams.get(key)
         if stream is None:
+            # The fill closes over the bounds, not the model, so model ->
+            # ``_streams`` -> stream holds no cycle back to the model.
+            low, high = self.low, self.high
+
+            def fill(rng: np.random.Generator) -> List[float]:
+                return rng.uniform(low, high, JITTER_BLOCK).tolist()
+
             stream = self._streams[key] = PairStream(
-                self.seed, sender, destination, self._fill
+                self.seed, sender, destination, fill
             )
         return stream
 

@@ -1,6 +1,5 @@
 """Deterministic discrete-event simulation runtime for protocol execution."""
 
-from repro.sim.events import Event, EventKind
 from repro.sim.scheduler import EventScheduler
 from repro.sim.runtime import ComputeModel, SimulationConfig, SimulationResult, SimulationRuntime
 from repro.sim.asyncio_runtime import AsyncioRuntime, InMemoryTransport
@@ -9,8 +8,6 @@ __all__ = [
     "AsyncioRuntime",
     "InMemoryTransport",
     "ComputeModel",
-    "Event",
-    "EventKind",
     "EventScheduler",
     "SimulationConfig",
     "SimulationResult",

@@ -2,64 +2,27 @@
 
 The discrete-event simulator processes a totally ordered stream of events.
 Two kinds exist: ``START`` events that trigger a node's ``on_start`` hook and
-``DELIVER`` events that hand an in-flight envelope to its destination.
+``DELIVER`` events that hand an in-flight message to its destination.
 
-Two representations exist, one per simulation engine (see
-``docs/SIMULATOR.md``):
+Both deterministic engines (see ``docs/SIMULATOR.md``) schedule plain
+tuples whose first three fields are ``(time, tiebreak, sequence)``, with the
+integer kinds :data:`START_EVENT` / :data:`DELIVER_EVENT` in the fourth:
 
-* the reference engine schedules :class:`Event` dataclass instances
-  (``__slots__``-backed, ordered by ``(time, tiebreak, sequence)``);
-* the fast engine schedules plain 7-tuples
-  ``(time, tiebreak, sequence, kind, node, sender, message)`` with the
-  integer kinds :data:`START_EVENT` / :data:`DELIVER_EVENT`, whose native
-  tuple comparison realises the *same* ``(time, tiebreak, sequence)`` order
-  (the sequence number is unique, so later elements never compare).
+* the reference engine's :class:`~repro.sim.scheduler.EventScheduler`
+  holds 6-tuples ``(time, tiebreak, sequence, kind, node, envelope)``
+  (``envelope`` is ``None`` for a START);
+* the fast engine's heap holds 7-tuples
+  ``(time, tiebreak, sequence, kind, node, sender, message)``.
+
+Native tuple comparison realises the ``(time, tiebreak, sequence)`` order
+in C; the sequence number is unique, so later elements never compare.  The
+``tiebreak`` is drawn from the delivery policy (randomised when it reorders)
+so messages arriving at identical simulated times can be reordered
+adversarially while the whole run stays deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.net.message import Envelope
-
-#: Integer event kinds used by the fast engine's tuple events.
+#: Integer event kinds (the fourth field of every tuple event).
 START_EVENT = 0
 DELIVER_EVENT = 1
-
-
-class EventKind(enum.Enum):
-    """The kind of a simulation event."""
-
-    START = "start"
-    DELIVER = "deliver"
-
-
-@dataclass(order=True, slots=True)
-class Event:
-    """A scheduled simulation event.
-
-    Events are ordered by ``(time, tiebreak, sequence)``.  The ``tiebreak``
-    field is assigned by the scheduler (possibly randomised by the
-    adversarial delivery policy) so that messages arriving at identical
-    simulated times can still be reordered adversarially while keeping the
-    whole run deterministic for a fixed seed.
-    """
-
-    time: float
-    tiebreak: float
-    sequence: int
-    kind: EventKind = field(compare=False)
-    node: int = field(compare=False)
-    envelope: Optional[Envelope] = field(compare=False, default=None)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.kind is EventKind.START:
-            return f"Event(t={self.time:.6f}, START node={self.node})"
-        assert self.envelope is not None
-        return (
-            f"Event(t={self.time:.6f}, DELIVER {self.envelope.sender}->"
-            f"{self.envelope.destination} {self.envelope.message.protocol}/"
-            f"{self.envelope.message.mtype})"
-        )

@@ -1,4 +1,4 @@
-"""The fast simulation engine: tuple events, table lookups, batched instants.
+"""The fast simulation engine: one inlined loop over tuple events and tables.
 
 This module is the hot path behind ``SimulationConfig(engine="fast")`` (the
 default).  It executes exactly the same discrete-event semantics as
@@ -7,12 +7,9 @@ and the property tests assert result-for-result equality — but removes every
 per-message allocation and dynamic lookup the reference loop performs:
 
 * events are plain 7-tuples ``(time, tiebreak, sequence, kind, node,
-  sender, message)`` in a single :mod:`heapq` heap (native C comparison,
-  no :class:`~repro.sim.events.Event` construction);
-* events sharing a timestamp are drained into a per-instant micro-heap
-  (*batched same-timestamp delivery*); newly scheduled events landing on
-  the same instant are merged into the batch so the global
-  ``(time, tiebreak, sequence)`` order is preserved exactly;
+  sender, message)`` pushed straight onto one local :mod:`heapq` heap —
+  no :class:`~repro.net.message.Envelope` per target and no scheduler
+  method calls;
 * message wire sizes are memoised per message instance
   (:meth:`repro.net.message.Message.size_bits`), so a broadcast serialises
   its payload once instead of ``3 x n`` times;
@@ -34,7 +31,6 @@ times in the same per-stream order by both engines.
 
 from __future__ import annotations
 
-import gc
 from heapq import heapify, heappop, heappush
 from math import inf as _INF
 from typing import Dict, List, Optional
@@ -53,29 +49,11 @@ def run_fast(runtime) -> "SimulationResult":
 
     ``runtime`` is a fully constructed
     :class:`~repro.sim.runtime.SimulationRuntime`; node ids must be exactly
-    ``0..n-1`` (checked by the caller via ``_fast_supported``).
-
-    The cyclic garbage collector is paused for the duration of the loop
-    (and restored afterwards): the event heap holds millions of live
-    tuples at large ``n``, so every generational collection rescans them
-    for nothing — the loop itself allocates no reference cycles, and the
-    few the protocol setup creates (e.g. engine completion callbacks) are
-    reclaimed by the ``gc.collect`` at exit.
+    ``0..n-1`` (checked by the caller via ``_fast_supported``).  The caller,
+    :meth:`~repro.sim.runtime.SimulationRuntime.run`, also pauses the cyclic
+    garbage collector around this loop.
     """
     from repro.sim.runtime import SimulationResult
-
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        return _run_fast_loop(runtime, SimulationResult)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-            gc.collect(1)
-
-
-def _run_fast_loop(runtime, SimulationResult) -> "SimulationResult":
 
     config = runtime.config
     network = runtime.network
@@ -145,8 +123,6 @@ def _run_fast_loop(runtime, SimulationResult) -> "SimulationResult":
         sequence += 1
         heap.append((0.0, tiebreak(), sequence, START_EVENT, node_id, -1, None))
     heapify(heap)
-    instant: list = []  # events at the current batch timestamp
-    batch_time = -1.0
 
     stop_when_decided = config.stop_when_decided
     max_events = config.max_events
@@ -161,21 +137,12 @@ def _run_fast_loop(runtime, SimulationResult) -> "SimulationResult":
     while True:
         if stop_when_decided and undecided == 0:
             break
-        if instant:
-            event = heappop(instant)
-        else:
-            if not heap:
-                break
-            batch_time = heap[0][0]
-            if horizon is not None and batch_time > horizon:
-                break
-            event = heappop(heap)
-            # Batched same-timestamp delivery: drain the instant's events
-            # into the micro-heap so scheduling below can merge same-time
-            # newcomers without touching the global heap.
-            while heap and heap[0][0] == batch_time:
-                heappush(instant, heappop(heap))
-        event_time = event[0]
+        if not heap:
+            break
+        event_time = heap[0][0]
+        if horizon is not None and event_time > horizon:
+            break
+        event = heappop(heap)
         if event_time > now:
             now = event_time
         events_processed += 1
@@ -260,14 +227,10 @@ def _run_fast_loop(runtime, SimulationResult) -> "SimulationResult":
                 if target == node_id:
                     # Local self-delivery: no network resources, no trace.
                     sequence += 1
-                    new_event = (
+                    heappush(heap, (
                         finished_at, tiebreak(), sequence,
                         DELIVER_EVENT, target, node_id, message,
-                    )
-                    if finished_at == batch_time:
-                        heappush(instant, new_event)
-                    else:
-                        heappush(heap, new_event)
+                    ))
                     continue
                 if wire_bits is None:
                     if not 0 <= target < n:
@@ -301,14 +264,10 @@ def _run_fast_loop(runtime, SimulationResult) -> "SimulationResult":
                             continue
                         deliver_at += fault
                 sequence += 1
-                new_event = (
+                heappush(heap, (
                     deliver_at, tiebreak(), sequence,
                     DELIVER_EVENT, target, node_id, message,
-                )
-                if deliver_at == batch_time:
-                    heappush(instant, new_event)
-                else:
-                    heappush(heap, new_event)
+                ))
 
     # ------------------------------------------------------------------
     # Fold the flat accumulators back into the shared structures so the

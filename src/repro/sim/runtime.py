@@ -14,6 +14,7 @@ complete traffic trace — everything the paper's figures are derived from.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
@@ -24,7 +25,7 @@ from repro.net.message import Envelope, Message, MessageTrace
 from repro.net.network import AsynchronousNetwork
 from repro.protocols.base import BROADCAST, Outbound, ProtocolNode
 from repro.protocols.topology import FlatTopology, Topology
-from repro.sim.events import DELIVER_EVENT, START_EVENT, Event, EventKind
+from repro.sim.events import DELIVER_EVENT, START_EVENT
 from repro.sim.observers import SimObserver, event_observers
 from repro.sim.scheduler import EventScheduler
 
@@ -92,10 +93,13 @@ class SimulationConfig:
         continues until the event queue drains, which is useful for checking
         that late messages do not break anything.
     engine:
-        ``"fast"`` (default) runs the tuple-event hot path in
-        :mod:`repro.sim.fastpath`; ``"reference"`` runs the original
-        dataclass-dispatch loop.  Both produce identical results for the
-        same inputs — the perf suite asserts it (see ``docs/SIMULATOR.md``).
+        ``"fast"`` (default) runs the inlined hot loop in
+        :mod:`repro.sim.fastpath`; ``"reference"`` runs the per-event
+        method loop over an :class:`~repro.sim.scheduler.EventScheduler`
+        (per-target envelopes, ``network.delivery_time``), the independent
+        oracle.  Both schedule native tuple events and both produce
+        identical results for the same inputs — the perf suite asserts it
+        (see ``docs/SIMULATOR.md``).
     """
 
     max_events: int = 5_000_000
@@ -254,15 +258,10 @@ class SimulationRuntime:
             envelope = Envelope(
                 sender=sender, destination=destination, message=message, authenticated=False
             )
-        event = Event(
-            time=time,
-            tiebreak=self.network.policy.tiebreak(),
-            sequence=self.scheduler.next_sequence(),
-            kind=EventKind.DELIVER,
-            node=destination,
-            envelope=envelope,
-        )
-        self.scheduler.schedule(event)
+        self.scheduler.schedule((
+            time, self.network.policy.tiebreak(), self.scheduler.next_sequence(),
+            DELIVER_EVENT, destination, envelope,
+        ))
 
     # ------------------------------------------------------------------
     # Main loop
@@ -271,15 +270,31 @@ class SimulationRuntime:
         """Execute the protocol to completion and return the result.
 
         Dispatches to the engine selected by ``config.engine``: the fast
-        tuple-event loop when supported (contiguous node ids ``0..n-1``),
-        the reference loop otherwise.  Both produce identical results.
-        """
-        if self.config.engine == "fast" and self._fast_supported():
-            from repro.sim.fastpath import run_fast
+        loop when supported (contiguous node ids ``0..n-1``), the reference
+        loop otherwise.  Both produce identical results.
 
-            result = run_fast(self)
-        else:
-            result = self._run_reference()
+        The cyclic garbage collector is paused while either engine runs and
+        restored afterwards: the event heap holds up to millions of live
+        tuples, so every generational collection would rescan them for
+        nothing.  A run builds no reference cycles (nodes, engines and
+        latency streams point one way only), so a finished run is freed by
+        refcount; the ``gc.collect(1)`` on exit sweeps whatever a caller's
+        own objects left in the young generations meanwhile.
+        """
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        try:
+            if self.config.engine == "fast" and self._fast_supported():
+                from repro.sim.fastpath import run_fast
+
+                result = run_fast(self)
+            else:
+                result = self._run_reference()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+                gc.collect(1)
         for observer in self.observers:
             observer.on_run_end(result)
         return result
@@ -289,18 +304,14 @@ class SimulationRuntime:
         return set(self.nodes) == set(range(self.num_nodes))
 
     def _run_reference(self) -> SimulationResult:
-        """The original per-event dataclass loop (the equivalence oracle)."""
+        """The per-event method loop (the equivalence oracle)."""
         # Start every node at t=0 (the adversary may still reorder the
         # resulting messages arbitrarily).
         for node_id in self.nodes:
-            start_event = Event(
-                time=0.0,
-                tiebreak=self.network.policy.tiebreak(),
-                sequence=self.scheduler.next_sequence(),
-                kind=EventKind.START,
-                node=node_id,
-            )
-            self.scheduler.schedule(start_event)
+            self.scheduler.schedule((
+                0.0, self.network.policy.tiebreak(), self.scheduler.next_sequence(),
+                START_EVENT, node_id, None,
+            ))
 
         while True:
             if self.config.stop_when_decided and self._all_honest_decided():
@@ -331,21 +342,20 @@ class SimulationRuntime:
             byzantine_nodes=sorted(self.byzantine),
         )
 
-    def _process(self, event: Event) -> None:
-        node_id = event.node
+    def _process(self, event: tuple) -> None:
+        event_time, _, _, kind, node_id, envelope = event
         handler = self._handler(node_id)
         if node_id in self._timed:
-            handler.now = event.time
-        ready_at = max(event.time, self._busy_until.get(node_id, 0.0))
+            handler.now = event_time
+        ready_at = max(event_time, self._busy_until.get(node_id, 0.0))
 
-        if event.kind is EventKind.START:
+        if kind == START_EVENT:
             outbound = handler.on_start()
             cpu = self.compute.processing_delay(0, 0.0)
             sender, message = -1, None
         else:
-            assert event.envelope is not None
-            message = event.envelope.message
-            sender = event.envelope.sender
+            message = envelope.message
+            sender = envelope.sender
             crypto_units = (
                 self._crypto_units(node_id, message)
                 if node_id not in self.byzantine
@@ -370,9 +380,8 @@ class SimulationRuntime:
             self._schedule_outbound(node_id, outbound, finished_at)
 
         if self.observers:
-            kind = START_EVENT if event.kind is EventKind.START else DELIVER_EVENT
             for observer in self._event_observers:
-                observer.on_event(event.time, kind, node_id, sender, message)
+                observer.on_event(event_time, kind, node_id, sender, message)
             if newly_decided:
                 for observer in self.observers:
                     observer.on_decide(node_id, node.output, finished_at)

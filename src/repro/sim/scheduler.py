@@ -8,6 +8,10 @@ longer need a manual per-event overrun check.  Scheduling an event in the
 past, or configuring a nonsensical horizon, raises a
 :class:`~repro.errors.SimulationError` with the offending values spelled
 out.
+
+Events are native tuples ``(time, tiebreak, sequence, kind, node,
+envelope)`` (see :mod:`repro.sim.events`), so the heap orders them by
+``(time, tiebreak, sequence)`` with C-level tuple comparison.
 """
 
 from __future__ import annotations
@@ -16,11 +20,10 @@ import heapq
 from typing import List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
 
 
 class EventScheduler:
-    """A min-heap of :class:`~repro.sim.events.Event` ordered by time.
+    """A min-heap of tuple events ordered by ``(time, tiebreak, sequence)``.
 
     The scheduler also tracks the current simulated time and refuses to
     schedule events in the past, which catches protocol-runtime bugs early.
@@ -40,7 +43,7 @@ class EventScheduler:
             raise SimulationError(
                 f"simulation horizon (max_time) must be non-negative, got {horizon}"
             )
-        self._heap: List[Event] = []
+        self._heap: List[tuple] = []
         self._sequence = 0
         self._now = 0.0
         self._horizon = horizon
@@ -66,7 +69,7 @@ class EventScheduler:
         self._sequence += 1
         return self._sequence
 
-    def schedule(self, event: Event) -> None:
+    def schedule(self, event: tuple) -> None:
         """Add an event to the queue.
 
         Raises
@@ -74,14 +77,14 @@ class EventScheduler:
         SimulationError
             If the event is scheduled before the current simulated time.
         """
-        if event.time < self._now - 1e-12:
+        if event[0] < self._now - 1e-12:
             raise SimulationError(
-                f"cannot schedule an event in the past: event time t={event.time} "
+                f"cannot schedule an event in the past: event time t={event[0]} "
                 f"is before the simulation clock now={self._now}"
             )
         heapq.heappush(self._heap, event)
 
-    def pop(self) -> Optional[Event]:
+    def pop(self) -> Optional[tuple]:
         """Remove and return the earliest event, advancing simulated time.
 
         Returns ``None`` when the queue is empty or when the next event
@@ -90,11 +93,12 @@ class EventScheduler:
         """
         if not self._heap:
             return None
-        if self._horizon is not None and self._heap[0].time > self._horizon:
+        if self._horizon is not None and self._heap[0][0] > self._horizon:
             self.horizon_reached = True
             return None
         event = heapq.heappop(self._heap)
-        self._now = max(self._now, event.time)
+        if event[0] > self._now:
+            self._now = event[0]
         return event
 
     def clear(self) -> None:

@@ -284,7 +284,7 @@ def parent_process_bundle(node, sender, incoming):
                 if index not in explicit_map:
                     engine = state.split(index)
                     if engine.output is None:
-                        node._pending_engines += 1
+                        node._pending.count += 1
         for index, subs in entry.explicit.items():
             for sub in subs:
                 emitted = explicit_map[index].handle(sender, sub)
@@ -323,7 +323,7 @@ def engine_state(engine):
 
 
 def node_state(node):
-    return node._pending_engines, {
+    return node._pending.count, {
         level: (
             engine_state(state.default_engine),
             [(index, engine_state(engine)) for index, engine in state.explicit.items()],
