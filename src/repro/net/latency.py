@@ -16,8 +16,10 @@ simulations are reproducible.
 Jitter is sampled from *per-pair* streams drawn in blocks: every ordered
 ``(sender, destination)`` pair owns an independent generator seeded from
 ``(model seed, sender, destination)``, and delays are produced in vectorised
-blocks of :data:`JITTER_BLOCK` values at a time.  This keeps the simulator's
-hot loop free of per-message scalar RNG calls, and it gives a stronger
+blocks of :data:`JITTER_BLOCK` values at a time, each kept as packed C
+doubles (:class:`BlockStream`; about 3.4 KB per drawn pair, against
+9.7 KB for a list of floats).  This keeps the simulator's hot loop free of
+per-message scalar RNG calls, and it gives a stronger
 determinism guarantee than a single shared stream: the ``k``-th message on a
 pair sees the same delay regardless of how traffic on *other* pairs is
 interleaved, which is what lets the fast and reference simulation engines
@@ -26,6 +28,8 @@ produce identical results (see ``docs/SIMULATOR.md``).
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -40,36 +44,40 @@ JITTER_BLOCK = 256
 #: streams independent from the delivery policy's streams).
 _LATENCY_STREAM_TAG = 0x4C
 
+#: Draws a stream's next block; the string keeps ``numpy.random`` unimported.
+Fill = Callable[["np.random.Generator"], np.ndarray]
 
-class PairStream:
-    """One ordered pair's delay stream, drawn in vectorised blocks.
 
-    ``fill`` maps a :class:`numpy.random.Generator` to the next block of
-    delays (a plain Python list, so the hot loop pays no numpy scalar
-    boxing); :meth:`next` hands them out one at a time through a list
-    iterator (one C-level call per draw instead of index bookkeeping).
+class BlockStream:
+    """A seeded stream of doubles drawn in vectorised blocks.
+
+    ``fill`` maps a :class:`numpy.random.Generator` to the next block (a
+    float64 array).  The block is kept packed, as C doubles in an
+    :class:`array.array`, and :meth:`next` hands its values out one Python
+    ``float`` at a time through the array's iterator.  The ``PCG64`` bit
+    generator, seeded from ``(tag, seed, *ids)``, is built on the first
+    draw, so a stream that is never drawn costs one small object; between
+    blocks only the bit generator is kept, and each block wraps it in a
+    throw-away ``Generator``.  A uniform double consumes exactly one 64-bit
+    output, so neither the block size nor the storage changes a value.
     """
 
-    __slots__ = ("_rng", "_fill", "_it")
+    __slots__ = ("_key", "_fill", "_bits", "_it")
 
-    def __init__(
-        self,
-        seed: int,
-        sender: int,
-        destination: int,
-        fill: Callable[[np.random.Generator], List[float]],
-    ) -> None:
-        self._rng = np.random.default_rng(
-            [_LATENCY_STREAM_TAG, seed & 0xFFFFFFFF, sender, destination]
-        )
+    def __init__(self, fill: Fill, tag: int, seed: int, *ids: int) -> None:
+        self._key = (tag, seed & 0xFFFFFFFF, *ids)
         self._fill = fill
+        self._bits: Optional[np.random.PCG64] = None
         self._it = iter(())
 
     def next(self) -> float:
-        """The next delay in this pair's stream."""
+        """The next value in this stream."""
         value = next(self._it, None)
         if value is None:
-            self._it = iter(self._fill(self._rng))
+            if self._bits is None:
+                self._bits = np.random.PCG64(self._key)
+            block = self._fill(np.random.Generator(self._bits))
+            self._it = iter(array("d", block.tobytes()))
             value = next(self._it)
         return value
 
@@ -147,7 +155,7 @@ class LatencyModel:
     Subclasses implement :meth:`delay` returning a one-way delay in seconds
     for a message from ``sender`` to ``destination``.  Models whose delays
     are random should also implement :meth:`pair_sampler` on top of
-    :class:`PairStream` so the fast simulation engine can pull delays
+    :class:`BlockStream` so the fast simulation engine can pull delays
     without per-message method dispatch; the default sampler simply wraps
     :meth:`delay`, which keeps custom models correct (both engines then
     consume the model's stream in the same per-pair order).
@@ -178,8 +186,10 @@ class ConstantLatency(LatencyModel):
     seconds: float = 0.001
 
     def __post_init__(self) -> None:
-        if self.seconds < 0:
-            raise ConfigurationError("latency must be non-negative")
+        if not 0 <= self.seconds < math.inf:
+            raise ConfigurationError(
+                f"latency must be finite and non-negative, got {self.seconds}"
+            )
 
     def delay(self, sender: int, destination: int) -> float:
         return self.seconds
@@ -190,37 +200,27 @@ class ConstantLatency(LatencyModel):
 
 
 @dataclass
-class UniformLatency(LatencyModel):
-    """Delays drawn uniformly from ``[low, high]`` with seeded per-pair
-    streams (see the module docstring for the block-drawing scheme)."""
+class _PairStreamLatency(LatencyModel):
+    """A model whose delays come from one :class:`BlockStream` per ordered
+    pair, seeded from ``(model seed, sender, destination)``; subclasses say
+    how a pair's block is drawn (:meth:`_fill`) and carry a ``seed``."""
 
-    low: float = 0.001
-    high: float = 0.010
-    seed: int = 0
-    _streams: Dict[Tuple[int, int], PairStream] = field(
+    _streams: Dict[Tuple[int, int], BlockStream] = field(
         init=False, repr=False, default_factory=dict
     )
 
-    def __post_init__(self) -> None:
-        if self.low < 0 or self.high < self.low:
-            raise ConfigurationError(
-                "UniformLatency requires 0 <= low <= high, got "
-                f"low={self.low}, high={self.high}"
-            )
+    def _fill(self, sender: int, destination: int) -> Fill:
+        """The pair's block draw.  It must close over values, not the
+        model, so model -> ``_streams`` -> stream holds no cycle."""
+        raise NotImplementedError
 
-    def _stream(self, sender: int, destination: int) -> PairStream:
+    def _stream(self, sender: int, destination: int) -> BlockStream:
         key = (sender, destination)
         stream = self._streams.get(key)
         if stream is None:
-            # The fill closes over the bounds, not the model, so model ->
-            # ``_streams`` -> stream holds no cycle back to the model.
-            low, high = self.low, self.high
-
-            def fill(rng: np.random.Generator) -> List[float]:
-                return rng.uniform(low, high, JITTER_BLOCK).tolist()
-
-            stream = self._streams[key] = PairStream(
-                self.seed, sender, destination, fill
+            stream = self._streams[key] = BlockStream(
+                self._fill(sender, destination),
+                _LATENCY_STREAM_TAG, self.seed, sender, destination,
             )
         return stream
 
@@ -230,12 +230,33 @@ class UniformLatency(LatencyModel):
     def pair_sampler(self, sender: int, destination: int) -> Callable[[], float]:
         return self._stream(sender, destination).next
 
+
+@dataclass
+class UniformLatency(_PairStreamLatency):
+    """Delays drawn uniformly from ``[low, high]`` with seeded per-pair
+    streams (see the module docstring for the block-drawing scheme)."""
+
+    low: float = 0.001
+    high: float = 0.010
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.low <= self.high < math.inf:
+            raise ConfigurationError(
+                "UniformLatency requires finite 0 <= low <= high, got "
+                f"low={self.low}, high={self.high}"
+            )
+
+    def _fill(self, sender: int, destination: int) -> Fill:
+        low, high = self.low, self.high
+        return lambda rng: rng.uniform(low, high, JITTER_BLOCK)
+
     def expected_delay(self, sender: int, destination: int) -> float:
         return (self.low + self.high) / 2.0
 
 
 @dataclass
-class GeoLatencyModel(LatencyModel):
+class GeoLatencyModel(_PairStreamLatency):
     """Latency model for nodes assigned to named regions.
 
     Each node is mapped to a region (round-robin by default, matching the
@@ -249,13 +270,15 @@ class GeoLatencyModel(LatencyModel):
     jitter_fraction: float = 0.10
     seed: int = 0
     assignment: Optional[List[str]] = None
-    _streams: Dict[Tuple[int, int], PairStream] = field(
-        init=False, repr=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         if self.num_nodes <= 0:
             raise ConfigurationError("num_nodes must be positive")
+        if not 0 <= self.jitter_fraction < math.inf:
+            raise ConfigurationError(
+                "jitter_fraction must be finite and non-negative, "
+                f"got {self.jitter_fraction}"
+            )
         if not self.regions:
             raise ConfigurationError("at least one region is required")
         if self.assignment is None:
@@ -279,27 +302,11 @@ class GeoLatencyModel(LatencyModel):
             raise ConfigurationError(f"no latency entry for region pair {key}")
         return self.one_way_ms[key] / 1000.0
 
-    def _stream(self, sender: int, destination: int) -> PairStream:
-        key = (sender, destination)
-        stream = self._streams.get(key)
-        if stream is None:
-            base = self.base_delay(sender, destination)
-            fraction = self.jitter_fraction
-
-            def fill(rng: np.random.Generator) -> List[float]:
-                jitter = rng.uniform(-fraction, fraction, JITTER_BLOCK)
-                return np.maximum(0.0, base * (1.0 + jitter)).tolist()
-
-            stream = self._streams[key] = PairStream(
-                self.seed, sender, destination, fill
-            )
-        return stream
-
-    def delay(self, sender: int, destination: int) -> float:
-        return self._stream(sender, destination).next()
-
-    def pair_sampler(self, sender: int, destination: int) -> Callable[[], float]:
-        return self._stream(sender, destination).next
+    def _fill(self, sender: int, destination: int) -> Fill:
+        base, fraction = self.base_delay(sender, destination), self.jitter_fraction
+        return lambda rng: np.maximum(
+            0.0, base * (1.0 + rng.uniform(-fraction, fraction, JITTER_BLOCK))
+        )
 
     def expected_delay(self, sender: int, destination: int) -> float:
         return self.base_delay(sender, destination)

@@ -7,6 +7,12 @@ drawn from the latency model.  An adversarial :class:`DeliveryPolicy` can add
 further delay to messages between honest nodes, which models the paper's
 asynchronous adversary who "can arbitrarily delay and reorder messages but
 cannot drop them".
+
+The policy draws extra delay, tie-breaking and fault-plan loss from three
+separate :class:`~repro.net.latency.BlockStream` objects, so the value one
+concern sees depends only on how many times *it* has drawn.  Each is drawn
+in blocks of :data:`POLICY_BLOCK` and builds its generator on its first
+draw: a policy that never delays or drops a message pays nothing for those.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NetworkError
 from repro.net.bandwidth import BandwidthAccountant, BandwidthModel
-from repro.net.latency import ConstantLatency, LatencyModel
+from repro.net.latency import BlockStream, ConstantLatency, LatencyModel
 from repro.net.message import Envelope, MessageTrace
 
 #: Number of policy random values drawn per vectorised block.
@@ -42,28 +48,8 @@ DROPPED = math.inf
 PASS, DELAY, HOLD, DROP = "pass", "delay", "hold", "drop"
 
 
-class _BlockUniform:
-    """A seeded uniform[0, 1) stream drawn in vectorised blocks.
-
-    The delivery policy keeps two of these — one for extra-delay decisions,
-    one for tie-breaking — so the value each concern sees depends only on
-    how many times *that concern* has drawn, never on how draws from the
-    two concerns interleave.  That per-stream stability is what the fast
-    and reference simulation engines rely on for exact equivalence.
-    """
-
-    __slots__ = ("_rng", "_it")
-
-    def __init__(self, tag: int, seed: int) -> None:
-        self._rng = np.random.default_rng([tag, seed & 0xFFFFFFFF])
-        self._it = iter(())
-
-    def next(self) -> float:
-        value = next(self._it, None)
-        if value is None:
-            self._it = iter(self._rng.random(POLICY_BLOCK).tolist())
-            value = next(self._it)
-        return value
+def _uniform_block(rng: np.random.Generator) -> np.ndarray:
+    return rng.random(POLICY_BLOCK)
 
 
 def _plain(value: Any) -> Any:
@@ -388,18 +374,18 @@ class DeliveryPolicy:
     target_fraction: float = 1.0
     seed: int = 0
     faults: Optional[NetworkFaultPlan] = None
-    _delay_stream: _BlockUniform = field(init=False, repr=False)
-    _tie_stream: _BlockUniform = field(init=False, repr=False)
-    _loss_stream: _BlockUniform = field(init=False, repr=False)
+    _delay_stream: BlockStream = field(init=False, repr=False)
+    _tie_stream: BlockStream = field(init=False, repr=False)
+    _loss_stream: BlockStream = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_extra_delay < 0:
             raise NetworkError("max_extra_delay must be non-negative")
         if not 0.0 <= self.target_fraction <= 1.0:
             raise NetworkError("target_fraction must be in [0, 1]")
-        self._delay_stream = _BlockUniform(_DELAY_STREAM_TAG, self.seed)
-        self._tie_stream = _BlockUniform(_TIEBREAK_STREAM_TAG, self.seed)
-        self._loss_stream = _BlockUniform(_LOSS_STREAM_TAG, self.seed)
+        self._delay_stream = BlockStream(_uniform_block, _DELAY_STREAM_TAG, self.seed)
+        self._tie_stream = BlockStream(_uniform_block, _TIEBREAK_STREAM_TAG, self.seed)
+        self._loss_stream = BlockStream(_uniform_block, _LOSS_STREAM_TAG, self.seed)
 
     @property
     def faults_active(self) -> bool:

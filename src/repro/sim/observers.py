@@ -61,14 +61,15 @@ def event_observers(observers: Sequence[SimObserver]) -> Tuple[SimObserver, ...]
 class TraceRecorder(SimObserver):
     """Keeps a bounded tail of processed events for violation repro bundles.
 
-    Each entry is a JSON-safe dict (time, kind, node, sender, protocol,
-    message type, round) — enough to see *what the schedule looked like* just
-    before an invariant broke, without retaining payloads.
+    ``on_event`` keeps the hook's arguments as one tuple (a ``Message`` is
+    immutable); :meth:`tail` turns each into a JSON-safe dict (time, kind,
+    node, sender, protocol, message type, round, but no payload) — enough
+    to see *what the schedule looked like* just before an invariant broke.
     """
 
     def __init__(self, limit: int = 200) -> None:
         self.limit = limit
-        self._tail: Deque[Dict[str, Any]] = deque(maxlen=limit)
+        self._tail: Deque[Tuple[Any, ...]] = deque(maxlen=limit)
         self.events_seen = 0
 
     def on_event(
@@ -80,22 +81,25 @@ class TraceRecorder(SimObserver):
         message: Optional[Message],
     ) -> None:
         self.events_seen += 1
-        entry: Dict[str, Any] = {
-            "time": time,
-            "kind": "start" if kind == START_EVENT else "deliver",
-            "node": node_id,
-        }
-        if kind == DELIVER_EVENT and message is not None:
-            entry["sender"] = sender
-            entry["protocol"] = message.protocol
-            entry["mtype"] = message.mtype
-            if message.round is not None:
-                entry["round"] = message.round
-        self._tail.append(entry)
+        self._tail.append((time, kind, node_id, sender, message))
 
     def tail(self) -> List[Dict[str, Any]]:
         """The recorded event tail, oldest first (JSON-safe)."""
-        return list(self._tail)
+        entries = []
+        for time, kind, node_id, sender, message in self._tail:
+            entry: Dict[str, Any] = {
+                "time": time,
+                "kind": "start" if kind == START_EVENT else "deliver",
+                "node": node_id,
+            }
+            if kind == DELIVER_EVENT and message is not None:
+                entry["sender"] = sender
+                entry["protocol"] = message.protocol
+                entry["mtype"] = message.mtype
+                if message.round is not None:
+                    entry["round"] = message.round
+            entries.append(entry)
+        return entries
 
 
 class ScheduleDigest(SimObserver):

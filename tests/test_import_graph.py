@@ -88,6 +88,18 @@ def test_live_and_cli_imports_leave_scipy_out():
     _fresh_interpreter(IMPORT_GUARD)
 
 
+def test_numpy_random_waits_for_the_first_draw():
+    """A random stream builds its generator on its first draw, so importing
+    the live and CLI modules and building a network that has not drawn yet
+    leaves ``numpy.random`` (about 3 MB resident) unimported."""
+    _fresh_interpreter(
+        IMPORT_GUARD + "; from repro.net.network import AsynchronousNetwork, "
+        "DeliveryPolicy; from repro.net.latency import UniformLatency; "
+        "AsynchronousNetwork(4, UniformLatency(seed=1), policy=DeliveryPolicy(seed=1)); "
+        "assert 'numpy.random' not in sys.modules, 'numpy.random imported before a draw'"
+    )
+
+
 def test_everything_but_the_fit_works_without_scipy():
     _fresh_interpreter(WITHOUT_SCIPY)
 
