@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.domains import POSITIVE, coerce
 from repro.errors import ConfigurationError
 
 
@@ -64,12 +65,8 @@ class DelphiParameters:
     def __post_init__(self) -> None:
         if self.n <= 3 * self.t:
             raise ConfigurationError(f"Delphi requires n > 3t, got n={self.n}, t={self.t}")
-        if self.epsilon <= 0:
-            raise ConfigurationError("epsilon must be positive")
-        if self.rho0 <= 0:
-            raise ConfigurationError("rho0 must be positive")
-        if self.delta_max <= 0:
-            raise ConfigurationError("delta_max must be positive")
+        positive = dict.fromkeys(("epsilon", "rho0", "delta_max"), POSITIVE)
+        coerce(self, positive, store=False)
         if self.delta_max < self.rho0:
             raise ConfigurationError(
                 "delta_max must be at least rho0 "

@@ -33,6 +33,7 @@ import zlib
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.domains import AT_LEAST_ONE, FINITE, NON_NEGATIVE, POSITIVE, coerce, optional
 from repro.errors import ConfigurationError
 from repro.protocols.registry import PROTOCOLS
 
@@ -124,8 +125,11 @@ class ScenarioSpec:
             raise ConfigurationError(f"unknown workload {self.workload!r}")
         if self.adversary not in KNOWN_ADVERSARIES:
             raise ConfigurationError(f"unknown adversary {self.adversary!r}")
-        if self.n <= 0:
-            raise ConfigurationError("n must be positive")
+        domains = dict(
+            n=AT_LEAST_ONE, epsilon=POSITIVE, rho0=optional(POSITIVE), centre=FINITE,
+            delta_max=POSITIVE, delta=NON_NEGATIVE, adversarial_delay=NON_NEGATIVE,
+        )
+        coerce(self, domains, store=False)  # not stored: 16.0 for 16 moves spec_hash
         if not 0 <= self.num_byzantine < self.n:
             raise ConfigurationError("num_byzantine must be in [0, n)")
 

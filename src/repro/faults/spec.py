@@ -36,6 +36,7 @@ from repro.adversary.strategies import (
     ScheduledStrategy,
     SpamStrategy,
 )
+from repro.domains import NON_NEGATIVE, domain
 from repro.errors import ConfigurationError
 from repro.net.network import (
     DelayWindow,
@@ -141,15 +142,11 @@ class CorruptionSpec(JsonSpec):
     def __post_init__(self) -> None:
         self._coerce(
             strategy=str,
-            count=int,
-            activation_time=float,
+            count=domain("[0, inf) or FULL_BUDGET", lambda x: x >= FULL_BUDGET, int),
+            activation_time=NON_NEGATIVE,
             options=dict,
             nodes=optional_ids,
         )
-        if self.activation_time < 0:
-            raise ConfigurationError(
-                f"activation_time must be >= 0, got {self.activation_time}"
-            )
         if self.nodes is not None and len(set(self.nodes)) != len(self.nodes):
             raise ConfigurationError(
                 f"corruption nodes contain duplicates: {self.nodes}"
@@ -160,11 +157,6 @@ class CorruptionSpec(JsonSpec):
             return len(self.nodes)
         if self.count == FULL_BUDGET:
             return byzantine_bound(n)
-        if self.count < 0:
-            raise ConfigurationError(
-                f"corruption count must be non-negative or FULL_BUDGET, "
-                f"got {self.count}"
-            )
         return self.count
 
     def resolved_nodes(self, n: int, taken: "set[int]") -> List[int]:

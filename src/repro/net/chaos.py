@@ -53,7 +53,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
+from repro.domains import AT_LEAST_ONE, NON_NEGATIVE
 from repro.net.message import Message
 from repro.net.network import (
     DROP,
@@ -79,10 +79,8 @@ class ResetSpec(ChannelFilter):
     receivers: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        self._coerce(at=float)
+        self._coerce(at=NON_NEGATIVE)
         self._coerce_filter()
-        if self.at < 0:
-            raise ConfigurationError(f"reset time must be >= 0, got {self.at}")
 
 
 @dataclass(frozen=True)
@@ -97,14 +95,8 @@ class CorruptSpec(ChannelFilter):
     receivers: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        self._coerce(at=float, count=int)
+        self._coerce(at=NON_NEGATIVE, count=AT_LEAST_ONE)
         self._coerce_filter()
-        if self.at < 0:
-            raise ConfigurationError(f"corruption time must be >= 0, got {self.at}")
-        if self.count < 1:
-            raise ConfigurationError(
-                f"corruption count must be >= 1, got {self.count}"
-            )
 
 
 @dataclass(frozen=True)

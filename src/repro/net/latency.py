@@ -28,13 +28,13 @@ produce identical results (see ``docs/SIMULATOR.md``).
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.domains import NON_NEGATIVE, coerce
 from repro.errors import ConfigurationError
 
 #: Number of jitter values drawn per vectorised block.
@@ -186,10 +186,7 @@ class ConstantLatency(LatencyModel):
     seconds: float = 0.001
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seconds < math.inf:
-            raise ConfigurationError(
-                f"latency must be finite and non-negative, got {self.seconds}"
-            )
+        coerce(self, {"seconds": NON_NEGATIVE}, store=False)
 
     def delay(self, sender: int, destination: int) -> float:
         return self.seconds
@@ -241,10 +238,10 @@ class UniformLatency(_PairStreamLatency):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.low <= self.high < math.inf:
+        coerce(self, {"low": NON_NEGATIVE, "high": NON_NEGATIVE}, store=False)
+        if self.low > self.high:
             raise ConfigurationError(
-                "UniformLatency requires finite 0 <= low <= high, got "
-                f"low={self.low}, high={self.high}"
+                f"UniformLatency requires low <= high, got {self.low} > {self.high}"
             )
 
     def _fill(self, sender: int, destination: int) -> Fill:
@@ -274,11 +271,11 @@ class GeoLatencyModel(_PairStreamLatency):
     def __post_init__(self) -> None:
         if self.num_nodes <= 0:
             raise ConfigurationError("num_nodes must be positive")
-        if not 0 <= self.jitter_fraction < math.inf:
-            raise ConfigurationError(
-                "jitter_fraction must be finite and non-negative, "
-                f"got {self.jitter_fraction}"
-            )
+        domains = {
+            "jitter_fraction": NON_NEGATIVE,
+            "one_way_ms": lambda table: [NON_NEGATIVE(ms) for ms in table.values()],
+        }
+        coerce(self, domains, store=False)
         if not self.regions:
             raise ConfigurationError("at least one region is required")
         if self.assignment is None:

@@ -28,6 +28,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from repro.domains import NON_NEGATIVE, NON_NEGATIVE_OR_INF, PROBABILITY, coerce
 from repro.errors import ConfigurationError, NetworkError
 from repro.net.bandwidth import BandwidthAccountant, BandwidthModel
 from repro.net.latency import BlockStream, ConstantLatency, LatencyModel
@@ -150,8 +151,7 @@ class JsonSpec:
 
     def _coerce(self, **converters: Callable[[Any], Any]) -> None:
         """Normalise fields in place (``__post_init__`` of a frozen class)."""
-        for name, convert in converters.items():
-            object.__setattr__(self, name, convert(getattr(self, name)))
+        coerce(self, converters)
 
 
 def optional_ids(value: Any) -> Optional[Tuple[int, ...]]:
@@ -187,25 +187,19 @@ class _Window(JsonSpec):
     start: float
     end: float
 
-    def _check_window(self, kind: str) -> None:
-        self._coerce(start=float, end=float)
-        if self.start < 0:
-            raise ConfigurationError(
-                f"{kind} window start must be >= 0, got {self.start}"
-            )
+    def _check_window(self, end: Callable = NON_NEGATIVE_OR_INF, **more: Any) -> None:
+        self._coerce(start=NON_NEGATIVE, end=end, **more)
         if self.end < self.start:
             raise ConfigurationError(
-                f"{kind} window must have end >= start, "
-                f"got [{self.start}, {self.end})"
+                f"{type(self).__name__}: end {self.end} < start {self.start}"
             )
 
 
 class _TargetedWindow(_Window, ChannelFilter):
     """A time window with a channel filter (base of delay and loss)."""
 
-    def _check_window(self, kind: str) -> None:
-        super()._check_window(kind)
-        self._coerce_filter()
+    def _check_window(self, **more: Any) -> None:
+        super()._check_window(senders=optional_ids, receivers=optional_ids, **more)
 
     def applies(self, sender: int, destination: int, time: float) -> bool:
         return self.start <= time < self.end and self.matches(sender, destination)
@@ -220,7 +214,8 @@ class PartitionWindow(_Window):
     endpoint lies in a listed island (nodes absent from every island form the
     implicit remainder).  Severed messages are *not* dropped — the asynchrony
     model forbids it — but held back until the partition heals: they arrive no
-    earlier than ``end + heal_delay`` plus their normal propagation.
+    earlier than ``end + heal_delay`` plus their normal propagation, so
+    ``end`` is finite: a partition that never heals would be a drop.
     """
 
     start: float
@@ -229,15 +224,11 @@ class PartitionWindow(_Window):
     heal_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        self._check_window("partition")
-        self._coerce(
+        self._check_window(
+            end=NON_NEGATIVE,
             groups=lambda groups: tuple(optional_ids(group) for group in groups),
-            heal_delay=float,
+            heal_delay=NON_NEGATIVE,
         )
-        if self.heal_delay < 0:
-            raise ConfigurationError(
-                f"heal_delay must be >= 0, got {self.heal_delay}"
-            )
 
     def _group_of(self, node: int) -> int:
         for index, group in enumerate(self.groups):
@@ -260,10 +251,7 @@ class DelayWindow(_TargetedWindow):
     receivers: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        self._check_window("delay")
-        self._coerce(extra=float)
-        if self.extra < 0:
-            raise ConfigurationError(f"delay extra must be >= 0, got {self.extra}")
+        self._check_window(extra=NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -284,12 +272,7 @@ class LossWindow(_TargetedWindow):
     receivers: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        self._check_window("loss")
-        self._coerce(probability=float)
-        if not 0.0 <= self.probability <= 1.0:
-            raise ConfigurationError(
-                f"loss probability must be in [0, 1], got {self.probability}"
-            )
+        self._check_window(probability=PROBABILITY)
 
 
 @dataclass(frozen=True)
@@ -379,10 +362,8 @@ class DeliveryPolicy:
     _loss_stream: BlockStream = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.max_extra_delay < 0:
-            raise NetworkError("max_extra_delay must be non-negative")
-        if not 0.0 <= self.target_fraction <= 1.0:
-            raise NetworkError("target_fraction must be in [0, 1]")
+        domains = {"max_extra_delay": NON_NEGATIVE, "target_fraction": PROBABILITY}
+        coerce(self, domains, store=False, error=NetworkError)
         self._delay_stream = BlockStream(_uniform_block, _DELAY_STREAM_TAG, self.seed)
         self._tie_stream = BlockStream(_uniform_block, _TIEBREAK_STREAM_TAG, self.seed)
         self._loss_stream = BlockStream(_uniform_block, _LOSS_STREAM_TAG, self.seed)

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Tuple
 
+from repro.domains import NON_NEGATIVE, POSITIVE
 from repro.errors import ConfigurationError, InvariantViolation, LivenessTimeout
 from repro.net.chaos import WireFaults
 from repro.net.network import JsonSpec, LossWindow, PartitionWindow, write_json
@@ -59,13 +60,7 @@ class KillSpec(JsonSpec):
     restart_delay: float = 0.5
 
     def __post_init__(self) -> None:
-        self._coerce(node=int, at=float, restart_delay=float)
-        if self.at < 0:
-            raise ConfigurationError(f"kill time must be >= 0, got {self.at}")
-        if self.restart_delay < 0:
-            raise ConfigurationError(
-                f"restart_delay must be >= 0, got {self.restart_delay}"
-            )
+        self._coerce(node=int, at=NON_NEGATIVE, restart_delay=NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -78,13 +73,7 @@ class PauseSpec(JsonSpec):
     duration: float = 1.0
 
     def __post_init__(self) -> None:
-        self._coerce(node=int, at=float, duration=float)
-        if self.at < 0:
-            raise ConfigurationError(f"pause time must be >= 0, got {self.at}")
-        if self.duration <= 0:
-            raise ConfigurationError(
-                f"pause duration must be > 0, got {self.duration}"
-            )
+        self._coerce(node=int, at=NON_NEGATIVE, duration=POSITIVE)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.parameters import DelphiParameters
 from repro.core.dora import DoraCertificate, certificate_validator
 from repro.crypto.signatures import AggregateSignature, SignatureScheme
+from repro.domains import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, domain, optional
 from repro.errors import (
     ConfigurationError,
     LivenessTimeout,
@@ -146,11 +147,13 @@ class ClusterConfig(JsonSpec):
     epoch_resyncs: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ConfigurationError(f"cluster needs n >= 2 nodes, got {self.n}")
         epoch_workload_entry(self.workload)
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+        self._coerce(
+            n=domain("[2, inf)", lambda n: n >= 2, int), epochs=AT_LEAST_ONE,
+            epsilon=optional(POSITIVE), rho0=optional(POSITIVE),
+            delta_max=optional(POSITIVE), epoch_timeout=POSITIVE, join_timeout=POSITIVE,
+            epoch_grace=NON_NEGATIVE, epoch_interval=NON_NEGATIVE,
+        )
         self.addresses = {int(k): list(v) for k, v in self.addresses.items()}
 
     # -- derived values -------------------------------------------------

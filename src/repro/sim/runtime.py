@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.domains import AT_LEAST_ONE, NON_NEGATIVE, NON_NEGATIVE_OR_INF, coerce, optional
 from repro.errors import SimulationError
 from repro.adversary.base import AdversaryStrategy
 from repro.net.message import Envelope, Message, MessageTrace
@@ -54,12 +55,8 @@ class ComputeModel:
     def __post_init__(self) -> None:
         # Negative costs would let events finish before they start, which
         # breaks the scheduler's no-past-events invariant.
-        if (
-            self.per_message_seconds < 0
-            or self.per_byte_seconds < 0
-            or self.per_crypto_unit_seconds < 0
-        ):
-            raise SimulationError("compute-model costs must be non-negative")
+        costs = ("per_message_seconds", "per_byte_seconds", "per_crypto_unit_seconds")
+        coerce(self, dict.fromkeys(costs, NON_NEGATIVE), error=SimulationError)
 
     def processing_delay(self, message_bytes: int, crypto_units: float = 0.0) -> float:
         """CPU time charged for one delivered message."""
@@ -108,14 +105,8 @@ class SimulationConfig:
     engine: str = "fast"
 
     def __post_init__(self) -> None:
-        if self.max_events <= 0:
-            raise SimulationError(
-                f"max_events must be positive, got {self.max_events}"
-            )
-        if self.max_time is not None and self.max_time < 0:
-            raise SimulationError(
-                f"max_time must be non-negative, got {self.max_time}"
-            )
+        limits = {"max_events": AT_LEAST_ONE, "max_time": optional(NON_NEGATIVE_OR_INF)}
+        coerce(self, limits, error=SimulationError)
         if self.engine not in KNOWN_ENGINES:
             raise SimulationError(
                 f"unknown simulation engine {self.engine!r} "

@@ -8,14 +8,20 @@
   ``FaultSpec`` they describe — the rule ``cells._make_strategy`` used to
   spell out is kept here as the reference;
 * a workload name plus overrides gives the same ``DelphiParameters``
-  whichever way the oracle stack is assembled.
+  whichever way the oracle stack is assembled;
+* every float field of every spec class is valid or refused when the spec
+  is built (``repro.domains``), on the API and on the ``run`` command line.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
+from typing import Optional, get_type_hints
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro import runner
 from repro.adversary.strategies import (
@@ -27,9 +33,16 @@ from repro.adversary.strategies import (
 )
 from repro.core.dora import DoraNode
 from repro.crypto.signatures import SignatureScheme
+from repro.errors import ConfigurationError, NetworkError
 from repro.experiments.cells import build_adversary, build_inputs, build_network, run_spec
+from repro.experiments.cli import main
 from repro.experiments.spec import ScenarioSpec
-from repro.faults.spec import scenario_corrupted_ids
+from repro.faults.campaign import run_fault_cell
+from repro.faults.spec import CorruptionSpec, scenario_corrupted_ids
+from repro.net.chaos import CorruptSpec, ResetSpec
+from repro.net.latency import ConstantLatency, GeoLatencyModel, UniformLatency
+from repro.net.network import DelayWindow, DeliveryPolicy, LossWindow, PartitionWindow
+from repro.oracle.chaos import KillSpec, PauseSpec
 from repro.oracle.cluster import ClusterConfig
 from repro.oracle.gateway import build_gateway
 from repro.oracle.service import build_service
@@ -162,3 +175,84 @@ def test_every_assembly_derives_the_same_parameters(workload, overrides):
     assert ticks.max_spread == params.delta_max
     assert gateway.ticks is ticks
     assert type(ticks.base) is type(service.workload)
+
+
+# ----------------------------------------------------------------------
+# A spec is valid or refused: every float field of every spec class.
+
+#: One valid instance's arguments per spec class.
+SPEC_BASES = {
+    ScenarioSpec: dict(protocol="delphi", n=4, seed=1, max_rounds=3),
+    CorruptionSpec: {},
+    DelayWindow: dict(start=0.0, end=0.05, extra=0.01),
+    LossWindow: dict(start=0.0, end=0.05, probability=0.1),
+    PartitionWindow: dict(start=0.0, end=0.05, groups=((0,),)),
+    ResetSpec: dict(at=0.0),
+    CorruptSpec: dict(at=0.0),
+    KillSpec: dict(node=1, at=0.0),
+    PauseSpec: dict(node=1, at=0.0),
+    ClusterConfig: dict(n=4, workload="sensors"),
+    DeliveryPolicy: {},
+    ConstantLatency: {},
+    UniformLatency: {},
+    GeoLatencyModel: dict(regions=("a",), one_way_ms={("a", "a"): 1.0}, num_nodes=4),
+}
+
+#: Every float field, read off the annotations (a new one is walked too).
+FLOAT_FIELDS = [
+    (cls, name)
+    for cls in SPEC_BASES
+    for name, hint in get_type_hints(cls).items()
+    if hint in (float, Optional[float]) and not name.startswith("_")
+]
+
+#: The only pairings of a field with NaN, +inf, -inf or -1.0 a spec may
+#: hold; each runs to a verdict below, every other one is refused.
+LEGAL = {
+    (DelayWindow, "end", math.inf),  # a window that never closes
+    (LossWindow, "end", math.inf),
+    (ScenarioSpec, "centre", -1.0),  # any finite centre
+}
+
+
+def _verdict(spec):
+    """Both engines under the invariant monitors, for a scenario or for
+    the base scenario with one fault window."""
+    if not isinstance(spec, ScenarioSpec):
+        kind = {DelayWindow: "delays", LossWindow: "losses"}[type(spec)]
+        faults = {kind: [spec.to_dict()]}
+        spec = ScenarioSpec(**SPEC_BASES[ScenarioSpec], extras={"faults": faults})
+    return run_fault_cell(spec)
+
+
+def test_every_spec_class_has_float_fields():
+    assert {cls for cls, _ in FLOAT_FIELDS} == set(SPEC_BASES)
+    assert len(FLOAT_FIELDS) == 35
+
+
+@pytest.mark.parametrize(
+    "cls, name", FLOAT_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS]
+)
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value=-1.0)
+@given(value=st.sampled_from([math.nan, math.inf, -math.inf, -1.0]))
+def test_every_float_field_is_valid_or_refused(cls, name, value):
+    arguments = {**SPEC_BASES[cls], name: value}
+    if (cls, name, value) in LEGAL:
+        verdict = _verdict(cls(**arguments))
+        assert verdict.equivalent and verdict.status in ("ok", "stalled"), verdict.as_dict()
+        return
+    error = NetworkError if cls is DeliveryPolicy else ConfigurationError
+    with pytest.raises(error, match=rf"^{cls.__name__}\.{name}: \S+ is not in [\[(]"):
+        cls(**arguments)
+
+
+@pytest.mark.parametrize("flag, value", [("--epsilon", "nan"), ("--delta-max", "inf")])
+def test_run_refuses_a_float_outside_its_domain(capsys, flag, value):
+    assert main(["run", flag, value]) == 2
+    err = capsys.readouterr().err
+    field = flag[2:].replace("-", "_")
+    assert err.startswith(f"error: ScenarioSpec.{field}: {value} is not in (0, inf)")
+    assert "Traceback" not in err

@@ -17,6 +17,7 @@ from repro.errors import ConfigurationError, InvariantViolation
 from repro.experiments.cli import main as cli_main
 from repro.experiments.spec import ScenarioSpec
 from repro.faults import (
+    FULL_BUDGET,
     CorruptionSpec,
     DelayWindow,
     FaultSpec,
@@ -171,6 +172,12 @@ class TestFaultSpec:
             LossWindow(start=-1.0, end=1.0, probability=0.5)
         with pytest.raises(ConfigurationError):
             CorruptionSpec("crash", activation_time=-1.0)
+
+    def test_negative_count_refused_at_declaration(self):
+        assert CorruptionSpec("crash", count=FULL_BUDGET).resolved_count(7) == 2
+        assert CorruptionSpec("crash", count=0).resolved_count(7) == 0
+        with pytest.raises(ConfigurationError, match=r"CorruptionSpec\.count: -2 "):
+            CorruptionSpec("crash", count=-2)
 
     def test_termination_expectation_derived_from_losses(self):
         assert FaultSpec().terminating()

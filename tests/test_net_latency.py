@@ -103,6 +103,12 @@ class TestGeoLatencyModel:
         with pytest.raises(ConfigurationError):
             GeoLatencyModel(AWS_REGIONS, {}, num_nodes=8, jitter_fraction=float("nan"))
 
+    @pytest.mark.parametrize("one_way_ms", [float("nan"), -5.0])
+    def test_rejects_a_bad_one_way_entry(self, one_way_ms):
+        # NaN would reach delay(); a negative entry was clamped to 0 unseen.
+        with pytest.raises(ConfigurationError, match="one_way_ms"):
+            GeoLatencyModel(("a",), {("a", "a"): one_way_ms}, num_nodes=2)
+
 
 class TestCpsLatency:
     def test_sub_two_millisecond_lan(self):

@@ -50,6 +50,11 @@ class TestDeliveryPolicy:
             DeliveryPolicy(max_extra_delay=-1.0)
         with pytest.raises(NetworkError):
             DeliveryPolicy(target_fraction=1.5)
+        # An infinite delay is a drop (the delivery time equals DROPPED); a
+        # NaN one would put NaN keys in the event heap.
+        for delay in (float("inf"), float("nan")):
+            with pytest.raises(NetworkError, match=r"max_extra_delay: \S+ is not in \[0, inf\)"):
+                DeliveryPolicy(max_extra_delay=delay)
 
 
 class TestAsynchronousNetwork:
