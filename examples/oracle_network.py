@@ -9,9 +9,9 @@ The pipeline mirrors the paper's first application end to end:
 2. **Configuration** — set ``epsilon = rho0 = 2$`` and ``Delta`` from the
    analysis, as the paper does.
 3. **Reporting rounds** — every minute, each oracle queries an exchange and
-   the network runs Delphi + DORA over the geo-distributed AWS testbed
-   model, producing a single attested price that is submitted to the SMR
-   (blockchain) channel.
+   the oracle service runs one epoch of Delphi + DORA over the
+   geo-distributed AWS testbed model, producing a single attested price
+   that is submitted to the SMR (blockchain) channel.
 
 Run with::
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.analysis.parameters import derive_parameters
 from repro.analysis.range_analysis import analyse_ranges
-from repro.oracle.network import OracleNetwork
+from repro.oracle.service import OracleService
 from repro.testbed.aws import AwsTestbed
 from repro.workloads.bitcoin import BitcoinPriceFeed
 
@@ -63,28 +63,30 @@ def main() -> None:
     # 3. Run a few reporting rounds over the AWS testbed model.
     # ------------------------------------------------------------------
     testbed = AwsTestbed(num_nodes=num_oracles, seed=7)
-    network = OracleNetwork(
-        params, network_factory=testbed.network, compute=testbed.compute()
-    )
     live_feed = BitcoinPriceFeed(seed=99)
+    service = OracleService(
+        params,
+        live_feed,
+        engine="fast",
+        network_factory=lambda epoch: testbed.network(),
+        compute=testbed.compute(),
+    )
 
     print("\nper-minute attested reports:")
     for minute in range(3):
-        measurements = live_feed.node_inputs(num_oracles)
-        report = network.report_round(measurements)
-        honest_low, honest_high = min(measurements), max(measurements)
+        report = service.run_epoch()
         print(
             f"  minute {minute + 1}: attested {report.value:10.2f} $ "
-            f"(inputs [{honest_low:10.2f}, {honest_high:10.2f}], "
+            f"(input range {report.input_range:6.2f} $, "
             f"{report.certificate.signer_count} signers, "
             f"{report.runtime_seconds:5.2f} s simulated, "
-            f"{report.total_megabytes:6.2f} MB)"
+            f"{report.megabytes:6.2f} MB)"
         )
 
-    consumed = network.chain.first_valid()
+    consumed = service.chain.first_valid()
     print(f"\nfirst report the blockchain consumed (position {consumed.position}): "
           f"{consumed.payload.value:.2f} $")
-    distinct_total = len({e.payload.value for e in network.chain.entries if e.valid})
+    distinct_total = len({e.payload.value for e in service.chain.entries if e.valid})
     print(f"distinct values posted across {live_feed.minute} reporting rounds: "
           f"{distinct_total} (Delphi posts at most 2 per round)")
 

@@ -72,6 +72,13 @@ class DelphiParameters:
                 "delta_max must be at least rho0 "
                 f"(got delta_max={self.delta_max}, rho0={self.rho0})"
             )
+        try:  # l_max = log2(delta_max / rho0) and r_max = log2(1 / eps') finite
+            self.rounds_uncapped
+        except (OverflowError, ZeroDivisionError):
+            raise ConfigurationError(
+                f"DelphiParameters: epsilon={self.epsilon}, rho0={self.rho0}, "
+                f"delta_max={self.delta_max} give no finite level or round count"
+            ) from None
 
     # ------------------------------------------------------------------
     # Derived quantities (Algorithm 2, line 2)

@@ -25,6 +25,7 @@ def domain(interval: str, holds: Callable, kind: type = float) -> Callable:
 NON_NEGATIVE = domain("[0, inf)", lambda x: 0 <= x < math.inf)  # times, delays
 NON_NEGATIVE_OR_INF = domain("[0, inf]", lambda x: 0 <= x)  # a window end, a time cap
 POSITIVE = domain("(0, inf)", lambda x: 0 < x < math.inf)  # epsilon, timeouts
+POSITIVE_OR_INF = domain("(0, inf]", lambda x: 0 < x)  # a rate; inf = unthrottled
 PROBABILITY = domain("[0, 1]", lambda x: 0 <= x <= 1)
 FINITE = domain("(-inf, inf)", math.isfinite)
 AT_LEAST_ONE = domain("[1, inf)", lambda x: x >= 1, int)  # counts, epochs

@@ -20,6 +20,7 @@ True
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -53,7 +54,13 @@ def spread_inputs(n: int, centre: float, delta: float) -> List[float]:
     benchmark suite via ``bench_common.spread_inputs``)."""
     if n == 1:
         return [centre]
-    return [centre - delta / 2.0 + delta * index / (n - 1) for index in range(n)]
+    inputs = [centre - delta / 2.0 + delta * index / (n - 1) for index in range(n)]
+    if not all(map(math.isfinite, inputs)):
+        raise ConfigurationError(
+            f"ScenarioSpec.delta: {delta} around centre {centre} spreads "
+            "the inputs past the largest float"
+        )
+    return inputs
 
 
 def lan_network(

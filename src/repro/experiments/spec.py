@@ -132,6 +132,13 @@ class ScenarioSpec:
         coerce(self, domains, store=False)  # not stored: 16.0 for 16 moves spec_hash
         if not 0 <= self.num_byzantine < self.n:
             raise ConfigurationError("num_byzantine must be in [0, n)")
+        if self.extras.get("faults"):
+            # Parsed to be refused now, not when a cell runs; not stored, so
+            # spec_hash is unchanged.  Imported here: repro.faults imports
+            # this module.
+            from repro.faults.spec import fault_spec_of
+
+            fault_spec_of(self)
 
     # ------------------------------------------------------------------
     @property

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.errors import ConfigurationError
+from repro.domains import POSITIVE_OR_INF, coerce
 from repro.net.message import Envelope, MessageTrace
 
 
@@ -35,8 +35,7 @@ class BandwidthModel:
     bits_per_second: float = float("inf")
 
     def __post_init__(self) -> None:
-        if self.bits_per_second <= 0:
-            raise ConfigurationError("bandwidth must be positive")
+        coerce(self, {"bits_per_second": POSITIVE_OR_INF}, store=False)
 
     def transmission_delay(self, size_bits: int) -> float:
         """Time in seconds needed to push ``size_bits`` onto the wire."""

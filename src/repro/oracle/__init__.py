@@ -1,9 +1,8 @@
 """Oracle-network application layer: the SMR (blockchain) channel, the
-one-shot price-reporting pipeline, the multi-epoch oracle service and the
-client-facing HTTP/WebSocket gateway."""
+multi-epoch oracle service (the one in-process oracle round: agree, attest,
+submit, on any engine) and the client-facing HTTP/WebSocket gateway."""
 
 from repro.oracle.smr import SMRChannel, SMREntry
-from repro.oracle.network import OracleNetwork, OracleReport
 from repro.oracle.service import (
     EpochNode,
     EpochReport,
@@ -19,8 +18,6 @@ __all__ = [
     "EpochReport",
     "GatewaySubscriber",
     "OracleGateway",
-    "OracleNetwork",
-    "OracleReport",
     "OracleService",
     "SMRChannel",
     "SMREntry",

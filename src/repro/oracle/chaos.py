@@ -256,6 +256,8 @@ class ChaosController(ClusterSupervisor):
             input_range=max(inputs) - min(inputs),
             wall_seconds=0.0,
             events_processed=0,
+            runtime_seconds=0.0,
+            megabytes=0.0,
             offline_nodes=(),
             stale_messages=0,
         )

@@ -216,6 +216,10 @@ class EpochReport:
     input_range: float
     wall_seconds: float
     events_processed: int
+    #: Simulated (deterministic engines) or wall (asyncio) run time and the
+    #: run's traffic; not in :meth:`as_dict`, which fingerprints hash.
+    runtime_seconds: float
+    megabytes: float
     offline_nodes: Tuple[int, ...]
     stale_messages: int
     parity_value: Optional[float] = None
@@ -629,6 +633,8 @@ class OracleService:
             input_range=max(honest_inputs) - min(honest_inputs),
             wall_seconds=wall,
             events_processed=result.events_processed,
+            runtime_seconds=result.runtime_seconds,
+            megabytes=result.trace.total_megabytes,
             offline_nodes=offline,
             stale_messages=sum(node.stale_messages for node in nodes.values()),
             parity_value=parity_value,

@@ -22,8 +22,10 @@ The basket covers the paper's hot spots:
   (groups of 32), the scale-out cell flat Delphi's O(n^2) broadcasts
   cannot reach;
 * ``abraham-n40-aws`` — one round-heavy baseline protocol;
-* ``oracle-smr-e3-n13-aws`` — three epochs of the end-to-end oracle
-  network, including DORA attestation and the SMR channel;
+* ``oracle-smr-e3-n13-aws`` — three epochs of the oracle service (the one
+  in-process oracle round: agree, DORA attestation, SMR channel) over the
+  AWS testbed's network and compute models, simulated time and traffic
+  included;
 * ``oracle-service-e4-n7-churn`` — four epochs of the epoch-pipelined
   oracle service (persistent PKI, epoch-tagged messages, rotating one-node
   churn, certificate-stream monitors) — the serving layer itself;
@@ -47,8 +49,7 @@ from repro.experiments.cells import build_inputs, run_spec
 from repro.experiments.spec import ScenarioSpec
 from repro.oracle.gateway import build_gateway
 from repro.oracle.loadgen import run_loadgen_async
-from repro.oracle.network import OracleNetwork
-from repro.oracle.service import build_service
+from repro.oracle.service import OracleService, build_service
 from repro.sim.runtime import SimulationConfig
 from repro.testbed.aws import AwsTestbed
 from repro.workloads import epoch_parameters
@@ -102,38 +103,32 @@ def _protocol(spec: ScenarioSpec) -> Callable[[str], Dict[str, Any]]:
 
 
 def _oracle_smr(engine: str) -> Dict[str, Any]:
-    """``oracle-smr-e3-n13-aws``: three reporting rounds on one oracle network."""
-    n, epochs = 13, 3
-    params = epoch_parameters("bitcoin", n)
+    """``oracle-smr-e3-n13-aws``: three oracle-service epochs on the AWS testbed."""
+    n = 13
     testbed = AwsTestbed(num_nodes=n, seed=11)
-    oracle = OracleNetwork(
-        params=params, network_factory=testbed.network, compute=testbed.compute()
+    service = OracleService(
+        epoch_parameters("bitcoin", n),
+        BitcoinPriceFeed(seed=11),
+        engine=engine,
+        network_factory=lambda epoch: testbed.network(),
+        compute=testbed.compute(),
     )
-    feed = BitcoinPriceFeed(seed=11)
-    epochs_projection: List[Dict[str, Any]] = []
-    for _epoch in range(epochs):
-        measurements = feed.node_inputs(n)
-        report = oracle.report_round(
-            measurements, config=SimulationConfig(engine=engine)
-        )
-        epochs_projection.append(
-            {
-                "value": report.value,
-                "runtime_seconds": report.runtime_seconds,
-                "megabytes": report.total_megabytes,
-                "honest_outputs": {
-                    str(k): v for k, v in sorted(report.honest_outputs.items())
-                },
-            }
-        )
+    result = service.serve(3)
     chain = [
         [entry.position, entry.submitter, float(entry.payload.value), entry.valid]
-        for entry in oracle.chain.entries
+        for entry in service.chain.entries
     ]
     return {
-        "epochs": epochs_projection,
+        "epochs": [
+            {
+                **report.as_dict(),
+                "runtime_seconds": report.runtime_seconds,
+                "megabytes": report.megabytes,
+            }
+            for report in result.reports
+        ],
         "chain": chain,
-        "validations": oracle.chain.validations,
+        "validations": result.chain_validations,
     }
 
 

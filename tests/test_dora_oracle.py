@@ -1,5 +1,5 @@
-"""Tests for the DORA attestation step, the SMR channel and the oracle
-network application layer."""
+"""Tests for the DORA attestation step, the SMR channel and one oracle
+round run as an oracle-service epoch."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.analysis.parameters import derive_parameters
 from repro.core.dora import DoraCertificate, DoraNode
 from repro.crypto.signatures import SignatureScheme
 from repro.errors import CertificateShortfall, ConfigurationError
-from repro.oracle.network import OracleNetwork
+from repro.oracle.service import OracleService
 from repro.oracle.smr import SMRChannel
 
 from helpers import run_nodes
@@ -182,7 +182,7 @@ class TestSMRChannel:
         chain = SMRChannel(validator=lambda payload: False)
         with pytest.raises(CertificateShortfall) as raised:
             chain.consume([(0, "x"), (1, "y")])
-        assert isinstance(raised.value, ConfigurationError)  # report_round's contract
+        assert isinstance(raised.value, ConfigurationError)  # what callers catch
         with pytest.raises(CertificateShortfall):
             chain.consume([])
         assert len(chain.entries) == 2
@@ -195,23 +195,36 @@ class TestSMRChannel:
         assert chain.distinct_valid_payloads == 2
 
 
-class TestOracleNetwork:
+class _Epochs:
+    """A workload serving the given inputs, one list per epoch."""
+
+    def __init__(self, *epochs):
+        self._epochs = iter(epochs)
+
+    def epoch_inputs(self, n):
+        return next(self._epochs)
+
+
+class TestOracleRound:
+    """One oracle round (agree, attest, submit) is an ``OracleService`` epoch."""
+
     def test_end_to_end_report_round(self, make_delphi_params):
         params = make_delphi_params(n=4, epsilon=1.0, delta_max=16.0)
-        network = OracleNetwork(params)
-        report = network.report_round([10.2, 10.6, 10.9, 10.4])
+        service = OracleService(params, _Epochs([10.2, 10.6, 10.9, 10.4]), engine="fast")
+        report = service.run_epoch()
         assert report.certificate.signer_count >= params.t + 1
         assert 10.2 - 2.0 <= report.value <= 10.9 + 2.0
         assert report.runtime_seconds > 0
-        assert report.total_megabytes > 0
-        assert report.output_spread <= params.epsilon + 1e-9
+        assert report.megabytes > 0
+        outputs = report.honest_outputs.values()
+        assert max(outputs) - min(outputs) <= params.epsilon + 1e-9
 
     def test_at_most_two_distinct_report_values_reach_the_chain(self, make_delphi_params):
         params = make_delphi_params(n=4, epsilon=1.0, delta_max=16.0)
-        network = OracleNetwork(params)
-        network.report_round([10.2, 10.6, 10.9, 10.4])
+        service = OracleService(params, _Epochs([10.2, 10.6, 10.9, 10.4]), engine="fast")
+        service.run_epoch()
         values = {
-            entry.payload.value for entry in network.chain.entries if entry.valid
+            entry.payload.value for entry in service.chain.entries if entry.valid
         }
         assert len(values) <= 2
 
@@ -219,29 +232,33 @@ class TestOracleNetwork:
         """Regression: every round after the first used to return epoch 0's
         certificate, because the consumed entry was searched from position 0."""
         params = make_delphi_params(n=4, epsilon=1.0, delta_max=16.0)
-        network = OracleNetwork(params)
         rounds = ([10.2, 10.6, 10.9, 10.4], [20.2, 20.6, 20.9, 20.4])
-        reports = [network.report_round(inputs) for inputs in rounds]
+        service = OracleService(params, _Epochs(*rounds), engine="fast")
+        reports = service.serve(2).reports
         assert reports[0].value != reports[1].value
         for report, inputs in zip(reports, rounds):
             assert report.value in report.honest_outputs.values()
             assert min(inputs) - 2.0 <= report.value <= max(inputs) + 2.0
             assert report.certificate.value == report.value
         first, second = (report.certificate for report in reports)
-        assert network.chain.first_valid().payload is first
-        assert network.chain.first_valid(since=params.n).payload is second
+        assert service.chain.first_valid().payload is first
+        assert service.chain.first_valid(since=params.n).payload is second
 
     def test_measurement_count_checked(self, make_delphi_params):
         params = make_delphi_params(n=4)
-        network = OracleNetwork(params)
+        service = OracleService(params, _Epochs([1.0, 2.0]), engine="fast")
         with pytest.raises(ConfigurationError):
-            network.report_round([1.0, 2.0])
+            service.run_epoch()
 
     def test_crash_fault_round(self, make_delphi_params):
         params = make_delphi_params(n=7, epsilon=1.0, delta_max=16.0)
-        network = OracleNetwork(params)
-        report = network.report_round(
-            [10.2, 10.5, 10.9, 11.4, 10.1, 10.7, 11.0],
-            byzantine={6: CrashStrategy()},
+        service = OracleService(
+            params,
+            _Epochs([10.2, 10.5, 10.9, 11.4, 10.1, 10.7, 11.0]),
+            engine="fast",
+            churn_plan={0: (6,)},
         )
+        report = service.run_epoch()
+        assert report.offline_nodes == (6,)
         assert report.certificate.signer_count >= params.t + 1
+        assert 6 not in report.certificate.aggregate.signers

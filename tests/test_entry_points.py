@@ -39,6 +39,7 @@ from repro.experiments.cli import main
 from repro.experiments.spec import ScenarioSpec
 from repro.faults.campaign import run_fault_cell
 from repro.faults.spec import CorruptionSpec, scenario_corrupted_ids
+from repro.net.bandwidth import BandwidthModel
 from repro.net.chaos import CorruptSpec, ResetSpec
 from repro.net.latency import ConstantLatency, GeoLatencyModel, UniformLatency
 from repro.net.network import DelayWindow, DeliveryPolicy, LossWindow, PartitionWindow
@@ -196,6 +197,7 @@ SPEC_BASES = {
     ConstantLatency: {},
     UniformLatency: {},
     GeoLatencyModel: dict(regions=("a",), one_way_ms={("a", "a"): 1.0}, num_nodes=4),
+    BandwidthModel: {},
 }
 
 #: Every float field, read off the annotations (a new one is walked too).
@@ -212,12 +214,18 @@ LEGAL = {
     (DelayWindow, "end", math.inf),  # a window that never closes
     (LossWindow, "end", math.inf),
     (ScenarioSpec, "centre", -1.0),  # any finite centre
+    (BandwidthModel, "bits_per_second", math.inf),  # unthrottled
 }
 
 
 def _verdict(spec):
     """Both engines under the invariant monitors, for a scenario or for
-    the base scenario with one fault window."""
+    the base scenario with one fault window or on one bandwidth model."""
+    if isinstance(spec, BandwidthModel):
+        base = ScenarioSpec(**SPEC_BASES[ScenarioSpec])
+        network, _compute = build_network(base)
+        assert network.accountant.model == spec  # the lan testbed's own model
+        return run_fault_cell(base)
     if not isinstance(spec, ScenarioSpec):
         kind = {DelayWindow: "delays", LossWindow: "losses"}[type(spec)]
         faults = {kind: [spec.to_dict()]}
@@ -227,7 +235,7 @@ def _verdict(spec):
 
 def test_every_spec_class_has_float_fields():
     assert {cls for cls, _ in FLOAT_FIELDS} == set(SPEC_BASES)
-    assert len(FLOAT_FIELDS) == 35
+    assert len(FLOAT_FIELDS) == 36
 
 
 @pytest.mark.parametrize(
@@ -256,3 +264,24 @@ def test_run_refuses_a_float_outside_its_domain(capsys, flag, value):
     field = flag[2:].replace("-", "_")
     assert err.startswith(f"error: ScenarioSpec.{field}: {value} is not in (0, inf)")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        (dict(delta_max=1e308, rho0=1e-308), r"delta_max=1e\+308"),  # l_max overflows
+        (dict(epsilon=5e-324), r"epsilon=5e-324"),  # rho0 = epsilon: l_max overflows
+        (dict(delta=1e308), r"^ScenarioSpec\.delta: 1e\+308 "),  # inputs overflow
+    ],
+    ids=["delta_max-over-rho0", "epsilon", "delta"],
+)
+def test_in_domain_extremes_are_refused_by_name(overrides, named):
+    spec = ScenarioSpec(protocol="delphi", n=4, seed=1, **overrides)
+    with pytest.raises(ConfigurationError, match=named):
+        run_spec(spec, build_inputs(spec))
+
+
+def test_a_fault_window_outside_its_domain_is_refused_with_the_spec():
+    faults = {"delays": [{"start": -1.0, "end": 1.0, "extra": 0.0}]}
+    with pytest.raises(ConfigurationError, match=r"^DelayWindow\.start: -1\.0 is not in"):
+        ScenarioSpec(**SPEC_BASES[ScenarioSpec], extras={"faults": faults})
