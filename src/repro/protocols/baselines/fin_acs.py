@@ -33,7 +33,6 @@ import statistics
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto.coin import CommonCoin
-from repro.errors import ConfigurationError
 from repro.net.message import Message
 from repro.protocols.base import Outbound, ProtocolNode
 from repro.protocols.binary_ba import BinaryBAEngine
@@ -41,7 +40,8 @@ from repro.protocols.rbc import RBCEngine
 
 PROTOCOL = "fin"
 
-#: Safety bound on election rounds.
+#: Safety bound on election rounds: past it a node stops electing and stays
+#: undecided, as a binary BA does past ``MAX_BA_ROUNDS``.
 MAX_ELECTIONS = 32
 
 
@@ -125,7 +125,7 @@ class FinAcsNode(ProtocolNode):
         return self._wrap_rbc("val", self.node_id, engine.start(self.value))
 
     def on_message(self, sender: int, message: Message) -> List[Outbound]:
-        if message.protocol != PROTOCOL or self.has_output:
+        if message.protocol != PROTOCOL:
             return []
         payload = message.payload
         if not isinstance(payload, (list, tuple)) or not payload:
@@ -178,7 +178,7 @@ class FinAcsNode(ProtocolNode):
 
     def _start_election(self, election: int) -> List[Outbound]:
         if election > MAX_ELECTIONS:
-            raise ConfigurationError("FIN election did not converge")
+            return []
         self._election_round = election
         if election in self._election_share_sent:
             return []

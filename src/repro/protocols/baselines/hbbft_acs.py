@@ -94,7 +94,7 @@ class HoneyBadgerAcsNode(ProtocolNode):
         return self._wrap_rbc(self.node_id, engine.start(self.value))
 
     def on_message(self, sender: int, message: Message) -> List[Outbound]:
-        if message.protocol != PROTOCOL or self.has_output:
+        if message.protocol != PROTOCOL:
             return []
         payload = message.payload
         if not isinstance(payload, (list, tuple)) or not payload:

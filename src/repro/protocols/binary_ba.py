@@ -8,6 +8,17 @@ a Binary-Value broadcast grows a set of admissible estimates, nodes exchange
 ``AUX`` votes over that set, and the round's common coin either confirms a
 unanimous vote (decide) or becomes the next estimate.
 
+Deciding is not stopping.  An engine that decides ``v`` in round ``r`` keeps
+running rounds with estimate ``v`` and halts at the next round whose coin is
+``v`` (HoneyBadgerBFT's ``already_decided`` rule); from then on it ignores
+all input.  Once one honest engine decides ``v`` in round ``r``, every honest
+engine enters round ``r + 1`` with estimate ``v``, so only ``v`` can gather
+``2t + 1`` BVAL support after that: every undecided honest engine decides
+``v`` at the latest in the round in which the early deciders halt, whose
+messages they all sent.  No decision gossip is needed, so the engine has no
+``DECIDE`` message; the embedding protocol must keep delivering messages to
+a decided engine until the run ends.
+
 The coin itself is the simulated threshold coin from
 :mod:`repro.crypto.coin`; producing and verifying its shares is what makes
 these baselines computationally expensive, and the engine counts those
@@ -29,7 +40,6 @@ BaSubMessage = Tuple[str, int, Any]
 BVAL = "BVAL"
 AUX = "AUX"
 COIN = "COIN"
-DECIDE = "DECIDE"
 
 #: Safety bound on rounds: expected termination is O(1) rounds; hitting this
 #: bound indicates a scheduling pathology rather than normal behaviour.
@@ -101,8 +111,7 @@ class BinaryBAEngine:
         self._coin_shares: Dict[int, Dict[int, Any]] = {}
         self._coin_sent: Set[int] = set()
         self._coin_value: Dict[int, int] = {}
-        self._decide_recv: Dict[int, Set[int]] = {}
-        self._decide_sent = False
+        self._halted = False
 
     @property
     def has_output(self) -> bool:
@@ -121,12 +130,7 @@ class BinaryBAEngine:
         """Process one delivered sub-message from ``sender``."""
         mtype, round_number, payload = sub
         out: List[BaSubMessage] = []
-        if mtype == DECIDE:
-            value = int(payload)
-            self._decide_recv.setdefault(value, set()).add(sender)
-            out.extend(self._maybe_decide_from_gossip(value))
-            return out
-        if self.has_output or round_number < 1 or round_number > MAX_BA_ROUNDS:
+        if self._halted or round_number < 1 or round_number > MAX_BA_ROUNDS:
             return out
 
         if mtype == BVAL:
@@ -136,7 +140,13 @@ class BinaryBAEngine:
         elif mtype == AUX:
             self._aux_recv.setdefault(round_number, {})[sender] = int(payload)
         elif mtype == COIN:
-            self._coin_shares.setdefault(round_number, {})[sender] = payload
+            # Each share is verified once, on arrival; none is needed once
+            # the round's coin is known.
+            if round_number not in self._coin_value and self.coin.verify_share(
+                (self.instance, round_number), payload
+            ):
+                self._coin_shares.setdefault(round_number, {})[sender] = payload
+                self.crypto_operations += 1
         else:
             return out
 
@@ -171,7 +181,7 @@ class BinaryBAEngine:
 
     def _progress(self) -> List[BaSubMessage]:
         out: List[BaSubMessage] = []
-        while not self.has_output:
+        while not self._halted:
             round_number = self.round
             bin_values = self._bin_values.get(round_number, set())
             if not bin_values:
@@ -202,8 +212,11 @@ class BinaryBAEngine:
             if len(values) == 1:
                 value = values.pop()
                 if value == coin_value:
-                    out.extend(self._decide(value))
-                    return out
+                    if self.output is None:
+                        self.output = value
+                    elif self.output == value:
+                        self._halted = True
+                        return out
                 self.estimate = value
             else:
                 self.estimate = coin_value
@@ -221,38 +234,12 @@ class BinaryBAEngine:
         if round_number in self._coin_value:
             return self._coin_value[round_number]
         shares = self._coin_shares.get(round_number, {})
-        valid = [
-            share
-            for sender, share in shares.items()
-            if self.coin.verify_share((self.instance, round_number), share)
-        ]
-        self.crypto_operations += len(valid)
-        if len(valid) < self.coin.threshold:
+        if len(shares) < self.coin.threshold:
             return None
-        value = self.coin.combine((self.instance, round_number), valid)
+        value = self.coin.combine((self.instance, round_number), list(shares.values()))
         self.crypto_operations += 1
         self._coin_value[round_number] = value
         return value
-
-    def _decide(self, value: int) -> List[BaSubMessage]:
-        self.output = value
-        out: List[BaSubMessage] = []
-        if not self._decide_sent:
-            self._decide_sent = True
-            out.append((DECIDE, self.round, value))
-        return out
-
-    def _maybe_decide_from_gossip(self, value: int) -> List[BaSubMessage]:
-        """Decide once t+1 DECIDE messages vouch for a value (termination gossip)."""
-        out: List[BaSubMessage] = []
-        if self.has_output:
-            return out
-        if len(self._decide_recv.get(value, set())) >= self.t + 1:
-            self.output = value
-            if not self._decide_sent:
-                self._decide_sent = True
-                out.append((DECIDE, max(1, self.round), value))
-        return out
 
 
 class BinaryBANode(ProtocolNode):

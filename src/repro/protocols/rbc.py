@@ -115,6 +115,8 @@ class RBCEngine:
 
     def handle(self, sender: int, sub: RbcSubMessage) -> List[RbcSubMessage]:
         """Process one delivered sub-message."""
+        if self.delivered is not None and self._echoed:
+            return []  # nothing left to send, and the output is fixed
         mtype, value = sub
         key = _freeze(value)
         self._originals.setdefault(key, value)

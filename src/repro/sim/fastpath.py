@@ -124,7 +124,6 @@ def run_fast(runtime) -> "SimulationResult":
         heap.append((0.0, tiebreak(), sequence, START_EVENT, node_id, -1, None))
     heapify(heap)
 
-    stop_when_decided = config.stop_when_decided
     max_events = config.max_events
     horizon = config.max_time
     events_processed = 0
@@ -135,7 +134,7 @@ def run_fast(runtime) -> "SimulationResult":
     broadcast_targets = topology.broadcast_targets
 
     while True:
-        if stop_when_decided and undecided == 0:
+        if undecided == 0:
             break
         if not heap:
             break

@@ -73,7 +73,10 @@ KNOWN_ENGINES = ("fast", "reference")
 
 @dataclass
 class SimulationConfig:
-    """Run limits and bookkeeping switches.
+    """Run limits and the engine choice.
+
+    A run always ends as soon as every honest node has an output; these
+    limits only bound a run that has not got there.
 
     Attributes
     ----------
@@ -85,10 +88,6 @@ class SimulationConfig:
         Optional cap on simulated time, enforced centrally by the
         scheduler's pop (see :class:`~repro.sim.scheduler.EventScheduler`):
         events beyond the cap are never released and the run ends cleanly.
-    stop_when_decided:
-        Stop as soon as every honest node has an output.  When false the run
-        continues until the event queue drains, which is useful for checking
-        that late messages do not break anything.
     engine:
         ``"fast"`` (default) runs the inlined hot loop in
         :mod:`repro.sim.fastpath`; ``"reference"`` runs the per-event
@@ -101,7 +100,6 @@ class SimulationConfig:
 
     max_events: int = 5_000_000
     max_time: Optional[float] = None
-    stop_when_decided: bool = True
     engine: str = "fast"
 
     def __post_init__(self) -> None:
@@ -305,7 +303,7 @@ class SimulationRuntime:
             ))
 
         while True:
-            if self.config.stop_when_decided and self._all_honest_decided():
+            if self._all_honest_decided():
                 break
             event = self.scheduler.pop()
             if event is None:

@@ -1,5 +1,7 @@
 """Tests for randomised binary Byzantine agreement."""
 
+from collections import deque
+
 import pytest
 
 from repro.adversary.strategies import CrashStrategy, RandomBitStrategy
@@ -39,14 +41,53 @@ class TestBinaryBAEngine:
         out = engine.start(1)
         assert ("BVAL", 1, 1) in out
 
-    def test_decide_gossip_needs_t_plus_one(self):
-        coin = CommonCoin(4, 2)
-        engine = BinaryBAEngine(4, 1, node_id=0, coin=coin)
-        engine.start(0)
-        engine.handle(1, ("DECIDE", 1, 1))
-        assert not engine.has_output
-        engine.handle(2, ("DECIDE", 1, 1))
-        assert engine.has_output and engine.output == 1
+    def test_decided_engine_runs_to_next_matching_coin_then_halts(self):
+        # n = 4 with node 3 silent.  Coin shares to engine 2 are held back
+        # until engine 0 decides, so engines 0 and 1 decide first and engine
+        # 2 can only finish rounds 2..4 with their help.
+        coin = CommonCoin(4, 2, instance="halt")
+        instance = "halt-4"
+        coins = [
+            coin.combine((instance, r), [coin.share(i, (instance, r)) for i in (0, 1)])
+            for r in range(1, 5)
+        ]
+        assert coins == [1, 0, 0, 1]  # decide 1 in round 1, halt in round 4
+        engines = {
+            i: BinaryBAEngine(4, 1, node_id=i, coin=coin, instance=instance)
+            for i in range(3)
+        }
+        queue = deque(
+            (i, target, sub) for i in engines for sub in engines[i].start(1)
+            for target in engines
+        )
+        held = []
+        after_decision = []
+        engine_2_lagged = False
+        while queue or held:
+            if not queue or engines[0].has_output:
+                queue.extend(held)
+                held.clear()
+            sender, target, sub = queue.popleft()
+            if target == 2 and sub[0] == "COIN" and sender != 2 and not engines[0].has_output:
+                held.append((sender, target, sub))
+                continue
+            out = engines[target].handle(sender, sub)
+            if target == 0 and engines[0].has_output:
+                if not after_decision:
+                    engine_2_lagged = not engines[2].has_output
+                after_decision.extend(out)
+            queue.extend((target, peer, sub) for sub in out for peer in engines)
+
+        assert engine_2_lagged
+        assert {engine.output for engine in engines.values()} == {1}
+        assert sorted({(mtype, r) for mtype, r, _ in after_decision}) == [
+            (mtype, r) for mtype in ("AUX", "BVAL", "COIN") for r in (2, 3, 4)
+        ]
+        assert all(engine.round == 4 and engine._halted for engine in engines.values())
+        halted = engines[0]
+        assert halted.handle(1, ("BVAL", 5, 0)) == []
+        assert halted.handle(1, ("AUX", 4, 0)) == []
+        assert (5, 0) not in halted._bval_recv and halted._aux_recv[4].get(1) == 1
 
 
 class TestBinaryBAProtocol:

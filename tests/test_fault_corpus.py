@@ -6,8 +6,9 @@ replay check — :func:`repro.faults.campaign.replay_pin`):
 
 * ``tests/data/fault_corpus.json`` — hand-written regression seeds that
   historically exposed liveness bugs, among them the FIN ACS early-vote
-  stall seeds.  They record no status, so they must stay
-  ``ok``: a stall or violation means a fixed bug silently regressed.
+  stall seeds.  Most record no status, so they must stay ``ok``; the FIN
+  election-cap seeds record ``stalled``, which their loss window allows.
+  Any other replay means a fixed bug silently regressed.
 * ``tests/data/adversarial_corpus.json`` — the fuzzer's shrunk near-misses
   (:mod:`repro.faults.search`), with their status and margins recorded;
   the margins must reproduce exactly.  ``repro fuzz --update-corpus``
@@ -40,6 +41,8 @@ def test_corpus_schema():
     assert any("fin-early-vote-stall" in label for label in labels), (
         "the FIN ACS early-vote stall seeds must stay in the corpus"
     )
+    for family in ("fin-decided-silence", "fin-election-cap"):
+        assert sum(family in label for label in labels) == 2, family
 
 
 def test_corpus_schema_and_coverage():

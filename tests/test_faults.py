@@ -3,6 +3,7 @@ specs, network-fault injection, schedule-driven corruption, runtime
 invariant monitors (including a deliberately broken invariant caught with a
 seed repro bundle) and engine equivalence under faults."""
 
+import dataclasses
 import importlib
 import json
 from pathlib import Path
@@ -617,6 +618,22 @@ class TestCampaign:
                 assert "termination_slack" not in outcome.margins
             else:
                 assert 0.0 <= outcome.margins["termination_slack"] <= 1.0
+
+    @pytest.mark.slow
+    def test_smoke_campaign_holds_on_seeds_0_to_299(self):
+        """The smoke matrix at 300 schedule seeds, both engines: no
+        invariant violation, no engine mismatch and no exception (stalls
+        occur only where a loss window waives termination).  About 5 min
+        on one core; CI runs it in its own step."""
+        failures = []
+        for seed in range(300):
+            result = run_campaign(dataclasses.replace(smoke_campaign(), seeds=(seed,)))
+            failures += [
+                (seed, verdict.spec.label, verdict.spec.protocol, verdict.spec.n, verdict.status)
+                for verdict in result.verdicts
+                if verdict.status not in ("ok", "stalled")
+            ]
+        assert failures == []
 
     def test_observers_see_identical_streams_on_both_engines(self):
         streams = {}

@@ -90,7 +90,7 @@ class TestSimulationRuntime:
     def test_max_events_guard_raises(self):
         runtime = SimulationRuntime(
             _nodes(ChattyNode),
-            config=SimulationConfig(max_events=200, stop_when_decided=False),
+            config=SimulationConfig(max_events=200),
         )
         with pytest.raises(SimulationError):
             runtime.run()
@@ -99,7 +99,7 @@ class TestSimulationRuntime:
         runtime = SimulationRuntime(
             _nodes(ChattyNode),
             network=AsynchronousNetwork(4, latency=ConstantLatency(0.001)),
-            config=SimulationConfig(max_time=0.0035, stop_when_decided=False, max_events=10 ** 6),
+            config=SimulationConfig(max_time=0.0035, max_events=10 ** 6),
         )
         result = runtime.run()
         assert result.runtime_seconds <= 0.005
