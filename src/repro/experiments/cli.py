@@ -48,8 +48,10 @@ Subcommands:
     (bitcoin/sensors/drone) epoch after epoch on the chosen engine
     (asyncio = real concurrency, fast/reference = deterministic), with
     persistent PKI, node churn, certificate-stream invariants, and a
-    cross-engine parity replay of every epoch (on by default).  Prints
-    per-epoch certificates and epochs/sec / certs/sec throughput.
+    parity check of every epoch (on by default: the schedule replay on
+    asyncio, the other deterministic engine on fast/reference).  Prints
+    per-epoch certificates and epochs/sec / certs/sec throughput; exits 1
+    if the epoch watchdog skipped any epoch.
 
 ``repro cluster``
     Deploy the oracle service as a real multi-process cluster: a supervisor
@@ -498,16 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-parity",
         action="store_true",
-        help="skip the per-epoch deterministic-engine parity replay",
-    )
-    serve.add_argument(
-        "--strict-parity",
-        action="store_true",
-        help=(
-            "fail on any asyncio-vs-simulator certificate value difference "
-            "instead of escalating to the byte-exact schedule replay "
-            "(legitimate asynchrony can certify a different grid value)"
-        ),
+        help="skip the per-epoch parity check (asyncio: byte-exact schedule "
+        "replay; fast/reference: the other deterministic engine must certify "
+        "the same value)",
     )
     _tuning_flags(serve)
     serve.add_argument(
@@ -1046,13 +1041,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.n,
         parity=not args.no_parity,
         latency_seconds=args.latency,
-        **_flags(args, "engine", "seed", "churn", "strict_parity", "epoch_timeout"),
+        **_flags(args, "engine", "seed", "churn", "epoch_timeout"),
         **_flags(args, *_TUNING),
     )
     result = service.serve(args.epochs, progress=_progress(args))
     epochs_per_sec = result.epochs_per_sec or 0.0
     certs_per_sec = result.certs_per_sec or 0.0
-    parity_checked = sum(1 for report in result.reports if report.parity_ok is not None)
+    parity_checked = sum(1 for report in result.reports if report.parity is not None)
     print(
         f"# serve {result.workload} engine={result.engine} n={result.n}: "
         f"{result.epochs} epochs in {result.wall_seconds:.2f}s "
@@ -1061,9 +1056,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"# chain: {result.chain_entries} valid certificates, "
-        f"{result.chain_validations} validations; parity replays: "
-        f"{parity_checked}/{result.epochs}"
+        f"{result.chain_validations} validations; parity checks: "
+        f"{parity_checked}/{result.epochs}; skipped epochs: {len(result.skipped)}"
     )
+    lines = {
+        skip.epoch: f"  epoch {skip.epoch:>3}: SKIPPED after {skip.attempts} "
+        f"attempt(s) ({skip.reason})"
+        for skip in result.skipped
+    }
     for report in result.reports:
         line = (
             f"  epoch {report.epoch:>3}: value={report.value:.6g} "
@@ -1073,10 +1073,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             line += f" offline={list(report.offline_nodes)}"
         if report.parity is not None:
             line += f" parity={report.parity}"
-        print(line)
+        lines[report.epoch] = line
+    for epoch in sorted(lines):
+        print(lines[epoch])
     if args.json_path:
         _write_json(args.json_path, result.as_dict())
-    return 0
+    return 1 if result.skipped else 0
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -1279,7 +1281,8 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                 f"# served {metrics['certs_published']} certificates to "
                 f"{metrics['subscribers_total']} subscribers "
                 f"({metrics['evictions']} evictions, "
-                f"{metrics['send_drops']} dropped sends)"
+                f"{metrics['send_drops']} dropped sends, "
+                f"{metrics['epochs_skipped']} epochs skipped)"
             )
         finally:
             await gateway.close()

@@ -229,33 +229,30 @@ class OracleGateway:
         *,
         interval: float = 0.0,
         progress: Optional[Callable[[str], None]] = None,
-        resilient: bool = False,
     ) -> List[EpochReport]:
         """Serve ``epochs`` consecutive epochs, publishing each certificate.
 
         Each epoch runs on a worker thread so the event loop keeps serving
-        clients; a service failure (e.g. an invariant violation triggered by
-        hostile ticks) is recorded and re-raised after marking the gateway
-        unhealthy for ``/healthz``.  With ``resilient=True`` epochs run
-        through the service's watchdog
+        clients, through the service's watchdog
         (:meth:`~repro.oracle.service.OracleService.run_epoch_resilient`):
         recoverable failures retry then skip-and-account (degrading
-        ``/healthz``) instead of killing the loop.
+        ``/healthz``).  Any other failure (e.g. an invariant violation
+        triggered by hostile ticks) is recorded and re-raised after marking
+        the gateway unhealthy.
         """
         if epochs <= 0:
             raise ConfigurationError(f"epochs must be positive, got {epochs}")
         say = progress or (lambda message: None)
         loop = asyncio.get_running_loop()
-        runner = (
-            self.service.run_epoch_resilient if resilient else self.service.run_epoch
-        )
         self._serving = True
         reports: List[EpochReport] = []
         try:
             for _ in range(epochs):
                 self._epoch_started_at = time.monotonic()
                 try:
-                    outcome = await loop.run_in_executor(None, runner)
+                    outcome = await loop.run_in_executor(
+                        None, self.service.run_epoch_resilient
+                    )
                 except Exception as error:
                     self._failure = f"{type(error).__name__}: {error}"
                     raise

@@ -25,21 +25,20 @@ layer:
 * **engines** — epochs run on the real-concurrency asyncio engine
   (:class:`~repro.sim.asyncio_runtime.AsyncioRuntime`) or either
   deterministic simulation engine, selected per service;
-* **cross-engine parity** — with a ``parity_engine``, every epoch's inputs
-  are replayed through the deterministic simulator (fresh nodes, an
-  identically derived scheme) and the certificate values compared.  For a
-  deterministic primary engine equality is guaranteed and asserted
-  strictly.  For the asyncio primary it usually holds but is *not* a
-  theorem: approximate agreement is schedule-dependent, so two valid runs
-  of the same epoch can certify different grid values inside the validity
-  hull (measured at roughly 1-in-15 epochs on the Bitcoin workload).  A
-  value mismatch therefore escalates to the **schedule replay**: every
-  node's recorded inbound sequence is re-fed to a fresh node, which must
-  reproduce the asyncio run byte-identically — proving the state machines
-  are runtime-agnostic and the asyncio engine delivered faithfully.  Only
-  a replay divergence (a real engine bug) raises
-  :class:`~repro.errors.EquivalenceError`; ``strict_parity=True`` makes
-  even legitimate value mismatches fatal;
+* **parity** — with ``parity=True`` every epoch is certified a second way,
+  one check per engine kind.  An asyncio epoch gets the **schedule
+  replay** (``"schedule"``): every node's recorded inbound sequence is
+  re-fed to a fresh node, which must reproduce the live run
+  byte-identically — the state machines are runtime-agnostic, so a
+  divergence means the engine delivered unfaithfully.  (A value comparison
+  with a simulator run proves little there: approximate agreement is
+  schedule-dependent.)  A fast or reference epoch is re-run on the other
+  deterministic engine, which must certify the identical value
+  (``"exact"``).  Either failure raises
+  :class:`~repro.errors.EquivalenceError`;
+* **epoch watchdog** — :meth:`OracleService.serve` runs every epoch
+  through :meth:`OracleService.run_epoch_resilient`: a timed-out or
+  uncertified epoch is retried, then skipped and accounted;
 * **invariants** — a
   :class:`~repro.faults.monitors.CertificateStreamMonitor` observes every
   epoch (rounded-output spread, grid alignment, signer threshold, relaxed
@@ -222,20 +221,11 @@ class EpochReport:
     megabytes: float
     offline_nodes: Tuple[int, ...]
     stale_messages: int
-    parity_value: Optional[float] = None
-    #: ``"exact"`` — the parity engine certified the same value;
-    #: ``"schedule"`` — values legitimately diverged (asynchrony) and the
-    #: schedule replay verified the asyncio run byte-identically;
-    #: ``None`` — parity was not run for this epoch.
+    #: ``"exact"`` — the other deterministic engine certified the same
+    #: value; ``"schedule"`` — the schedule replay reproduced the asyncio
+    #: run byte-identically; ``None`` — parity was off.  A failed check
+    #: raises instead.
     parity: Optional[str] = None
-
-    @property
-    def parity_ok(self) -> Optional[bool]:
-        """Whether the parity harness verified this epoch (``None`` when
-        parity was not run; a failed verification raises instead)."""
-        if self.parity is None:
-            return None
-        return self.parity in ("exact", "schedule")
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-safe projection (used by artifacts and fingerprints)."""
@@ -253,14 +243,12 @@ class EpochReport:
         }
         if self.parity is not None:
             entry["parity"] = self.parity
-            entry["parity_value"] = self.parity_value
-            entry["parity_ok"] = self.parity_ok
         return entry
 
 
 @dataclass(frozen=True)
 class SkippedEpoch:
-    """An epoch the resilient service gave up on — explicitly accounted,
+    """An epoch the watchdog gave up on — explicitly accounted,
     never silently dropped (the stream's epoch numbers stay contiguous
     because the skipped number is consumed)."""
 
@@ -340,11 +328,10 @@ class OracleService:
         Nodes offline per epoch (crash-restart), rotated round-robin;
         must not exceed ``t``.  ``churn_plan`` overrides with an explicit
         ``epoch -> offline ids`` mapping.
-    parity_engine:
-        When set, each epoch is replayed through this deterministic engine
-        with identically derived keys and the certificate values compared
-        (see the module docstring for the exact/schedule two-tier
-        semantics; ``strict_parity`` makes any value mismatch fatal).
+    parity:
+        Certify every epoch a second way: the schedule replay for the
+        asyncio engine, the other deterministic engine for fast and
+        reference (see the module docstring).
     network_factory:
         ``epoch -> AsynchronousNetwork`` for the deterministic engines and
         parity replays; defaults to a LAN-like jittered network seeded per
@@ -373,8 +360,7 @@ class OracleService:
         seed: int = 0,
         churn: int = 0,
         churn_plan: Optional[Mapping[int, Sequence[int]]] = None,
-        parity_engine: Optional[str] = None,
-        strict_parity: bool = False,
+        parity: bool = False,
         network_factory: Optional[Callable[[int], AsynchronousNetwork]] = None,
         compute: Optional[ComputeModel] = None,
         latency: Optional[float] = None,
@@ -388,10 +374,6 @@ class OracleService:
             raise ConfigurationError(
                 f"unknown service engine {engine!r} "
                 f"(known: {', '.join(KNOWN_SERVICE_ENGINES)})"
-            )
-        if parity_engine is not None and parity_engine not in ("fast", "reference"):
-            raise ConfigurationError(
-                f"parity engine must be a deterministic engine, got {parity_engine!r}"
             )
         if churn < 0 or churn > params.t:
             raise ConfigurationError(
@@ -412,10 +394,7 @@ class OracleService:
         self.seed = seed
         self.churn = churn
         self.churn_plan = dict(churn_plan) if churn_plan is not None else None
-        self.parity_engine = parity_engine
-        # Deterministic primaries are guaranteed to match their parity
-        # engine, so they are always strict.
-        self.strict_parity = strict_parity or engine != "asyncio"
+        self.parity = parity
         self.network_factory = network_factory
         self.compute = compute
         self.latency = latency
@@ -509,15 +488,22 @@ class OracleService:
 
     def _parity_value(
         self, epoch: int, inputs: Sequence[float], offline: Tuple[int, ...]
-    ) -> float:
-        """Replay the epoch through the deterministic parity engine with an
-        identically derived (but separate) scheme and a throwaway chain."""
+    ) -> Optional[float]:
+        """The value the *other* deterministic engine certifies for the epoch
+        (``None`` if it certifies none), with an identically derived (but
+        separate) scheme and a throwaway chain."""
+        twin = "reference" if self.engine == "fast" else "fast"
         scheme = SignatureScheme(num_nodes=self.params.n)
         chain = SMRChannel(validator=certificate_validator(scheme, self.params.t + 1))
         nodes, _result = self._run_epoch_on_engine(
-            self.parity_engine, epoch, inputs, offline, scheme, observers=()
+            twin, epoch, inputs, offline, scheme, observers=()
         )
-        certificate = chain.consume(_submissions(nodes, offline))
+        try:
+            certificate = chain.consume(_submissions(nodes, offline))
+        except CertificateShortfall:
+            # The primary certified, so this is an engine divergence for the
+            # caller to raise, not a liveness failure for the watchdog.
+            return None
         return float(certificate.value)
 
     def _replay_schedule(
@@ -587,7 +573,7 @@ class OracleService:
         self.monitor.begin_epoch(epoch, honest_inputs)
         observers: List[Any] = [self.monitor]
         recorder: Optional[ScheduleRecorder] = None
-        if self.parity_engine is not None and self.engine == "asyncio":
+        if self.parity and self.engine == "asyncio":
             recorder = ScheduleRecorder()
             observers.append(recorder)
 
@@ -597,28 +583,23 @@ class OracleService:
         )
         certificate = self.chain.consume(_submissions(nodes, offline))
         self.monitor.check_certificate(epoch, certificate)
-        # Serving latency of the primary run only; the parity replays below
-        # are verification overhead, not part of the epoch's service time.
+        # Serving latency of the primary run only; the parity check below
+        # is verification overhead, not part of the epoch's service time.
         wall = time.perf_counter() - started
 
-        parity_value: Optional[float] = None
         parity: Optional[str] = None
-        if self.parity_engine is not None:
-            parity_value = self._parity_value(epoch, inputs, offline)
-            if parity_value == float(certificate.value):
-                parity = "exact"
-            elif self.strict_parity or recorder is None:
+        if recorder is not None:
+            self._replay_schedule(epoch, inputs, recorder, nodes, offline)
+            parity = "schedule"
+        elif self.parity:
+            twin_value = self._parity_value(epoch, inputs, offline)
+            if twin_value != float(certificate.value):
                 raise EquivalenceError(
                     f"epoch {epoch}: {self.engine} engine certified "
-                    f"{certificate.value!r} but the {self.parity_engine} parity "
-                    f"replay certified {parity_value!r}"
+                    f"{certificate.value!r} but the other deterministic engine "
+                    f"certified {twin_value!r}"
                 )
-            else:
-                # Legitimate asynchrony can certify a different grid value;
-                # escalate to the byte-exact schedule replay, which raises
-                # on any real faithfulness divergence.
-                self._replay_schedule(epoch, inputs, recorder, nodes, offline)
-                parity = "schedule"
+            parity = "exact"
 
         honest_outputs = {
             node_id: nodes[node_id].rounded_value
@@ -637,7 +618,6 @@ class OracleService:
             megabytes=result.trace.total_megabytes,
             offline_nodes=offline,
             stale_messages=sum(node.stale_messages for node in nodes.values()),
-            parity_value=parity_value,
             parity=parity,
         )
 
@@ -680,14 +660,12 @@ class OracleService:
         self,
         epochs: int,
         progress: Optional[Callable[[str], None]] = None,
-        *,
-        resilient: bool = False,
     ) -> ServiceResult:
         """Serve ``epochs`` consecutive epochs and return the full result.
 
-        With ``resilient=True`` each epoch runs through
-        :meth:`run_epoch_resilient`, so recoverable failures retry and then
-        skip-and-account instead of aborting the stream.
+        Each epoch runs through :meth:`run_epoch_resilient`, so recoverable
+        failures retry and then skip-and-account instead of aborting the
+        stream; the skips are in :attr:`ServiceResult.skipped`.
         """
         if epochs <= 0:
             raise ConfigurationError(f"epochs must be positive, got {epochs}")
@@ -700,18 +678,14 @@ class OracleService:
         validations_before = self.chain.validations
         started = time.perf_counter()
         for _ in range(epochs):
-            if resilient:
-                outcome = self.run_epoch_resilient()
-                if isinstance(outcome, SkippedEpoch):
-                    result.skipped.append(outcome)
-                    say(
-                        f"[serve] epoch {outcome.epoch}: SKIPPED after "
-                        f"{outcome.attempts} attempts ({outcome.reason})"
-                    )
-                    continue
-                report = outcome
-            else:
-                report = self.run_epoch()
+            report = self.run_epoch_resilient()
+            if isinstance(report, SkippedEpoch):
+                result.skipped.append(report)
+                say(
+                    f"[serve] epoch {report.epoch}: SKIPPED after "
+                    f"{report.attempts} attempts ({report.reason})"
+                )
+                continue
             result.reports.append(report)
             parity = "" if report.parity is None else f" parity={report.parity}"
             offline = (
@@ -739,7 +713,6 @@ def build_service(
     seed: int = 0,
     churn: int = 0,
     parity: bool = True,
-    strict_parity: bool = False,
     epsilon: Optional[float] = None,
     delta_max: Optional[float] = None,
     max_rounds: Optional[int] = 6,
@@ -752,25 +725,19 @@ def build_service(
     """Assemble an :class:`OracleService` for a named workload.
 
     Delphi parameters default to the workload's calibrated entry in
-    :data:`repro.workloads.EPOCH_WORKLOADS`; ``parity`` picks the natural
-    cross-check engine (``fast`` for an asyncio service, ``reference`` for a
-    fast one, and vice versa).
+    :data:`repro.workloads.EPOCH_WORKLOADS`.
     """
     feed = make_epoch_workload(workload, seed=seed)
     params = epoch_parameters(
         workload, n, epsilon=epsilon, delta_max=delta_max, max_rounds=max_rounds
     )
-    parity_engine: Optional[str] = None
-    if parity:
-        parity_engine = "reference" if engine == "fast" else "fast"
     return OracleService(
         params,
         feed,
         engine=engine,
         seed=seed,
         churn=churn,
-        parity_engine=parity_engine,
-        strict_parity=strict_parity,
+        parity=parity,
         latency=latency_seconds,
         epoch_timeout=epoch_timeout,
         epoch_retries=epoch_retries,

@@ -92,7 +92,6 @@ class FinAcsNode(ProtocolNode):
         # can stall the whole election under unlucky delivery orderings.
         self._ba_pending: Dict[int, List[Tuple[int, Tuple[str, int, object]]]] = {}
         self._winning_election: Optional[int] = None
-        self.crypto_operations = 0
 
     # ------------------------------------------------------------------
     # RBC plumbing
@@ -184,7 +183,6 @@ class FinAcsNode(ProtocolNode):
             return []
         self._election_share_sent.add(election)
         share = self.coin.share(self.node_id, ("elect", self.instance, election))
-        self.crypto_operations += 1
         out = [
             self.broadcast(
                 Message(PROTOCOL, "ELECT", election, ["elect", election, share])
@@ -202,7 +200,6 @@ class FinAcsNode(ProtocolNode):
         share = payload[2]
         if not self.coin.verify_share(("elect", self.instance, election), share):
             return []
-        self.crypto_operations += 1
         self._election_shares.setdefault(election, {})[sender] = share
         out: List[Outbound] = []
         shares = self._election_shares[election]
@@ -210,7 +207,6 @@ class FinAcsNode(ProtocolNode):
             leader = self.coin.combine_value(
                 ("elect", self.instance, election), list(shares.values()), self.n
             )
-            self.crypto_operations += 1
             self._leaders[election] = leader
             out.extend(self._maybe_start_ba(election))
         out.extend(self._maybe_finish())
@@ -238,8 +234,6 @@ class FinAcsNode(ProtocolNode):
         out = self._wrap_ba(election, engine.start(1 if self._is_covered(leader) else 0))
         for sender, sub in self._ba_pending.pop(election, []):
             out.extend(self._wrap_ba(election, engine.handle(sender, sub)))
-        self.crypto_operations += engine.crypto_operations
-        engine.crypto_operations = 0
         out.extend(self._after_ba(election))
         return out
 
@@ -268,8 +262,6 @@ class FinAcsNode(ProtocolNode):
                 )
                 return out
         out.extend(self._wrap_ba(election, engine.handle(sender, (mtype, round_number, value))))
-        self.crypto_operations += engine.crypto_operations
-        engine.crypto_operations = 0
         out.extend(self._after_ba(election))
         return out
 

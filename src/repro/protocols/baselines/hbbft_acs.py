@@ -53,7 +53,6 @@ class HoneyBadgerAcsNode(ProtocolNode):
         self._ba: Dict[int, BinaryBAEngine] = {}
         self._ba_started: Set[int] = set()
         self._delivered: Dict[int, float] = {}
-        self.crypto_operations = 0
 
     # ------------------------------------------------------------------
     def _rbc_engine(self, broadcaster: int) -> RBCEngine:
@@ -137,8 +136,6 @@ class HoneyBadgerAcsNode(ProtocolNode):
             return []
         engine = self._ba_engine(index)
         out = self._wrap_ba(index, engine.handle(sender, (mtype, round_number, value)))
-        self.crypto_operations += engine.crypto_operations
-        engine.crypto_operations = 0
         out.extend(self._after_ba_progress())
         out.extend(self._maybe_finish())
         return out

@@ -21,8 +21,9 @@ a decided engine until the run ends.
 
 The coin itself is the simulated threshold coin from
 :mod:`repro.crypto.coin`; producing and verifying its shares is what makes
-these baselines computationally expensive, and the engine counts those
-operations so the testbed compute model can charge for them.
+these baselines computationally expensive.  The testbed compute model
+charges for that through each node's ``processing_cost`` (one unit per
+received coin message).
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ class BinaryBAEngine:
         self.round = 0
         self.estimate: Optional[int] = None
         self.output: Optional[int] = None
-        self.crypto_operations = 0
 
         self._bval_sent: Dict[int, Set[int]] = {}
         self._bval_recv: Dict[Tuple[int, int], Set[int]] = {}
@@ -146,7 +146,6 @@ class BinaryBAEngine:
                 (self.instance, round_number), payload
             ):
                 self._coin_shares.setdefault(round_number, {})[sender] = payload
-                self.crypto_operations += 1
         else:
             return out
 
@@ -201,7 +200,6 @@ class BinaryBAEngine:
             if round_number not in self._coin_sent:
                 self._coin_sent.add(round_number)
                 share = self.coin.share(self.node_id, (self.instance, round_number))
-                self.crypto_operations += 1
                 out.append((COIN, round_number, share))
 
             coin_value = self._reveal_coin(round_number)
@@ -237,7 +235,6 @@ class BinaryBAEngine:
         if len(shares) < self.coin.threshold:
             return None
         value = self.coin.combine((self.instance, round_number), list(shares.values()))
-        self.crypto_operations += 1
         self._coin_value[round_number] = value
         return value
 

@@ -405,7 +405,7 @@ class TestGatewayDegradation:
 
             gateway.service.run_epoch = flaky
             host, port = await gateway.start()
-            reports = await gateway.run_epochs(2, resilient=True)
+            reports = await gateway.run_epochs(2)
             assert len(reports) == 1  # epoch 0 skipped, epoch 1 certified
             status, body = await http_request(host, port, "GET", "/healthz")
             assert (status, body["status"]) == (200, "degraded")

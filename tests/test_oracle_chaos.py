@@ -327,7 +327,7 @@ class TestServiceWatchdog:
             return real_run_epoch()
 
         service.run_epoch = fail_once
-        result = service.serve(3, resilient=True)
+        result = service.serve(3)
         assert len(result.reports) == 2
         assert [skip.epoch for skip in result.skipped] == [0]
         entry = result.as_dict()["skipped"][0]

@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.parameters import derive_parameters
 from repro.core.dora import DoraNode
 from repro.crypto.signatures import SignatureScheme
-from repro.errors import ConfigurationError, InvariantViolation
+from repro.errors import ConfigurationError, InvariantViolation, LivenessTimeout
 from repro.experiments.cli import main
 from repro.faults.monitors import CertificateStreamMonitor
 from repro.net.message import Message
@@ -172,18 +172,55 @@ class TestMultiEpochService:
 class TestCrossEngineParity:
     @pytest.mark.parametrize("workload", ["bitcoin", "sensors"])
     def test_asyncio_matches_simulator_over_epochs(self, workload):
-        """The satellite contract: asyncio <-> simulator parity over >= 3
-        epochs on two workloads.  Every epoch is verified: either the
-        fastpath replay certifies the identical value ("exact") or the
-        byte-exact schedule replay confirms the asyncio run was faithful
-        ("schedule" — legitimate asynchrony); a real divergence raises."""
+        """Every asyncio epoch with parity on is verified by the byte-exact
+        schedule replay, over >= 3 epochs on two workloads; a real
+        divergence raises."""
         service = build_service(workload, 4, engine="asyncio", seed=5, parity=True)
-        assert service.parity_engine == "fast"
+        assert service.parity is True
         result = service.serve(3)
-        assert [report.parity_ok for report in result.reports] == [True, True, True]
-        for report in result.reports:
-            assert report.parity in ("exact", "schedule")
-            assert report.parity_value is not None
+        assert [report.parity for report in result.reports] == ["schedule"] * 3
+        assert [report.as_dict()["parity"] for report in result.reports] == [
+            "schedule"
+        ] * 3
+
+    def test_dropped_delivery_fails_serve_even_when_values_match(self, monkeypatch):
+        """The replay runs on every asyncio epoch, not only when the epoch's
+        value differs from a simulator run's.  Dropping one recorded REPORT
+        delivery from a signer of a node's live certificate means the
+        replayed node cannot build the same certificate, so ``serve`` must
+        raise although the certified value itself is fine."""
+        from repro.errors import EquivalenceError
+
+        real_replay = OracleService._replay_schedule
+        dropped = []
+
+        def replay_with_one_delivery_dropped(
+            self, epoch, inputs, recorder, live_nodes, offline
+        ):
+            node_id, node = next(
+                (node_id, node)
+                for node_id, node in sorted(live_nodes.items())
+                if node_id not in offline and node.certificate is not None
+            )
+            signer = next(
+                s for s in node.certificate.aggregate.signers if s != node_id
+            )
+            deliveries = recorder.inbound[node_id]
+            index = next(
+                k
+                for k, (sender, message) in enumerate(deliveries)
+                if sender == signer and message.mtype == "REPORT"
+            )
+            dropped.append(deliveries.pop(index))
+            return real_replay(self, epoch, inputs, recorder, live_nodes, offline)
+
+        monkeypatch.setattr(
+            OracleService, "_replay_schedule", replay_with_one_delivery_dropped
+        )
+        service = build_service("sensors", 4, engine="asyncio", seed=5, parity=True)
+        with pytest.raises(EquivalenceError, match="schedule replay"):
+            service.serve(1)
+        assert len(dropped) == 1
 
     def test_schedule_replay_reproduces_live_run(self):
         """Drive the schedule replay directly on a recorded asyncio epoch."""
@@ -225,6 +262,28 @@ class TestCrossEngineParity:
         )
         with pytest.raises(EquivalenceError):
             service.serve(1)
+
+    def test_twin_engine_certifying_nothing_raises_instead_of_skipping(
+        self, monkeypatch
+    ):
+        """A twin run with no certificate is an engine divergence, not a
+        liveness failure the watchdog may skip."""
+        import repro.oracle.service as service_module
+        from repro.errors import EquivalenceError
+
+        real_submissions = service_module._submissions
+        calls = []
+
+        def twin_submits_nothing(nodes, offline):
+            calls.append(offline)
+            return real_submissions(nodes, offline) if len(calls) == 1 else []
+
+        monkeypatch.setattr(service_module, "_submissions", twin_submits_nothing)
+        service = build_service("sensors", 4, engine="fast", seed=1, parity=True)
+        with pytest.raises(EquivalenceError, match="certified None"):
+            service.serve(1)
+        assert len(calls) == 2
+        assert service.epochs_skipped == 0
 
 
 class TestCertificateStreamMonitor:
@@ -298,16 +357,6 @@ class TestServiceValidation:
         with pytest.raises(ConfigurationError):
             service.serve(1)
 
-    def test_non_deterministic_parity_engine_rejected(self):
-        params = derive_parameters(n=4, epsilon=1.0, delta_max=8.0)
-        with pytest.raises(ConfigurationError):
-            OracleService(
-                params,
-                make_epoch_workload("sensors"),
-                engine="fast",
-                parity_engine="asyncio",
-            )
-
     def test_workload_length_mismatch_rejected(self):
         service = small_service(n=4)
 
@@ -354,7 +403,28 @@ class TestServeCli:
         payload = json.loads(out.read_text())
         assert payload["epochs"] == 2
         assert payload["engine"] == "fast"
-        assert all(report["parity_ok"] for report in payload["reports"])
+        assert [report["parity"] for report in payload["reports"]] == ["exact"] * 2
+
+    def test_serve_cli_exits_1_when_an_epoch_is_skipped(self, monkeypatch, capsys):
+        real_run_epoch = OracleService.run_epoch
+        state = {"failed": False}
+
+        def fail_once(self):
+            if not state["failed"]:
+                state["failed"] = True
+                raise LivenessTimeout("transient stall")
+            return real_run_epoch(self)
+
+        monkeypatch.setattr(OracleService, "run_epoch", fail_once)
+        code = main(
+            ["serve", "--workload", "sensors", "--epochs", "3", "--n", "4",
+             "--engine", "fast", "--quiet"]
+        )
+        assert code == 1
+        stdout = capsys.readouterr().out
+        assert "epoch   0: SKIPPED after 1 attempt(s) (LivenessTimeout" in stdout
+        assert "skipped epochs: 1" in stdout
+        assert "epoch   2: value=" in stdout
 
     def test_serve_cli_asyncio_no_parity(self, capsys):
         code = main(

@@ -1208,7 +1208,6 @@ class TestTransportParity:
                 TightFeed(),
                 engine="asyncio",
                 seed=11,
-                parity_engine=None,
                 transport_factory=transport_factory,
                 workload_name="tight",
             )
