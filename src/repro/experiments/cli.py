@@ -58,7 +58,9 @@ Subcommands:
     spawns one OS process per node, the mesh talks over authenticated
     TCP/Unix sockets, and ``--crash-node`` SIGKILLs a node mid-epoch to
     exercise crash recovery.  ``--no-spawn`` waits for externally started
-    node processes instead (the docker-compose recipe).
+    node processes instead (the docker-compose recipe).  An epoch that
+    certifies nothing is skipped and the run goes on; prints one line per
+    epoch and exits 1 if any epoch was skipped or the verdict is not ok.
 
 ``repro cluster-node``
     Run one oracle node process against a shared cluster config (spawned by
@@ -563,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="epoch in which to inject the crash (default: 1)",
     )
     _tuning_flags(cluster)
-    _json_flag(cluster, "the cluster report")
+    _json_flag(cluster, "the run's verdict")
 
     cluster_node = _command(
         subparsers,
@@ -627,13 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(repeatable)",
     )
     _artifact_flags(chaos, "CHAOS_<seed>.json verdict")
-    chaos.add_argument(
-        "--epoch-resyncs",
-        type=int,
-        default=3,
-        help="node-side resyncs (re-JOIN + re-offer CERT) per epoch before "
-        "a node gives up (default: 3)",
-    )
     chaos.add_argument(
         "--gateway-port",
         type=int,
@@ -1110,21 +1105,44 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     supervisor = ClusterSupervisor(
         config, spawn=not args.no_spawn, crash=crash, progress=_progress(args)
     )
-    report = supervisor.run()
-    print(
-        f"# cluster {config.workload} n={config.n}: "
-        f"{len(report['epochs'])} epochs in {report['wall_seconds']:.2f}s, "
-        f"{report['chain_entries']} chain entries, "
-        f"{len(report['restarts'])} crash-recoveries"
-    )
-    for entry in report["epochs"]:
-        print(
-            f"  epoch {entry['epoch']:>3}: value={entry['value']:.6g} "
-            f"signers={entry['signers']} certs_from={entry['cert_senders']}"
-        )
+    verdict = supervisor.run()
+    _print_cluster_verdict("cluster", verdict)
     if args.json_path:
-        _write_json(args.json_path, report)
-    return 0
+        _write_json(args.json_path, verdict)
+    certified = all(entry["outcome"] == "certified" for entry in verdict["epochs"])
+    return 0 if verdict["ok"] and certified else 1
+
+
+def _print_cluster_verdict(command: str, verdict: Dict[str, Any]) -> None:
+    """Print a cluster run's summary line, one line per epoch and one per
+    violation (``repro cluster`` and ``repro chaos`` alike)."""
+    observed = verdict["observed"]
+    details = {detail["epoch"]: detail for detail in observed["epoch_details"]}
+    outcomes = [entry["outcome"] for entry in verdict["epochs"]]
+    print(
+        f"# {command} seed={verdict['seed']} n={verdict['n']} "
+        f"workload={verdict['workload']}: "
+        f"{outcomes.count('certified')}/{verdict['epochs_planned']} epochs "
+        f"certified, {outcomes.count('skipped')} skipped, "
+        f"{len(verdict['violations'])} violations, "
+        f"{len(observed['restarts'])} restarts in "
+        f"{observed['wall_seconds']:.2f}s, ok={verdict['ok']}"
+    )
+    for entry in verdict["epochs"]:
+        line = f"  epoch {entry['epoch']:>3}: "
+        if entry["outcome"] == "certified":
+            detail = details[entry["epoch"]]
+            line += (
+                f"value={detail['value']:.6g} signers={detail['signers']} "
+                f"certs_from={detail['cert_senders']}"
+            )
+        else:
+            line += entry["outcome"].upper() + (
+                f" ({entry['reason']})" if "reason" in entry else ""
+            )
+        print(line)
+    for violation in verdict["violations"]:
+        print(f"!! {violation['monitor']}: {violation['detail']}")
 
 
 def _cmd_cluster_node(args: argparse.Namespace) -> int:
@@ -1167,11 +1185,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         ChaosSchedule,
         KillSpec,
         PauseSpec,
-        run_chaos,
         standard_schedule,
         write_verdict,
     )
-    from repro.oracle.cluster import build_cluster_config
+    from repro.oracle.cluster import ClusterSupervisor, build_cluster_config
 
     if args.n < 4:
         raise ConfigurationError(f"chaos runs need n >= 4, got {args.n}")
@@ -1210,7 +1227,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             runtime_dir=iter_dir,
             **_flags(args, "epochs", *_MESH),
         )
-        config.epoch_resyncs = args.epoch_resyncs
         gateway = None
         if args.gateway_port is not None:
             from repro.oracle.gateway import build_gateway
@@ -1222,26 +1238,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 seed=iter_schedule.seed,
                 port=args.gateway_port,
             )
-        verdict = run_chaos(
-            config, iter_schedule, progress=_progress(args), gateway=gateway
-        )
-        certified = sum(
-            1 for entry in verdict["epochs"] if entry["outcome"] == "certified"
-        )
-        skipped = [
-            entry for entry in verdict["epochs"] if entry["outcome"] == "skipped"
-        ]
-        print(
-            f"# chaos seed={verdict['seed']} n={verdict['n']} "
-            f"workload={verdict['workload']}: "
-            f"{certified}/{verdict['epochs_planned']} epochs certified, "
-            f"{len(skipped)} skipped, {len(verdict['violations'])} violations, "
-            f"ok={verdict['ok']}"
-        )
-        for entry in skipped:
-            print(f"  epoch {entry['epoch']}: skipped ({entry['reason']})")
-        for violation in verdict["violations"]:
-            print(f"!! {violation['monitor']}: {violation['detail']}")
+        verdict = ClusterSupervisor(
+            config, schedule=iter_schedule, progress=_progress(args), gateway=gateway
+        ).run()
+        _print_cluster_verdict("chaos", verdict)
         if not args.no_artifact:
             print(f"wrote {write_verdict(args.output, verdict)}")
         if not verdict["ok"]:

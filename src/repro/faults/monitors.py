@@ -374,8 +374,8 @@ class ClusterLivenessMonitor(InvariantMonitor):
     outcomes — an epoch that just vanishes, a kill with no rejoin record —
     are exactly the failure modes a chaos soak exists to catch.
 
-    The controller drives the hooks directly (there is no simulator run to
-    observe): :meth:`begin_epoch` / :meth:`on_certified` / :meth:`on_skipped`
+    The cluster supervisor drives the hooks directly (there is no simulator
+    run to observe): :meth:`begin_epoch` / :meth:`on_certified` / :meth:`on_skipped`
     per epoch, :meth:`on_kill` / :meth:`on_rejoin` per process fault, and
     :meth:`finalize` once the run ends.
 

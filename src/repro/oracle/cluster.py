@@ -17,11 +17,18 @@ Roles
   identity), JOINs the supervisor, then runs one
   :class:`~repro.oracle.service.EpochNode` per epoch, reporting its
   certificate and waiting for the supervisor's COMMIT before advancing.
-* **Supervisor process** (:class:`ClusterSupervisor`, ``repro cluster``):
-  hosts endpoint ``n``, spawns/restarts the children, collects per-epoch
-  certificates into the :class:`~repro.oracle.smr.SMRChannel`, validates
-  them with :class:`~repro.faults.monitors.CertificateStreamMonitor`, and
-  broadcasts COMMIT — the cluster's epoch barrier.
+* **Supervisor process** (:class:`ClusterSupervisor`, ``repro cluster`` and
+  ``repro chaos``): hosts endpoint ``n``, spawns/restarts the children,
+  collects per-epoch certificates into the
+  :class:`~repro.oracle.smr.SMRChannel`, validates them with
+  :class:`~repro.faults.monitors.CertificateStreamMonitor`, and broadcasts
+  COMMIT — the cluster's epoch barrier.  It is the one cluster run: an epoch
+  that certifies nothing within ``epoch_timeout`` is skipped and accounted
+  (the nodes are released with ``EPOCH(k+1)``), a monitor breach winds the
+  run down, a :class:`~repro.oracle.chaos.ChaosSchedule` (empty by default)
+  supplies process and wire faults, and every run returns the same verdict:
+  a deterministic section (schedule, per-epoch outcomes, violations, ``ok``)
+  and an ``observed`` one (timings, values, restarts, transport counters).
 
 Control plane (all over the same authenticated transport):
 
@@ -66,6 +73,7 @@ from repro.crypto.signatures import AggregateSignature, SignatureScheme
 from repro.domains import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, domain, optional
 from repro.errors import (
     ConfigurationError,
+    InvariantViolation,
     LivenessTimeout,
     ProtocolViolation,
     TransportClosedError,
@@ -75,7 +83,8 @@ from repro.net.chaos import ChaosTransport, WireFaults
 from repro.net.message import Message
 from repro.net.network import JsonSpec
 from repro.net.socket_transport import SocketTransport
-from repro.oracle.service import EpochNode
+from repro.oracle.chaos import ChaosSchedule
+from repro.oracle.service import EpochNode, EpochReport
 from repro.oracle.smr import SMRChannel
 from repro.protocols.base import BROADCAST, Outbound
 from repro.workloads import epoch_parameters, epoch_workload_entry, make_epoch_workload
@@ -141,10 +150,10 @@ class ClusterConfig(JsonSpec):
     #: thing that fails.
     chaos: Optional[Dict[str, Any]] = None
     #: How many times a node may *resync* (re-JOIN and re-offer its CERT)
-    #: after an epoch deadline instead of dying with ``LivenessTimeout``.
-    #: Chaos schedules set this > 0 so a node stranded by a partition or a
-    #: SIGSTOP pause degrades gracefully rather than crashing.
-    epoch_resyncs: int = 0
+    #: after an epoch deadline instead of dying with ``LivenessTimeout``, so
+    #: a node stranded by a partition, a SIGSTOP pause or a skipped epoch
+    #: degrades gracefully rather than crashing.
+    epoch_resyncs: int = 3
 
     def __post_init__(self) -> None:
         epoch_workload_entry(self.workload)
@@ -469,24 +478,35 @@ class CrashPlan:
 class ClusterSupervisor:
     """Spawns, kills, pauses, restarts and audits an n-process oracle cluster.
 
-    The run is written once (:meth:`_run_async`); a subclass changes what a
-    run *means* through three seams — :meth:`_schedule_faults` (process
-    faults to start once the barrier has released epoch 0),
-    :meth:`_serve_epoch` (what one epoch's entry is, and whether a stalled
-    epoch ends the run) and :meth:`_report` (the shape of the result).
-    Every process fault goes through :meth:`_inject_kill` /
-    :meth:`_inject_pause` here, on the barrier clock, because this class owns
-    ``self.processes``.
+    The one cluster run, for ``repro cluster`` (``--no-spawn`` included) and
+    ``repro chaos`` alike.  Every epoch ends in one of three outcomes:
+    *certified*; *skipped* — no valid certificate within ``epoch_timeout``,
+    accounted with the liveness monitor, and the nodes released with
+    ``EPOCH(epoch+1)``; or *violation* — an
+    :class:`~repro.errors.InvariantViolation` is recorded and winds the run
+    down (a stall is survivable, corruption is not).  The ``schedule``'s
+    kills and pauses and a ``crash`` plan all go through
+    :meth:`_inject_kill` / :meth:`_inject_pause` here, on the barrier clock,
+    because this class owns ``self.processes``; the schedule's wire faults
+    travel to the nodes in ``config.chaos`` (the supervisor's own transport
+    stays bare, so the audit channel cannot be the thing that fails).
+    Certified epochs are published to an optional ``gateway`` front, whose
+    ``/healthz`` reads the run through ``health_source``.
     """
 
     def __init__(
         self,
         config: ClusterConfig,
         *,
+        schedule: Optional[ChaosSchedule] = None,
         spawn: bool = True,
         crash: Optional[CrashPlan] = None,
         progress: Any = None,
+        gateway: Any = None,
     ) -> None:
+        if schedule is None:
+            schedule = ChaosSchedule(seed=config.seed)
+        schedule.validate(config)
         if crash is not None:
             if not 0 <= crash.node < config.n:
                 raise ConfigurationError(f"crash node {crash.node} outside the cluster")
@@ -494,10 +514,16 @@ class ClusterSupervisor:
                 raise ConfigurationError(
                     f"crash epoch {crash.epoch} outside [0, {config.epochs})"
                 )
+        if schedule.wire.active:
+            config.chaos = {"seed": schedule.seed, "wire": schedule.wire.to_dict()}
         self.config = config
+        self.schedule = schedule
         self.spawn = spawn
         self.crash = crash
         self.progress = progress
+        self.gateway = gateway
+        if gateway is not None:
+            gateway.health_source = self._health_source
         self.params = config.params()
         self.scheme = config.scheme()
         self.chain = SMRChannel(
@@ -521,13 +547,13 @@ class ClusterSupervisor:
         self.rejoins: List[Dict[str, int]] = []
         #: ``{"node", "boot_seconds"}`` per spawn: ``_spawn_node`` to its JOIN.
         self.boots: List[Dict[str, Any]] = []
+        #: Observed values of each certified epoch (value, signers, senders).
+        self.details: List[Dict[str, Any]] = []
+        self.violations: List[Dict[str, str]] = []
         #: CERTs dropped for their shape (count-and-drop: the sender is
         #: authenticated, not trusted).
         self.malformed_certs = 0
         self._spawned_at: Dict[int, float] = {}
-        #: Consumed certificate of the most recent epoch (the chaos
-        #: controller publishes it to an optional gateway front).
-        self.last_certificate: Optional[DoraCertificate] = None
         self._config_path: Optional[Path] = None
         #: The supervisor's own endpoint, for the duration of the run.
         self._transport: Any = None
@@ -542,8 +568,6 @@ class ClusterSupervisor:
         self._injectors: List[asyncio.Task] = []
         self._fired: set = set()
         self._paused: Dict[int, subprocess.Popen] = {}
-        #: Set by a seam to wind the run down after the current epoch.
-        self._halt = False
 
     # -- helpers ---------------------------------------------------------
     def _say(self, text: str) -> None:
@@ -624,18 +648,51 @@ class ClusterSupervisor:
         self._note_join(node_id)
         await self._tell(node_id, EPOCH, epoch, epoch)
 
+    # -- health for a fronting gateway -----------------------------------
+    def _health_source(self) -> Tuple[str, List[str]]:
+        if self.violations:
+            return (
+                "unhealthy",
+                [f"monitor violation: {v['detail']}" for v in self.violations],
+            )
+        skipped = sorted(
+            epoch
+            for epoch, outcome in self.liveness.outcomes.items()
+            if outcome == "skipped"
+        )
+        if skipped:
+            return ("degraded", [f"epochs skipped: {skipped}"])
+        return ("ok", [])
+
+    def _note_violation(self, violation: InvariantViolation) -> None:
+        self.violations.append(
+            {"monitor": violation.monitor, "detail": violation.detail}
+        )
+
     # -- the run ---------------------------------------------------------
     def run(self) -> Dict[str, Any]:
-        """Drive the whole cluster; returns the JSON-safe report.
+        """Drive the whole cluster; returns the JSON-safe verdict.
+
+        A ``gateway`` is started first and closed last: it serves clients on
+        the run's own event loop for the whole run.
 
         Raises
         ------
-        InvariantViolation
-            If any epoch's certificate stream breaches the monitor.
         LivenessTimeout
-            If an epoch gathers no valid certificate within the budget.
+            If some node never JOINs the startup barrier.
         """
-        return asyncio.run(self._run_async())
+
+        async def fronted() -> Dict[str, Any]:
+            if self.gateway is None:
+                return await self._run_async()
+            host, port = await self.gateway.start()
+            self._say(f"# cluster: gateway front listening on {host}:{port}")
+            try:
+                return await self._run_async()
+            finally:
+                await self.gateway.close()
+
+        return asyncio.run(fronted())
 
     async def _run_async(self) -> Dict[str, Any]:
         config = self.config
@@ -654,7 +711,7 @@ class ClusterSupervisor:
                     self.processes[node_id] = self._spawn_node(node_id)
             await self._startup_barrier()
             self._zero = time.monotonic()
-            self._schedule_faults()
+            self._start_schedule()
             for epoch in range(config.epochs):
                 self._epoch = epoch
                 crash = self.crash
@@ -667,8 +724,12 @@ class ClusterSupervisor:
                         self._inject_kill(crash.node, at, crash.restart_delay),
                         fired=True,
                     )
-                epochs.append(await self._serve_epoch(epoch))
-                if self._halt:
+                try:
+                    epochs.append(await self._run_epoch(epoch))
+                except InvariantViolation as violation:
+                    self._note_violation(violation)
+                    self._say(f"  epoch {epoch}: VIOLATION {violation}")
+                    epochs.append({"epoch": epoch, "outcome": "violation"})
                     break
             await self._settle_faults()
             await self._await_rejoins()
@@ -684,8 +745,15 @@ class ClusterSupervisor:
             self._kill_children()
             await transport.close()
             self._sweep_sockets()
+        try:
+            self.liveness.finalize()
+        except InvariantViolation as violation:
+            self._note_violation(violation)
+        liveness = self.liveness.summary()
         observed = {
             "wall_seconds": time.monotonic() - started_wall,
+            "epoch_details": self.details,
+            "fault_events": self.fault_events,
             "restarts": self.restarts,
             "rejoins": self.rejoins,
             "boots": self.boots,
@@ -693,33 +761,25 @@ class ClusterSupervisor:
             "malformed_certs": self.malformed_certs,
             "chain_entries": len(self.chain.entries),
             "chain_validations": self.chain.validations,
-            "transport": transport.wire_counters(),
-        }
-        return self._report(epochs, observed)
-
-    # -- seams -------------------------------------------------------------
-    def _schedule_faults(self) -> None:
-        """Seam: start process faults against the barrier clock (called once,
-        right after the barrier releases epoch 0).  A plain run has none."""
-
-    async def _serve_epoch(self, epoch: int) -> Dict[str, Any]:
-        """Seam: one epoch's entry in the result.  A plain run lets a stalled
-        epoch (``LivenessTimeout``) or a monitor breach end it."""
-        return await self._run_epoch(epoch)
-
-    def _report(
-        self, epochs: List[Dict[str, Any]], observed: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Seam: the run's result, from the per-epoch entries and the
-        restart/rejoin/boot/chain/transport block every run accounts."""
-        return {
-            "n": self.config.n,
-            "t": self.params.t,
-            "workload": self.config.workload,
-            "seed": self.config.seed,
-            "epochs": epochs,
             "distinct_valid_payloads": self.chain.distinct_valid_payloads,
-            **observed,
+            "transport": transport.wire_counters(),
+            "liveness": liveness,
+            "margins": self.liveness.margin_channels(),
+        }
+        if self.gateway is not None:
+            observed["gateway"] = self.gateway.metrics()
+        return {
+            "kind": "chaos-verdict",
+            "seed": self.schedule.seed,
+            "n": config.n,
+            "t": self.params.t,
+            "workload": config.workload,
+            "epochs_planned": config.epochs,
+            "schedule": self.schedule.to_dict(),
+            "epochs": epochs,
+            "violations": self.violations,
+            "ok": not self.violations and not liveness["unaccounted"],
+            "observed": observed,
         }
 
     # -- barrier, rejoin -----------------------------------------------------
@@ -761,6 +821,14 @@ class ClusterSupervisor:
                 await self._greet(received[0], self.config.epochs)
 
     # -- process faults ------------------------------------------------------
+    def _start_schedule(self) -> None:
+        """Start the schedule's kills and pauses as timers on the barrier
+        clock (called once, as the barrier releases epoch 0)."""
+        for kill in self.schedule.kills:
+            self._start_fault(self._inject_kill(kill.node, kill.at, kill.restart_delay))
+        for pause in self.schedule.pauses:
+            self._start_fault(self._inject_pause(pause.node, pause.at, pause.duration))
+
     def _start_fault(self, injector: Any, *, fired: bool = False) -> None:
         task = asyncio.create_task(injector)
         self._injectors.append(task)
@@ -842,7 +910,10 @@ class ClusterSupervisor:
 
     # -- one epoch -----------------------------------------------------------
     async def _run_epoch(self, epoch: int) -> Dict[str, Any]:
-        """Collect one epoch's certificates, validate, COMMIT."""
+        """Collect one epoch's certificates, validate, COMMIT, publish — or
+        skip the epoch and release the nodes.  Returns the epoch's
+        deterministic verdict entry; a monitor breach raises
+        :class:`~repro.errors.InvariantViolation`."""
         config = self.config
         self.liveness.begin_epoch(epoch, time.monotonic())
         self.monitor.begin_epoch(epoch, self.feed.inputs(epoch))
@@ -861,11 +932,16 @@ class ClusterSupervisor:
             if received is None:
                 if consumed is not None:
                     break
-                raise LivenessTimeout(
-                    f"cluster epoch {epoch}: no valid certificate within "
-                    f"{config.epoch_timeout}s "
-                    f"(certificates from {sorted(cert_senders)})",
+                # The reason is deterministic; who did send a certificate is
+                # not, so it goes to the progress line only.
+                reason = f"no valid certificate within {config.epoch_timeout}s"
+                self.liveness.on_skipped(epoch, reason)
+                await self._broadcast(EPOCH, epoch + 1, epoch + 1)
+                self._say(
+                    f"  epoch {epoch}: SKIPPED ({reason}; certificates from "
+                    f"{sorted(cert_senders)})"
                 )
+                return {"epoch": epoch, "outcome": "skipped", "reason": reason}
             sender, message = received
             if message.mtype == JOIN:
                 # A (re)joining node: greet it with the current epoch so it
@@ -897,7 +973,6 @@ class ClusterSupervisor:
                 if entry is not None:
                     consumed = entry.payload
                     deadline = min(deadline, time.monotonic() + config.epoch_grace)
-        self.last_certificate = consumed
         self.monitor.check_certificate(epoch, consumed)
         if config.epoch_interval > 0 and epoch + 1 < config.epochs:
             # Pace the run by *withholding the COMMIT*: every node sits
@@ -915,12 +990,32 @@ class ClusterSupervisor:
             f"  epoch {epoch}: value={consumed.value:.6g} "
             f"signers={consumed.signer_count} certs_from={sorted(cert_senders)}"
         )
-        return {
-            "epoch": epoch,
-            "value": float(consumed.value),
-            "signers": consumed.signer_count,
-            "cert_senders": sorted(cert_senders),
-        }
+        self.details.append(
+            {
+                "epoch": epoch,
+                "value": float(consumed.value),
+                "signers": consumed.signer_count,
+                "cert_senders": sorted(cert_senders),
+            }
+        )
+        if self.gateway is not None:
+            inputs = self.feed.inputs(epoch)
+            self.gateway.publish(
+                EpochReport(
+                    epoch=epoch,
+                    value=float(consumed.value),
+                    certificate=consumed,
+                    honest_outputs={},
+                    input_range=max(inputs) - min(inputs),
+                    wall_seconds=0.0,
+                    events_processed=0,
+                    runtime_seconds=0.0,
+                    megabytes=0.0,
+                    offline_nodes=(),
+                    stale_messages=0,
+                )
+            )
+        return {"epoch": epoch, "outcome": "certified"}
 
     # -- teardown --------------------------------------------------------
     @staticmethod

@@ -170,7 +170,7 @@ class OracleGateway:
         #: Wall-clock start of the epoch currently running on the executor
         #: (``None`` between epochs) — the stalled-epoch detector's input.
         self._epoch_started_at: Optional[float] = None
-        #: Optional external health contributor (the chaos controller wires
+        #: Optional external health contributor (the cluster supervisor wires
         #: one in when it fronts a live cluster with this gateway): a
         #: callable returning ``(status, reasons)`` merged into /healthz.
         self.health_source: Optional[Callable[[], Tuple[str, List[str]]]] = None

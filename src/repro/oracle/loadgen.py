@@ -259,10 +259,11 @@ async def run_loadgen_async(
         say(f"[loadgen] serving {epochs} epochs on {host}:{port}...")
         await gateway.run_epochs(epochs, progress=progress)
         stop_publishing.set()
-        # Drain: every healthy subscriber should see every certificate.
+        # Drain: every healthy subscriber should see every certificate the
+        # gateway published (a skipped epoch publishes none).
         deadline = time.perf_counter() + 30.0
         while time.perf_counter() < deadline:
-            if all(driver.received >= epochs for driver in drivers):
+            if all(driver.received >= gateway.certs_published for driver in drivers):
                 break
             await asyncio.sleep(0.05)
         report.wall_seconds = time.perf_counter() - started
@@ -289,14 +290,12 @@ async def run_loadgen_async(
         report.gateway_metrics = gateway.metrics()
         if own_gateway:
             await gateway.close()
-    report.certs_published = gateway.certs_published
-    report.certs_expected = epochs * len(drivers)
+    published = report.certs_published = gateway.certs_published
+    report.certs_expected = published * len(drivers)
     report.certs_received = sum(driver.received for driver in drivers)
-    report.certs_lost = sum(
-        max(0, epochs - driver.received) for driver in drivers
-    )
+    report.certs_lost = sum(max(0, published - driver.received) for driver in drivers)
     report.incomplete_subscribers = sum(
-        1 for driver in drivers if driver.received < epochs
+        1 for driver in drivers if driver.received < published
     )
     report.evictions = gateway.evictions
     report.send_drops = gateway.send_drops

@@ -4,7 +4,7 @@ The multi-process tests (``-m slow``) are the only ones that deliver real
 signals, but everything else about a run — barrier, epochs, COMMIT, skip,
 kill bookkeeping, rejoin, SHUTDOWN, teardown — needs no second process:
 ``ClusterSupervisor._run_async()`` runs beside ``run_node`` coroutines over
-real Unix sockets in ``tmp_path``.  Two shapes are used:
+real Unix sockets in ``tmp_path``, with or without a chaos schedule.  Two shapes are used:
 
 * **no-spawn** — the ``--no-spawn`` deployment itself: the supervisor spawns
   nothing, the nodes are tasks "started elsewhere";
@@ -30,7 +30,6 @@ import pytest
 from repro.errors import LivenessTimeout
 from repro.net.message import Message
 from repro.oracle.chaos import (
-    ChaosController,
     ChaosSchedule,
     KillSpec,
     PauseSpec,
@@ -151,9 +150,10 @@ class TestNoSpawnRun:
         ``epoch_timeout`` one epoch short."""
         supervisor = ClusterSupervisor(_config(tmp_path), spawn=False)
         started = time.monotonic()
-        report, outcomes = _run(_no_spawn_run(supervisor))
+        verdict, outcomes = _run(_no_spawn_run(supervisor))
         assert time.monotonic() - started < 2.0
-        values = {entry["epoch"]: entry["value"] for entry in report["epochs"]}
+        report = verdict["observed"]
+        values = {entry["epoch"]: entry["value"] for entry in report["epoch_details"]}
         assert sorted(values) == [0, 1, 2]
         assert outcomes == {node: values for node in range(N)}
         assert report["exit_codes"] == {} and report["boots"] == []
@@ -298,27 +298,61 @@ class TestMalformedCert:
                 await transport.close()
 
         supervisor = ClusterSupervisor(config, spawn=False)
-        report, outcomes = _run(_no_spawn_run(supervisor, others=[(rogue_id, rogue())]))
+        verdict, outcomes = _run(_no_spawn_run(supervisor, others=[(rogue_id, rogue())]))
+        report = verdict["observed"]
         assert report["malformed_certs"] == len(MALFORMED_CERTS)
-        assert [entry["epoch"] for entry in report["epochs"]] == [0, 1, 2]
+        assert [entry["outcome"] for entry in verdict["epochs"]] == ["certified"] * 3
         # n - t = 3 honest nodes carry every epoch.  The rogue's one
         # well-formed CERT is an (invalid) chain entry of epoch 0.
-        senders = [entry["cert_senders"] for entry in report["epochs"]]
+        senders = [entry["cert_senders"] for entry in report["epoch_details"]]
         assert senders == [[0, 1, 2, 3], [0, 1, 2], [0, 1, 2]]
         assert report["chain_entries"] == 3 * 3 + 1
         assert all(sorted(outcome) == [0, 1, 2] for outcome in outcomes.values())
 
 
 # ----------------------------------------------------------------------
-# ChaosController = the same loop plus a schedule
+# One supervisor, one policy, one verdict
 # ----------------------------------------------------------------------
 def _chaos_run(runtime_dir, schedule=ChaosSchedule(seed=7), **overrides):
-    controller = ChaosController(_config(runtime_dir, **overrides), schedule, spawn=False)
-    verdict, outcomes = _run(_no_spawn_run(controller))
-    return controller, verdict, outcomes
+    supervisor = ClusterSupervisor(
+        _config(runtime_dir, **overrides), schedule=schedule, spawn=False
+    )
+    verdict, outcomes = _run(_no_spawn_run(supervisor))
+    return supervisor, verdict, outcomes
+
+
+def _listener(config, node_id, heard):
+    """An endpoint that JOINs and then only listens (never certifies),
+    recording every control message until SHUTDOWN."""
+
+    async def listen():
+        transport = config.make_transport(node_id)
+        await transport.open([node_id])
+        try:
+            join = Message(CLUSTER_PROTOCOL, JOIN, 0, 0)
+            await transport.put(config.supervisor_id, (node_id, join))
+            while not heard[node_id] or heard[node_id][-1][0] != SHUTDOWN:
+                _sender, message = await transport.get(node_id)
+                heard[node_id].append((message.mtype, message.payload))
+        finally:
+            await transport.close()
+
+    return listen()
+
+
+#: What each listener hears in a 2-epoch run that never certifies.
+RELEASED_TWICE = [
+    (EPOCH, 0),  # the barrier
+    (EPOCH, 1),  # released from skipped epoch 0
+    (EPOCH, 2),  # ... and from skipped epoch 1
+    (SHUTDOWN, None),
+]
 
 
 class TestChaosControllerRun:
+    """The supervisor with a schedule (the ``repro chaos`` shape) and
+    without one (``repro cluster``): the same policy and the same verdict."""
+
     def test_empty_schedule_certifies_every_epoch_deterministically(self, tmp_path):
         views = []
         for run_dir in ("first", "second"):
@@ -335,26 +369,26 @@ class TestChaosControllerRun:
             views.append(json.dumps(deterministic_view(verdict), sort_keys=True))
         assert views[0] == views[1]
 
-    def test_report_and_verdict_share_the_supervisors_accounting(self, tmp_path):
-        """The restart/rejoin/boot/chain/transport block is built once: top
-        level of the cluster report, under ``observed`` in the verdict."""
-        supervisor = ClusterSupervisor(_config(tmp_path / "plain"), spawn=False)
-        report, _ = _run(_no_spawn_run(supervisor))
-        _controller, verdict, _ = _chaos_run(tmp_path / "chaos")
-        shared = {
-            "wall_seconds", "restarts", "rejoins", "boots", "exit_codes",
-            "malformed_certs", "chain_entries", "chain_validations", "transport",
-        }  # fmt: skip
-        assert set(report) == shared | {
-            "n", "t", "workload", "seed", "epochs", "distinct_valid_payloads"
-        }  # fmt: skip
-        assert set(verdict["observed"]) == shared | {
-            "epoch_details", "fault_events", "liveness", "margins"
-        }  # fmt: skip
-        assert set(verdict) == {
-            "kind", "seed", "n", "t", "workload", "epochs_planned", "schedule",
-            "epochs", "violations", "ok", "observed",
-        }  # fmt: skip
+    def test_every_run_returns_the_one_verdict_shape(self, tmp_path):
+        """A plain run and a scheduled one return the same keys: a
+        deterministic section and the supervisor's accounting under
+        ``observed`` — there is no second report shape."""
+        plain = ClusterSupervisor(_config(tmp_path / "plain"), spawn=False)
+        report, _ = _run(_no_spawn_run(plain))
+        _supervisor, verdict, _ = _chaos_run(tmp_path / "chaos")
+        for result in (report, verdict):
+            assert set(result) == {
+                "kind", "seed", "n", "t", "workload", "epochs_planned", "schedule",
+                "epochs", "violations", "ok", "observed",
+            }  # fmt: skip
+            assert set(result["observed"]) == {
+                "wall_seconds", "epoch_details", "fault_events", "restarts",
+                "rejoins", "boots", "exit_codes", "malformed_certs",
+                "chain_entries", "chain_validations", "distinct_valid_payloads",
+                "transport", "liveness", "margins",
+            }  # fmt: skip
+        assert report["schedule"] == ChaosSchedule(seed=7).to_dict()
+        assert report["observed"]["distinct_valid_payloads"] == 3
 
     def test_an_epoch_nobody_certifies_is_skipped_and_the_nodes_released(
         self, tmp_path
@@ -364,23 +398,11 @@ class TestChaosControllerRun:
         released with ``EPOCH(k+1)`` instead of the run aborting."""
         config = _config(tmp_path, epochs=2, epoch_timeout=0.2)
         heard = {node_id: [] for node_id in range(N)}
-
-        async def listener(node_id):
-            transport = config.make_transport(node_id)
-            await transport.open([node_id])
-            try:
-                join = Message(CLUSTER_PROTOCOL, JOIN, 0, 0)
-                await transport.put(config.supervisor_id, (node_id, join))
-                while not heard[node_id] or heard[node_id][-1][0] != SHUTDOWN:
-                    _sender, message = await transport.get(node_id)
-                    heard[node_id].append((message.mtype, message.payload))
-            finally:
-                await transport.close()
-
-        controller = ChaosController(config, ChaosSchedule(seed=3), spawn=False)
-        verdict, _ = _run(
-            _no_spawn_run(controller, others=[(i, listener(i)) for i in range(N)])
+        controller = ClusterSupervisor(
+            config, schedule=ChaosSchedule(seed=3), spawn=False
         )
+        listeners = [(i, _listener(config, i, heard)) for i in range(N)]
+        verdict, _ = _run(_no_spawn_run(controller, others=listeners))
         reason = "no valid certificate within 0.2s"
         assert verdict["epochs"] == [
             {"epoch": epoch, "outcome": "skipped", "reason": reason}
@@ -390,13 +412,40 @@ class TestChaosControllerRun:
         assert verdict["observed"]["liveness"]["skipped"] == {"0": reason, "1": reason}
         assert verdict["observed"]["epoch_details"] == []
         assert controller._health_source()[0] == "degraded"
-        for node_id in range(N):
-            assert heard[node_id] == [
-                (EPOCH, 0),  # the barrier
-                (EPOCH, 1),  # released from skipped epoch 0
-                (EPOCH, 2),  # ... and from skipped epoch 1
-                (SHUTDOWN, None),
-            ]
+        assert heard == {node_id: RELEASED_TWICE for node_id in range(N)}
+
+    def test_a_plain_run_skips_a_stalled_epoch_and_releases_the_nodes(
+        self, tmp_path
+    ):
+        """``repro cluster`` and the ``--no-spawn`` deployment: the parent's
+        plain supervisor raised ``LivenessTimeout`` on the first stalled
+        epoch and the nodes never heard ``SHUTDOWN``.  Now a plain run skips
+        both epochs, releases the nodes and shuts them down."""
+        config = _config(tmp_path, epochs=2, epoch_timeout=0.2)
+        heard = {node_id: [] for node_id in range(N)}
+        supervisor = ClusterSupervisor(config, spawn=False)
+        listeners = [(i, _listener(config, i, heard)) for i in range(N)]
+        verdict, _ = _run(_no_spawn_run(supervisor, others=listeners))
+        assert [entry["outcome"] for entry in verdict["epochs"]] == ["skipped"] * 2
+        assert verdict["ok"] and verdict["violations"] == []
+        assert heard == {node_id: RELEASED_TWICE for node_id in range(N)}
+
+
+    def test_run_fronts_a_gateway_from_start_to_close(self, tmp_path):
+        """``run()`` starts the gateway, publishes every certified epoch to
+        it, lets ``/healthz`` read the run, and closes it at the end."""
+        from repro.oracle.gateway import build_gateway
+
+        gateway = build_gateway("sensors", N, engine="fast", seed=7, port=0)
+        supervisor = ClusterSupervisor(_config(tmp_path), gateway=gateway)
+        _with_task_children(supervisor)
+        verdict = supervisor.run()
+        assert verdict["ok"]
+        metrics = verdict["observed"]["gateway"]
+        assert metrics["certs_published"] == 3 and metrics["health"] == "ok"
+        assert [entry["epoch"] for entry in gateway.history()] == [0, 1, 2]
+        assert gateway.health_source == supervisor._health_source
+        assert gateway._server is None  # closed
 
 
 # ----------------------------------------------------------------------
@@ -416,18 +465,19 @@ class TestOneKillPath:
             _config(tmp_path / "plan", epoch_interval=0.4),
             crash=CrashPlan(node=1, epoch=0, after=0.05, restart_delay=0.1),
         )
-        chaos = ChaosController(
+        chaos = ClusterSupervisor(
             _config(tmp_path / "spec", epoch_interval=0.4),
-            ChaosSchedule(kills=(KillSpec(node=1, at=0.05, restart_delay=0.1),)),
+            schedule=ChaosSchedule(kills=(KillSpec(node=1, at=0.05, restart_delay=0.1),)),
         )
         for supervisor in (plain, chaos):
             # The peers' own channels to node 1 lose a write finding out it
             # died, which can cost the respawn its first full epoch.
             supervisor.config.epoch_grace = 0.2
-        (report, plain_children), (verdict, chaos_children) = (
+        (plain_verdict, plain_children), (verdict, chaos_children) = (
             self._crash_run(plain),
             self._crash_run(chaos),
         )
+        report = plain_verdict["observed"]
         assert plain.fault_events == chaos.fault_events == [
             {"kind": "kill", "node": 1, "epoch": 0}
         ]
@@ -449,7 +499,7 @@ class TestOneKillPath:
         for codes in (report["exit_codes"], verdict["observed"]["exit_codes"]):
             assert codes == {"0": 0, "1": 0, "2": 0, "3": 0}
         assert sorted(b["node"] for b in report["boots"]) == [0, 1, 1, 2, 3]
-        assert verdict["ok"]
+        assert plain_verdict["ok"] and verdict["ok"]
 
     @pytest.mark.parametrize(
         "after, restart_delay",
@@ -477,7 +527,8 @@ class TestOneKillPath:
             crash=CrashPlan(node=1, epoch=1, after=after, restart_delay=restart_delay),
         )
         started = time.monotonic()
-        report, children = self._crash_run(supervisor)
+        verdict, children = self._crash_run(supervisor)
+        report = verdict["observed"]
         assert time.monotonic() - started < 5.0
         assert report["restarts"] == [{"node": 1, "epoch": 1}]
         # Greeted with the terminal epoch (or, on a slow box, the last one's
@@ -524,7 +575,8 @@ class TestOneKillPath:
                 await greet(node_id, epoch)
 
             supervisor._greet = greet_through_a_bit_flip
-        report, children = self._crash_run(supervisor)
+        verdict, children = self._crash_run(supervisor)
+        report = verdict["observed"]
         assert report["restarts"] == [{"node": 1, "epoch": 0}]
         assert [entry["node"] for entry in report["rejoins"]] == [1]
         assert supervisor.liveness._rejoined == {1: 1}
@@ -552,7 +604,7 @@ class TestOneKillPath:
             ),
             pauses=(PauseSpec(node=3, at=60.0),),
         )
-        controller = ChaosController(config, schedule)
+        controller = ClusterSupervisor(config, schedule=schedule)
         started = time.monotonic()
         verdict, children = self._crash_run(controller)
         wall = time.monotonic() - started
@@ -619,3 +671,37 @@ class TestRealSignals:
             assert kinds == ["pause", "resume"]
         finally:
             supervisor._kill_children()
+
+
+# ----------------------------------------------------------------------
+# The `repro cluster` command reads the verdict
+# ----------------------------------------------------------------------
+class TestClusterCli:
+    @pytest.mark.parametrize("silent", [False, True], ids=["certifying", "silent"])
+    def test_cluster_exits_1_when_an_epoch_is_skipped(
+        self, tmp_path, monkeypatch, capsys, silent
+    ):
+        """The command runs the one supervisor (here in-process, beside
+        ``run_node`` tasks or beside listeners that never certify) and exits
+        1 if any epoch was skipped, as ``repro serve`` does."""
+        from repro.experiments.cli import main
+
+        config = _config(tmp_path, epochs=2, epoch_timeout=0.2 if silent else 5.0)
+        heard = {node_id: [] for node_id in range(N)}
+        listeners = [(i, _listener(config, i, heard)) for i in range(N)] if silent else []
+
+        def run_in_process(supervisor):
+            return _run(_no_spawn_run(supervisor, others=listeners))[0]
+
+        monkeypatch.setattr(ClusterSupervisor, "run", run_in_process)
+        path = config.write(tmp_path / "shared.json")
+        code = main(["cluster", "--config", str(path), "--no-spawn", "--quiet"])
+        out = capsys.readouterr().out
+        if silent:
+            assert code == 1
+            assert "0/2 epochs certified, 2 skipped" in out
+            assert out.count("SKIPPED (no valid certificate within 0.2s)") == 2
+        else:
+            assert code == 0
+            assert "2/2 epochs certified, 0 skipped" in out
+            assert out.count("certs_from=[0, 1, 2, 3]") == 2

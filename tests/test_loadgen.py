@@ -4,11 +4,12 @@ publishers), the histogram artifact and the ``repro loadgen`` CLI."""
 
 import asyncio
 import json
+import time
 
 import pytest
 
 import repro.oracle.loadgen as loadgen_module
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, LivenessTimeout
 from repro.experiments.cli import main
 from repro.oracle.loadgen import (
     LoadgenReport,
@@ -16,6 +17,7 @@ from repro.oracle.loadgen import (
     run_loadgen_async,
     write_histogram,
 )
+from repro.oracle.service import OracleService
 
 
 def run(coroutine):
@@ -120,6 +122,32 @@ class TestRunLoadgen:
         assert report.gateway_metrics["certs_published"] == 2
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["certs_lost"] == 0
+
+    def test_a_skipped_epoch_is_not_lost_certificates(self, monkeypatch):
+        """A watchdog-skipped epoch publishes no certificate, so nobody can
+        miss it.  Counted against ``epochs`` instead, it read as 5 lost
+        certificates, and the drain waited its whole 30 s for them."""
+        real_run_epoch = OracleService.run_epoch
+        state = {"failed": False}
+
+        def fail_once(self):
+            if not state["failed"]:
+                state["failed"] = True
+                raise LivenessTimeout("transient stall")
+            return real_run_epoch(self)
+
+        monkeypatch.setattr(OracleService, "run_epoch", fail_once)
+        started = time.monotonic()
+        report = run(
+            run_loadgen_async(
+                workload="sensors", engine="fast", n=4, epochs=3, subscribers=5
+            )
+        )
+        assert time.monotonic() - started < 10.0
+        assert report.gateway_metrics["epochs_skipped"] == 1
+        assert report.certs_published == 2
+        assert report.certs_expected == report.certs_received == 10
+        assert report.certs_lost == 0 and report.incomplete_subscribers == 0
 
     def test_publishers_feed_ticks_without_hurting_delivery(self):
         report = run(

@@ -28,16 +28,14 @@ from repro.experiments.cli import main as cli_main
 from repro.net.chaos import WireFaults
 from repro.net.network import LossWindow
 from repro.oracle.chaos import (
-    ChaosController,
     ChaosSchedule,
     KillSpec,
     PauseSpec,
     deterministic_view,
-    run_chaos,
     standard_schedule,
     write_verdict,
 )
-from repro.oracle.cluster import build_cluster_config
+from repro.oracle.cluster import ClusterSupervisor, build_cluster_config
 from repro.oracle.service import SkippedEpoch, build_service
 from repro.workloads.ticks import TickBufferWorkload
 
@@ -208,57 +206,57 @@ class TestVerdicts:
 
 
 # ----------------------------------------------------------------------
-# Controller wiring (no processes spawned)
+# Schedule wiring (no processes spawned)
 # ----------------------------------------------------------------------
 class TestChaosControllerWiring:
-    def _controller(self, schedule, n=4):
+    def _supervisor(self, schedule, n=4):
         config = build_cluster_config("sensors", n, epochs=2, secret_seed=b"w")
-        return ChaosController(config, schedule, spawn=False), config
+        return ClusterSupervisor(config, schedule=schedule, spawn=False), config
 
     def test_wire_faults_flow_into_node_config(self):
         schedule = ChaosSchedule(
             seed=21, wire=WireFaults(losses=(LossWindow(0.0, 1.0, 0.5),))
         )
-        _controller, config = self._controller(schedule)
+        _supervisor, config = self._supervisor(schedule)
         assert config.chaos == {"seed": 21, "wire": schedule.wire.to_dict()}
 
     def test_process_only_schedule_keeps_transport_bare(self):
-        controller, config = self._controller(
+        supervisor, config = self._supervisor(
             ChaosSchedule(kills=(KillSpec(node=0, at=0.0),))
         )
         assert config.chaos is None
-        assert controller.liveness.epochs == config.epochs
+        assert supervisor.liveness.epochs == config.epochs
 
     def test_health_source_transitions(self):
-        controller, _config = self._controller(ChaosSchedule())
-        assert controller._health_source() == ("ok", [])
-        controller.liveness.on_skipped(1, "stalled")
-        status, reasons = controller._health_source()
+        supervisor, _config = self._supervisor(ChaosSchedule())
+        assert supervisor._health_source() == ("ok", [])
+        supervisor.liveness.on_skipped(1, "stalled")
+        status, reasons = supervisor._health_source()
         assert status == "degraded" and "epochs skipped: [1]" in reasons[0]
-        controller.violations.append({"monitor": "m", "detail": "broke"})
-        status, reasons = controller._health_source()
+        supervisor.violations.append({"monitor": "m", "detail": "broke"})
+        status, reasons = supervisor._health_source()
         assert status == "unhealthy" and "broke" in reasons[0]
 
     def test_injectors_without_processes_account_faults(self):
-        controller, _config = self._controller(
+        supervisor, _config = self._supervisor(
             ChaosSchedule(
                 kills=(KillSpec(node=1, at=0.0, restart_delay=0.0),),
                 pauses=(PauseSpec(node=2, at=0.0, duration=0.1),),
             )
         )
-        controller._zero = time.monotonic()
+        supervisor._zero = time.monotonic()
 
         async def scenario():
-            controller._schedule_faults()  # the supervisor's injectors, as tasks
+            supervisor._start_schedule()  # the supervisor's injectors, as tasks
             await asyncio.sleep(0.02)  # both fire at once (at=0.0) ...
-            await controller._settle_faults()  # ... and are awaited through
+            await supervisor._settle_faults()  # ... and are awaited through
 
         asyncio.run(scenario())
-        assert controller.liveness.kills == [1]
-        kinds = [event["kind"] for event in controller.fault_events]
+        assert supervisor.liveness.kills == [1]
+        kinds = [event["kind"] for event in supervisor.fault_events]
         assert kinds == ["kill", "pause-noop"]  # no live process to pause
-        assert controller.restarts == []  # spawn=False: nothing to respawn
-        assert controller._down == set()  # always cleaned up
+        assert supervisor.restarts == []  # spawn=False: nothing to respawn
+        assert supervisor._down == set()  # always cleaned up
 
 
 # ----------------------------------------------------------------------
@@ -415,8 +413,6 @@ def _spawnless_supervisor(tmp_path):
     config = build_cluster_config(
         "sensors", 4, secret_seed=b"teardown", runtime_dir=tmp_path
     )
-    from repro.oracle.cluster import ClusterSupervisor
-
     return ClusterSupervisor(config, spawn=False)
 
 
@@ -520,8 +516,7 @@ class TestLiveChaosRuns:
                 secret_seed=b"chaos-determinism",
                 epoch_interval=0.5,
             )
-            config.epoch_resyncs = 3
-            verdict = run_chaos(config, schedule)
+            verdict = ClusterSupervisor(config, schedule=schedule).run()
             assert verdict["ok"], verdict["violations"]
             views.append(
                 json.dumps(deterministic_view(verdict), sort_keys=True)
@@ -543,8 +538,7 @@ class TestLiveChaosRuns:
             epoch_timeout=15.0,
             epoch_interval=1.0,
         )
-        config.epoch_resyncs = 3
-        verdict = run_chaos(config, schedule)
+        verdict = ClusterSupervisor(config, schedule=schedule).run()
         assert verdict["violations"] == []
         assert verdict["ok"]
         accounted = {entry["epoch"] for entry in verdict["epochs"]}
